@@ -5,18 +5,21 @@
     casgd costs   --m 8124 --n 112 --f 0.19 --p 64 --b 1 --s 16 --epochs 100
     casgd bench   --data d.svm --algo casgd --s-step 8 --epochs 2 --repeats 5 --trace b.csv
 
-Exit codes: 0 success, 1 parse/configuration error, 2 bad flags, 3
-comparison tolerance exceeded.  CSV files are written to a temp file and
-renamed into place, so no partial output survives an error.  All floats
-are serialized with 17 significant digits (round-trip exact), and every
-run is fully determined by its flags, so repeated invocations produce
-byte-identical traces.
+Exit codes: 0 success, 1 parse/configuration error (including non-finite
+feature values, a non-finite or negative --eta and a non-finite
+--tolerance), 2 bad flags, 3 comparison failed (tolerance exceeded, a
+non-finite error, or fewer than epochs+1 epochs compared).  CSV files are
+written to a temp file and renamed into place, so no partial output
+survives an error.  All floats are serialized with 17 significant digits
+(round-trip exact), and every run is fully determined by its flags, so
+repeated invocations produce byte-identical traces.
 """
 
 from __future__ import annotations
 
 import argparse
 import gzip
+import math
 import os
 import statistics
 import sys
@@ -131,6 +134,9 @@ def cmd_train(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    # A negative tolerance stays valid: it makes every comparison fail.
+    if not math.isfinite(args.tolerance):
+        raise ConfigError(f"--tolerance must be finite, got {args.tolerance!r}")
     dataset = _load_dataset(args)
     try:
         s_values = [int(tok) for tok in args.s_list.split(",") if tok.strip()]
@@ -140,28 +146,34 @@ def cmd_compare(args) -> int:
         raise ConfigError("--s-list must hold positive integers")
     layout = _LAYOUTS[args.layout]
     m = dataset.num_points
-    ipe = iterations_per_epoch(m, args.batch)
-    H = args.epochs * ipe
+    H = args.epochs * iterations_per_epoch(m, args.batch)
 
-    def sgd_run(sched=None):
-        cfg = SolverConfig(eta0=args.eta, b=args.batch, s=1, epochs=args.epochs, layout=layout, p=args.procs, seed=args.seed)
+    def sgd_run(sched):
+        # SGD runs to the last point it is compared at; in the row layout
+        # that point is rounded up to a round boundary, past H.
+        iterations = sched[-1][1] if sched else 0
+        cfg = SolverConfig(eta0=args.eta, b=args.batch, s=1, total_iterations=iterations, layout=layout, p=args.procs, seed=args.seed)
         return run_sgd(dataset, cfg, partition(dataset, layout, args.procs), schedule=sched)
 
     # In column layout the s-step run materializes x at every iteration, so
     # one baseline run serves all s.  Row-layout runs only materialize x at
     # round boundaries; the baseline is re-traced on each s's aligned points.
-    baseline = sgd_run() if layout == BLOCK_COLUMN else None
+    baseline = sgd_run(epoch_schedule(m, args.batch, H)) if layout == BLOCK_COLUMN else None
 
     rows = []
-    worst = 0.0
+    errors = []
+    short = []
     for s in s_values:
         sched = epoch_schedule(m, args.batch, H, s=s, align_to_rounds=layout == BLOCK_ROW)
         base = baseline if baseline is not None else sgd_run(sched)
         cfg = SolverConfig(eta0=args.eta, b=args.batch, s=s, epochs=args.epochs, layout=layout, p=args.procs, seed=args.seed)
         ca = run_casgd(dataset, cfg, partition(dataset, layout, args.procs), schedule=sched)
+        compared = min(len(base.trace), len(ca.trace))
+        if compared != args.epochs + 1:
+            short.append(f"s={s}: compared {compared} epochs, expected {args.epochs + 1}")
         for t_sgd, t_ca, x_sgd, x_ca in zip(base.trace, ca.trace, base.epoch_solutions, ca.epoch_solutions):
             rel = relative_solution_error(x_sgd, x_ca)
-            worst = max(worst, rel)
+            errors.append(rel)
             rows.append(
                 ",".join(
                     [
@@ -176,7 +188,15 @@ def cmd_compare(args) -> int:
                 )
             )
     _write_csv(args.trace, "epoch,s,rel_solution_error,loss_sgd,loss_casgd,acc_sgd,acc_casgd", rows)
+    # NaN ranks above every number, so a NaN error cannot hide behind max().
+    worst = max(errors, key=lambda e: (math.isnan(e), e), default=0.0)
     print(f"max_rel_solution_error={_fmt(worst)}")
+    if short:
+        print("; ".join(short), file=sys.stderr)
+        return 3
+    if not math.isfinite(worst):
+        print("non-finite relative solution error", file=sys.stderr)
+        return 3
     if worst > args.tolerance:
         print(f"tolerance {_fmt(args.tolerance)} exceeded", file=sys.stderr)
         return 3

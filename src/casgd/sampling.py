@@ -12,6 +12,12 @@ Fisher-Yates walk over a virtual index window (a dict holds only the
 displaced entries).  Batches at different cursors are independent; a row
 may repeat across iterations.
 
+Because draws are counter-based, a stream computes a whole block of
+upcoming cursors at once: one vectorized ``uint64`` SplitMix64 pass, then
+the walks, kept as an ``int64`` array of at most about ``_BLOCK_DRAWS``
+indices (or one peek, if larger).  The block is only a cache; indices
+still depend on nothing but ``(seed, cursor)``.
+
 ``per_rank`` mode stratifies a batch over contiguous rank row ranges:
 each rank contributes ``b/p`` local indices, concatenated in rank order,
 drawn from draw numbers ``t*b + rank*(b/p) + k``.
@@ -33,31 +39,42 @@ _GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
+# A stream materializes the draws of this many batch indices at once
+# (at least one whole peek), so its block stays a bounded array.
+_BLOCK_DRAWS = 4096
 
-def _mix64(z: int) -> int:
-    z &= _MASK
-    z ^= z >> 30
-    z = (z * _MIX1) & _MASK
-    z ^= z >> 27
-    z = (z * _MIX2) & _MASK
-    z ^= z >> 31
+
+def _draws(seed: int, first: int, count: int) -> np.ndarray:
+    """Draw numbers ``first .. first+count-1`` in one vectorized SplitMix64 pass."""
+    z = np.arange(first + 1, first + count + 1, dtype=np.uint64)
+    z *= np.uint64(_GOLDEN)
+    z += np.uint64(seed & _MASK)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
     return z
 
 
-def _draw(seed: int, index: int) -> int:
-    return _mix64((seed + (index + 1) * _GOLDEN) & _MASK)
+def _sample_windows(draws: np.ndarray, start: int, size: int) -> np.ndarray:
+    """Per row of ``draws``, distinct values from [start, start+size) via partial Fisher-Yates.
 
-
-def _sample_window(seed: int, first_draw: int, count: int, start: int, size: int) -> list[int]:
-    """``count`` distinct values from [start, start+size) via partial Fisher-Yates."""
-    displaced: dict[int, int] = {}
-    out = []
-    for k in range(count):
-        j = k + _draw(seed, first_draw + k) % (size - k)
-        pick = displaced.get(j, j)
-        displaced[j] = displaced.get(k, k)
-        out.append(start + pick)
-    return out
+    Row r, step k swaps virtual slot k with slot ``k + draws[r, k] % (size - k)``
+    and emits the value now at slot k; a dict holds only the displaced slots.
+    """
+    count = draws.shape[1]
+    slots = draws % (size - np.arange(count, dtype=np.uint64))
+    slots += np.arange(count, dtype=np.uint64)
+    if count == 1:
+        return slots.astype(np.int64) + start
+    picks = []
+    for row in slots.tolist():
+        displaced: dict[int, int] = {}
+        for k, j in enumerate(row):
+            picks.append(displaced.get(j, j))
+            displaced[j] = displaced.get(k, k)
+    return np.array(picks, dtype=np.int64).reshape(draws.shape) + start
 
 
 @dataclass
@@ -70,6 +87,10 @@ class BatchStream:
     mode: str = "global"
     rank_ranges: Sequence[tuple[int, int]] | None = None
     cursor: int = field(default=0)
+    _block_start: int = field(default=0, init=False, repr=False, compare=False)
+    _block: np.ndarray = field(
+        default_factory=lambda: np.empty((0, 0), dtype=np.int64), init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.b < 1 or self.b > self.m:
@@ -90,39 +111,46 @@ class BatchStream:
         else:
             raise ValueError(f"unknown mode {self.mode!r}")
 
-    def _indices_at(self, cursor: int) -> list[int]:
-        base = cursor * self.b
-        if self.mode == "global":
-            return _sample_window(self.seed, base, self.b, 0, self.m)
-        local = self.b // len(self.rank_ranges)
-        picks: list[int] = []
-        for rank, (start, stop) in enumerate(self.rank_ranges):
-            picks.extend(_sample_window(self.seed, base + rank * local, local, start, stop - start))
-        return picks
+    def _rows(self, cursor: int, count: int) -> np.ndarray:
+        """Indices of the batches at cursors ``cursor .. cursor+count-1``, one row each."""
+        lo = cursor - self._block_start
+        if lo < 0 or lo + count > len(self._block):
+            self._block_start, lo = cursor, 0
+            self._block = self._compute_block(cursor, max(count, _BLOCK_DRAWS // self.b))
+        return self._block[lo : lo + count]
 
-    def _batch_at(self, cursor: int) -> RowBlockSelector:
-        return RowBlockSelector(np.array(self._indices_at(cursor), dtype=np.int64))
+    def _compute_block(self, cursor: int, count: int) -> np.ndarray:
+        draws = _draws(self.seed, cursor * self.b, count * self.b).reshape(count, self.b)
+        if self.mode == "global":
+            return _sample_windows(draws, 0, self.m)
+        local = self.b // len(self.rank_ranges)
+        return np.hstack(
+            [
+                _sample_windows(draws[:, rank * local : (rank + 1) * local], start, stop - start)
+                for rank, (start, stop) in enumerate(self.rank_ranges)
+            ]
+        )
 
     def next_batch(self) -> RowBlockSelector:
-        sel = self._batch_at(self.cursor)
+        sel = RowBlockSelector(self._rows(self.cursor, 1)[0].copy())
         self.cursor += 1
         return sel
 
     def peek_batches(self, s: int) -> list[RowBlockSelector]:
         """The next ``s`` selectors, without advancing the cursor."""
-        return [self._batch_at(self.cursor + t) for t in range(s)]
+        return [RowBlockSelector(ids.copy()) for ids in self._rows(self.cursor, s)]
 
     def advance(self, s: int) -> None:
         self.cursor += s
 
     # Plain-int variants of next_batch/peek_batches for solver hot loops;
-    # same draws, minus array construction and selector re-validation
+    # same draws, minus selector construction and re-validation
     # (Fisher-Yates already guarantees distinct in-range indices).
 
     def next_indices(self) -> list[int]:
-        ids = self._indices_at(self.cursor)
+        ids = self._rows(self.cursor, 1)[0].tolist()
         self.cursor += 1
         return ids
 
     def peek_indices(self, s: int) -> list[list[int]]:
-        return [self._indices_at(self.cursor + t) for t in range(s)]
+        return self._rows(self.cursor, s).tolist()

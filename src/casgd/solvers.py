@@ -48,7 +48,9 @@ from .model import accuracy, loss, sig
 from .sampling import BatchStream, RowBlockSelector
 from .sparse import (
     LabeledDataset,
+    _matched_dot,
     batch_scores,
+    gather_rows,
     gram_lower_blocks,
     sampled_matvec,
     sampled_matvec_transpose,
@@ -72,10 +74,6 @@ __all__ = [
 # dispatch overhead dominates tiny arrays in the per-iteration loop).
 _SCALAR_SIG_MAX = 8
 
-# Rounds with at most this many sampled rows compute scores row by row,
-# exactly like plain SGD; larger rounds switch to the vectorized kernels.
-_SMALL_ROUND_ROWS = 32
-
 
 class ConfigError(ValueError):
     """Solver configuration violates an invariant."""
@@ -95,6 +93,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not (math.isfinite(self.eta0) and self.eta0 >= 0):
+            raise ConfigError(f"eta0 must be finite and non-negative, got {self.eta0!r}")
         if self.b < 1:
             raise ConfigError("batch size must be at least 1")
         if self.s < 1:
@@ -142,9 +142,21 @@ class PhaseTimer:
 
     def __init__(self):
         self.totals = dict.fromkeys(self.PHASES, 0.0)
+        self._last = _pc()
 
     def add(self, phase: str, seconds: float) -> None:
         self.totals[phase] += seconds
+
+    def lap(self, phase: str | None = None) -> None:
+        """Charge the time since the previous lap to ``phase``; without one, restart the clock."""
+        now = _pc()
+        if phase is not None:
+            self.totals[phase] += now - self._last
+        self._last = now
+
+
+def _no_lap(phase: str | None = None) -> None:
+    pass
 
 
 def iterations_per_epoch(m: int, b: int) -> int:
@@ -173,16 +185,32 @@ def epoch_schedule(
 
 
 def relative_solution_error(x_ref: np.ndarray, x_other: np.ndarray) -> float:
-    """``||x_ref - x_other|| / ||x_ref||``; 0 when both are zero, inf when only x_ref is."""
+    """``||x_ref - x_other|| / ||x_ref||``; 0 when both are zero, inf when only x_ref is.
+
+    NaN when either vector holds a non-finite entry.  Each norm is taken
+    of its vectors divided by the power of two that brings their largest
+    entry below 1 (the scaling idea of LAPACK's dnrm2), so neither the
+    difference nor the squared norms can overflow.  The divisions are
+    exact, so vectors in the ordinary range give the same bits as the
+    unscaled formula.
+    """
     x_ref = np.asarray(x_ref, dtype=np.float64)
     x_other = np.asarray(x_other, dtype=np.float64)
     if x_ref.shape != x_other.shape:
         raise ValueError("vectors must have the same length")
-    base = float(np.linalg.norm(x_ref))
-    diff = float(np.linalg.norm(x_ref - x_other))
-    if base == 0.0:
-        return 0.0 if diff == 0.0 else math.inf
-    return diff / base
+    if not (np.isfinite(x_ref).all() and np.isfinite(x_other).all()):
+        return math.nan
+    peak_ref = float(np.abs(x_ref).max(initial=0.0))
+    peak = max(peak_ref, float(np.abs(x_other).max(initial=0.0)))
+    if peak_ref == 0.0:
+        return 0.0 if peak == 0.0 else math.inf
+    e_ref, e = math.frexp(peak_ref)[1], math.frexp(peak)[1]
+    base = float(np.linalg.norm(np.ldexp(x_ref, -e_ref)))
+    diff = float(np.linalg.norm(np.ldexp(x_ref, -e) - np.ldexp(x_other, -e)))
+    try:
+        return math.ldexp(diff / base, e - e_ref)
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -291,18 +319,6 @@ class _Recorder:
             self.record(self._sched[self._pos][0], x_full_fn())
             self._pos += 1
             self.next_iteration = self._sched[self._pos][1] if self._pos < len(self._sched) else None
-
-
-def _matched_dot_arrays(ac, av, bc, bv):
-    if not len(ac) or not len(bc):
-        return 0.0, 0
-    pos = np.searchsorted(ac, bc)
-    ok = pos < len(ac)
-    ok[ok] = ac[pos[ok]] == bc[ok]
-    hits = int(ok.sum())
-    if not hits:
-        return 0.0, 0
-    return float(np.dot(av[pos[ok]], bv[ok])), hits
 
 
 # ---------------------------------------------------------------------------
@@ -591,108 +607,86 @@ def _casgd_column_single(dataset, cfg, cluster, rounds, sched, source, timer):
     rec = _Recorder(dataset, c, sched)
     rec.record(0, x)
     next_it = rec.next_iteration
+    lap = timer.lap if timer else _no_lap
 
-    # Round buffer is reused: the score section and every strictly-lower
-    # Gram block are rewritten each round, the rest stays zero.  Scores go
-    # row by row for small rounds (and always for s = 1, mirroring plain
-    # SGD's operations exactly); larger rounds use the vectorized kernel.
-    buf = np.zeros(sb + sb * sb)
-    rs = buf[:sb]
-    G = buf[sb:].reshape(sb, sb)
-    w_flat = np.empty(sb)
-    score_rowwise = sb <= _SMALL_ROUND_ROWS or s == 1
+    # s = 1 has no Gram and mirrors plain SGD operation for operation: row
+    # by row scores and updates.  s > 1 gathers the round's rows once, gets
+    # scores and Gram from BLAS products, runs only the scalar recurrence
+    # per iteration, and applies the updates as one x += A[round]^T w (x is
+    # not read inside a round), split where a trace point falls.  Counters
+    # advance in closed form per applied span, so they read at every trace
+    # point what iteration-by-iteration accounting would give.  Phases are
+    # timed per round; the identity collective's counter bumps count as gram.
+    G = np.zeros((sb, sb))
+    rs = np.empty(sb)
+    w = np.empty(sb)
+    # Per iteration: batch offset, its Gram rows left of the diagonal block
+    # and the weights they multiply; views, built once, stay valid as G and
+    # w are rewritten in place every round.
+    recurrence = [(lo, G[lo, :lo] if b == 1 else G[lo : lo + b, :lo], w[:lo]) for lo in range(0, sb, b)]
     words_per_round = sb * sb + sb
     t = 0
+    lap()
 
     for _ in range(rounds):
-        if timer:
-            t0 = _pc()
         batches_ids = source.peek_indices(s)
         source.advance(s)
-        flat = [i for ids in batches_ids for i in ids]
-        if timer:
-            timer.add("sampling", _pc() - t0)
-            t0 = _pc()
-        if score_rowwise:
+        lap("sampling")
+        if s == 1:
+            ids = batches_ids[0]
             score_madds = 0
-            q = 0
-            for ids in batches_ids:
-                for i in ids:
-                    rc, rv = rows[i]
-                    rs[q] = np.dot(dr[i], x) if dr is not None else np.dot(rv, x[rc])
-                    score_madds += len(rv)
-                    q += 1
+            for k, i in enumerate(ids):
+                rc, rv = rows[i]
+                rs[k] = np.dot(dr[i], x) if dr is not None else np.dot(rv, x[rc])
+                score_madds += len(rv)
         else:
-            scores, score_madds = batch_scores(dataset, np.array(flat, dtype=np.int64), x)
-            rs[:] = scores
-        if timer:
-            timer.add("score_matvec", _pc() - t0)
-            t0 = _pc()
-        if s > 1:
-            _, gram_madds = gram_lower_blocks(dataset, flat, b, out=G)
-        else:
-            gram_madds = 0
-        if timer:
-            timer.add("gram", _pc() - t0)
-            t0 = _pc()
+            ids = np.array(batches_ids, dtype=np.int64).reshape(sb)
+            block = gather_rows(dataset, ids)
+            rs, score_madds = batch_scores(dataset, ids, x, rows=block)
+        lap("score_matvec")
+        gram_madds = gram_lower_blocks(dataset, ids, b, out=G, rows=block)[1] if s > 1 else 0
         # p = 1 allreduce is the identity; tree counters for the round payload.
         c.words_moved += words_per_round
         c.collectives += 1
         c.flops += score_madds + gram_madds
-        if timer:
-            timer.add("collectives", _pc() - t0)
+        lap("gram")
 
-        for j in range(1, s + 1):
-            lo = (j - 1) * b
-            ids = batches_ids[j - 1]
+        for lo, g_j, w_head in recurrence:
             if b == 1:
-                if timer:
-                    t0 = _pc()
                 zj = rs[lo]
                 if lo:
-                    zj = zj + np.dot(G[lo, :lo], w_flat[:lo])
-                    c.flops += lo
-                if timer:
-                    timer.add("gram", _pc() - t0)
-                    t0 = _pc()
-                w0 = _sig_scalar(zj) * eta_scale
-                c.sig_evals += 1
-                if timer:
-                    timer.add("sig", _pc() - t0)
-                    t0 = _pc()
-                w_flat[lo] = w0
-                rc, rv = rows[ids[0]]
-                x[rc] += w0 * rv
-                c.flops += len(rv) + n
+                    zj = zj + np.dot(g_j, w_head)
+                w[lo] = _sig_scalar(zj) * eta_scale
             else:
-                if timer:
-                    t0 = _pc()
                 zj = rs[lo : lo + b].copy()
                 if lo:
-                    zj += G[lo : lo + b, :lo] @ w_flat[:lo]
-                    c.flops += lo * b
-                if timer:
-                    timer.add("gram", _pc() - t0)
-                    t0 = _pc()
+                    zj += g_j @ w_head
                 wj = _sig_batch(zj)
-                c.sig_evals += b
-                if timer:
-                    timer.add("sig", _pc() - t0)
-                    t0 = _pc()
                 wj *= eta_scale
-                w_flat[lo : lo + b] = wj
-                nnz_j = 0
-                for k in range(b):
-                    rc, rv = rows[ids[k]]
-                    x[rc] += wj[k] * rv
-                    nnz_j += len(rv)
-                c.flops += nnz_j + n
-            if timer:
-                timer.add("update", _pc() - t0)
-            t += 1
-            if next_it is not None and next_it <= t:
-                rec.visit(t, x_fn)
+                w[lo : lo + b] = wj
+        lap("sig")
+
+        done = 0
+        while done < s:
+            stop = s if next_it is None or next_it >= t + s else max(next_it - t, done + 1)
+            lo, hi = done * b, stop * b
+            if s == 1:
+                for k, i in enumerate(ids):
+                    rc, rv = rows[i]
+                    x[rc] += w[k] * rv
+            else:
+                x += block[lo:hi].T @ w[lo:hi]
+            span_nnz = score_madds if hi - lo == sb else int(A.row_nnz[ids[lo:hi]].sum())
+            # Iteration i of the round adds i*b*b recurrence flops.
+            c.flops += span_nnz + n * (stop - done) + b * b * (stop * (stop - 1) - done * (done - 1)) // 2
+            c.sig_evals += b * (stop - done)
+            lap("update")
+            done = stop
+            if next_it is not None and next_it <= t + done:
+                rec.visit(t + done, x_fn)
                 next_it = rec.next_iteration
+                lap()
+        t += s
 
     return SolverRun(x.copy(), rec.trace, c.snapshot(), rec.solutions)
 
@@ -748,7 +742,7 @@ def _casgd_column_multi(dataset, cfg, cluster, rounds, sched, source, timer):
                     ac, av = windows[j * b + k]
                     for q in range(j * b):
                         bc, bv = windows[q]
-                        val, hits = _matched_dot_arrays(ac, av, bc, bv)
+                        val, hits = _matched_dot(ac, av, bc, bv)
                         Gr[j * b + k, q] = val
                         gram_madds += hits
         if timer:

@@ -17,7 +17,7 @@ order, which keeps results reproducible and makes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -33,21 +33,18 @@ __all__ = [
     "sampled_matvec",
     "sampled_matvec_transpose",
     "gram_block",
+    "gather_rows",
     "batch_scores",
     "gram_lower_blocks",
 ]
 
-# Row counts at or below this use plain per-row/per-pair loops; above it the
-# vectorized scipy.sparse kernels win despite their call overhead.
+# Without a dense row cache, Grams of fewer rows than this use per-pair
+# merges; from it on the scipy.sparse product wins despite its call overhead.
 _VECTORIZE_MIN_ROWS = 33
 
 # Matrices up to this many cells keep a dense row cache so round kernels can
-# run contiguous dots; beyond it only the sparse paths apply.
+# run BLAS products on gathered rows; beyond it only the sparse paths apply.
 _DENSE_CACHE_MAX_CELLS = 2_000_000
-
-# With a dense row cache, rounds with at least this many sampled rows compute
-# the Gram through one BLAS product instead of per-pair merges.
-_DENSE_GRAM_MIN_ROWS = 4
 
 
 class LibsvmParseError(ValueError):
@@ -115,6 +112,13 @@ class CsrMatrix:
     def row(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         lo, hi = self.row_offsets[i], self.row_offsets[i + 1]
         return self.col_indices[lo:hi], self.values[lo:hi]
+
+    @cached_property
+    def row_nnz(self) -> np.ndarray:
+        """Stored entries per row."""
+        counts = np.diff(self.row_offsets)
+        counts.setflags(write=False)
+        return counts
 
     @cached_property
     def row_slices(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -313,6 +317,11 @@ def parse_libsvm(
         offsets[i + 1] = offsets[i] + len(cols)
     col_indices = np.concatenate(row_cols) if m else np.empty(0, dtype=np.int64)
     values = np.concatenate([v * labels[i] for i, v in enumerate(row_vals)]) if m else np.empty(0)
+    if not np.isfinite(values).all():
+        bad = int(np.argmin(np.isfinite(values)))
+        row = int(np.searchsorted(offsets, bad, side="right")) - 1
+        line_no = raw_labels[row][0]
+        raise LibsvmParseError(line_no, f"non-finite feature value {values[bad] * labels[row]!r}")
     matrix = CsrMatrix(m, n, offsets, col_indices, values)
     return LabeledDataset.build(matrix, labels)
 
@@ -466,21 +475,28 @@ def gram_block(
 # Round-sized kernels used by the solvers (full column range, many rows)
 
 
-def batch_scores(dataset: LabeledDataset, row_ids: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, int]:
-    """Scores of ``row_ids`` against full-length ``x``; returns (scores, multiply-adds)."""
+def gather_rows(dataset: LabeledDataset, row_ids: np.ndarray):
+    """The sampled rows as one matrix, for a round's kernels to share.
+
+    Dense rows (an ndarray) when the matrix keeps a dense cache, else CSR
+    rows (a scipy matrix); both support ``@ x``, ``@ rows.T`` and ``.T @ w``.
+    """
     A = dataset.a_tilde
+    dense = A.dense_cache()
+    return dense[row_ids] if dense is not None else A.scipy_csr[row_ids]
+
+
+def batch_scores(
+    dataset: LabeledDataset, row_ids: np.ndarray, x: np.ndarray, rows=None
+) -> tuple[np.ndarray, int]:
+    """Scores of ``row_ids`` against full-length ``x``; returns (scores, multiply-adds).
+
+    ``rows`` is ``gather_rows(dataset, row_ids)`` when the caller holds it.
+    """
     row_ids = np.asarray(row_ids, dtype=np.int64)
-    if len(row_ids) >= _VECTORIZE_MIN_ROWS:
-        sub = A.scipy_csr[row_ids]
-        return sub.dot(x), int(sub.nnz)
-    out = np.empty(len(row_ids))
-    madds = 0
-    offsets, cols, vals = A.row_offsets, A.col_indices, A.values
-    for k, i in enumerate(row_ids):
-        lo, hi = offsets[i], offsets[i + 1]
-        out[k] = np.dot(vals[lo:hi], x[cols[lo:hi]])
-        madds += int(hi - lo)
-    return out, madds
+    if rows is None:
+        rows = gather_rows(dataset, row_ids)
+    return rows @ x, int(dataset.a_tilde.row_nnz[row_ids].sum())
 
 
 def gram_lower_blocks(
@@ -488,14 +504,17 @@ def gram_lower_blocks(
     row_ids: np.ndarray,
     block_size: int,
     out: np.ndarray | None = None,
+    rows=None,
 ) -> tuple[np.ndarray, int]:
     """Strictly-lower b-by-b blocks of the sampled-row Gram matrix.
 
     ``row_ids`` holds s consecutive batches of ``block_size`` rows; block
     (j, i) with i < j is filled with inner products between batch j rows
     and batch i rows.  Diagonal and upper blocks are left untouched (zero
-    when ``out`` is freshly allocated).  Returns the matrix and the number
-    of index matches (sparse multiply-adds) the blocks represent.
+    when ``out`` is freshly allocated).  ``rows`` is
+    ``gather_rows(dataset, row_ids)`` when the caller holds it.  Returns
+    the matrix and the number of index matches (sparse multiply-adds) the
+    blocks represent, counted exactly from the rows' column indices.
     """
     ids = np.asarray(row_ids, dtype=np.int64)
     sb = len(ids)
@@ -505,28 +524,26 @@ def gram_lower_blocks(
     if out is None:
         out = np.zeros((sb, sb))
     A = dataset.a_tilde
-    dense = A.dense_cache()
-    if (dense is not None and sb >= _DENSE_GRAM_MIN_ROWS) or (dense is None and sb >= _VECTORIZE_MIN_ROWS):
-        if dense is not None:
-            sub = dense[ids]
-            full = sub @ sub.T
-        else:
-            sub = A.scipy_csr[ids]
-            full = (sub @ sub.T).toarray()
-        np.multiply(full, _block_tril_mask(sb, b), out=out)
-        return out, _lower_block_matches(A, ids, b)
-    slices = A.row_slices
-    matches = 0
-    s = sb // b
-    for j in range(1, s):
-        for k in range(b):
-            a_cols, a_vals = slices[ids[j * b + k]]
-            for q in range(j * b):
-                b_cols, b_vals = slices[ids[q]]
-                val, hits = _matched_dot(a_cols, a_vals, b_cols, b_vals)
-                out[j * b + k, q] = val
-                matches += hits
-    return out, matches
+    if rows is None and A.dense_cache() is None and sb < _VECTORIZE_MIN_ROWS:
+        slices = A.row_slices
+        matches = 0
+        for j in range(1, sb // b):
+            for k in range(b):
+                a_cols, a_vals = slices[ids[j * b + k]]
+                for q in range(j * b):
+                    b_cols, b_vals = slices[ids[q]]
+                    val, hits = _matched_dot(a_cols, a_vals, b_cols, b_vals)
+                    out[j * b + k, q] = val
+                    matches += hits
+        return out, matches
+    if rows is None:
+        rows = gather_rows(dataset, ids)
+    full = rows @ rows.T
+    if scipy.sparse.issparse(full):
+        full = full.toarray()
+    mask = _cached_block_tril_mask(sb, b) if sb * sb <= _MASK_CACHE_MAX_CELLS else _block_tril_mask(sb, b)
+    np.copyto(out, full, where=mask)
+    return out, _lower_block_matches(A, ids, b)
 
 
 def _lower_block_matches(A: CsrMatrix, ids: np.ndarray, b: int) -> int:
@@ -538,6 +555,7 @@ def _lower_block_matches(A: CsrMatrix, ids: np.ndarray, b: int) -> int:
     """
     slices = A.row_slices
     n = A.num_cols
+    ids = ids.tolist()
     flat = np.concatenate([slices[i][0] for i in ids])
     total = np.bincount(flat, minlength=n)
     all_pairs_x2 = int(np.dot(total, total)) - len(flat)
@@ -553,4 +571,13 @@ def _lower_block_matches(A: CsrMatrix, ids: np.ndarray, b: int) -> int:
 
 def _block_tril_mask(sb: int, b: int) -> np.ndarray:
     blocks = np.arange(sb) // b
-    return blocks[:, None] > blocks[None, :]
+    mask = blocks[:, None] > blocks[None, :]
+    mask.setflags(write=False)
+    return mask
+
+
+# Masks up to this many cells are kept, since small rounds would spend much
+# of their time rebuilding them; larger ones would stay resident for little
+# gain next to their Gram product, so they are rebuilt.
+_MASK_CACHE_MAX_CELLS = 1 << 16
+_cached_block_tril_mask = lru_cache(maxsize=8)(_block_tril_mask)

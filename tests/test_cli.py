@@ -106,6 +106,23 @@ class TestExitCodes:
         assert code == 1
         assert "divide" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "compare", "bench"])
+    @pytest.mark.parametrize("eta", ["nan", "inf", "-1"])
+    def test_bad_eta_exit_1(self, data_file, tmp_path, capsys, command, eta):
+        extra = {"train": [], "compare": ["--s-list", "2"], "bench": []}[command]
+        out = tmp_path / "out.csv"
+        code = main([command, "--data", data_file, "--epochs", "1", f"--eta={eta}", "--trace", str(out), *extra])
+        assert code == 1
+        assert "eta0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_feature_exit_1_with_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.svm"
+        bad.write_text("+1 1:1.0\n-1 1:nan 2:inf\n")
+        code = main(["train", "--data", str(bad), "--trace", str(tmp_path / "t.csv")])
+        assert code == 1
+        assert "line 2" in capsys.readouterr().err
+
     def test_no_partial_csv_on_error(self, data_file, tmp_path):
         out = tmp_path / "t.csv"
         code = main(
@@ -163,6 +180,54 @@ class TestCompare:
         assert code == 0
         _, rows = _read_rows(out)
         assert all(float(r[2]) <= 1e-10 for r in rows)
+
+    def test_row_layout_compares_every_epoch(self, data_file, tmp_path, capsys):
+        # 64 rows, b=4: 16 iterations per epoch; at s=5 the last epoch end
+        # (48) rounds up to 50, past epochs*ceil(m/b), and must be compared.
+        out = tmp_path / "cmp.csv"
+        code = main(
+            ["compare", "--data", data_file, "--s-list", "5", "--epochs", "3", "--layout", "row",
+             "--procs", "2", "--batch", "4", "--seed", "5", "--trace", str(out)]
+        )
+        assert code == 0, capsys.readouterr().err
+        _, rows = _read_rows(out)
+        assert [r[0] for r in rows] == ["0", "1", "2", "3"]
+
+    def test_huge_eta_reports_the_real_error(self, data_file, tmp_path, capsys):
+        # Solutions near 1e306 overflow an unscaled norm, which read as error 0.
+        code = main(
+            ["compare", "--data", data_file, "--s-list", "2", "--epochs", "2", "--eta", "1e308",
+             "--trace", str(tmp_path / "cmp.csv")]
+        )
+        assert code == 0
+        worst = float(capsys.readouterr().out.strip().split("=")[1])
+        assert 0.0 < worst <= 1e-10
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+    def test_non_finite_trajectory_fails(self, tmp_path, capsys):
+        data = tmp_path / "huge.svm"
+        data.write_text("+1 1:1e300 2:1\n-1 1:1e300 3:1\n+1 2:1e300 3:1\n-1 1:1 2:1e300\n")
+        out = tmp_path / "cmp.csv"
+        code = main(
+            ["compare", "--data", str(data), "--s-list", "2", "--epochs", "3", "--eta", "1e300",
+             "--trace", str(out)]
+        )
+        assert code == 3
+        stdout, stderr = capsys.readouterr()
+        assert "max_rel_solution_error=nan" in stdout
+        assert "non-finite" in stderr
+        assert out.exists()
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf"])
+    def test_non_finite_tolerance_exit_1(self, data_file, tmp_path, capsys, tolerance):
+        out = tmp_path / "cmp.csv"
+        code = main(
+            ["compare", "--data", data_file, "--s-list", "2", "--epochs", "1", f"--tolerance={tolerance}",
+             "--trace", str(out)]
+        )
+        assert code == 1
+        assert "--tolerance" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_s_list(self, data_file, tmp_path, capsys):
         code = main(["compare", "--data", data_file, "--s-list", "2,x", "--trace", str(tmp_path / "c.csv")])

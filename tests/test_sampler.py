@@ -126,3 +126,75 @@ def test_batch_size_bounds():
         BatchStream(0, 5, 6)
     with pytest.raises(ValueError):
         BatchStream(0, 5, 0)
+
+
+# Scalar reference generator: one SplitMix64 draw and one dict walk at a
+# time, exactly as the stream defines its indices.
+_MASK = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def _mix64(z: int) -> int:
+    z &= _MASK
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) & _MASK
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) & _MASK
+    z ^= z >> 31
+    return z
+
+
+def _sample_window(seed: int, first_draw: int, count: int, start: int, size: int) -> list[int]:
+    displaced: dict[int, int] = {}
+    out = []
+    for k in range(count):
+        j = k + _mix64((seed + (first_draw + k + 1) * _GOLDEN) & _MASK) % (size - k)
+        pick = displaced.get(j, j)
+        displaced[j] = displaced.get(k, k)
+        out.append(start + pick)
+    return out
+
+
+def _oracle(seed, m, b, cursor, rank_ranges=None):
+    if rank_ranges is None:
+        return _sample_window(seed, cursor * b, b, 0, m)
+    local = b // len(rank_ranges)
+    picks = []
+    for rank, (start, stop) in enumerate(rank_ranges):
+        picks.extend(_sample_window(seed, cursor * b + rank * local, local, start, stop - start))
+    return picks
+
+
+class TestBlockSamplerMatchesScalarOracle:
+    M = 21
+    SEEDS = (0, 2**64 - 1, -12345)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("b", [1, 7, M])
+    def test_global_next_indices_across_block_boundaries(self, seed, b):
+        stream = BatchStream(seed, self.M, b)
+        # enough cursors to cross at least two blocks of cached draws
+        cursors = 2 * (4096 // b) + 5
+        for cursor in range(cursors):
+            assert stream.next_indices() == _oracle(seed, self.M, b, cursor), cursor
+
+    # (b, rank ranges) with p dividing b: one rank, 7 ranks of 3 rows, 3 ranks of 7
+    PER_RANK = [(1, [(0, M)]), (7, [(3 * r, 3 * r + 3) for r in range(7)]), (M, [(0, 7), (7, 14), (14, 21)])]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("b,ranges", PER_RANK)
+    def test_per_rank_peek_then_advance(self, seed, b, ranges):
+        stream = BatchStream(seed, self.M, b, mode="per_rank", rank_ranges=ranges)
+        cursor = 0
+        for s in (3, 4096 // b - 1, 5, 600, 2):
+            ahead = stream.peek_indices(s)
+            assert ahead == [_oracle(seed, self.M, b, cursor + t, ranges) for t in range(s)]
+            stream.advance(s)
+            cursor += s
+        assert stream.next_indices() == _oracle(seed, self.M, b, cursor, ranges)
+
+    def test_selector_views_match_oracle_from_a_jumped_cursor(self):
+        stream = BatchStream(99, self.M, 7, cursor=10_000)
+        sels = stream.peek_batches(3)
+        assert [sel.indices.tolist() for sel in sels] == [_oracle(99, self.M, 7, 10_000 + t) for t in range(3)]
+        assert stream.next_batch().indices.tolist() == _oracle(99, self.M, 7, 10_000)

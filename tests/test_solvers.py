@@ -10,11 +10,13 @@ from casgd import (
     RowBlockSelector,
     SolverConfig,
     full_gradient,
+    parse_libsvm,
     partition,
     relative_solution_error,
     run_casgd,
     run_reference,
     run_sgd,
+    serialize_libsvm,
 )
 from casgd.datagen import synthetic_dataset
 from casgd.solvers import epoch_schedule, iterations_per_epoch
@@ -139,6 +141,19 @@ class TestEquivalence:
             assert abs(t_sgd.accuracy - t_ca.accuracy) <= 1.0 / m + 1e-12
             assert abs(t_sgd.loss - t_ca.loss) <= 1e-12
 
+    @pytest.mark.parametrize("b,s", [(1, 1), (2, 3), (1, 40)])
+    def test_column_single_rank_without_dense_cache(self, b, s):
+        # m*n above the dense-cache bound: rounds gather CSR rows instead.
+        d = synthetic_dataset(700, 3000, 5, seed=2)
+        assert d.a_tilde.dense_cache() is None
+        sgd = run_sgd(d, SolverConfig(eta0=1.0, b=b, epochs=2, seed=4), _col_cluster(d))
+        ca = run_casgd(d, SolverConfig(eta0=1.0, b=b, s=s, epochs=2, seed=4), _col_cluster(d))
+        assert len(ca.epoch_solutions) == 3
+        for a, b_ in zip(sgd.epoch_solutions, ca.epoch_solutions):
+            assert relative_solution_error(a, b_) <= (0.0 if s == 1 else 1e-10)
+        rounds_started = [-(-e * iterations_per_epoch(700, b) // s) for e in range(3)]
+        assert [t.words for t in ca.trace] == [r * (s * b) * (s * b + 1) for r in rounds_started]
+
     @pytest.mark.parametrize("p,b,s", [(1, 1, 4), (2, 4, 8), (4, 4, 2)])
     def test_row_layout_aligned(self, p, b, s):
         d = synthetic_dataset(256, 32, 8, seed=13)
@@ -247,6 +262,44 @@ class TestCounterLaws:
         assert run.counters.words_moved == 2
 
 
+# Cumulative (flops, words, messages, collectives) at epochs 0..3 of CA-SGD
+# on the acceptance datasets, keyed by (dataset, b, s), with eta 1 and seed
+# 123; recorded from a loop that applied updates and counters one iteration
+# at a time.  Epoch ends fall inside rounds at every s here, so each trace
+# point checks the split of a round's update and counters.
+FROZEN_TRACE_COUNTERS = {
+    ("synthetic2000x100", 1, 64): [(0, 0, 0, 0), (368419, 133120, 0, 32), (734072, 262080, 0, 63), (1099620, 391040, 0, 94)],
+    ("synthetic2000x100", 1, 512): [(0, 0, 0, 0), (1266504, 1050624, 0, 4), (2534193, 2101248, 0, 8), (3804422, 3151872, 0, 12)],
+    ("synthetic2000x100", 3, 8): [(0, 0, 0, 0), (148881, 50400, 0, 84), (297387, 100200, 0, 167), (446348, 150600, 0, 251)],
+    ("libsvm-scale", 1, 64): [(0, 0, 0, 0), (2515593, 528320, 0, 127), (5030678, 1056640, 0, 254), (7545203, 1584960, 0, 381)],
+    ("libsvm-scale", 1, 512): [(0, 0, 0, 0), (11558178, 4202496, 0, 16), (23121777, 8404992, 0, 32), (34689886, 12607488, 0, 48)],
+}
+FROZEN_FINAL = {
+    ("synthetic2000x100", 1, 64): (1102268, 6016),
+    ("synthetic2000x100", 1, 512): (3883550, 6144),
+    ("synthetic2000x100", 3, 8): (447510, 6024),
+    ("libsvm-scale", 1, 64): (7547489, 24384),
+    ("libsvm-scale", 1, 512): (34800556, 24576),
+}
+
+
+@pytest.fixture(scope="module")
+def acceptance_datasets():
+    raw = synthetic_dataset(8124, 112, 21, seed=7, feature_values="binary", label_noise=0.03)
+    return {
+        "synthetic2000x100": synthetic_dataset(2000, 100, 10, seed=42, label_noise=0.05),
+        "libsvm-scale": parse_libsvm(serialize_libsvm(raw)),
+    }
+
+
+@pytest.mark.parametrize("name,b,s", sorted(FROZEN_TRACE_COUNTERS))
+def test_trace_point_counters_frozen(acceptance_datasets, name, b, s):
+    d = acceptance_datasets[name]
+    run = run_casgd(d, SolverConfig(eta0=1.0, b=b, s=s, epochs=3, seed=123), _col_cluster(d))
+    assert [(t.flops, t.words, t.messages, t.collectives) for t in run.trace] == FROZEN_TRACE_COUNTERS[name, b, s]
+    assert (run.counters.flops, run.counters.sig_evals) == FROZEN_FINAL[name, b, s]
+
+
 class TestTraces:
     def test_epoch_zero_only(self, tiny):
         run = run_sgd(tiny, SolverConfig(eta0=1.0, b=1, epochs=0, seed=0), _col_cluster(tiny))
@@ -302,6 +355,25 @@ class TestRelativeSolutionError:
         with pytest.raises(ValueError):
             relative_solution_error(np.zeros(2), np.zeros(3))
 
+    def test_no_overflow_near_the_float_limit(self):
+        x = np.array([1e308, 1e308])
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.linalg.norm(x))
+        assert relative_solution_error(x, np.array([1e308, 1.1e308])) == pytest.approx(0.1 / math.sqrt(2), rel=1e-14)
+        assert relative_solution_error(x, -x) == pytest.approx(2.0, rel=1e-15)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_entries_give_nan(self, bad):
+        assert math.isnan(relative_solution_error(np.array([bad, 1.0]), np.array([1.0, 1.0])))
+        assert math.isnan(relative_solution_error(np.array([1.0, 1.0]), np.array([1.0, bad])))
+
+    def test_same_bits_as_unscaled_formula_in_range(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            x = rng.standard_normal(30) * 10.0 ** rng.integers(-100, 100)
+            y = x + rng.standard_normal(30) * 10.0 ** rng.integers(-120, 100)
+            assert relative_solution_error(x, y) == np.linalg.norm(x - y) / np.linalg.norm(x)
+
 
 class TestConfigValidation:
     def test_exactly_one_budget(self):
@@ -313,6 +385,11 @@ class TestConfigValidation:
     def test_row_layout_divisibility(self):
         with pytest.raises(ConfigError, match="divide"):
             SolverConfig(eta0=1.0, b=3, epochs=1, layout=BLOCK_ROW, p=2)
+
+    @pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf, -1.0])
+    def test_eta_finite_and_non_negative(self, eta):
+        with pytest.raises(ConfigError, match="eta0"):
+            SolverConfig(eta0=eta, b=1, epochs=1)
 
     def test_positive_sizes(self):
         with pytest.raises(ConfigError):

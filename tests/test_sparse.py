@@ -13,6 +13,7 @@ from casgd import (
     serialize_libsvm,
 )
 from casgd.datagen import synthetic_dataset
+import casgd.sparse
 from casgd.sparse import _lower_block_matches, batch_scores, gram_lower_blocks
 
 from conftest import assert_datasets_equal, dataset_from_scaled, random_dataset
@@ -64,6 +65,12 @@ class TestParseLibsvm:
     def test_bad_value_rejected(self):
         with pytest.raises(LibsvmParseError, match="value"):
             parse_libsvm("+1 1:abc")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_rejected_with_line(self, token):
+        with pytest.raises(LibsvmParseError, match="non-finite") as info:
+            parse_libsvm(f"+1 1:1.0\n\n-1 1:2.0 3:{token}\n+1 2:1.0")
+        assert info.value.line == 3
 
     def test_unknown_label_under_policy(self):
         with pytest.raises(LibsvmParseError, match="label"):
@@ -297,3 +304,22 @@ class TestRoundKernels:
             got, madds = batch_scores(d, ids, x)
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
             assert madds == sum(len(d.a_tilde.row(i)[0]) for i in ids)
+
+    @pytest.mark.parametrize("s", [2, 8])
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_dense_gram_matches_merge_path(self, monkeypatch, s, b):
+        # Two copies of one dataset: one keeps the dense cache (BLAS Gram),
+        # the other is built with the cache disabled (per-pair merges).
+        rng = np.random.default_rng(100 * s + b)
+        d = random_dataset(rng, 60, 25)
+        ids = rng.choice(60, size=s * b, replace=True)
+        ids[b:2 * b] = ids[:b]  # a batch repeating the previous one
+        dense_out, dense_matches = gram_lower_blocks(d, ids, b)
+        assert d.a_tilde.dense_cache() is not None
+        monkeypatch.setattr(casgd.sparse, "_DENSE_CACHE_MAX_CELLS", 0)
+        merged = dataset_from_scaled(d.a_tilde.to_dense(), d.labels)
+        assert merged.a_tilde.dense_cache() is None
+        merge_out, merge_matches = gram_lower_blocks(merged, ids, b)
+        assert dense_matches == merge_matches == _brute_lower_matches(d, ids, b)
+        scale = np.abs(merge_out).max()
+        np.testing.assert_allclose(dense_out, merge_out, rtol=1e-12, atol=1e-12 * scale)
