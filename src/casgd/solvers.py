@@ -48,7 +48,9 @@ from .model import accuracy, loss, sig
 from .sampling import BatchStream, RowBlockSelector
 from .sparse import (
     LabeledDataset,
+    _VECTORIZE_MIN_ROWS,
     _matched_dot,
+    add_rows_transpose,
     batch_scores,
     gather_rows,
     gram_lower_blocks,
@@ -142,21 +144,9 @@ class PhaseTimer:
 
     def __init__(self):
         self.totals = dict.fromkeys(self.PHASES, 0.0)
-        self._last = _pc()
 
     def add(self, phase: str, seconds: float) -> None:
         self.totals[phase] += seconds
-
-    def lap(self, phase: str | None = None) -> None:
-        """Charge the time since the previous lap to ``phase``; without one, restart the clock."""
-        now = _pc()
-        if phase is not None:
-            self.totals[phase] += now - self._last
-        self._last = now
-
-
-def _no_lap(phase: str | None = None) -> None:
-    pass
 
 
 def iterations_per_epoch(m: int, b: int) -> int:
@@ -607,33 +597,38 @@ def _casgd_column_single(dataset, cfg, cluster, rounds, sched, source, timer):
     rec = _Recorder(dataset, c, sched)
     rec.record(0, x)
     next_it = rec.next_iteration
-    lap = timer.lap if timer else _no_lap
 
     # s = 1 has no Gram and mirrors plain SGD operation for operation: row
-    # by row scores and updates.  s > 1 gathers the round's rows once, gets
-    # scores and Gram from BLAS products, runs only the scalar recurrence
-    # per iteration, and applies the updates as one x += A[round]^T w (x is
-    # not read inside a round), split where a trace point falls.  Counters
-    # advance in closed form per applied span, so they read at every trace
-    # point what iteration-by-iteration accounting would give.  Phases are
-    # timed per round; the identity collective's counter bumps count as gram.
+    # by row scores and updates; so do small rounds without a dense cache,
+    # as they did before rounds were vectorised.  Other rounds gather their
+    # rows once, take scores and Gram from BLAS or scipy products, and
+    # apply the updates as one x += A[round]^T w (x is not read inside a
+    # round).  Either way only the scalar recurrence runs per iteration,
+    # and the update is split where a trace point falls.  Counters advance
+    # in closed form per applied span, so they read at every trace point
+    # what iteration-by-iteration accounting would give.
+    rowwise = s == 1 or (dr is None and sb < _VECTORIZE_MIN_ROWS)
     G = np.zeros((sb, sb))
-    rs = np.empty(sb)
+    rs = np.empty(sb) if rowwise else None
     w = np.empty(sb)
     # Per iteration: batch offset, its Gram rows left of the diagonal block
     # and the weights they multiply; views, built once, stay valid as G and
     # w are rewritten in place every round.
     recurrence = [(lo, G[lo, :lo] if b == 1 else G[lo : lo + b, :lo], w[:lo]) for lo in range(0, sb, b)]
     words_per_round = sb * sb + sb
+    block = None
     t = 0
-    lap()
 
     for _ in range(rounds):
+        if timer:
+            t0 = _pc()
         batches_ids = source.peek_indices(s)
         source.advance(s)
-        lap("sampling")
-        if s == 1:
-            ids = batches_ids[0]
+        if timer:
+            timer.add("sampling", _pc() - t0)
+            t0 = _pc()
+        if rowwise:
+            ids = batches_ids[0] if s == 1 else [i for batch in batches_ids for i in batch]
             score_madds = 0
             for k, i in enumerate(ids):
                 rc, rv = rows[i]
@@ -643,13 +638,20 @@ def _casgd_column_single(dataset, cfg, cluster, rounds, sched, source, timer):
             ids = np.array(batches_ids, dtype=np.int64).reshape(sb)
             block = gather_rows(dataset, ids)
             rs, score_madds = batch_scores(dataset, ids, x, rows=block)
-        lap("score_matvec")
+        if timer:
+            timer.add("score_matvec", _pc() - t0)
+            t0 = _pc()
         gram_madds = gram_lower_blocks(dataset, ids, b, out=G, rows=block)[1] if s > 1 else 0
+        c.flops += score_madds + gram_madds
+        if timer:
+            timer.add("gram", _pc() - t0)
+            t0 = _pc()
         # p = 1 allreduce is the identity; tree counters for the round payload.
         c.words_moved += words_per_round
         c.collectives += 1
-        c.flops += score_madds + gram_madds
-        lap("gram")
+        if timer:
+            timer.add("collectives", _pc() - t0)
+            t0 = _pc()
 
         for lo, g_j, w_head in recurrence:
             if b == 1:
@@ -664,28 +666,30 @@ def _casgd_column_single(dataset, cfg, cluster, rounds, sched, source, timer):
                 wj = _sig_batch(zj)
                 wj *= eta_scale
                 w[lo : lo + b] = wj
-        lap("sig")
+        if timer:
+            timer.add("sig", _pc() - t0)
+            t0 = _pc()
 
         done = 0
         while done < s:
             stop = s if next_it is None or next_it >= t + s else max(next_it - t, done + 1)
             lo, hi = done * b, stop * b
-            if s == 1:
-                for k, i in enumerate(ids):
-                    rc, rv = rows[i]
-                    x[rc] += w[k] * rv
-            else:
-                x += block[lo:hi].T @ w[lo:hi]
-            span_nnz = score_madds if hi - lo == sb else int(A.row_nnz[ids[lo:hi]].sum())
+            whole = hi - lo == sb
+            add_rows_transpose(dataset, ids[lo:hi], w[lo:hi], x, rows=block if whole else None)
+            span_nnz = score_madds if whole else int(A.row_nnz[ids[lo:hi]].sum())
             # Iteration i of the round adds i*b*b recurrence flops.
             c.flops += span_nnz + n * (stop - done) + b * b * (stop * (stop - 1) - done * (done - 1)) // 2
             c.sig_evals += b * (stop - done)
-            lap("update")
             done = stop
             if next_it is not None and next_it <= t + done:
+                if timer:
+                    timer.add("update", _pc() - t0)
                 rec.visit(t + done, x_fn)
                 next_it = rec.next_iteration
-                lap()
+                if timer:
+                    t0 = _pc()
+        if timer:
+            timer.add("update", _pc() - t0)
         t += s
 
     return SolverRun(x.copy(), rec.trace, c.snapshot(), rec.solutions)

@@ -17,7 +17,7 @@ order, which keeps results reproducible and makes
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, TextIO
 
 import numpy as np
@@ -36,10 +36,12 @@ __all__ = [
     "gather_rows",
     "batch_scores",
     "gram_lower_blocks",
+    "add_rows_transpose",
 ]
 
-# Without a dense row cache, Grams of fewer rows than this use per-pair
-# merges; from it on the scipy.sparse product wins despite its call overhead.
+# Without a dense row cache, rounds of fewer rows than this use per-row
+# dots, per-pair merges and per-row updates; from it on they gather the rows
+# once and use scipy.sparse products despite their call overhead.
 _VECTORIZE_MIN_ROWS = 33
 
 # Matrices up to this many cells keep a dense row cache so round kernels can
@@ -541,9 +543,27 @@ def gram_lower_blocks(
     full = rows @ rows.T
     if scipy.sparse.issparse(full):
         full = full.toarray()
-    mask = _cached_block_tril_mask(sb, b) if sb * sb <= _MASK_CACHE_MAX_CELLS else _block_tril_mask(sb, b)
-    np.copyto(out, full, where=mask)
+    np.copyto(out, full, where=_block_tril_mask(sb, b))
     return out, _lower_block_matches(A, ids, b)
+
+
+def add_rows_transpose(dataset: LabeledDataset, row_ids, w: np.ndarray, x: np.ndarray, rows=None) -> None:
+    """``x += A[row_ids]^T w`` in place, for full-length ``x``.
+
+    ``rows`` is ``gather_rows(dataset, row_ids)`` when the caller holds it.
+    Dense rows take one BLAS product.  Otherwise only the rows' own
+    columns are touched, row after row (CSR rows in one unbuffered
+    scatter-add), which gives the same bits as updating row by row.
+    """
+    if rows is None:
+        slices = dataset.a_tilde.row_slices
+        for k, i in enumerate(row_ids):
+            cols, vals = slices[i]
+            x[cols] += w[k] * vals
+    elif isinstance(rows, np.ndarray):
+        x += rows.T @ w
+    else:
+        np.add.at(x, rows.indices, rows.data * np.repeat(w, np.diff(rows.indptr)))
 
 
 def _lower_block_matches(A: CsrMatrix, ids: np.ndarray, b: int) -> int:
@@ -571,13 +591,4 @@ def _lower_block_matches(A: CsrMatrix, ids: np.ndarray, b: int) -> int:
 
 def _block_tril_mask(sb: int, b: int) -> np.ndarray:
     blocks = np.arange(sb) // b
-    mask = blocks[:, None] > blocks[None, :]
-    mask.setflags(write=False)
-    return mask
-
-
-# Masks up to this many cells are kept, since small rounds would spend much
-# of their time rebuilding them; larger ones would stay resident for little
-# gain next to their Gram product, so they are rebuilt.
-_MASK_CACHE_MAX_CELLS = 1 << 16
-_cached_block_tril_mask = lru_cache(maxsize=8)(_block_tril_mask)
+    return blocks[:, None] > blocks[None, :]

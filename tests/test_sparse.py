@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 from casgd import (
     CsrMatrix,
@@ -14,7 +15,7 @@ from casgd import (
 )
 from casgd.datagen import synthetic_dataset
 import casgd.sparse
-from casgd.sparse import _lower_block_matches, batch_scores, gram_lower_blocks
+from casgd.sparse import _lower_block_matches, add_rows_transpose, batch_scores, gather_rows, gram_lower_blocks
 
 from conftest import assert_datasets_equal, dataset_from_scaled, random_dataset
 
@@ -323,3 +324,38 @@ class TestRoundKernels:
         assert dense_matches == merge_matches == _brute_lower_matches(d, ids, b)
         scale = np.abs(merge_out).max()
         np.testing.assert_allclose(dense_out, merge_out, rtol=1e-12, atol=1e-12 * scale)
+
+    @pytest.mark.parametrize("gathered", [False, True])
+    def test_round_kernels_without_dense_cache(self, gathered):
+        # Updates go row by row, or through gathered CSR rows in one scatter.
+        rng = np.random.default_rng(int(gathered))
+        d = synthetic_dataset(700, 3000, 5, seed=6)
+        assert d.a_tilde.dense_cache() is None
+        ids = rng.choice(700, size=40, replace=False)
+        ids[1] = ids[0]  # a row drawn twice adds twice
+        rows = gather_rows(d, ids) if gathered else None
+        assert rows is None or scipy.sparse.issparse(rows)
+        x = rng.standard_normal(3000)
+        got, madds = batch_scores(d, ids, x, rows=rows)
+        want = [np.dot(d.a_tilde.row(i)[1], x[d.a_tilde.row(i)[0]]) for i in ids]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+        assert madds == 5 * 40
+        w = rng.standard_normal(40)
+        want = x.copy()
+        for k, i in enumerate(ids):
+            cols, vals = d.a_tilde.row(i)
+            want[cols] += w[k] * vals
+        add_rows_transpose(d, ids, w, x, rows=rows)
+        np.testing.assert_array_equal(x, want)
+
+    def test_add_rows_transpose_dense_rows(self):
+        rng = np.random.default_rng(5)
+        d = random_dataset(rng, 50, 20)
+        ids = rng.choice(50, size=12, replace=False)
+        rows = gather_rows(d, ids)
+        assert isinstance(rows, np.ndarray)
+        x = rng.standard_normal(20)
+        w = rng.standard_normal(12)
+        want = x + sampled_matvec_transpose(d, RowBlockSelector(ids), w)
+        add_rows_transpose(d, ids, w, x, rows=rows)
+        np.testing.assert_allclose(x, want, rtol=1e-13, atol=1e-13)
