@@ -6,8 +6,8 @@
     casgd bench   --data d.svm --algo casgd --s-step 8 --epochs 2 --repeats 5 --trace b.csv
 
 Exit codes: 0 success, 1 parse/configuration error (including non-finite
-feature values, a non-finite or negative --eta and a non-finite
---tolerance), 2 bad flags, 3 comparison failed (tolerance exceeded, a
+feature values, a non-finite or negative --eta and a non-finite or
+negative --tolerance), 2 bad flags, 3 comparison failed (tolerance exceeded, a
 non-finite error, or fewer than epochs+1 epochs compared).  CSV files are
 written to a temp file and renamed into place, so no partial output
 survives an error.  All floats are serialized with 17 significant digits
@@ -78,7 +78,6 @@ def _load_dataset(args):
 
 def _data_flags(sub):
     sub.add_argument("--data", required=True, help="input file path")
-    sub.add_argument("--format", choices=["libsvm"], default="libsvm")
     sub.add_argument("--gzip", action="store_true", help="force gzip decoding (auto for .gz)")
     sub.add_argument("--num-features", type=int, default=None, help="force a feature count larger than the max index seen")
 
@@ -134,9 +133,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    # A negative tolerance stays valid: it makes every comparison fail.
-    if not math.isfinite(args.tolerance):
-        raise ConfigError(f"--tolerance must be finite, got {args.tolerance!r}")
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ConfigError(f"--tolerance must be finite and non-negative, got {args.tolerance!r}")
     dataset = _load_dataset(args)
     try:
         s_values = [int(tok) for tok in args.s_list.split(",") if tok.strip()]

@@ -23,6 +23,7 @@ and never touches the counters.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -118,6 +119,12 @@ class VirtualCluster:
     def rank_range(self, rank: int) -> tuple[int, int]:
         return self.layout.boundaries[rank]
 
+    def _count(self, words: int) -> None:
+        c = self.counters
+        c.words_moved += words
+        c.messages += tree_message_count(self.layout.p)
+        c.collectives += 1
+
     def allreduce_sum(self, buffers: list[np.ndarray]) -> np.ndarray:
         """Elementwise sum of equal-length rank buffers, replicated on all ranks.
 
@@ -131,10 +138,7 @@ class VirtualCluster:
         for buf in buffers[1:]:
             if len(buf) != length:
                 raise ValueError("allreduce buffers must have equal length")
-        c = self.counters
-        c.words_moved += length
-        c.messages += tree_message_count(p)
-        c.collectives += 1
+        self._count(length)
         if p == 1:
             return buffers[0]
         work = [np.array(buf, dtype=np.float64) for buf in buffers]
@@ -150,51 +154,49 @@ class VirtualCluster:
         p = self.p
         if len(buffers) != p:
             raise ValueError(f"expected {p} rank buffers, got {len(buffers)}")
-        c = self.counters
-        c.words_moved += sum(len(buf) for buf in buffers)
-        c.messages += tree_message_count(p)
-        c.collectives += 1
+        self._count(sum(len(buf) for buf in buffers))
         return np.concatenate(buffers)
 
-    def record_flops(self, amount: int) -> None:
-        self.counters.flops += int(amount)
+    def combine(self, buffers: list[np.ndarray], gather: bool = False) -> np.ndarray:
+        """The solvers' collective: ``allgather`` if ``gather``, else ``allreduce_sum``.
 
-    def record_sig(self, count: int) -> None:
-        self.counters.sig_evals += int(count)
+        With one rank nothing moves: the collective is only counted (the
+        buffer's length in words, no messages) and the rank's own buffer is
+        returned, without a call to either collective.
+        """
+        if self.layout.p == 1:
+            c = self.counters
+            c.words_moved += len(buffers[0])
+            c.collectives += 1
+            return buffers[0]
+        return self.allgather(buffers) if gather else self.allreduce_sum(buffers)
+
+    @cached_property
+    def column_slices(self) -> tuple[LabeledDataset, ...]:
+        """Per rank of a block-column layout, the dataset over the rank's columns.
+
+        Built once per cluster.  With p = 1 the slice is the dataset itself;
+        otherwise each is a ``CsrMatrix.column_window``, which shares the
+        full matrix's dense cache.
+        """
+        if self.layout.kind != BLOCK_COLUMN:
+            raise ValueError("column slices need a block-column layout")
+        if self.p == 1:
+            return (self.dataset,)
+        A, labels = self.dataset.a_tilde, self.dataset.labels
+        return tuple(LabeledDataset.build(A.column_window(start, stop), labels) for start, stop in self.layout.boundaries)
 
     # -- diagnostic views -------------------------------------------------
 
     def rank_view(self, rank: int) -> CsrMatrix:
         """The rank's slice of the scaled matrix, locally indexed (tests/diagnostics)."""
+        if self.layout.kind == BLOCK_COLUMN:
+            return self.column_slices[rank].a_tilde
         A = self.dataset.a_tilde
         start, stop = self.rank_range(rank)
-        if self.layout.kind == BLOCK_ROW:
-            offsets = A.row_offsets[start : stop + 1]
-            lo, hi = offsets[0], offsets[-1]
-            return CsrMatrix(
-                stop - start,
-                A.num_cols,
-                offsets - lo,
-                A.col_indices[lo:hi],
-                A.values[lo:hi],
-            )
-        offsets = [0]
-        cols: list[np.ndarray] = []
-        vals: list[np.ndarray] = []
-        for i in range(A.num_rows):
-            c, v = A.row(i)
-            lo = int(np.searchsorted(c, start))
-            hi = int(np.searchsorted(c, stop))
-            cols.append(c[lo:hi] - start)
-            vals.append(v[lo:hi])
-            offsets.append(offsets[-1] + (hi - lo))
-        return CsrMatrix(
-            A.num_rows,
-            stop - start,
-            np.array(offsets),
-            np.concatenate(cols) if cols else np.empty(0, dtype=np.int64),
-            np.concatenate(vals) if vals else np.empty(0),
-        )
+        offsets = A.row_offsets[start : stop + 1]
+        lo, hi = offsets[0], offsets[-1]
+        return CsrMatrix(stop - start, A.num_cols, offsets - lo, A.col_indices[lo:hi], A.values[lo:hi])
 
     def reassemble(self) -> CsrMatrix:
         """Rebuild the full matrix from rank views; must equal the original exactly."""

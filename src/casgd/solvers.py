@@ -1,37 +1,44 @@
 """Mini-batch SGD and its communication-avoiding s-step variant.
 
 Both solvers draw from the same deterministic batch stream, so equal
-seeds walk the same logical iteration sequence.  Plain SGD communicates
-once per iteration; the s-step variant groups s iterations per round:
+seeds walk the same logical iteration sequence, and both run one round
+loop.  Plain SGD is its s = 1 case without a Gram; the s-step variant
+groups s iterations per round.  Each round:
 
-  block column: each rank forms partial batch scores and partial
-    strictly-lower Gram blocks over its column slice; one allreduce
-    combines them (payload: s*b scores plus an s*b square Gram buffer,
-    i.e. s^2 b^2 + s b words).  Ranks then replay the s updates against
-    their own column slices with no further communication.
-  block row: one allgather shares the sampled-row values of the first
-    s-1 batches (only those are ever needed on the Gram's column side)
-    plus all s*b scores; gradients accumulate locally and a single
-    length-n allreduce finishes the round.
+  1. draws s batches;
+  2. each rank forms its payload;
+  3. one collective combines the payloads;
+  4. the scalar recurrence gives every batch's weights; with r_j the
+     scores of batch j against the round's starting point, G[j, i] the
+     inner products between batch j and batch i rows, and
+     w_i = (eta0/m) * v_i:  v_j = sig(r_j + sum_{i<j} G[j, i] w_i);
+  5. the update x += a_tilde^T I_j^T w_j, split where a trace point
+     falls inside the round.
 
-Inside a round, with r_j the scores of batch j against the round's
-starting point and w_i = (eta0/m) * v_i:
+The payload is set by the entry point that ran:
 
-    v_j = sig(r_j + sum_{i<j} G[j, i] w_i),
-    x updated incrementally by a_tilde^T I_j^T w_j,
+  SGD, column: the b scores, partial over each rank's columns.
+  s-step, column: the s*b scores plus an s*b square Gram buffer
+    (s^2 b^2 + s b words), even at s = 1.
+  SGD, row: nothing; ranks score their own b/p rows, and the length-n
+    gradient allreduce is the round's only collective.
+  s-step, row: one allgather of the first s-1 batches' row values (only
+    those appear on the Gram's column side) plus all s*b scores, then
+    the gradient allreduce.
 
-where G[j, i] holds inner products between batch j and batch i rows.
-This reproduces plain SGD's iterates exactly in exact arithmetic; in
+Column ranks work on their own column slices of the matrix and update
+their part of x with no further communication; row ranks accumulate
+gradients over their own rows.  Collectives go through
+``VirtualCluster.combine``, which at p = 1 only counts them.  The
+recurrence reproduces plain SGD's iterates in exact arithmetic; in
 floating point the trajectories agree to ~1e-10 relative over hundreds
-of epochs, and for s = 1 the single-rank code paths mirror plain SGD
-operation for operation so the runs coincide bitwise.
+of epochs, and at s = 1 every step mirrors plain SGD operation for
+operation, so the runs coincide bitwise.
 
 Counter conventions (shared with the closed-form cost module): one flop
 per sparse multiply-add and per dense solution-axpy element; scalar
 nonlinearity evaluations land in ``sig_evals``, one per distinct scalar
-per logical iteration regardless of how many ranks replicate it.  The
-single-rank loops bump collective counters inline instead of calling the
-identity-collective, which changes nothing observable.
+per logical iteration regardless of how many ranks replicate it.
 """
 
 from __future__ import annotations
@@ -49,7 +56,6 @@ from .sampling import BatchStream, RowBlockSelector
 from .sparse import (
     LabeledDataset,
     _VECTORIZE_MIN_ROWS,
-    _matched_dot,
     add_rows_transpose,
     batch_scores,
     gather_rows,
@@ -145,8 +151,11 @@ class PhaseTimer:
     def __init__(self):
         self.totals = dict.fromkeys(self.PHASES, 0.0)
 
-    def add(self, phase: str, seconds: float) -> None:
-        self.totals[phase] += seconds
+    def lap(self, phase: str, since: float) -> float:
+        """Charge the time from ``since`` to now to ``phase``; returns now."""
+        now = _pc()
+        self.totals[phase] += now - since
+        return now
 
 
 def iterations_per_epoch(m: int, b: int) -> int:
@@ -230,11 +239,6 @@ class _ForcedBatches:
         self._ids = [[int(v) for v in sel.indices] for sel in selectors]
         self._pos = 0
 
-    def next_indices(self) -> list[int]:
-        ids = self._ids[self._pos]
-        self._pos += 1
-        return ids
-
     def peek_indices(self, s: int) -> list[list[int]]:
         return self._ids[self._pos : self._pos + s]
 
@@ -252,11 +256,9 @@ def _source(cfg, cluster, dataset, batches, need):
             if len(sel.indices) and int(sel.indices.max()) >= dataset.num_points:
                 raise ConfigError("forced batch index out of range")
         return _ForcedBatches(batches)
-    if cfg.layout == BLOCK_ROW:
-        return BatchStream(
-            cfg.seed, dataset.num_points, cfg.b, mode="per_rank", rank_ranges=cluster.layout.boundaries
-        )
-    return BatchStream(cfg.seed, dataset.num_points, cfg.b)
+    # Row ranks draw their own rows of every batch.
+    ranges = cluster.layout.boundaries if cfg.layout == BLOCK_ROW else None
+    return BatchStream(cfg.seed, dataset.num_points, cfg.b, mode="per_rank" if ranges else "global", rank_ranges=ranges)
 
 
 def _check_cluster(cfg: SolverConfig, cluster: VirtualCluster, dataset: LabeledDataset) -> None:
@@ -268,12 +270,6 @@ def _check_cluster(cfg: SolverConfig, cluster: VirtualCluster, dataset: LabeledD
         raise ConfigError("cluster was partitioned from a different dataset")
     if cfg.b > dataset.num_points:
         raise ConfigError(f"batch size {cfg.b} exceeds m={dataset.num_points}")
-
-
-def _total(cfg: SolverConfig, m: int) -> int:
-    if cfg.total_iterations is not None:
-        return cfg.total_iterations
-    return cfg.epochs * iterations_per_epoch(m, cfg.b)
 
 
 class _Recorder:
@@ -304,15 +300,15 @@ class _Recorder:
         )
         self.solutions.append(np.array(x_full, dtype=np.float64))
 
-    def visit(self, iteration: int, x_full_fn) -> None:
+    def visit(self, iteration: int, x_full: np.ndarray) -> None:
         while self.next_iteration is not None and self.next_iteration <= iteration:
-            self.record(self._sched[self._pos][0], x_full_fn())
+            self.record(self._sched[self._pos][0], x_full)
             self._pos += 1
             self.next_iteration = self._sched[self._pos][1] if self._pos < len(self._sched) else None
 
 
 # ---------------------------------------------------------------------------
-# plain SGD
+# entry points
 
 
 def run_sgd(
@@ -327,226 +323,7 @@ def run_sgd(
     """One-communication-per-iteration SGD over the cluster (requires s = 1)."""
     if cfg.s != 1:
         raise ConfigError("run_sgd requires s == 1")
-    _check_cluster(cfg, cluster, dataset)
-    m = dataset.num_points
-    H = _total(cfg, m)
-    sched = list(schedule) if schedule is not None else epoch_schedule(m, cfg.b, H)
-    cluster.counters.reset()
-    source = _source(cfg, cluster, dataset, batches, H)
-    if cfg.layout == BLOCK_COLUMN:
-        if cluster.p == 1:
-            return _sgd_column_single(dataset, cfg, cluster, H, sched, source, timer)
-        return _sgd_column_multi(dataset, cfg, cluster, H, sched, source, timer)
-    return _sgd_row(dataset, cfg, cluster, H, sched, source, timer)
-
-
-def _sgd_column_single(dataset, cfg, cluster, H, sched, source, timer):
-    m, n = dataset.num_points, dataset.num_features
-    b = cfg.b
-    eta_scale = cfg.eta0 / m
-    A = dataset.a_tilde
-    rows = A.row_slices
-    dr = A.dense_cache()
-    c = cluster.counters
-    x = np.zeros(n)
-    x_fn = lambda: x
-    rec = _Recorder(dataset, c, sched)
-    rec.record(0, x)
-    next_it = rec.next_iteration
-
-    for t in range(1, H + 1):
-        if timer:
-            t0 = _pc()
-        ids = source.next_indices()
-        if timer:
-            timer.add("sampling", _pc() - t0)
-            t0 = _pc()
-        if b == 1:
-            i = ids[0]
-            rc, rv = rows[i]
-            z = np.dot(dr[i], x) if dr is not None else np.dot(rv, x[rc])
-            nnz_batch = len(rv)
-            # p = 1 allreduce is the identity; tree counters: b words, 0 messages.
-            c.words_moved += 1
-            c.collectives += 1
-            c.flops += nnz_batch
-            if timer:
-                timer.add("score_matvec", _pc() - t0)
-                t0 = _pc()
-            w0 = _sig_scalar(z) * eta_scale
-            c.sig_evals += 1
-            if timer:
-                timer.add("sig", _pc() - t0)
-                t0 = _pc()
-            x[rc] += w0 * rv
-            c.flops += nnz_batch + n
-        else:
-            z = np.empty(b)
-            nnz_batch = 0
-            for k in range(b):
-                i = ids[k]
-                rc, rv = rows[i]
-                z[k] = np.dot(dr[i], x) if dr is not None else np.dot(rv, x[rc])
-                nnz_batch += len(rv)
-            c.words_moved += b
-            c.collectives += 1
-            c.flops += nnz_batch
-            if timer:
-                timer.add("score_matvec", _pc() - t0)
-                t0 = _pc()
-            w = _sig_batch(z)
-            c.sig_evals += b
-            if timer:
-                timer.add("sig", _pc() - t0)
-                t0 = _pc()
-            w *= eta_scale
-            for k in range(b):
-                rc, rv = rows[ids[k]]
-                x[rc] += w[k] * rv
-            c.flops += nnz_batch + n
-        if timer:
-            timer.add("update", _pc() - t0)
-        if next_it is not None and next_it <= t:
-            rec.visit(t, x_fn)
-            next_it = rec.next_iteration
-
-    return SolverRun(x.copy(), rec.trace, c.snapshot(), rec.solutions)
-
-
-def _sgd_column_multi(dataset, cfg, cluster, H, sched, source, timer):
-    m, n = dataset.num_points, dataset.num_features
-    b = cfg.b
-    eta_scale = cfg.eta0 / m
-    A = dataset.a_tilde
-    rows = A.row_slices
-    c = cluster.counters
-    bounds = cluster.layout.boundaries
-    xs = [np.zeros(stop - start) for start, stop in bounds]
-    x_fn = lambda: np.concatenate(xs)
-    rec = _Recorder(dataset, c, sched)
-    rec.record(0, x_fn())
-    next_it = rec.next_iteration
-
-    for t in range(1, H + 1):
-        if timer:
-            t0 = _pc()
-        ids = source.next_indices()
-        if timer:
-            timer.add("sampling", _pc() - t0)
-            t0 = _pc()
-        nnz_batch = 0
-        row_views = []
-        for k in range(b):
-            rc, rv = rows[ids[k]]
-            nnz_batch += len(rv)
-            row_views.append((rc, rv))
-        partials = []
-        for rank, (start, stop) in enumerate(bounds):
-            zr = np.empty(b)
-            xr = xs[rank]
-            for k in range(b):
-                rc, rv = row_views[k]
-                wlo = int(np.searchsorted(rc, start))
-                whi = int(np.searchsorted(rc, stop))
-                zr[k] = np.dot(rv[wlo:whi], xr[rc[wlo:whi] - start]) if whi > wlo else 0.0
-            partials.append(zr)
-        if timer:
-            timer.add("score_matvec", _pc() - t0)
-            t0 = _pc()
-        z = cluster.allreduce_sum(partials)
-        if timer:
-            timer.add("collectives", _pc() - t0)
-            t0 = _pc()
-        c.flops += nnz_batch
-        w = _sig_batch(z)
-        c.sig_evals += b
-        if timer:
-            timer.add("sig", _pc() - t0)
-            t0 = _pc()
-        w *= eta_scale
-        for rank, (start, stop) in enumerate(bounds):
-            xr = xs[rank]
-            for k in range(b):
-                rc, rv = row_views[k]
-                wlo = int(np.searchsorted(rc, start))
-                whi = int(np.searchsorted(rc, stop))
-                if whi > wlo:
-                    xr[rc[wlo:whi] - start] += w[k] * rv[wlo:whi]
-        c.flops += nnz_batch + n
-        if timer:
-            timer.add("update", _pc() - t0)
-        if next_it is not None and next_it <= t:
-            rec.visit(t, x_fn)
-            next_it = rec.next_iteration
-
-    return SolverRun(x_fn(), rec.trace, c.snapshot(), rec.solutions)
-
-
-def _sgd_row(dataset, cfg, cluster, H, sched, source, timer):
-    m, n = dataset.num_points, dataset.num_features
-    b, p = cfg.b, cluster.p
-    bp = b // p
-    eta_scale = cfg.eta0 / m
-    A = dataset.a_tilde
-    rows = A.row_slices
-    c = cluster.counters
-    x = np.zeros(n)
-    x_fn = lambda: x
-    rec = _Recorder(dataset, c, sched)
-    rec.record(0, x)
-    next_it = rec.next_iteration
-
-    for t in range(1, H + 1):
-        if timer:
-            t0 = _pc()
-        ids = source.next_indices()
-        if timer:
-            timer.add("sampling", _pc() - t0)
-            t0 = _pc()
-        nnz_batch = 0
-        vs = []
-        for rank in range(p):
-            zr = np.empty(bp)
-            for k in range(bp):
-                rc, rv = rows[ids[rank * bp + k]]
-                zr[k] = np.dot(rv, x[rc])
-                nnz_batch += len(rv)
-            vr = _sig_batch(zr)
-            c.sig_evals += bp
-            vs.append(vr)
-        if timer:
-            timer.add("score_matvec", _pc() - t0)
-            t0 = _pc()
-        gs = []
-        for rank in range(p):
-            g = np.zeros(n)
-            vr = vs[rank]
-            for k in range(bp):
-                rc, rv = rows[ids[rank * bp + k]]
-                g[rc] += vr[k] * rv
-            gs.append(g)
-        if timer:
-            timer.add("gradient", _pc() - t0)
-            t0 = _pc()
-        g = cluster.allreduce_sum(gs)
-        if timer:
-            timer.add("collectives", _pc() - t0)
-            t0 = _pc()
-        c.flops += 2 * nnz_batch
-        np.multiply(g, eta_scale, out=g)
-        x += g
-        c.flops += n
-        if timer:
-            timer.add("update", _pc() - t0)
-        if next_it is not None and next_it <= t:
-            rec.visit(t, x_fn)
-            next_it = rec.next_iteration
-
-    return SolverRun(x.copy(), rec.trace, c.snapshot(), rec.solutions)
-
-
-# ---------------------------------------------------------------------------
-# s-step variant
+    return _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd=False)
 
 
 def run_casgd(
@@ -565,357 +342,221 @@ def run_casgd(
     runs align them up to round boundaries, where the solution is first
     materialized.
     """
+    return _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd=True)
+
+
+# ---------------------------------------------------------------------------
+# the round loop
+
+
+class _Rank:
+    """One rank's data, its part of x, and what it holds during a round."""
+
+    __slots__ = ("data", "x", "spot", "rowwise", "scores", "gram", "ids", "block")
+
+    def __init__(self, data, x, spot, scores, gram, rowwise):
+        self.data = data
+        self.x = x
+        # Where the rank's rows sit in the round's s*b rows (None: all).
+        self.spot = spot
+        # What row-by-row scoring reads, or None when the rank gathers rows.
+        self.rowwise = (scores, data.a_tilde.row_slices, data.a_tilde.dense_cache(), x) if rowwise else None
+        self.scores = scores
+        self.gram = gram
+        self.ids = self.block = None
+
+
+def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
+    """The round loop of both solvers; ``casgd`` selects the s-step payload."""
     _check_cluster(cfg, cluster, dataset)
-    m = dataset.num_points
-    H = _total(cfg, m)
-    s = cfg.s
-    rounds = -(-H // s)
-    if schedule is not None:
-        sched = list(schedule)
-    else:
-        sched = epoch_schedule(m, cfg.b, H, s=s, align_to_rounds=cfg.layout == BLOCK_ROW)
-    cluster.counters.reset()
-    source = _source(cfg, cluster, dataset, batches, rounds * s)
-    if cfg.layout == BLOCK_COLUMN:
-        if cluster.p == 1:
-            return _casgd_column_single(dataset, cfg, cluster, rounds, sched, source, timer)
-        return _casgd_column_multi(dataset, cfg, cluster, rounds, sched, source, timer)
-    return _casgd_row(dataset, cfg, cluster, rounds, sched, source, timer)
-
-
-def _casgd_column_single(dataset, cfg, cluster, rounds, sched, source, timer):
     m, n = dataset.num_points, dataset.num_features
-    s, b = cfg.s, cfg.b
+    s, b, p = cfg.s, cfg.b, cluster.p
     sb = s * b
+    row = cfg.layout == BLOCK_ROW
+    H = cfg.total_iterations if cfg.epochs is None else cfg.epochs * iterations_per_epoch(m, b)
+    iterations = s * -(-H // s)
+    if schedule is None:
+        schedule = epoch_schedule(m, b, H, s=s, align_to_rounds=row)
+    source = _source(cfg, cluster, dataset, batches, iterations)
     eta_scale = cfg.eta0 / m
     A = dataset.a_tilde
-    rows = A.row_slices
-    dr = A.dense_cache()
     c = cluster.counters
+    c.reset()
     x = np.zeros(n)
-    x_fn = lambda: x
-    rec = _Recorder(dataset, c, sched)
+    rec = _Recorder(dataset, c, schedule)
     rec.record(0, x)
     next_it = rec.next_iteration
 
-    # s = 1 has no Gram and mirrors plain SGD operation for operation: row
-    # by row scores and updates; so do small rounds without a dense cache,
-    # as they did before rounds were vectorised.  Other rounds gather their
-    # rows once, take scores and Gram from BLAS or scipy products, and
-    # apply the updates as one x += A[round]^T w (x is not read inside a
-    # round).  Either way only the scalar recurrence runs per iteration,
-    # and the update is split where a trace point falls.  Counters advance
-    # in closed form per applied span, so they read at every trace point
-    # what iteration-by-iteration accounting would give.
-    rowwise = s == 1 or (dr is None and sb < _VECTORIZE_MIN_ROWS)
-    G = np.zeros((sb, sb))
-    rs = np.empty(sb) if rowwise else None
+    # Rounds of s = 1, and small rounds without a dense cache, go row by
+    # row (s = 1 then mirrors plain SGD operation for operation); other
+    # rounds gather each rank's rows once for BLAS or scipy kernels.
+    rowwise = s == 1 or (A.dense_cache() is None and sb < _VECTORIZE_MIN_ROWS)
+    gram = casgd and s > 1
+    # Column ranks send partial scores (and a partial Gram) in one buffer
+    # each, and the reduced buffer lands in the first.  Row ranks keep
+    # their own scores; the gathered scores and the replicated Gram take
+    # the same shape.
+    size = sb + sb * sb if casgd else sb
+    bufs = [np.zeros(size) for _ in range(1 if row else p)]
+    total = bufs[0]
+    rs = total[:sb]
+    G = total[sb:].reshape(sb, sb) if casgd else None
+    if row:
+        # Row ranks hold b/p rows of every batch, contiguous within it.
+        bp = b // p
+        spots = [
+            slice(r * bp, (r + 1) * bp) if s == 1 else (np.arange(0, sb, b)[:, None] + np.arange(r * bp, (r + 1) * bp)).ravel()
+            for r in range(p)
+        ]
+        # At s = 1 a rank's scores are its slice of the round's scores.
+        ranks = [_Rank(dataset, x, spot, rs[spot] if s == 1 else np.empty(s * bp), None, rowwise) for spot in spots]
+    else:
+        # Column ranks hold all of a round's rows, over their own columns.
+        ranks = [
+            _Rank(D, x[start:stop], None, buf[:sb], buf[sb:].reshape(sb, sb) if casgd else None, rowwise)
+            for D, (start, stop), buf in zip(cluster.column_slices, cluster.layout.boundaries, bufs)
+        ]
     w = np.empty(sb)
-    # Per iteration: batch offset, its Gram rows left of the diagonal block
-    # and the weights they multiply; views, built once, stay valid as G and
-    # w are rewritten in place every round.
-    recurrence = [(lo, G[lo, :lo] if b == 1 else G[lo : lo + b, :lo], w[:lo]) for lo in range(0, sb, b)]
-    words_per_round = sb * sb + sb
-    block = None
-    t = 0
+    v = np.empty(sb) if row else None
+    # Per iteration: batch offset, its scores, its Gram rows left of the
+    # diagonal block, the weights they multiply, and its own weights;
+    # views, built once, stay valid as the buffers are rewritten in place.
+    recurrence = [
+        (lo, rs[lo : lo + b], (G[lo, :lo] if b == 1 else G[lo : lo + b, :lo]) if lo else None, w[:lo], slice(lo, lo + b))
+        for lo in range(0, sb, b)
+    ]
+    # A round's update flops besides its rows' nonzeros: n per iteration
+    # (column) or round (row), and i*b*b recurrence flops for iteration i.
+    round_flops = (n if row else n * s) + b * b * s * (s - 1) // 2
+    # Row-by-row rounds index rows with Python ints; row ranks pick theirs
+    # from the round's array unless they sit in one slice of it.
+    as_list = rowwise and (s == 1 or not row)
+    t0 = _pc()
 
-    for _ in range(rounds):
-        if timer:
-            t0 = _pc()
+    for t in range(0, iterations, s):
+        # 1. draw s batches
         batches_ids = source.peek_indices(s)
         source.advance(s)
-        if timer:
-            timer.add("sampling", _pc() - t0)
-            t0 = _pc()
-        if rowwise:
+        if as_list:
             ids = batches_ids[0] if s == 1 else [i for batch in batches_ids for i in batch]
-            score_madds = 0
-            for k, i in enumerate(ids):
-                rc, rv = rows[i]
-                rs[k] = np.dot(dr[i], x) if dr is not None else np.dot(rv, x[rc])
-                score_madds += len(rv)
         else:
             ids = np.array(batches_ids, dtype=np.int64).reshape(sb)
-            block = gather_rows(dataset, ids)
-            rs, score_madds = batch_scores(dataset, ids, x, rows=block)
         if timer:
-            timer.add("score_matvec", _pc() - t0)
-            t0 = _pc()
-        gram_madds = gram_lower_blocks(dataset, ids, b, out=G, rows=block)[1] if s > 1 else 0
+            t0 = timer.lap("sampling", t0)
+
+        # 2. each rank forms its payload
+        score_madds = gram_madds = 0
+        payloads = []
+        for rk in ranks:
+            rids = ids if rk.spot is None else ids[rk.spot]
+            if rk.rowwise:
+                if not as_list:
+                    rids = rids.tolist()
+                scores, rows, dr, xr = rk.rowwise
+                for k, i in enumerate(rids):
+                    rc, rv = rows[i]
+                    scores[k] = np.dot(dr[i], xr) if dr is not None else np.dot(rv, xr[rc])
+                    score_madds += len(rv)
+            else:
+                rk.block = gather_rows(rk.data, rids)
+                scores, madds = batch_scores(rk.data, rids, rk.x, rows=rk.block)
+                rk.scores[:] = scores
+                score_madds += madds
+            rk.ids = rids
+            if gram and not row:
+                gram_madds += gram_lower_blocks(rk.data, rids, b, out=rk.gram, rows=rk.block)[1]
+            elif casgd and row:
+                # Own rows' values of the first s-1 batches (the Gram's
+                # column side), then own scores for all s batches.
+                head = rids[: (s - 1) * bp]
+                head = [A.row_slices[i][1] for i in (head if rowwise else head.tolist())]
+                payloads.append(np.concatenate(head + [rk.scores]))
+        if timer:
+            t0 = timer.lap("gram" if gram and not row else "score_matvec", t0)
+
+        # 3. one collective
+        if not row:
+            summed = cluster.combine(bufs)
+            if summed is not total:
+                total[:] = summed
+        elif casgd:
+            gathered = cluster.combine(payloads, gather=True)
+            end = 0
+            for rk, payload in zip(ranks, payloads):
+                end += len(payload)
+                rs[rk.spot] = gathered[end - s * bp : end]
         c.flops += score_madds + gram_madds
         if timer:
-            timer.add("gram", _pc() - t0)
-            t0 = _pc()
-        # p = 1 allreduce is the identity; tree counters for the round payload.
-        c.words_moved += words_per_round
-        c.collectives += 1
-        if timer:
-            timer.add("collectives", _pc() - t0)
-            t0 = _pc()
+            t0 = timer.lap("collectives", t0)
+        if gram and row:
+            # Every row rank now holds the round's rows; the replicated Gram
+            # is formed (and counted) once.
+            c.flops += gram_lower_blocks(dataset, ids, b, out=G)[1]
+            if timer:
+                t0 = timer.lap("gram", t0)
 
-        for lo, g_j, w_head in recurrence:
+        # 4. the scalar recurrence z_j = r_j + G[j, :j] w
+        for lo, r_j, g_j, w_head, own in recurrence:
             if b == 1:
-                zj = rs[lo]
+                zj = r_j.item(0)
                 if lo:
-                    zj = zj + np.dot(g_j, w_head)
-                w[lo] = _sig_scalar(zj) * eta_scale
+                    zj += np.dot(g_j, w_head)
+                vj = _sig_scalar(zj)
+                w[lo] = vj * eta_scale
+                if row:
+                    v[lo] = vj
             else:
-                zj = rs[lo : lo + b].copy()
-                if lo:
-                    zj += g_j @ w_head
-                wj = _sig_batch(zj)
-                wj *= eta_scale
-                w[lo : lo + b] = wj
+                zj = r_j + g_j @ w_head if lo else r_j
+                if row:
+                    # Each row rank evaluates its own b/p scores.
+                    for k in range(0, b, bp):
+                        v[lo + k : lo + k + bp] = _sig_batch(zj[k : k + bp])
+                    vj = v[own]
+                else:
+                    vj = _sig_batch(zj)
+                np.multiply(vj, eta_scale, out=w[own])
         if timer:
-            timer.add("sig", _pc() - t0)
-            t0 = _pc()
+            t0 = timer.lap("sig", t0)
 
+        # 5. the update.  Row ranks sum their gradients into x once per
+        # round.  Column ranks update their own x, in one span unless a trace
+        # point falls inside the round, where the update is split.  Counters
+        # advance in closed form per applied span, so they read at every
+        # trace point what iteration-by-iteration accounting would give.
+        if row:
+            gs = [np.zeros(n) for _ in ranks]
+            for rk, g in zip(ranks, gs):
+                add_rows_transpose(rk.data, rk.ids, v[rk.spot], g, rows=rk.block)
+            if timer:
+                t0 = timer.lap("gradient", t0)
+            g = cluster.combine(gs)
+            if timer:
+                t0 = timer.lap("collectives", t0)
+            np.multiply(g, eta_scale, out=g)
+            x += g
         done = 0
         while done < s:
-            stop = s if next_it is None or next_it >= t + s else max(next_it - t, done + 1)
-            lo, hi = done * b, stop * b
-            whole = hi - lo == sb
-            add_rows_transpose(dataset, ids[lo:hi], w[lo:hi], x, rows=block if whole else None)
-            span_nnz = score_madds if whole else int(A.row_nnz[ids[lo:hi]].sum())
-            # Iteration i of the round adds i*b*b recurrence flops.
-            c.flops += span_nnz + n * (stop - done) + b * b * (stop * (stop - 1) - done * (done - 1)) // 2
-            c.sig_evals += b * (stop - done)
+            stop = s if row or next_it is None or next_it >= t + s else max(next_it - t, done + 1)
+            if stop - done == s:
+                if not row:
+                    for rk in ranks:
+                        add_rows_transpose(rk.data, rk.ids, w, rk.x, rows=rk.block)
+                c.flops += score_madds + round_flops
+                c.sig_evals += sb
+            else:
+                lo, hi = done * b, stop * b
+                span = ids[lo:hi]
+                for rk in ranks:
+                    add_rows_transpose(rk.data, span, w[lo:hi], rk.x)
+                c.flops += int(A.row_nnz[span].sum()) + n * (stop - done) + b * b * (stop * (stop - 1) - done * (done - 1)) // 2
+                c.sig_evals += hi - lo
             done = stop
+            if timer:
+                t0 = timer.lap("update", t0)
             if next_it is not None and next_it <= t + done:
-                if timer:
-                    timer.add("update", _pc() - t0)
-                rec.visit(t + done, x_fn)
+                rec.visit(t + done, x)
                 next_it = rec.next_iteration
-                if timer:
-                    t0 = _pc()
-        if timer:
-            timer.add("update", _pc() - t0)
-        t += s
-
-    return SolverRun(x.copy(), rec.trace, c.snapshot(), rec.solutions)
-
-
-def _casgd_column_multi(dataset, cfg, cluster, rounds, sched, source, timer):
-    m, n = dataset.num_points, dataset.num_features
-    s, b, p = cfg.s, cfg.b, cluster.p
-    sb = s * b
-    eta_scale = cfg.eta0 / m
-    A = dataset.a_tilde
-    rows = A.row_slices
-    c = cluster.counters
-    bounds = cluster.layout.boundaries
-    xs = [np.zeros(stop - start) for start, stop in bounds]
-    x_fn = lambda: np.concatenate(xs)
-    rec = _Recorder(dataset, c, sched)
-    rec.record(0, x_fn())
-    next_it = rec.next_iteration
-    bufs = [np.zeros(sb + sb * sb) for _ in range(p)]
-    w_flat = np.empty(sb)
-    t = 0
-
-    for _ in range(rounds):
-        if timer:
-            t0 = _pc()
-        batches_ids = source.peek_indices(s)
-        source.advance(s)
-        flat = [i for ids in batches_ids for i in ids]
-        if timer:
-            timer.add("sampling", _pc() - t0)
-            t0 = _pc()
-        score_madds = 0
-        row_views = []
-        for i in flat:
-            rc, rv = rows[i]
-            row_views.append((rc, rv))
-            score_madds += len(rv)
-        gram_madds = 0
-        for rank, (start, stop) in enumerate(bounds):
-            buf = bufs[rank]
-            zr = buf[:sb]
-            Gr = buf[sb:].reshape(sb, sb)
-            xr = xs[rank]
-            windows = []
-            for rc, rv in row_views:
-                wlo = int(np.searchsorted(rc, start))
-                whi = int(np.searchsorted(rc, stop))
-                windows.append((rc[wlo:whi] - start, rv[wlo:whi]))
-            for q, (wc, wv) in enumerate(windows):
-                zr[q] = np.dot(wv, xr[wc]) if len(wc) else 0.0
-            for j in range(1, s):
-                for k in range(b):
-                    ac, av = windows[j * b + k]
-                    for q in range(j * b):
-                        bc, bv = windows[q]
-                        val, hits = _matched_dot(ac, av, bc, bv)
-                        Gr[j * b + k, q] = val
-                        gram_madds += hits
-        if timer:
-            timer.add("gram", _pc() - t0)
-            t0 = _pc()
-        summed = cluster.allreduce_sum(bufs)
-        if timer:
-            timer.add("collectives", _pc() - t0)
-        c.flops += score_madds + gram_madds
-        rs = summed[:sb]
-        G = summed[sb:].reshape(sb, sb)
-
-        for j in range(1, s + 1):
-            lo = (j - 1) * b
-            ids = batches_ids[j - 1]
-            if timer:
                 t0 = _pc()
-            zj = rs[lo : lo + b].copy()
-            if lo:
-                zj += G[lo : lo + b, :lo] @ w_flat[:lo]
-                c.flops += lo * b
-            wj = _sig_batch(zj)
-            c.sig_evals += b
-            if timer:
-                timer.add("sig", _pc() - t0)
-                t0 = _pc()
-            wj *= eta_scale
-            w_flat[lo : lo + b] = wj
-            nnz_j = 0
-            for k in range(b):
-                rc, rv = rows[ids[k]]
-                nnz_j += len(rv)
-            for rank, (start, stop) in enumerate(bounds):
-                xr = xs[rank]
-                for k in range(b):
-                    rc, rv = rows[ids[k]]
-                    wlo = int(np.searchsorted(rc, start))
-                    whi = int(np.searchsorted(rc, stop))
-                    if whi > wlo:
-                        xr[rc[wlo:whi] - start] += wj[k] * rv[wlo:whi]
-            c.flops += nnz_j + n
-            if timer:
-                timer.add("update", _pc() - t0)
-            t += 1
-            if next_it is not None and next_it <= t:
-                rec.visit(t, x_fn)
-                next_it = rec.next_iteration
-
-    return SolverRun(x_fn(), rec.trace, c.snapshot(), rec.solutions)
-
-
-def _casgd_row(dataset, cfg, cluster, rounds, sched, source, timer):
-    m, n = dataset.num_points, dataset.num_features
-    s, b, p = cfg.s, cfg.b, cluster.p
-    sb = s * b
-    bp = b // p
-    eta_scale = cfg.eta0 / m
-    A = dataset.a_tilde
-    rows = A.row_slices
-    c = cluster.counters
-    x = np.zeros(n)
-    x_fn = lambda: x
-    rec = _Recorder(dataset, c, sched)
-    rec.record(0, x)
-    next_it = rec.next_iteration
-    w_flat = np.empty(sb)
-    t = 0
-
-    for _ in range(rounds):
-        if timer:
-            t0 = _pc()
-        batches_ids = source.peek_indices(s)
-        source.advance(s)
-        if timer:
-            timer.add("sampling", _pc() - t0)
-            t0 = _pc()
-        # Rank payload: values of its own rows for the first s-1 batches
-        # (only those appear on the Gram's column side), then its complete
-        # scores for all s batches.
-        payloads = []
-        y_lens = []
-        score_madds = 0
-        for rank in range(p):
-            parts = []
-            for j in range(s - 1):
-                ids = batches_ids[j]
-                for k in range(bp):
-                    parts.append(rows[ids[rank * bp + k]][1])
-            rvals = np.empty(s * bp)
-            for j in range(s):
-                ids = batches_ids[j]
-                for k in range(bp):
-                    rc, rv = rows[ids[rank * bp + k]]
-                    rvals[j * bp + k] = np.dot(rv, x[rc])
-                    score_madds += len(rv)
-            parts.append(rvals)
-            payload = np.concatenate(parts)
-            y_lens.append(len(payload) - s * bp)
-            payloads.append(payload)
-        if timer:
-            timer.add("score_matvec", _pc() - t0)
-            t0 = _pc()
-        gathered = cluster.allgather(payloads)
-        if timer:
-            timer.add("collectives", _pc() - t0)
-            t0 = _pc()
-        c.flops += score_madds
-        r_full = np.empty((s, b))
-        off = 0
-        for rank in range(p):
-            chunk = gathered[off + y_lens[rank] : off + y_lens[rank] + s * bp]
-            r_full[:, rank * bp : (rank + 1) * bp] = chunk.reshape(s, bp)
-            off += y_lens[rank] + s * bp
-        if s > 1:
-            flat = [i for ids in batches_ids for i in ids]
-            G, gram_madds = gram_lower_blocks(dataset, flat, b)
-            c.flops += gram_madds
-        else:
-            G = None
-        if timer:
-            timer.add("gram", _pc() - t0)
-
-        gs = [np.zeros(n) for _ in range(p)]
-        grad_madds = 0
-        for j in range(1, s + 1):
-            lo = (j - 1) * b
-            if timer:
-                t0 = _pc()
-            zj = r_full[j - 1].copy()
-            if lo:
-                zj += G[lo : lo + b, :lo] @ w_flat[:lo]
-                c.flops += lo * b
-            if timer:
-                timer.add("gram", _pc() - t0)
-                t0 = _pc()
-            # Chunked per rank, mirroring the plain-SGD row path bit for bit.
-            vj = np.empty(b)
-            for rank in range(p):
-                vj[rank * bp : (rank + 1) * bp] = _sig_batch(zj[rank * bp : (rank + 1) * bp])
-            c.sig_evals += b
-            if timer:
-                timer.add("sig", _pc() - t0)
-                t0 = _pc()
-            w_flat[lo : lo + b] = eta_scale * vj
-            ids = batches_ids[j - 1]
-            for rank in range(p):
-                g = gs[rank]
-                for k in range(bp):
-                    rc, rv = rows[ids[rank * bp + k]]
-                    g[rc] += vj[rank * bp + k] * rv
-                    grad_madds += len(rv)
-            if timer:
-                timer.add("gradient", _pc() - t0)
-            t += 1
-        if timer:
-            t0 = _pc()
-        g = cluster.allreduce_sum(gs)
-        if timer:
-            timer.add("collectives", _pc() - t0)
-            t0 = _pc()
-        c.flops += grad_madds
-        np.multiply(g, eta_scale, out=g)
-        x += g
-        c.flops += n
-        if timer:
-            timer.add("update", _pc() - t0)
-        if next_it is not None and next_it <= t:
-            rec.visit(t, x_fn)
-            next_it = rec.next_iteration
 
     return SolverRun(x.copy(), rec.trace, c.snapshot(), rec.solutions)
 
@@ -946,5 +587,5 @@ def run_reference(
         v = sig(z)
         x = x + sampled_matvec_transpose(dataset, sel, eta_scale * v)
         if rec.next_iteration is not None and rec.next_iteration <= t:
-            rec.visit(t, lambda: x)
+            rec.visit(t, x)
     return SolverRun(x.copy(), rec.trace, counters, rec.solutions)

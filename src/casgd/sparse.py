@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 import scipy.sparse
@@ -55,6 +55,22 @@ class LibsvmParseError(ValueError):
     def __init__(self, line: int, message: str):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+class _RowsOnAccess:
+    """``row_slices`` that slices row i from the CSR arrays when indexed."""
+
+    __slots__ = ("_offsets", "_cols", "_vals")
+
+    def __init__(self, A: "CsrMatrix"):
+        self._offsets, self._cols, self._vals = A.row_offsets, A.col_indices, A.values
+
+    def __len__(self) -> int:
+        return len(self._offsets) - 1
+
+    def __getitem__(self, i):
+        lo, hi = self._offsets[i], self._offsets[i + 1]
+        return self._cols[lo:hi], self._vals[lo:hi]
 
 
 @dataclass(frozen=True)
@@ -123,8 +139,12 @@ class CsrMatrix:
         return counts
 
     @cached_property
-    def row_slices(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """Per-row (col_indices, values) views; avoids re-slicing in hot loops."""
+    def row_slices(self) -> Sequence[tuple[np.ndarray, np.ndarray]]:
+        """Per-row (col_indices, values) views; avoids re-slicing in hot loops.
+
+        Column windows slice their rows on access instead (see
+        ``column_window``).
+        """
         return tuple(self.row(i) for i in range(self.num_rows))
 
     @cached_property
@@ -142,6 +162,25 @@ class CsrMatrix:
         merges (adding 0.0 is exact), so solver fast paths may use them.
         """
         return self._dense
+
+    def column_window(self, start: int, stop: int) -> "CsrMatrix":
+        """Columns ``[start, stop)`` of every row, locally indexed.
+
+        The window's dense cache is the same window of this matrix's cache
+        (a view, or None when this matrix keeps none), so windows add no
+        dense memory and take the same kernel paths as the whole matrix.
+        Its ``row_slices`` slice each row from the CSR arrays on access, so
+        the windows of a partition keep no per-row objects either.
+        """
+        ci = self.col_indices
+        keep = (ci >= start) & (ci < stop)
+        kept = np.concatenate(([0], np.cumsum(keep)))
+        window = CsrMatrix(self.num_rows, stop - start, kept[self.row_offsets], ci[keep] - start, self.values[keep])
+        dense = self.dense_cache()
+        # Fills the cached properties before their first use.
+        vars(window)["_dense"] = None if dense is None else dense[:, start:stop]
+        vars(window)["row_slices"] = _RowsOnAccess(window)
+        return window
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.num_rows, self.num_cols))

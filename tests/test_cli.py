@@ -164,7 +164,7 @@ class TestCompare:
     def test_tolerance_violation_exit_3(self, data_file, tmp_path, capsys):
         out = tmp_path / "cmp.csv"
         code = main(
-            ["compare", "--data", data_file, "--s-list", "2", "--epochs", "2", "--tolerance", "-1",
+            ["compare", "--data", data_file, "--s-list", "2", "--epochs", "2", "--tolerance", "0",
              "--trace", str(out)]
         )
         assert code == 3
@@ -223,6 +223,16 @@ class TestCompare:
         out = tmp_path / "cmp.csv"
         code = main(
             ["compare", "--data", data_file, "--s-list", "2", "--epochs", "1", f"--tolerance={tolerance}",
+             "--trace", str(out)]
+        )
+        assert code == 1
+        assert "--tolerance" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_tolerance_exit_1(self, data_file, tmp_path, capsys):
+        out = tmp_path / "cmp.csv"
+        code = main(
+            ["compare", "--data", data_file, "--s-list", "2", "--epochs", "1", "--tolerance=-1",
              "--trace", str(out)]
         )
         assert code == 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from casgd import BLOCK_COLUMN, BLOCK_ROW, LayoutDescriptor, partition
+from casgd import BLOCK_COLUMN, BLOCK_ROW, LayoutDescriptor, VirtualCluster, partition
 from casgd.cluster import tree_message_count
 
 from conftest import random_dataset
@@ -105,6 +105,35 @@ class TestAllgather:
         assert cluster.counters.collectives == 1
 
 
+class TestCombine:
+    def test_single_rank_counts_without_a_collective_call(self, monkeypatch):
+        d = random_dataset(np.random.default_rng(0), 10, 6)
+        reference = partition(d, BLOCK_ROW, 1)
+        buf = np.array([1.0, 2.0, 3.0])
+        reference.allreduce_sum([buf])
+        reference.allgather([buf])
+
+        def no_call(*args):
+            raise AssertionError("a single rank makes no collective call")
+
+        monkeypatch.setattr(VirtualCluster, "allreduce_sum", no_call)
+        monkeypatch.setattr(VirtualCluster, "allgather", no_call)
+        cluster = partition(d, BLOCK_ROW, 1)
+        assert cluster.combine([buf]) is buf
+        assert cluster.combine([buf], gather=True) is buf
+        assert cluster.counters == reference.counters
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_ranks_match_the_collectives(self, p):
+        rng = np.random.default_rng(p)
+        d = random_dataset(rng, 10, 6)
+        bufs = [rng.standard_normal(4) for _ in range(p)]
+        cluster, reference = partition(d, BLOCK_ROW, p), partition(d, BLOCK_ROW, p)
+        np.testing.assert_array_equal(cluster.combine(bufs), reference.allreduce_sum(bufs))
+        np.testing.assert_array_equal(cluster.combine(bufs, gather=True), reference.allgather(bufs))
+        assert cluster.counters == reference.counters
+
+
 class TestCounters:
     def test_counter_law_mixed_collectives(self):
         d = random_dataset(np.random.default_rng(0), 12, 8)
@@ -129,17 +158,6 @@ class TestCounters:
         cluster.counters.reset()
         assert cluster.counters.as_dict() == {"flops": 0, "words": 0, "messages": 0, "collectives": 0, "sig_evals": 0}
 
-    def test_record_increments(self):
-        d = random_dataset(np.random.default_rng(0), 10, 6)
-        cluster = partition(d, BLOCK_COLUMN, 1)
-        cluster.record_flops(0)
-        cluster.record_flops(1)
-        cluster.record_flops(41)
-        cluster.record_sig(0)
-        cluster.record_sig(7)
-        assert cluster.counters.flops == 42
-        assert cluster.counters.sig_evals == 7
-
 
 class TestReconstruction:
     @pytest.mark.parametrize("kind,p", [(BLOCK_COLUMN, 1), (BLOCK_COLUMN, 3), (BLOCK_ROW, 1), (BLOCK_ROW, 4)])
@@ -150,6 +168,19 @@ class TestReconstruction:
         np.testing.assert_array_equal(rebuilt.row_offsets, d.a_tilde.row_offsets)
         np.testing.assert_array_equal(rebuilt.col_indices, d.a_tilde.col_indices)
         np.testing.assert_array_equal(rebuilt.values, d.a_tilde.values)
+
+    def test_column_views_slice_rows_on_access(self):
+        d = random_dataset(np.random.default_rng(4), 23, 11)
+        cluster = partition(d, BLOCK_COLUMN, 3)
+        for rank in range(3):
+            start, stop = cluster.rank_range(rank)
+            rows = cluster.rank_view(rank).row_slices
+            assert not isinstance(rows, tuple) and len(rows) == 23
+            for i in range(23):
+                cols, vals = d.a_tilde.row(i)
+                keep = (cols >= start) & (cols < stop)
+                np.testing.assert_array_equal(rows[i][0], cols[keep] - start)
+                np.testing.assert_array_equal(rows[i][1], vals[keep])
 
     def test_single_rank_view_is_whole_matrix(self):
         d = random_dataset(np.random.default_rng(3), 8, 5)

@@ -9,6 +9,7 @@ from casgd import (
     ConfigError,
     RowBlockSelector,
     SolverConfig,
+    VirtualCluster,
     full_gradient,
     parse_libsvm,
     partition,
@@ -92,24 +93,26 @@ class TestRunSgd:
         assert [t.loss for t in a.trace] == [t.loss for t in b.trace]
 
 
+def _assert_same_bits(run_a, run_b):
+    assert len(run_a.epoch_solutions) == len(run_b.epoch_solutions)
+    for a, b_ in zip(run_a.epoch_solutions, run_b.epoch_solutions):
+        assert a.tobytes() == b_.tobytes()
+
+
 class TestCasgdDegenerate:
-    @pytest.mark.parametrize("p", [1, 4])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
     def test_s1_matches_sgd_column(self, p):
         d = synthetic_dataset(48, 16, 4, seed=6)
-        cfg = SolverConfig(eta0=1.0, b=2, epochs=3, seed=21, p=p)
-        sgd = run_sgd(d, cfg, _col_cluster(d, p))
-        ca = run_casgd(d, cfg, _col_cluster(d, p))
-        for a, b_ in zip(sgd.epoch_solutions, ca.epoch_solutions):
-            assert relative_solution_error(a, b_) <= 1e-15
+        for b in (1, 2, 4):
+            cfg = SolverConfig(eta0=1.0, b=b, epochs=3, seed=21, p=p)
+            _assert_same_bits(run_sgd(d, cfg, _col_cluster(d, p)), run_casgd(d, cfg, _col_cluster(d, p)))
 
-    @pytest.mark.parametrize("p", [1, 2])
+    @pytest.mark.parametrize("p", [1, 2, 4])
     def test_s1_matches_sgd_row(self, p):
         d = synthetic_dataset(48, 16, 4, seed=6)
-        cfg = SolverConfig(eta0=1.0, b=4, epochs=3, seed=22, p=p, layout=BLOCK_ROW)
-        sgd = run_sgd(d, cfg, _row_cluster(d, p))
-        ca = run_casgd(d, cfg, _row_cluster(d, p))
-        for a, b_ in zip(sgd.epoch_solutions, ca.epoch_solutions):
-            assert relative_solution_error(a, b_) <= 1e-15
+        for b in (b for b in (1, 2, 4) if b % p == 0):
+            cfg = SolverConfig(eta0=1.0, b=b, epochs=3, seed=22, p=p, layout=BLOCK_ROW)
+            _assert_same_bits(run_sgd(d, cfg, _row_cluster(d, p)), run_casgd(d, cfg, _row_cluster(d, p)))
 
     def test_worked_example_forced_batches(self, tiny):
         sels = [RowBlockSelector(np.array([0])), RowBlockSelector(np.array([1]))]
@@ -210,6 +213,22 @@ class TestCounterLaws:
         )
         assert sgd_col.counters.collectives == H
         assert sgd_col.counters.messages == H * log_p
+
+    @pytest.mark.parametrize("layout", [BLOCK_COLUMN, BLOCK_ROW])
+    def test_single_rank_counts_collectives_without_calls(self, layout, monkeypatch):
+        # One rank has nothing to exchange: the counters record every
+        # round's collective, but no allreduce_sum/allgather call is made.
+        d = synthetic_dataset(64, 24, 6, seed=4)
+
+        def no_call(*args):
+            raise AssertionError("a single rank makes no collective call")
+
+        monkeypatch.setattr(VirtualCluster, "allreduce_sum", no_call)
+        monkeypatch.setattr(VirtualCluster, "allgather", no_call)
+        for run, s in ((run_sgd, 1), (run_casgd, 1), (run_casgd, 4)):
+            cfg = SolverConfig(eta0=1.0, b=2, s=s, total_iterations=12, seed=2, layout=layout)
+            out = run(d, cfg, partition(d, layout, 1))
+            assert out.counters.collectives == (2 if layout == BLOCK_ROW and run is run_casgd else 1) * 12 // s
 
     def test_words_per_round_column(self):
         d = synthetic_dataset(64, 24, 6, seed=4)
