@@ -6,13 +6,14 @@
     casgd bench   --data d.svm --algo casgd --s-step 8 --epochs 2 --repeats 5 --trace b.csv
 
 Exit codes: 0 success, 1 parse/configuration error (including non-finite
-feature values, a non-finite or negative --eta and a non-finite or
-negative --tolerance), 2 bad flags, 3 comparison failed (tolerance exceeded, a
-non-finite error, or fewer than epochs+1 epochs compared).  CSV files are
-written to a temp file and renamed into place, so no partial output
-survives an error.  All floats are serialized with 17 significant digits
-(round-trip exact), and every run is fully determined by its flags, so
-repeated invocations produce byte-identical traces.
+feature values, a non-finite or negative --eta, a non-finite or negative
+--tolerance and a --repeats below 1), 2 bad flags, 3 comparison failed
+(tolerance exceeded, a non-finite error, or fewer than epochs+1 epochs
+compared).  CSV files are written to a temp file and renamed into place,
+so no partial output survives an error.  All floats are serialized with
+17 significant digits (round-trip exact), and every run is fully
+determined by its flags, so repeated invocations produce byte-identical
+traces.
 """
 
 from __future__ import annotations
@@ -91,22 +92,22 @@ def _solver_flags(sub):
     sub.add_argument("--seed", type=int, default=0)
 
 
-def _solve(dataset, args, algo: str, s: int):
-    layout = _LAYOUTS[args.layout]
-    b = dataset.num_points if algo == "gd" else args.batch
-    cfg = SolverConfig(
+def _config(dataset, args) -> SolverConfig:
+    """Solver settings of ``train`` and ``bench`` (``gd`` is SGD with one batch of every row)."""
+    return SolverConfig(
         eta0=args.eta,
-        b=b,
-        s=s if algo == "casgd" else 1,
+        b=dataset.num_points if args.algo == "gd" else args.batch,
+        s=args.s_step if args.algo == "casgd" else 1,
         epochs=args.epochs,
-        layout=layout,
+        layout=_LAYOUTS[args.layout],
         p=args.procs,
         seed=args.seed,
     )
-    cluster = partition(dataset, layout, args.procs)
-    if algo == "casgd":
-        return run_casgd(dataset, cfg, cluster)
-    return run_sgd(dataset, cfg, cluster)
+
+
+def _solve(dataset, cfg: SolverConfig, algo: str, timer=None):
+    cluster = partition(dataset, cfg.layout, cfg.p)
+    return (run_casgd if algo == "casgd" else run_sgd)(dataset, cfg, cluster, timer=timer)
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +116,7 @@ def _solve(dataset, args, algo: str, s: int):
 
 def cmd_train(args) -> int:
     dataset = _load_dataset(args)
-    run = _solve(dataset, args, args.algo, args.s_step)
+    run = _solve(dataset, _config(dataset, args), args.algo)
     rows = [
         ",".join(
             [str(t.epoch), _fmt(t.loss), _fmt(t.accuracy), str(t.flops), str(t.words), str(t.messages), str(t.collectives)]
@@ -229,28 +230,16 @@ def cmd_costs(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be at least 1, got {args.repeats}")
     dataset = _load_dataset(args)
-    layout = _LAYOUTS[args.layout]
-    b = dataset.num_points if args.algo == "gd" else args.batch
-    cfg = SolverConfig(
-        eta0=args.eta,
-        b=b,
-        s=args.s_step if args.algo == "casgd" else 1,
-        epochs=args.epochs,
-        layout=layout,
-        p=args.procs,
-        seed=args.seed,
-    )
+    cfg = _config(dataset, args)
     samples: dict[str, list[float]] = {phase: [] for phase in PhaseTimer.PHASES}
     totals = []
     for _ in range(args.repeats):
         timer = PhaseTimer()
-        cluster = partition(dataset, layout, args.procs)
         t0 = time.perf_counter()
-        if args.algo == "casgd":
-            run_casgd(dataset, cfg, cluster, timer=timer)
-        else:
-            run_sgd(dataset, cfg, cluster, timer=timer)
+        _solve(dataset, cfg, args.algo, timer)
         totals.append(time.perf_counter() - t0)
         for phase in PhaseTimer.PHASES:
             samples[phase].append(timer.totals[phase])

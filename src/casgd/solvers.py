@@ -55,7 +55,6 @@ from .model import accuracy, loss, sig
 from .sampling import BatchStream, RowBlockSelector
 from .sparse import (
     LabeledDataset,
-    _VECTORIZE_MIN_ROWS,
     add_rows_transpose,
     batch_scores,
     gather_rows,
@@ -128,7 +127,6 @@ class TraceRecord:
     epoch: int
     loss: float
     accuracy: float
-    rel_solution_error: float | None
     flops: int
     words: int
     messages: int
@@ -291,7 +289,6 @@ class _Recorder:
                 epoch=epoch,
                 loss=loss(self.dataset, x_full),
                 accuracy=accuracy(self.dataset, x_full),
-                rel_solution_error=None,
                 flops=int(c.flops),
                 words=int(c.words_moved),
                 messages=int(c.messages),
@@ -352,18 +349,17 @@ def run_casgd(
 class _Rank:
     """One rank's data, its part of x, and what it holds during a round."""
 
-    __slots__ = ("data", "x", "spot", "rowwise", "scores", "gram", "ids", "block")
+    __slots__ = ("data", "x", "spot", "scores", "gram", "ids", "rows")
 
-    def __init__(self, data, x, spot, scores, gram, rowwise):
+    def __init__(self, data, x, spot, scores, gram):
         self.data = data
         self.x = x
         # Where the rank's rows sit in the round's s*b rows (None: all).
         self.spot = spot
-        # What row-by-row scoring reads, or None when the rank gathers rows.
-        self.rowwise = (scores, data.a_tilde.row_slices, data.a_tilde.dense_cache(), x) if rowwise else None
         self.scores = scores
         self.gram = gram
-        self.ids = self.block = None
+        # The round's row ids and their form from ``gather_rows``.
+        self.ids = self.rows = None
 
 
 def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
@@ -387,10 +383,6 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
     rec.record(0, x)
     next_it = rec.next_iteration
 
-    # Rounds of s = 1, and small rounds without a dense cache, go row by
-    # row (s = 1 then mirrors plain SGD operation for operation); other
-    # rounds gather each rank's rows once for BLAS or scipy kernels.
-    rowwise = s == 1 or (A.dense_cache() is None and sb < _VECTORIZE_MIN_ROWS)
     gram = casgd and s > 1
     # Column ranks send partial scores (and a partial Gram) in one buffer
     # each, and the reduced buffer lands in the first.  Row ranks keep
@@ -409,11 +401,11 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
             for r in range(p)
         ]
         # At s = 1 a rank's scores are its slice of the round's scores.
-        ranks = [_Rank(dataset, x, spot, rs[spot] if s == 1 else np.empty(s * bp), None, rowwise) for spot in spots]
+        ranks = [_Rank(dataset, x, spot, rs[spot] if s == 1 else np.empty(s * bp), None) for spot in spots]
     else:
         # Column ranks hold all of a round's rows, over their own columns.
         ranks = [
-            _Rank(D, x[start:stop], None, buf[:sb], buf[sb:].reshape(sb, sb) if casgd else None, rowwise)
+            _Rank(D, x[start:stop], None, buf[:sb], buf[sb:].reshape(sb, sb) if casgd else None)
             for D, (start, stop), buf in zip(cluster.column_slices, cluster.layout.boundaries, bufs)
         ]
     w = np.empty(sb)
@@ -428,19 +420,14 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
     # A round's update flops besides its rows' nonzeros: n per iteration
     # (column) or round (row), and i*b*b recurrence flops for iteration i.
     round_flops = (n if row else n * s) + b * b * s * (s - 1) // 2
-    # Row-by-row rounds index rows with Python ints; row ranks pick theirs
-    # from the round's array unless they sit in one slice of it.
-    as_list = rowwise and (s == 1 or not row)
     t0 = _pc()
 
     for t in range(0, iterations, s):
         # 1. draw s batches
         batches_ids = source.peek_indices(s)
         source.advance(s)
-        if as_list:
-            ids = batches_ids[0] if s == 1 else [i for batch in batches_ids for i in batch]
-        else:
-            ids = np.array(batches_ids, dtype=np.int64).reshape(sb)
+        # One batch is a list of row ids already; s batches become one array.
+        ids = batches_ids[0] if s == 1 else np.array(batches_ids, dtype=np.int64).reshape(sb)
         if timer:
             t0 = timer.lap("sampling", t0)
 
@@ -448,28 +435,15 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
         score_madds = gram_madds = 0
         payloads = []
         for rk in ranks:
-            rids = ids if rk.spot is None else ids[rk.spot]
-            if rk.rowwise:
-                if not as_list:
-                    rids = rids.tolist()
-                scores, rows, dr, xr = rk.rowwise
-                for k, i in enumerate(rids):
-                    rc, rv = rows[i]
-                    scores[k] = np.dot(dr[i], xr) if dr is not None else np.dot(rv, xr[rc])
-                    score_madds += len(rv)
-            else:
-                rk.block = gather_rows(rk.data, rids)
-                scores, madds = batch_scores(rk.data, rids, rk.x, rows=rk.block)
-                rk.scores[:] = scores
-                score_madds += madds
-            rk.ids = rids
+            rk.ids = rids = ids if rk.spot is None else ids[rk.spot]
+            rk.rows = rows = gather_rows(rk.data, rids, s)
+            score_madds += batch_scores(rk.data, rids, rk.x, rows=rows, out=rk.scores)[1]
             if gram and not row:
-                gram_madds += gram_lower_blocks(rk.data, rids, b, out=rk.gram, rows=rk.block)[1]
+                gram_madds += gram_lower_blocks(rk.data, rids, b, out=rk.gram, rows=rows)[1]
             elif casgd and row:
                 # Own rows' values of the first s-1 batches (the Gram's
                 # column side), then own scores for all s batches.
-                head = rids[: (s - 1) * bp]
-                head = [A.row_slices[i][1] for i in (head if rowwise else head.tolist())]
+                head = [A.row_slices[i][1] for i in rids[: (s - 1) * bp]]
                 payloads.append(np.concatenate(head + [rk.scores]))
         if timer:
             t0 = timer.lap("gram" if gram and not row else "score_matvec", t0)
@@ -500,7 +474,7 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
             if b == 1:
                 zj = r_j.item(0)
                 if lo:
-                    zj += np.dot(g_j, w_head)
+                    zj += g_j.dot(w_head)
                 vj = _sig_scalar(zj)
                 w[lo] = vj * eta_scale
                 if row:
@@ -526,7 +500,7 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
         if row:
             gs = [np.zeros(n) for _ in ranks]
             for rk, g in zip(ranks, gs):
-                add_rows_transpose(rk.data, rk.ids, v[rk.spot], g, rows=rk.block)
+                add_rows_transpose(rk.data, rk.ids, v[rk.spot], g, rows=rk.rows)
             if timer:
                 t0 = timer.lap("gradient", t0)
             g = cluster.combine(gs)
@@ -540,7 +514,7 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
             if stop - done == s:
                 if not row:
                     for rk in ranks:
-                        add_rows_transpose(rk.data, rk.ids, w, rk.x, rows=rk.block)
+                        add_rows_transpose(rk.data, rk.ids, w, rk.x, rows=rk.rows)
                 c.flops += score_madds + round_flops
                 c.sig_evals += sb
             else:

@@ -1,17 +1,25 @@
 """CSR storage, LIBSVM ingestion, and sampled-row sparse kernels.
 
 The data matrix is stored label-scaled: row i of ``a_tilde`` is the i-th
-input row multiplied by its label in {-1, +1}.  All kernels operate on
-sampled row subsets without materializing row copies, and optionally
-restrict work to a contiguous column window so a column-partitioned rank
-can compute its partial product (partials over a disjoint window
-partition sum to the full-range result).
+input row multiplied by its label in {-1, +1}.  Column indices are 0-based
+internally; the 1-based LIBSVM indices are shifted on ingest.
 
-Column indices are 0-based internally; the 1-based LIBSVM indices are
-shifted on ingest.  Pairwise row inner products match entries of the two
-rows' sorted column indices and sum the products in ascending column
-order, which keeps results reproducible and makes
-``gram_block(s1, s2)`` exactly the transpose of ``gram_block(s2, s1)``.
+Two kinds of kernels work on sampled rows:
+
+  * reference kernels (``sampled_matvec``, ``sampled_matvec_transpose``,
+    ``gram_block``) take a ``RowBlockSelector`` and go row by row; the
+    sequential oracle and the tests use them.
+  * round kernels (``batch_scores``, ``gram_lower_blocks``,
+    ``add_rows_transpose``) compute a solver round's scores, Gram blocks
+    and update.  They share one form of the round's rows, which
+    ``gather_rows`` picks: a list of row ids (row by row), dense rows or
+    CSR rows.  A column-partitioned rank runs them on its
+    ``CsrMatrix.column_window``.
+
+Pairwise row inner products match entries of the two rows' sorted column
+indices and sum the products in ascending column order, which keeps
+results reproducible and makes ``gram_block(s1, s2)`` exactly the
+transpose of ``gram_block(s2, s1)``.
 """
 
 from __future__ import annotations
@@ -39,9 +47,10 @@ __all__ = [
     "add_rows_transpose",
 ]
 
-# Without a dense row cache, rounds of fewer rows than this use per-row
-# dots, per-pair merges and per-row updates; from it on they gather the rows
-# once and use scipy.sparse products despite their call overhead.
+# Without a dense row cache, ``gather_rows`` leaves fewer rows than this to
+# go row by row (per-row dots, per-pair merges and per-row updates); from it
+# on it gathers them as CSR rows for scipy products despite their call
+# overhead.
 _VECTORIZE_MIN_ROWS = 33
 
 # Matrices up to this many cells keep a dense row cache so round kernels can
@@ -395,71 +404,35 @@ def _check_selector(sel: RowBlockSelector, num_rows: int) -> np.ndarray:
     return idx
 
 
-def _window(cols: np.ndarray, c0: int, c1: int) -> tuple[int, int]:
-    return int(np.searchsorted(cols, c0)), int(np.searchsorted(cols, c1))
-
-
-def sampled_matvec(
-    dataset: LabeledDataset,
-    sel: RowBlockSelector,
-    x: np.ndarray,
-    col_range: tuple[int, int] | None = None,
-) -> np.ndarray:
-    """Scores of the sampled rows against ``x``.
-
-    With ``col_range=(c0, c1)``, only columns in the window contribute and
-    ``x`` is the window's slice (length c1-c0, locally indexed).
-    """
+def sampled_matvec(dataset: LabeledDataset, sel: RowBlockSelector, x: np.ndarray) -> np.ndarray:
+    """Scores of the sampled rows against ``x``."""
     A = dataset.a_tilde
     idx = _check_selector(sel, A.num_rows)
     x = np.asarray(x, dtype=np.float64)
-    if col_range is None:
-        if x.shape != (A.num_cols,):
-            raise ValueError(f"x must have length {A.num_cols}")
-        out = np.empty(len(idx))
-        for k, i in enumerate(idx):
-            cols, vals = A.row(i)
-            out[k] = np.dot(vals, x[cols])
-        return out
-    c0, c1 = col_range
-    if x.shape != (c1 - c0,):
-        raise ValueError(f"x must have length {c1 - c0} for column window [{c0}, {c1})")
+    if x.shape != (A.num_cols,):
+        raise ValueError(f"x must have length {A.num_cols}")
     out = np.empty(len(idx))
     for k, i in enumerate(idx):
         cols, vals = A.row(i)
-        lo, hi = _window(cols, c0, c1)
-        out[k] = np.dot(vals[lo:hi], x[cols[lo:hi] - c0])
+        out[k] = np.dot(vals, x[cols])
     return out
 
 
-def sampled_matvec_transpose(
-    dataset: LabeledDataset,
-    sel: RowBlockSelector,
-    v: np.ndarray,
-    col_range: tuple[int, int] | None = None,
-) -> np.ndarray:
+def sampled_matvec_transpose(dataset: LabeledDataset, sel: RowBlockSelector, v: np.ndarray) -> np.ndarray:
     """Weighted sum of the sampled rows: sum_k v[k] * row(sel[k]).
 
-    Returns a dense vector of length ``num_features`` (or the window width
-    when ``col_range`` is given).  Rows are accumulated in selector order.
+    Returns a dense vector of length ``num_features``.  Rows are
+    accumulated in selector order.
     """
     A = dataset.a_tilde
     idx = _check_selector(sel, A.num_rows)
     v = np.asarray(v, dtype=np.float64)
     if v.shape != (len(idx),):
         raise ValueError(f"v must have length {len(idx)}")
-    if col_range is None:
-        out = np.zeros(A.num_cols)
-        for k, i in enumerate(idx):
-            cols, vals = A.row(i)
-            out[cols] += v[k] * vals
-        return out
-    c0, c1 = col_range
-    out = np.zeros(c1 - c0)
+    out = np.zeros(A.num_cols)
     for k, i in enumerate(idx):
         cols, vals = A.row(i)
-        lo, hi = _window(cols, c0, c1)
-        out[cols[lo:hi] - c0] += v[k] * vals[lo:hi]
+        out[cols] += v[k] * vals
     return out
 
 
@@ -481,68 +454,78 @@ def _matched_dot(
     return float(np.dot(vals_a[pos[ok]], vals_b[ok])), matches
 
 
-def gram_block(
-    dataset: LabeledDataset,
-    sel_row: RowBlockSelector,
-    sel_col: RowBlockSelector,
-    col_range: tuple[int, int] | None = None,
-) -> np.ndarray:
+def gram_block(dataset: LabeledDataset, sel_row: RowBlockSelector, sel_col: RowBlockSelector) -> np.ndarray:
     """Pairwise inner products between two sampled row batches.
 
     ``out[k, l]`` is the inner product of row ``sel_row[k]`` and row
-    ``sel_col[l]``, restricted to ``col_range`` when given, computed as a
-    sparse merge of the two rows' sorted column indices.
+    ``sel_col[l]``, computed as a sparse merge of the two rows' sorted
+    column indices.
     """
     A = dataset.a_tilde
     rows = _check_selector(sel_row, A.num_rows)
     cols_sel = _check_selector(sel_col, A.num_rows)
     out = np.empty((len(rows), len(cols_sel)))
-    slices = {}
-    for i in set(rows.tolist()) | set(cols_sel.tolist()):
-        c, v = A.row(i)
-        if col_range is not None:
-            lo, hi = _window(c, *col_range)
-            c, v = c[lo:hi], v[lo:hi]
-        slices[i] = (c, v)
     for k, i in enumerate(rows):
-        ci, vi = slices[int(i)]
+        ci, vi = A.row(i)
         for l, j in enumerate(cols_sel):
-            cj, vj = slices[int(j)]
-            out[k, l], _ = _matched_dot(ci, vi, cj, vj)
+            out[k, l], _ = _matched_dot(ci, vi, *A.row(j))
     return out
 
 
 # ---------------------------------------------------------------------------
-# Round-sized kernels used by the solvers (full column range, many rows)
+# Round kernels used by the solvers
 
 
-def gather_rows(dataset: LabeledDataset, row_ids: np.ndarray):
-    """The sampled rows as one matrix, for a round's kernels to share.
+def gather_rows(dataset: LabeledDataset, row_ids, batches: int):
+    """A round's rows in the one form its kernels share.
 
-    Dense rows (an ndarray) when the matrix keeps a dense cache, else CSR
-    rows (a scipy matrix); both support ``@ x``, ``@ rows.T`` and ``.T @ w``.
+    ``row_ids`` are the rows a kernel is handed (a rank's part of the round)
+    and ``batches`` how many batches they span.  The form is:
+
+      * a list of the row ids, which the kernels take row by row, for one
+        batch (s = 1 then mirrors plain SGD operation for operation) and,
+        without a dense cache, for fewer than ``_VECTORIZE_MIN_ROWS`` rows;
+      * dense rows (an ndarray) when the matrix, or the column window, keeps
+        a dense cache;
+      * CSR rows (a scipy matrix) otherwise.
+
+    Dense and CSR rows support ``@ x``, ``@ rows.T`` and ``.T @ w``.
     """
-    A = dataset.a_tilde
-    dense = A.dense_cache()
-    return dense[row_ids] if dense is not None else A.scipy_csr[row_ids]
+    if batches > 1:
+        A = dataset.a_tilde
+        dense = A.dense_cache()
+        if dense is not None:
+            return dense[row_ids]
+        if len(row_ids) >= _VECTORIZE_MIN_ROWS:
+            return A.scipy_csr[row_ids]
+    return row_ids if isinstance(row_ids, list) else row_ids.tolist()
 
 
-def batch_scores(
-    dataset: LabeledDataset, row_ids: np.ndarray, x: np.ndarray, rows=None
-) -> tuple[np.ndarray, int]:
+def batch_scores(dataset: LabeledDataset, row_ids, x: np.ndarray, rows=None, out=None) -> tuple[np.ndarray, int]:
     """Scores of ``row_ids`` against full-length ``x``; returns (scores, multiply-adds).
 
-    ``rows`` is ``gather_rows(dataset, row_ids)`` when the caller holds it.
+    ``rows`` is ``gather_rows``' form of ``row_ids`` (None: row by row).
+    Scores are written into ``out`` when given.
     """
-    row_ids = np.asarray(row_ids, dtype=np.int64)
-    if rows is None:
-        rows = gather_rows(dataset, row_ids)
-    return rows @ x, int(dataset.a_tilde.row_nnz[row_ids].sum())
+    if out is None:
+        out = np.empty(len(row_ids))
+    A = dataset.a_tilde
+    if isinstance(rows, list) or rows is None:
+        slices, dense = A.row_slices, A.dense_cache()
+        madds = 0
+        for k, i in enumerate(row_ids if rows is None else rows):
+            cols, vals = slices[i]
+            # ndarray.dot is np.dot without its dispatch overhead.
+            out[k] = vals.dot(x[cols]) if dense is None else dense[i].dot(x)
+            madds += len(vals)
+        return out, madds
+    out[:] = rows @ x
+    return out, int(A.row_nnz[row_ids].sum())
 
 
 def gram_lower_blocks(
     dataset: LabeledDataset,
-    row_ids: np.ndarray,
+    row_ids,
     block_size: int,
     out: np.ndarray | None = None,
     rows=None,
@@ -552,51 +535,50 @@ def gram_lower_blocks(
     ``row_ids`` holds s consecutive batches of ``block_size`` rows; block
     (j, i) with i < j is filled with inner products between batch j rows
     and batch i rows.  Diagonal and upper blocks are left untouched (zero
-    when ``out`` is freshly allocated).  ``rows`` is
-    ``gather_rows(dataset, row_ids)`` when the caller holds it.  Returns
-    the matrix and the number of index matches (sparse multiply-adds) the
-    blocks represent, counted exactly from the rows' column indices.
+    when ``out`` is freshly allocated).  ``rows`` is ``gather_rows``' form
+    of ``row_ids`` (None: gathered here).  Returns the matrix and the
+    number of index matches (sparse multiply-adds) the blocks represent,
+    counted exactly from the rows' column indices.
     """
-    ids = np.asarray(row_ids, dtype=np.int64)
-    sb = len(ids)
+    sb = len(row_ids)
     b = block_size
     if sb % b:
         raise ValueError("len(row_ids) must be a multiple of block_size")
     if out is None:
         out = np.zeros((sb, sb))
     A = dataset.a_tilde
-    if rows is None and A.dense_cache() is None and sb < _VECTORIZE_MIN_ROWS:
+    if rows is None:
+        rows = gather_rows(dataset, row_ids, sb // b)
+    if isinstance(rows, list):
         slices = A.row_slices
         matches = 0
         for j in range(1, sb // b):
             for k in range(b):
-                a_cols, a_vals = slices[ids[j * b + k]]
+                a_cols, a_vals = slices[rows[j * b + k]]
                 for q in range(j * b):
-                    b_cols, b_vals = slices[ids[q]]
+                    b_cols, b_vals = slices[rows[q]]
                     val, hits = _matched_dot(a_cols, a_vals, b_cols, b_vals)
                     out[j * b + k, q] = val
                     matches += hits
         return out, matches
-    if rows is None:
-        rows = gather_rows(dataset, ids)
     full = rows @ rows.T
     if scipy.sparse.issparse(full):
         full = full.toarray()
     np.copyto(out, full, where=_block_tril_mask(sb, b))
-    return out, _lower_block_matches(A, ids, b)
+    return out, _lower_block_matches(A, np.asarray(row_ids), b)
 
 
 def add_rows_transpose(dataset: LabeledDataset, row_ids, w: np.ndarray, x: np.ndarray, rows=None) -> None:
     """``x += A[row_ids]^T w`` in place, for full-length ``x``.
 
-    ``rows`` is ``gather_rows(dataset, row_ids)`` when the caller holds it.
+    ``rows`` is ``gather_rows``' form of ``row_ids`` (None: row by row).
     Dense rows take one BLAS product.  Otherwise only the rows' own
     columns are touched, row after row (CSR rows in one unbuffered
     scatter-add), which gives the same bits as updating row by row.
     """
-    if rows is None:
+    if isinstance(rows, list) or rows is None:
         slices = dataset.a_tilde.row_slices
-        for k, i in enumerate(row_ids):
+        for k, i in enumerate(row_ids if rows is None else rows):
             cols, vals = slices[i]
             x[cols] += w[k] * vals
     elif isinstance(rows, np.ndarray):

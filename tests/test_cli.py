@@ -330,6 +330,14 @@ class TestBench:
         assert phase_sum <= by_phase["total"][0] * 1.05
         capsys.readouterr()
 
+    @pytest.mark.parametrize("repeats", ["0", "-2"])
+    def test_repeats_below_one_exit_1(self, data_file, tmp_path, capsys, repeats):
+        out = tmp_path / "bench.csv"
+        code = main(["bench", "--data", data_file, "--epochs", "1", f"--repeats={repeats}", "--trace", str(out)])
+        assert code == 1
+        assert "--repeats" in capsys.readouterr().err
+        assert not out.exists()
+
 
 def test_console_entry_point(data_file, tmp_path):
     out = tmp_path / "t.csv"

@@ -20,6 +20,11 @@ from casgd.sparse import _lower_block_matches, add_rows_transpose, batch_scores,
 from conftest import assert_datasets_equal, dataset_from_scaled, random_dataset
 
 
+def _column_slices(d, cuts):
+    """Per-window datasets, built the way ``VirtualCluster.column_slices`` builds them."""
+    return [LabeledDataset.build(d.a_tilde.column_window(c0, c1), d.labels) for c0, c1 in zip(cuts[:-1], cuts[1:])]
+
+
 class TestParseLibsvm:
     def test_basic_row(self):
         d = parse_libsvm("+1 1:0.5 3:2.0")
@@ -157,8 +162,8 @@ class TestSampledMatvec:
         full = sampled_matvec(d, sel, x)
         cuts = [0, 7, 13, 28, 40]
         total = np.zeros(len(sel.indices))
-        for c0, c1 in zip(cuts[:-1], cuts[1:]):
-            total += sampled_matvec(d, sel, x[c0:c1], col_range=(c0, c1))
+        for window, c0, c1 in zip(_column_slices(d, cuts), cuts[:-1], cuts[1:]):
+            total += sampled_matvec(window, sel, x[c0:c1])
         np.testing.assert_allclose(total, full, rtol=1e-13, atol=1e-13)
 
     def test_selector_out_of_range(self, tiny):
@@ -198,8 +203,8 @@ class TestSampledMatvecTranspose:
         ids = rng.choice(40, size=5, replace=False)
         v = rng.standard_normal(5)
         full = sampled_matvec_transpose(d, RowBlockSelector(ids), v)
-        window = sampled_matvec_transpose(d, RowBlockSelector(ids), v, col_range=(10, 18))
-        np.testing.assert_array_equal(window, full[10:18])
+        (window,) = _column_slices(d, [10, 18])
+        np.testing.assert_array_equal(sampled_matvec_transpose(window, RowBlockSelector(ids), v), full[10:18])
 
     def test_v_length_mismatch(self, tiny):
         with pytest.raises(ValueError):
@@ -240,8 +245,8 @@ class TestGramBlock:
         b = RowBlockSelector(rng.choice(30, size=3, replace=False))
         full = gram_block(d, a, b)
         total = np.zeros_like(full)
-        for c0, c1 in [(0, 5), (5, 16), (16, 24)]:
-            total += gram_block(d, a, b, col_range=(c0, c1))
+        for window in _column_slices(d, [0, 5, 16, 24]):
+            total += gram_block(window, a, b)
         np.testing.assert_allclose(total, full, rtol=1e-13, atol=1e-13)
 
 
@@ -295,14 +300,19 @@ class TestRoundKernels:
         ids = np.array([4, 9, 4, 2, 9, 4])  # repeats across batches of size 2
         assert _lower_block_matches(d.a_tilde, ids, 2) == _brute_lower_matches(d, ids, 2)
 
-    def test_batch_scores_matches_sampled_matvec(self):
+    @pytest.mark.parametrize("form", [None, list, np.ndarray])
+    def test_batch_scores_matches_sampled_matvec(self, form):
         rng = np.random.default_rng(21)
         d = random_dataset(rng, 90, 40)
         x = rng.standard_normal(40)
         for size in (3, 50):
             ids = rng.choice(90, size=size, replace=False)
+            rows = None if form is None else gather_rows(d, ids, 1 if form is list else size)
+            assert form is None or isinstance(rows, form)
             want = sampled_matvec(d, RowBlockSelector(ids), x)
-            got, madds = batch_scores(d, ids, x)
+            out = np.empty(size)
+            got, madds = batch_scores(d, ids, x, rows=rows, out=out)
+            assert got is out
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
             assert madds == sum(len(d.a_tilde.row(i)[0]) for i in ids)
 
@@ -325,16 +335,17 @@ class TestRoundKernels:
         scale = np.abs(merge_out).max()
         np.testing.assert_allclose(dense_out, merge_out, rtol=1e-12, atol=1e-12 * scale)
 
-    @pytest.mark.parametrize("gathered", [False, True])
-    def test_round_kernels_without_dense_cache(self, gathered):
-        # Updates go row by row, or through gathered CSR rows in one scatter.
-        rng = np.random.default_rng(int(gathered))
+    @pytest.mark.parametrize("batches", [None, 1, 40])
+    def test_round_kernels_without_dense_cache(self, batches):
+        # Updates go row by row (no rows, or one batch's list of ids), or
+        # through gathered CSR rows in one scatter.
+        rng = np.random.default_rng(int(batches == 40))
         d = synthetic_dataset(700, 3000, 5, seed=6)
         assert d.a_tilde.dense_cache() is None
         ids = rng.choice(700, size=40, replace=False)
         ids[1] = ids[0]  # a row drawn twice adds twice
-        rows = gather_rows(d, ids) if gathered else None
-        assert rows is None or scipy.sparse.issparse(rows)
+        rows = None if batches is None else gather_rows(d, ids, batches)
+        assert rows is None or (scipy.sparse.issparse(rows) if batches > 1 else rows == ids.tolist())
         x = rng.standard_normal(3000)
         got, madds = batch_scores(d, ids, x, rows=rows)
         want = [np.dot(d.a_tilde.row(i)[1], x[d.a_tilde.row(i)[0]]) for i in ids]
@@ -352,10 +363,47 @@ class TestRoundKernels:
         rng = np.random.default_rng(5)
         d = random_dataset(rng, 50, 20)
         ids = rng.choice(50, size=12, replace=False)
-        rows = gather_rows(d, ids)
+        rows = gather_rows(d, ids, 4)
         assert isinstance(rows, np.ndarray)
         x = rng.standard_normal(20)
         w = rng.standard_normal(12)
         want = x + sampled_matvec_transpose(d, RowBlockSelector(ids), w)
         add_rows_transpose(d, ids, w, x, rows=rows)
         np.testing.assert_allclose(x, want, rtol=1e-13, atol=1e-13)
+
+
+@pytest.fixture(scope="module")
+def cached_and_uncached():
+    rng = np.random.default_rng(30)
+    cached = random_dataset(rng, 80, 30)
+    uncached = synthetic_dataset(700, 3000, 5, seed=6)
+    assert cached.a_tilde.dense_cache() is not None and uncached.a_tilde.dense_cache() is None
+    window = LabeledDataset.build(cached.a_tilde.column_window(5, 17), cached.labels)
+    assert window.a_tilde.dense_cache().base is not None  # a view of the full cache
+    return {"cached": cached, "uncached": uncached, "window": window}
+
+
+# (dataset, rows, batches, form): gather_rows' rule at each boundary.
+GATHER_CASES = [
+    ("cached", 1, 1, list),
+    ("uncached", 1, 1, list),
+    ("cached", 40, 1, list),
+    ("uncached", 40, 1, list),
+    ("uncached", 32, 2, list),
+    ("uncached", 33, 3, scipy.sparse.csr_matrix),
+    ("cached", 2, 2, np.ndarray),
+    ("window", 8, 2, np.ndarray),
+]
+
+
+@pytest.mark.parametrize("name,size,batches,form", GATHER_CASES)
+def test_gather_rows_form(cached_and_uncached, name, size, batches, form):
+    d = cached_and_uncached[name]
+    ids = np.random.default_rng(size).choice(d.num_points, size=size, replace=False)
+    rows = gather_rows(d, ids, batches)
+    assert type(rows) is form
+    if form is list:
+        assert rows == ids.tolist() and gather_rows(d, rows, batches) is rows
+    else:
+        got = rows.toarray() if scipy.sparse.issparse(rows) else rows
+        np.testing.assert_array_equal(got, d.a_tilde.to_dense()[ids])
