@@ -125,11 +125,14 @@ class VirtualCluster:
         c.messages += tree_message_count(self.layout.p)
         c.collectives += 1
 
-    def allreduce_sum(self, buffers: list[np.ndarray]) -> np.ndarray:
+    def allreduce_sum(self, buffers: list[np.ndarray], words: int | None = None) -> np.ndarray:
         """Elementwise sum of equal-length rank buffers, replicated on all ranks.
 
         Summation follows the fixed ascending-rank tree.  With p = 1 the
         input buffer is returned as-is (callers must treat it read-only).
+        ``words`` is the modeled length counted for the collective (default:
+        the buffer length); a caller that sends only the entries its ranks
+        can have made nonzero still counts the whole vector.
         """
         p = self.p
         if len(buffers) != p:
@@ -138,7 +141,7 @@ class VirtualCluster:
         for buf in buffers[1:]:
             if len(buf) != length:
                 raise ValueError("allreduce buffers must have equal length")
-        self._count(length)
+        self._count(length if words is None else words)
         if p == 1:
             return buffers[0]
         work = [np.array(buf, dtype=np.float64) for buf in buffers]
@@ -157,19 +160,20 @@ class VirtualCluster:
         self._count(sum(len(buf) for buf in buffers))
         return np.concatenate(buffers)
 
-    def combine(self, buffers: list[np.ndarray], gather: bool = False) -> np.ndarray:
+    def combine(self, buffers: list[np.ndarray], gather: bool = False, words: int | None = None) -> np.ndarray:
         """The solvers' collective: ``allgather`` if ``gather``, else ``allreduce_sum``.
 
         With one rank nothing moves: the collective is only counted (the
-        buffer's length in words, no messages) and the rank's own buffer is
-        returned, without a call to either collective.
+        buffer's length in words, or ``words``, and no messages) and the
+        rank's own buffer is returned, without a call to either collective.
+        ``words`` is passed on to ``allreduce_sum``.
         """
         if self.layout.p == 1:
             c = self.counters
-            c.words_moved += len(buffers[0])
+            c.words_moved += len(buffers[0]) if words is None else words
             c.collectives += 1
             return buffers[0]
-        return self.allgather(buffers) if gather else self.allreduce_sum(buffers)
+        return self.allgather(buffers) if gather else self.allreduce_sum(buffers, words)
 
     @cached_property
     def column_slices(self) -> tuple[LabeledDataset, ...]:

@@ -28,12 +28,13 @@ The payload is set by the entry point that ran:
 
 Column ranks work on their own column slices of the matrix and update
 their part of x with no further communication; row ranks accumulate
-gradients over their own rows.  Collectives go through
-``VirtualCluster.combine``, which at p = 1 only counts them.  The
-recurrence reproduces plain SGD's iterates in exact arithmetic; in
-floating point the trajectories agree to ~1e-10 relative over hundreds
-of epochs, and at s = 1 every step mirrors plain SGD operation for
-operation, so the runs coincide bitwise.
+gradients over their own rows, and a round whose rows touch few columns
+reduces and updates only those (the allreduce still counts n words).
+Collectives go through ``VirtualCluster.combine``, which at p = 1 only
+counts them.  The recurrence reproduces plain SGD's iterates in exact
+arithmetic; in floating point the trajectories agree to ~1e-10 relative
+over hundreds of epochs, and at s = 1 every step mirrors plain SGD
+operation for operation, so the runs coincide bitwise.
 
 Counter conventions (shared with the closed-form cost module): one flop
 per sparse multiply-add and per dense solution-axpy element; scalar
@@ -57,6 +58,7 @@ from .sparse import (
     LabeledDataset,
     add_rows_transpose,
     batch_scores,
+    column_support,
     gather_rows,
     gram_lower_blocks,
     sampled_matvec,
@@ -221,13 +223,19 @@ def _sig_scalar(t) -> float:
     return 1.0 / (1.0 + math.exp(t))
 
 
-def _sig_batch(z: np.ndarray) -> np.ndarray:
-    if z.shape[0] <= _SCALAR_SIG_MAX:
+def _sig_batch(z: np.ndarray, width: int | None = None) -> np.ndarray:
+    """sig of every entry, as ranks holding ``width`` entries each (default: all) evaluate it.
+
+    Widths up to ``_SCALAR_SIG_MAX`` take scalar exp entry by entry, wider
+    ones one vector call per rank.
+    """
+    width = z.shape[0] if width is None else width
+    if width <= _SCALAR_SIG_MAX:
         out = np.empty_like(z)
         for k in range(z.shape[0]):
             out[k] = _sig_scalar(z[k])
         return out
-    return sig(z)
+    return np.concatenate([sig(z[k : k + width]) for k in range(0, z.shape[0], width)])
 
 
 class _ForcedBatches:
@@ -346,6 +354,23 @@ def run_casgd(
 # the round loop
 
 
+def _apply_row_gradient(cluster: VirtualCluster, grads: np.ndarray, support, eta_scale: float, x: np.ndarray) -> None:
+    """``x += eta_scale * (sum of the row ranks' gradients)``; leaves ``grads`` zero.
+
+    ``grads`` holds one length-n buffer per rank.  With a ``support`` (the
+    sorted distinct columns of the round's rows, outside which every buffer
+    is zero) only those entries are reduced and updated; with None, all n
+    are.  Both give the same bits: off the support the update adds +0.0,
+    which changes no entry of x (x starts at +0.0, and a sum is -0.0 only
+    if both terms are).  The collective counts n words either way.
+    """
+    cols = slice(None) if support is None else support
+    g = cluster.combine([buf[cols] for buf in grads], words=len(x))
+    x[cols] += g * eta_scale
+    for buf in grads:
+        buf[cols] = 0.0
+
+
 class _Rank:
     """One rank's data, its part of x, and what it holds during a round."""
 
@@ -410,6 +435,8 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
         ]
     w = np.empty(sb)
     v = np.empty(sb) if row else None
+    # Row ranks' gradient buffers, zero between rounds.
+    grads = np.zeros((p, n)) if row else None
     # Per iteration: batch offset, its scores, its Gram rows left of the
     # diagonal block, the weights they multiply, and its own weights;
     # views, built once, stay valid as the buffers are rewritten in place.
@@ -442,8 +469,12 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
                 gram_madds += gram_lower_blocks(rk.data, rids, b, out=rk.gram, rows=rows)[1]
             elif casgd and row:
                 # Own rows' values of the first s-1 batches (the Gram's
-                # column side), then own scores for all s batches.
-                head = [A.row_slices[i][1] for i in rids[: (s - 1) * bp]]
+                # column side), then own scores for all s batches.  CSR
+                # rows hold those values already, row after row.
+                if isinstance(rows, (list, np.ndarray)):
+                    head = [A.row_slices[i][1] for i in rids[: (s - 1) * bp]]
+                else:
+                    head = [rows.data[: rows.indptr[(s - 1) * bp]]]
                 payloads.append(np.concatenate(head + [rk.scores]))
         if timer:
             t0 = timer.lap("gram" if gram and not row else "score_matvec", t0)
@@ -483,9 +514,7 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
                 zj = r_j + g_j @ w_head if lo else r_j
                 if row:
                     # Each row rank evaluates its own b/p scores.
-                    for k in range(0, b, bp):
-                        v[lo + k : lo + k + bp] = _sig_batch(zj[k : k + bp])
-                    vj = v[own]
+                    v[own] = vj = _sig_batch(zj, bp)
                 else:
                     vj = _sig_batch(zj)
                 np.multiply(vj, eta_scale, out=w[own])
@@ -498,16 +527,15 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
         # advance in closed form per applied span, so they read at every
         # trace point what iteration-by-iteration accounting would give.
         if row:
-            gs = [np.zeros(n) for _ in ranks]
-            for rk, g in zip(ranks, gs):
+            for rk, g in zip(ranks, grads):
                 add_rows_transpose(rk.data, rk.ids, v[rk.spot], g, rows=rk.rows)
             if timer:
                 t0 = timer.lap("gradient", t0)
-            g = cluster.combine(gs)
+            # Dense rows write every column, so only sparse forms reduce a support.
+            support = None if isinstance(ranks[0].rows, np.ndarray) else column_support(dataset, ids)
+            _apply_row_gradient(cluster, grads, support, eta_scale, x)
             if timer:
                 t0 = timer.lap("collectives", t0)
-            np.multiply(g, eta_scale, out=g)
-            x += g
         done = 0
         while done < s:
             stop = s if row or next_it is None or next_it >= t + s else max(next_it - t, done + 1)

@@ -25,7 +25,7 @@ transpose of ``gram_block(s2, s1)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Sequence, TextIO
 
 import numpy as np
@@ -42,6 +42,7 @@ __all__ = [
     "sampled_matvec_transpose",
     "gram_block",
     "gather_rows",
+    "column_support",
     "batch_scores",
     "gram_lower_blocks",
     "add_rows_transpose",
@@ -52,6 +53,22 @@ __all__ = [
 # on it gathers them as CSR rows for scipy products despite their call
 # overhead.
 _VECTORIZE_MIN_ROWS = 33
+
+# ``column_support`` gives a round's distinct columns when n is at least this
+# many times the round's nonzeros, and None (use all n) otherwise.  One
+# row-layout round at p = 4 (accumulate, reduce, update), over the support
+# against over all n, in us: n = 20000, 20 nonzeros per row, n/nnz = 62: 102
+# vs 167; 31: 167 vs 213; 21: 240 vs 266; 16: 308 vs 318; 10: 430 vs 324.
+# n = 3000, 5 per row, n/nnz = 38: 72 vs 81; 19: 160 vs 142; 12: 136 vs 119.
+_SUPPORT_MIN_RATIO = 24
+
+# ``_lower_block_matches`` counts by ``bincount`` while its range (n, or s*n
+# for b > 1) is at most this many times the round's nonzeros, and by one sort
+# beyond.  Measured (us, sort vs bincount): n = 20000, s = b = 16 (ratio 62)
+# 94 vs 491; s = 64 (62) 324 vs 1824; n = 3000, s = 64, b = 3 (200) 30 vs
+# 175; b = 1, n/nnz = 25: 9.3 vs 3.9; n/nnz = 16: 29 vs 30; n/nnz = 31: 15
+# vs 18; n = 112, s = 512, b = 3 (1.8) 425 vs 176.
+_SORT_MATCHES_MIN_RATIO = 32
 
 # Matrices up to this many cells keep a dense row cache so round kernels can
 # run BLAS products on gathered rows; beyond it only the sparse paths apply.
@@ -562,10 +579,18 @@ def gram_lower_blocks(
                     matches += hits
         return out, matches
     full = rows @ rows.T
-    if scipy.sparse.issparse(full):
-        full = full.toarray()
-    np.copyto(out, full, where=_block_tril_mask(sb, b))
-    return out, _lower_block_matches(A, np.asarray(row_ids), b)
+    if isinstance(full, np.ndarray):
+        np.copyto(out, full, where=_block_tril_mask(sb, b))
+        return out, _lower_block_matches(A, row_ids, b)
+    # CSR rows: zero the strictly-lower blocks, then scatter the product's
+    # entries that fall in them.
+    for lo in range(b, sb, b):
+        out[lo : lo + b, :lo] = 0.0
+    r = np.repeat(np.arange(sb), np.diff(full.indptr))
+    c = full.indices
+    lower = r // b > c // b
+    out[r[lower], c[lower]] = full.data[lower]
+    return out, _lower_block_matches(A, row_ids, b, cols=rows.indices)
 
 
 def add_rows_transpose(dataset: LabeledDataset, row_ids, w: np.ndarray, x: np.ndarray, rows=None) -> None:
@@ -587,29 +612,87 @@ def add_rows_transpose(dataset: LabeledDataset, row_ids, w: np.ndarray, x: np.nd
         np.add.at(x, rows.indices, rows.data * np.repeat(w, np.diff(rows.indptr)))
 
 
-def _lower_block_matches(A: CsrMatrix, ids: np.ndarray, b: int) -> int:
+def _row_columns(A: CsrMatrix, ids: np.ndarray) -> np.ndarray:
+    """The column indices of rows ``ids``, row after row.
+
+    Fewer than ``_VECTORIZE_MIN_ROWS`` rows are joined from their slices,
+    more are taken in one vectorized gather.
+    """
+    if not len(ids):
+        return np.empty(0, dtype=np.int64)
+    if len(ids) < _VECTORIZE_MIN_ROWS:
+        slices = A.row_slices
+        return np.concatenate([slices[i][0] for i in ids])
+    counts = A.row_nnz[ids]
+    ends = np.cumsum(counts)
+    return A.col_indices[np.arange(ends[-1]) + np.repeat(A.row_offsets[ids] - ends + counts, counts)]
+
+
+def column_support(dataset: LabeledDataset, row_ids) -> np.ndarray | None:
+    """Sorted distinct columns of the rows ``row_ids``, or None when they are dense.
+
+    None means the rows hold more than n / ``_SUPPORT_MIN_RATIO`` nonzeros,
+    where a pass over all n columns is cheaper than one over the support.
+    """
+    A = dataset.a_tilde
+    if int(A.row_nnz[row_ids].sum()) * _SUPPORT_MIN_RATIO > A.num_cols:
+        return None
+    cols = np.sort(_row_columns(A, row_ids))
+    return cols[_run_starts(cols)]
+
+
+def _run_starts(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries of sorted ``a`` that differ from their left neighbour."""
+    starts = np.empty(len(a), dtype=bool)
+    starts[:1] = True
+    np.not_equal(a[1:], a[:-1], out=starts[1:])
+    return starts
+
+
+def _square_runs(a: np.ndarray) -> int:
+    """Sum over the runs of equal values in sorted ``a`` of the run length squared."""
+    edges = np.append(np.flatnonzero(_run_starts(a)), len(a))
+    runs = np.diff(edges)
+    return int(runs @ runs)
+
+
+def _lower_block_matches(A: CsrMatrix, ids, b: int, cols: np.ndarray | None = None) -> int:
     """Sum of pairwise index-match counts over the strictly-lower blocks.
 
-    Uses column occurrence counts: summed over all unordered row pairs,
-    matches = (||colsum||^2 - nnz) / 2; within-block pairs are subtracted
-    the same way.  Exact integer arithmetic throughout.
+    ``cols`` are the rows' column indices, row after row (gathered from
+    ``A`` when None).  A column held by T of the round's rows, c_j of them
+    in batch j, matches (T^2 - sum_j c_j^2) / 2 times between rows of
+    different batches; at b = 1 every c_j is 0 or 1, so sum c_j^2 = nnz.
+    The squares are counted with ``bincount`` over the columns (and over
+    (batch, column) pairs for b > 1) while that range is at most
+    ``_SORT_MATCHES_MIN_RATIO`` times the nonzeros, and otherwise from the
+    runs of one sort of column-major (column, batch) keys.  Exact integer
+    arithmetic throughout.
     """
-    slices = A.row_slices
-    n = A.num_cols
-    ids = ids.tolist()
-    flat = np.concatenate([slices[i][0] for i in ids])
-    total = np.bincount(flat, minlength=n)
-    all_pairs_x2 = int(np.dot(total, total)) - len(flat)
+    ids = np.asarray(ids, dtype=np.int64)
+    cols = _row_columns(A, ids) if cols is None else np.asarray(cols, dtype=np.int64)
+    nnz, n, s = len(cols), A.num_cols, len(ids) // b
+    if not nnz:
+        return 0
     if b == 1:
-        return all_pairs_x2 // 2
-    within_x2 = 0
-    for j in range(len(ids) // b):
-        batch_cols = np.concatenate([slices[i][0] for i in ids[j * b : (j + 1) * b]])
-        counts = np.bincount(batch_cols, minlength=n)
-        within_x2 += int(np.dot(counts, counts)) - len(batch_cols)
-    return (all_pairs_x2 - within_x2) // 2
+        if n <= _SORT_MATCHES_MIN_RATIO * nnz:
+            total = np.bincount(cols, minlength=n)
+            return (int(total @ total) - nnz) // 2
+        return (_square_runs(np.sort(cols)) - nnz) // 2
+    batch = np.repeat(np.arange(s), A.row_nnz[ids].reshape(s, b).sum(axis=1))
+    if s * n <= _SORT_MATCHES_MIN_RATIO * nnz:
+        total = np.bincount(cols, minlength=n)
+        within = np.bincount(batch * n + cols, minlength=s * n)
+        return (int(total @ total) - int(within @ within)) // 2
+    keys = cols * s + batch
+    keys.sort()
+    return (_square_runs(keys // s) - _square_runs(keys)) // 2
 
 
+@lru_cache(maxsize=8)
 def _block_tril_mask(sb: int, b: int) -> np.ndarray:
+    """Mask of the strictly-lower b-by-b blocks of an sb-by-sb matrix (built once per shape)."""
     blocks = np.arange(sb) // b
-    return blocks[:, None] > blocks[None, :]
+    mask = blocks[:, None] > blocks[None, :]
+    mask.setflags(write=False)
+    return mask

@@ -134,6 +134,23 @@ class TestCombine:
         assert cluster.counters == reference.counters
 
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_stated_words_are_counted(self, p):
+        # A reduction of a few entries of a longer vector counts the
+        # vector's length; the sums are those of the entries sent.
+        rng = np.random.default_rng(10 + p)
+        d = random_dataset(rng, 10, 6)
+        bufs = [rng.standard_normal(4) for _ in range(p)]
+        cluster, reference = partition(d, BLOCK_ROW, p), partition(d, BLOCK_ROW, p)
+        np.testing.assert_array_equal(cluster.combine(bufs, words=1000), reference.combine(bufs))
+        assert cluster.counters.words_moved == 1000
+        assert reference.counters.words_moved == 4
+        assert cluster.counters.messages == reference.counters.messages == tree_message_count(p)
+        assert cluster.counters.collectives == reference.counters.collectives == 1
+        np.testing.assert_array_equal(cluster.allreduce_sum(bufs, words=77), reference.allreduce_sum(bufs))
+        assert cluster.counters.words_moved == 1077
+
+
 class TestCounters:
     def test_counter_law_mixed_collectives(self):
         d = random_dataset(np.random.default_rng(0), 12, 8)

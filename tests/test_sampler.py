@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from casgd import BatchStream
+from casgd.sampling import _draws, _sample_windows, _walk_columns, _walk_rows
 
 
 class TestDeterminism:
@@ -198,3 +199,19 @@ class TestBlockSamplerMatchesScalarOracle:
         sels = stream.peek_batches(3)
         assert [sel.indices.tolist() for sel in sels] == [_oracle(99, self.M, 7, 10_000 + t) for t in range(3)]
         assert stream.next_batch().indices.tolist() == _oracle(99, self.M, 7, 10_000)
+
+
+@pytest.mark.parametrize("count", range(2, 17))
+@pytest.mark.parametrize("size", ["count", "count+1", 50, 2**40])
+def test_vector_walk_matches_dict_walk(count, size):
+    # The picks of the vector walk must be those of the dict walk, bit for
+    # bit, from a full window (every slot drawn) to a huge one.
+    size = {"count": count, "count+1": count + 1}.get(size, size)
+    draws = _draws(count * 1000 + size % 997, 0, 500 * count).reshape(500, count)
+    slots = (draws % (size - np.arange(count, dtype=np.uint64)) + np.arange(count, dtype=np.uint64)).astype(np.int64)
+    want = _walk_rows(slots)
+    got = _walk_columns(slots)
+    assert got.dtype == want.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+    assert all(len(set(row)) == count and max(row) < size for row in got.tolist())
+    np.testing.assert_array_equal(_sample_windows(draws, 5, size), want + 5)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import casgd.solvers
+import casgd.sparse
 from casgd import (
     BLOCK_COLUMN,
     BLOCK_ROW,
@@ -20,7 +22,8 @@ from casgd import (
     serialize_libsvm,
 )
 from casgd.datagen import synthetic_dataset
-from casgd.solvers import epoch_schedule, iterations_per_epoch
+from casgd.solvers import _apply_row_gradient, _sig_batch, epoch_schedule, iterations_per_epoch
+from casgd.sparse import _SUPPORT_MIN_RATIO, add_rows_transpose, column_support
 
 
 def _col_cluster(d, p=1):
@@ -317,6 +320,82 @@ def test_trace_point_counters_frozen(acceptance_datasets, name, b, s):
     run = run_casgd(d, SolverConfig(eta0=1.0, b=b, s=s, epochs=3, seed=123), _col_cluster(d))
     assert [(t.flops, t.words, t.messages, t.collectives) for t in run.trace] == FROZEN_TRACE_COUNTERS[name, b, s]
     assert (run.counters.flops, run.counters.sig_evals) == FROZEN_FINAL[name, b, s]
+
+
+class TestRowGradientReduction:
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("rows_per_rank", [1, 4, 40])
+    def test_support_matches_dense_reduction(self, monkeypatch, p, rows_per_rank):
+        # The reduction over the round's columns gives the same bits and
+        # counters as the length-n reduction of fresh per-rank buffers, at
+        # every round size (the ratio that picks the path is lifted).
+        monkeypatch.setattr(casgd.sparse, "_SUPPORT_MIN_RATIO", 0)
+        d = synthetic_dataset(700, 3000, 5, seed=8)
+        rng = np.random.default_rng(10 * p + rows_per_rank)
+        parts = [rng.choice(700, size=rows_per_rank, replace=False) for _ in range(p)]
+        parts[-1][0] = parts[0][0]  # a row held by two ranks
+        weights = [rng.standard_normal(rows_per_rank) for _ in range(p)]
+        ids = np.concatenate(parts)
+        x0 = rng.standard_normal(3000)
+        eta = 0.37
+
+        reference = _row_cluster(d, p)
+        gs = [np.zeros(3000) for _ in range(p)]
+        for rows, w, g in zip(parts, weights, gs):
+            add_rows_transpose(d, rows, w, g)
+        g = reference.combine(gs)
+        want = x0 + g * eta
+
+        support = column_support(d, ids)
+        np.testing.assert_array_equal(support, np.unique(np.concatenate([d.a_tilde.row(i)[0] for i in ids])))
+        for cols in (support, None):
+            cluster = _row_cluster(d, p)
+            grads = np.zeros((p, 3000))
+            for rows, w, buf in zip(parts, weights, grads):
+                add_rows_transpose(d, rows, w, buf)
+            x = x0.copy()
+            _apply_row_gradient(cluster, grads, cols, eta, x)
+            assert x.tobytes() == want.tobytes()
+            assert not grads.any()
+            assert cluster.counters == reference.counters
+            assert cluster.counters.words_moved == 3000
+
+    @pytest.mark.parametrize("s,dense_cache", [(1, True), (4, True), (4, False)])
+    def test_support_only_with_sparse_row_forms(self, monkeypatch, s, dense_cache):
+        # Rounds of one nonzero per row over 600 columns are sparse enough
+        # for a support, but dense rows (s > 1 with a dense cache) write
+        # every column of the buffers, so those rounds reduce all n.
+        if not dense_cache:
+            monkeypatch.setattr(casgd.sparse, "_DENSE_CACHE_MAX_CELLS", 0)
+        d = synthetic_dataset(30, 600, 1, seed=9)
+        assert (d.a_tilde.dense_cache() is not None) == dense_cache
+        seen = []
+        real = casgd.solvers._apply_row_gradient
+
+        def spy(cluster, grads, support, eta_scale, x):
+            seen.append(support is None)
+            real(cluster, grads, support, eta_scale, x)
+
+        monkeypatch.setattr(casgd.solvers, "_apply_row_gradient", spy)
+        cfg = SolverConfig(eta0=1.0, b=2, s=s, total_iterations=8, layout=BLOCK_ROW, p=2, seed=1)
+        run_casgd(d, cfg, _row_cluster(d, 2))
+        assert seen == [s > 1 and dense_cache] * (8 // s)
+
+    def test_support_only_for_sparse_rounds(self):
+        d = synthetic_dataset(700, 3000, 5, seed=8)
+        most = 3000 // (5 * _SUPPORT_MIN_RATIO)
+        few, many = np.arange(most), np.arange(most + 1)
+        assert column_support(d, few) is not None
+        assert column_support(d, many) is None
+        assert len(column_support(d, [])) == 0
+
+
+@pytest.mark.parametrize("width", [1, 3, 8, 9, 12, 36])
+def test_sig_batch_by_width_matches_rank_by_rank(width):
+    # One call over a row batch gives the bits of one call per rank's share.
+    z = np.random.default_rng(width).standard_normal(36) * 8
+    want = np.concatenate([_sig_batch(z[k : k + width]) for k in range(0, 36, width)])
+    assert _sig_batch(z, width).tobytes() == want.tobytes()
 
 
 class TestTraces:

@@ -300,6 +300,66 @@ class TestRoundKernels:
         ids = np.array([4, 9, 4, 2, 9, 4])  # repeats across batches of size 2
         assert _lower_block_matches(d.a_tilde, ids, 2) == _brute_lower_matches(d, ids, 2)
 
+    @pytest.mark.parametrize("b", [1, 2, 5])
+    @pytest.mark.parametrize("s", [1, 2, 7])
+    @pytest.mark.parametrize("n", [3, 12, 400, 100_000])
+    def test_lower_block_matches_by_sort_and_bincount(self, monkeypatch, n, s, b):
+        # n = 3 is far below the round's nonzeros, 100000 far above; empty
+        # rows and rows drawn twice, within a batch and across batches, are
+        # in every round.  Both counting paths are run on the same rows.
+        rng = np.random.default_rng(n + 10 * s + b)
+        dense = rng.standard_normal((30, n)) * (rng.random((30, n)) < min(1.0, 6 / n))
+        dense[:4] = 0.0
+        if n >= 400:
+            dense[4:, :3] = 1.0  # a few columns that most rows share
+        d = dataset_from_scaled(dense, np.ones(30))
+        ids = rng.choice(30, size=s * b, replace=True)
+        ids[0] = 0  # an empty row
+        if s * b > 2:
+            ids[-1] = ids[-2]
+        want = _brute_lower_matches(d, ids, b)
+        for ratio in (0, 10**9):  # always sort, always bincount
+            monkeypatch.setattr(casgd.sparse, "_SORT_MATCHES_MIN_RATIO", ratio)
+            assert _lower_block_matches(d.a_tilde, ids, b) == want
+            cols = np.concatenate([d.a_tilde.row(i)[0] for i in ids])
+            assert _lower_block_matches(d.a_tilde, ids, b, cols=cols.astype(np.int32)) == want
+
+    def test_csr_gram_scatter_leaves_only_lower_blocks(self):
+        # Scattered CSR products: the lower blocks equal the dense reference
+        # exactly (exact zeros included); diagonal and upper blocks keep what
+        # was there; a second round on the same buffer leaves nothing stale.
+        d = synthetic_dataset(700, 3000, 5, seed=11)
+        assert d.a_tilde.dense_cache() is None
+        rng = np.random.default_rng(12)
+        s, b = 12, 4
+        blocks = np.arange(s * b) // b
+        lower = blocks[:, None] > blocks[None, :]
+        sentinel = -7.25
+        out = np.full((s * b, s * b), sentinel)
+        for _ in range(2):
+            ids = rng.choice(700, size=s * b, replace=False)
+            rows = gather_rows(d, ids, s)
+            assert scipy.sparse.issparse(rows)
+            got, matches = gram_lower_blocks(d, ids, b, out=out, rows=rows)
+            assert got is out
+            full = rows.toarray() @ rows.toarray().T
+            ref = (rows @ rows.T).toarray()
+            np.testing.assert_allclose(ref, full, rtol=1e-13, atol=1e-13)
+            assert out[lower].tobytes() == ref[lower].tobytes()
+            assert (out[lower] == 0.0).any() and (out[lower] != 0.0).any()
+            assert (out[~lower] == sentinel).all()
+            assert matches == _brute_lower_matches(d, ids, b)
+
+    def test_dense_gram_mask_built_once(self):
+        rng = np.random.default_rng(13)
+        d = random_dataset(rng, 60, 25)
+        ids = rng.choice(60, size=12, replace=False)
+        casgd.sparse._block_tril_mask.cache_clear()
+        gram_lower_blocks(d, ids, 3)
+        gram_lower_blocks(d, ids[::-1].copy(), 3)
+        info = casgd.sparse._block_tril_mask.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
     @pytest.mark.parametrize("form", [None, list, np.ndarray])
     def test_batch_scores_matches_sampled_matvec(self, form):
         rng = np.random.default_rng(21)
