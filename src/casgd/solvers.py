@@ -469,12 +469,8 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
                 gram_madds += gram_lower_blocks(rk.data, rids, b, out=rk.gram, rows=rows)[1]
             elif casgd and row:
                 # Own rows' values of the first s-1 batches (the Gram's
-                # column side), then own scores for all s batches.  CSR
-                # rows hold those values already, row after row.
-                if isinstance(rows, (list, np.ndarray)):
-                    head = [A.row_slices[i][1] for i in rids[: (s - 1) * bp]]
-                else:
-                    head = [rows.data[: rows.indptr[(s - 1) * bp]]]
+                # column side), then own scores for all s batches.
+                head = [A.row_slices[i][1] for i in rids[: (s - 1) * bp]]
                 payloads.append(np.concatenate(head + [rk.scores]))
         if timer:
             t0 = timer.lap("gram" if gram and not row else "score_matvec", t0)
@@ -531,8 +527,8 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
                 add_rows_transpose(rk.data, rk.ids, v[rk.spot], g, rows=rk.rows)
             if timer:
                 t0 = timer.lap("gradient", t0)
-            # Dense rows write every column, so only sparse forms reduce a support.
-            support = None if isinstance(ranks[0].rows, np.ndarray) else column_support(dataset, ids)
+            # Every rank's rows share one form.
+            support = column_support(dataset, ids, ranks[0].rows)
             _apply_row_gradient(cluster, grads, support, eta_scale, x)
             if timer:
                 t0 = timer.lap("collectives", t0)

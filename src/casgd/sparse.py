@@ -62,14 +62,6 @@ _VECTORIZE_MIN_ROWS = 33
 # n = 3000, 5 per row, n/nnz = 38: 72 vs 81; 19: 160 vs 142; 12: 136 vs 119.
 _SUPPORT_MIN_RATIO = 24
 
-# ``_lower_block_matches`` counts by ``bincount`` while its range (n, or s*n
-# for b > 1) is at most this many times the round's nonzeros, and by one sort
-# beyond.  Measured (us, sort vs bincount): n = 20000, s = b = 16 (ratio 62)
-# 94 vs 491; s = 64 (62) 324 vs 1824; n = 3000, s = 64, b = 3 (200) 30 vs
-# 175; b = 1, n/nnz = 25: 9.3 vs 3.9; n/nnz = 16: 29 vs 30; n/nnz = 31: 15
-# vs 18; n = 112, s = 512, b = 3 (1.8) 425 vs 176.
-_SORT_MATCHES_MIN_RATIO = 32
-
 # Matrices up to this many cells keep a dense row cache so round kernels can
 # run BLAS products on gathered rows; beyond it only the sparse paths apply.
 _DENSE_CACHE_MAX_CELLS = 2_000_000
@@ -628,14 +620,16 @@ def _row_columns(A: CsrMatrix, ids: np.ndarray) -> np.ndarray:
     return A.col_indices[np.arange(ends[-1]) + np.repeat(A.row_offsets[ids] - ends + counts, counts)]
 
 
-def column_support(dataset: LabeledDataset, row_ids) -> np.ndarray | None:
+def column_support(dataset: LabeledDataset, row_ids, rows=None) -> np.ndarray | None:
     """Sorted distinct columns of the rows ``row_ids``, or None when they are dense.
 
-    None means the rows hold more than n / ``_SUPPORT_MIN_RATIO`` nonzeros,
-    where a pass over all n columns is cheaper than one over the support.
+    ``rows`` is ``gather_rows``' form of the rows (None: row by row).  None
+    is returned for dense rows, whose products write every column, and
+    when the rows hold more than n / ``_SUPPORT_MIN_RATIO`` nonzeros, where
+    a pass over all n columns is cheaper than one over the support.
     """
     A = dataset.a_tilde
-    if int(A.row_nnz[row_ids].sum()) * _SUPPORT_MIN_RATIO > A.num_cols:
+    if isinstance(rows, np.ndarray) or int(A.row_nnz[row_ids].sum()) * _SUPPORT_MIN_RATIO > A.num_cols:
         return None
     cols = np.sort(_row_columns(A, row_ids))
     return cols[_run_starts(cols)]
@@ -663,27 +657,20 @@ def _lower_block_matches(A: CsrMatrix, ids, b: int, cols: np.ndarray | None = No
     ``A`` when None).  A column held by T of the round's rows, c_j of them
     in batch j, matches (T^2 - sum_j c_j^2) / 2 times between rows of
     different batches; at b = 1 every c_j is 0 or 1, so sum c_j^2 = nnz.
-    The squares are counted with ``bincount`` over the columns (and over
-    (batch, column) pairs for b > 1) while that range is at most
-    ``_SORT_MATCHES_MIN_RATIO`` times the nonzeros, and otherwise from the
-    runs of one sort of column-major (column, batch) keys.  Exact integer
+    At b = 1 the squares are counted with one length-n ``bincount``; for
+    b > 1 from the runs of one sort of column-major (column, batch) keys,
+    which costs the round's nonzeros, not s passes over n.  Exact integer
     arithmetic throughout.
     """
     ids = np.asarray(ids, dtype=np.int64)
     cols = _row_columns(A, ids) if cols is None else np.asarray(cols, dtype=np.int64)
-    nnz, n, s = len(cols), A.num_cols, len(ids) // b
+    nnz, s = len(cols), len(ids) // b
     if not nnz:
         return 0
     if b == 1:
-        if n <= _SORT_MATCHES_MIN_RATIO * nnz:
-            total = np.bincount(cols, minlength=n)
-            return (int(total @ total) - nnz) // 2
-        return (_square_runs(np.sort(cols)) - nnz) // 2
+        total = np.bincount(cols, minlength=A.num_cols)
+        return (int(total @ total) - nnz) // 2
     batch = np.repeat(np.arange(s), A.row_nnz[ids].reshape(s, b).sum(axis=1))
-    if s * n <= _SORT_MATCHES_MIN_RATIO * nnz:
-        total = np.bincount(cols, minlength=n)
-        within = np.bincount(batch * n + cols, minlength=s * n)
-        return (int(total @ total) - int(within @ within)) // 2
     keys = cols * s + batch
     keys.sort()
     return (_square_runs(keys // s) - _square_runs(keys)) // 2

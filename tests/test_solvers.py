@@ -388,6 +388,8 @@ class TestRowGradientReduction:
         assert column_support(d, few) is not None
         assert column_support(d, many) is None
         assert len(column_support(d, [])) == 0
+        # Dense rows write every column of the buffers.
+        assert column_support(d, few, rows=d.a_tilde.to_dense()[few]) is None
 
 
 @pytest.mark.parametrize("width", [1, 3, 8, 9, 12, 36])

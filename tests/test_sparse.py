@@ -303,10 +303,10 @@ class TestRoundKernels:
     @pytest.mark.parametrize("b", [1, 2, 5])
     @pytest.mark.parametrize("s", [1, 2, 7])
     @pytest.mark.parametrize("n", [3, 12, 400, 100_000])
-    def test_lower_block_matches_by_sort_and_bincount(self, monkeypatch, n, s, b):
-        # n = 3 is far below the round's nonzeros, 100000 far above; empty
-        # rows and rows drawn twice, within a batch and across batches, are
-        # in every round.  Both counting paths are run on the same rows.
+    def test_lower_block_matches_by_sort_and_bincount(self, n, s, b):
+        # b = 1 counts by bincount, b > 1 by sort.  n = 3 is far below the
+        # round's nonzeros, 100000 far above; empty rows and rows drawn
+        # twice, within a batch and across batches, are in every round.
         rng = np.random.default_rng(n + 10 * s + b)
         dense = rng.standard_normal((30, n)) * (rng.random((30, n)) < min(1.0, 6 / n))
         dense[:4] = 0.0
@@ -318,11 +318,9 @@ class TestRoundKernels:
         if s * b > 2:
             ids[-1] = ids[-2]
         want = _brute_lower_matches(d, ids, b)
-        for ratio in (0, 10**9):  # always sort, always bincount
-            monkeypatch.setattr(casgd.sparse, "_SORT_MATCHES_MIN_RATIO", ratio)
-            assert _lower_block_matches(d.a_tilde, ids, b) == want
-            cols = np.concatenate([d.a_tilde.row(i)[0] for i in ids])
-            assert _lower_block_matches(d.a_tilde, ids, b, cols=cols.astype(np.int32)) == want
+        assert _lower_block_matches(d.a_tilde, ids, b) == want
+        cols = np.concatenate([d.a_tilde.row(i)[0] for i in ids])
+        assert _lower_block_matches(d.a_tilde, ids, b, cols=cols.astype(np.int32)) == want
 
     def test_csr_gram_scatter_leaves_only_lower_blocks(self):
         # Scattered CSR products: the lower blocks equal the dense reference
