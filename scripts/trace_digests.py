@@ -14,6 +14,8 @@ must print the same bytes:
 import hashlib
 import sys
 
+import numpy as np
+
 from casgd import (
     BLOCK_COLUMN,
     BLOCK_ROW,
@@ -27,6 +29,19 @@ from casgd import (
 )
 
 
+def ragged_libsvm():
+    """LIBSVM text with 0 to 15 entries per row over a few shared columns, a
+    tenth of them stored zeros (``k:0``), parsed like an input file."""
+    rng = np.random.default_rng(9)
+    lines = []
+    for i in range(800):
+        k = int(rng.integers(0, 16))
+        cols = np.unique(np.concatenate([rng.integers(1, 9, size=k // 3), rng.integers(1, 3001, size=k - k // 3)]))
+        vals = np.where(rng.random(len(cols)) < 0.1, 0.0, rng.standard_normal(len(cols)))
+        lines.append(" ".join([("+1", "-1")[i % 2]] + [f"{c}:{v:.17g}" for c, v in zip(cols, vals)]))
+    return parse_libsvm("\n".join(lines), num_features=3000)
+
+
 def datasets():
     mushrooms = synthetic_dataset(8124, 112, 21, seed=7, feature_values="binary", label_noise=0.03)
     return {
@@ -35,6 +50,8 @@ def datasets():
         "libsvm-scale": parse_libsvm(serialize_libsvm(mushrooms)),
         # Above the dense-cache bound: only the sparse kernels apply.
         "wide700x3000": synthetic_dataset(700, 3000, 5, seed=2),
+        # The same, with rows of unequal length, empty rows and stored zeros.
+        "ragged800x3000": ragged_libsvm(),
     }
 
 
@@ -51,6 +68,8 @@ GRID = [
     ("synthetic2000x100", BLOCK_ROW, 1, 1, (0, 1, 2, 8, 64), 1),
     ("synthetic2000x100", BLOCK_ROW, 2, 4, (0, 1, 2, 8, 64), 1),
     ("wide700x3000", BLOCK_ROW, 4, 4, (0, 1, 2, 8, 64), 2),
+    ("ragged800x3000", BLOCK_COLUMN, 1, 3, (0, 2, 8, 64), 2),
+    ("ragged800x3000", BLOCK_ROW, 4, 4, (0, 8, 64), 2),
 ]
 
 

@@ -11,9 +11,10 @@ Two kinds of kernels work on sampled rows:
     sequential oracle and the tests use them.
   * round kernels (``batch_scores``, ``gram_lower_blocks``,
     ``add_rows_transpose``) compute a solver round's scores, Gram blocks
-    and update.  They share one form of the round's rows, which
-    ``gather_rows`` picks: a list of row ids (row by row), dense rows or
-    CSR rows.  A column-partitioned rank runs them on its
+    and update from one form of the round's rows, which ``gather_rows``
+    picks: a list of row ids (row by row), dense rows or CSR rows.  Without
+    a dense cache the Gram pairs the round's entries after one sort by
+    column instead.  A column-partitioned rank runs them on its
     ``CsrMatrix.column_window``.
 
 Pairwise row inner products match entries of the two rows' sorted column
@@ -49,9 +50,9 @@ __all__ = [
 ]
 
 # Without a dense row cache, ``gather_rows`` leaves fewer rows than this to
-# go row by row (per-row dots, per-pair merges and per-row updates); from it
-# on it gathers them as CSR rows for scipy products despite their call
-# overhead.
+# go row by row (per-row dots and per-row updates), and ``_row_columns``
+# joins their slices; from it on rows are gathered as CSR rows for scipy
+# products, and columns in one vectorized pass, despite their call overhead.
 _VECTORIZE_MIN_ROWS = 33
 
 # ``column_support`` gives a round's distinct columns when n is at least this
@@ -450,17 +451,14 @@ def _matched_dot(
     vals_a: np.ndarray,
     cols_b: np.ndarray,
     vals_b: np.ndarray,
-) -> tuple[float, int]:
+) -> float:
     """Merge of two sorted index lists; product sum in ascending column order."""
     if not len(cols_a) or not len(cols_b):
-        return 0.0, 0
+        return 0.0
     pos = np.searchsorted(cols_a, cols_b)
     ok = pos < len(cols_a)
     ok[ok] = cols_a[pos[ok]] == cols_b[ok]
-    matches = int(ok.sum())
-    if not matches:
-        return 0.0, 0
-    return float(np.dot(vals_a[pos[ok]], vals_b[ok])), matches
+    return float(np.dot(vals_a[pos[ok]], vals_b[ok]))
 
 
 def gram_block(dataset: LabeledDataset, sel_row: RowBlockSelector, sel_col: RowBlockSelector) -> np.ndarray:
@@ -477,7 +475,7 @@ def gram_block(dataset: LabeledDataset, sel_row: RowBlockSelector, sel_col: RowB
     for k, i in enumerate(rows):
         ci, vi = A.row(i)
         for l, j in enumerate(cols_sel):
-            out[k, l], _ = _matched_dot(ci, vi, *A.row(j))
+            out[k, l] = _matched_dot(ci, vi, *A.row(j))
     return out
 
 
@@ -498,7 +496,7 @@ def gather_rows(dataset: LabeledDataset, row_ids, batches: int):
         a dense cache;
       * CSR rows (a scipy matrix) otherwise.
 
-    Dense and CSR rows support ``@ x``, ``@ rows.T`` and ``.T @ w``.
+    Dense and CSR rows support ``@ x`` and ``.T @ w``; dense rows ``@ rows.T``.
     """
     if batches > 1:
         A = dataset.a_tilde
@@ -544,10 +542,12 @@ def gram_lower_blocks(
     ``row_ids`` holds s consecutive batches of ``block_size`` rows; block
     (j, i) with i < j is filled with inner products between batch j rows
     and batch i rows.  Diagonal and upper blocks are left untouched (zero
-    when ``out`` is freshly allocated).  ``rows`` is ``gather_rows``' form
-    of ``row_ids`` (None: gathered here).  Returns the matrix and the
-    number of index matches (sparse multiply-adds) the blocks represent,
-    counted exactly from the rows' column indices.
+    when ``out`` is freshly allocated; ``out`` must be C-contiguous).
+    ``rows`` is the round's dense rows from ``gather_rows`` when the matrix
+    keeps a dense cache (None: gathered here), and is not used otherwise.
+    Returns the matrix and the number of index matches (sparse
+    multiply-adds) the blocks represent, counted exactly from the rows'
+    column indices.
     """
     sb = len(row_ids)
     b = block_size
@@ -555,34 +555,25 @@ def gram_lower_blocks(
         raise ValueError("len(row_ids) must be a multiple of block_size")
     if out is None:
         out = np.zeros((sb, sb))
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
     A = dataset.a_tilde
-    if rows is None:
-        rows = gather_rows(dataset, row_ids, sb // b)
-    if isinstance(rows, list):
-        slices = A.row_slices
-        matches = 0
-        for j in range(1, sb // b):
-            for k in range(b):
-                a_cols, a_vals = slices[rows[j * b + k]]
-                for q in range(j * b):
-                    b_cols, b_vals = slices[rows[q]]
-                    val, hits = _matched_dot(a_cols, a_vals, b_cols, b_vals)
-                    out[j * b + k, q] = val
-                    matches += hits
-        return out, matches
-    full = rows @ rows.T
-    if isinstance(full, np.ndarray):
-        np.copyto(out, full, where=_block_tril_mask(sb, b))
+    dense = A.dense_cache()
+    if dense is not None:
+        if rows is None:
+            rows = dense[row_ids]
+        np.copyto(out, rows @ rows.T, where=_block_tril_mask(sb, b))
         return out, _lower_block_matches(A, row_ids, b)
-    # CSR rows: zero the strictly-lower blocks, then scatter the product's
-    # entries that fall in them.
+    # Every pair of entries that share a column, the later one in a later
+    # batch, adds its product to G[later, earlier].  Pairs come in
+    # ascending column order, so each entry sums from +0.0 in that order.
     for lo in range(b, sb, b):
         out[lo : lo + b, :lo] = 0.0
-    r = np.repeat(np.arange(sb), np.diff(full.indptr))
-    c = full.indices
-    lower = r // b > c // b
-    out[r[lower], c[lower]] = full.data[lower]
-    return out, _lower_block_matches(A, row_ids, b, cols=rows.indices)
+    vals, pos, first, earlier = _column_runs(A, row_ids, b)
+    later = np.repeat(np.arange(len(vals)), earlier)
+    partner = _ranges(first, earlier)
+    np.add.at(out.reshape(-1), pos[later] * sb + pos[partner], vals[later] * vals[partner])
+    return out, len(later)
 
 
 def add_rows_transpose(dataset: LabeledDataset, row_ids, w: np.ndarray, x: np.ndarray, rows=None) -> None:
@@ -604,6 +595,12 @@ def add_rows_transpose(dataset: LabeledDataset, row_ids, w: np.ndarray, x: np.nd
         np.add.at(x, rows.indices, rows.data * np.repeat(w, np.diff(rows.indptr)))
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(start, start + count)`` for each pair, concatenated in order."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+
+
 def _row_columns(A: CsrMatrix, ids: np.ndarray) -> np.ndarray:
     """The column indices of rows ``ids``, row after row.
 
@@ -615,9 +612,7 @@ def _row_columns(A: CsrMatrix, ids: np.ndarray) -> np.ndarray:
     if len(ids) < _VECTORIZE_MIN_ROWS:
         slices = A.row_slices
         return np.concatenate([slices[i][0] for i in ids])
-    counts = A.row_nnz[ids]
-    ends = np.cumsum(counts)
-    return A.col_indices[np.arange(ends[-1]) + np.repeat(A.row_offsets[ids] - ends + counts, counts)]
+    return A.col_indices[_ranges(A.row_offsets[ids], A.row_nnz[ids])]
 
 
 def column_support(dataset: LabeledDataset, row_ids, rows=None) -> np.ndarray | None:
@@ -643,37 +638,41 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _square_runs(a: np.ndarray) -> int:
-    """Sum over the runs of equal values in sorted ``a`` of the run length squared."""
-    edges = np.append(np.flatnonzero(_run_starts(a)), len(a))
-    runs = np.diff(edges)
-    return int(runs @ runs)
+def _column_runs(A: CsrMatrix, ids, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of rows ``ids``, sorted once by (column, position in ``ids``).
+
+    Per sorted entry: its value, its row's position, where its column's run
+    starts, and how many entries of that run are in earlier batches of
+    ``b`` rows (they lead the run).
+    """
+    counts = A.row_nnz[ids]
+    entries = _ranges(A.row_offsets[ids], counts)
+    nnz = len(entries)
+    index = np.arange(nnz)
+    keys = A.col_indices[entries] * nnz + index
+    keys.sort()
+    cols, order = np.divmod(keys, nnz)
+    pos = np.repeat(np.arange(len(ids)), counts)[order]
+    col_starts = _run_starts(cols)
+    first = np.maximum.accumulate(np.where(col_starts, index, 0))
+    batch_first = np.maximum.accumulate(np.where(_run_starts(pos // b) | col_starts, index, 0))
+    return A.values[entries[order]], pos, first, batch_first - first
 
 
-def _lower_block_matches(A: CsrMatrix, ids, b: int, cols: np.ndarray | None = None) -> int:
+def _lower_block_matches(A: CsrMatrix, ids, b: int) -> int:
     """Sum of pairwise index-match counts over the strictly-lower blocks.
 
-    ``cols`` are the rows' column indices, row after row (gathered from
-    ``A`` when None).  A column held by T of the round's rows, c_j of them
-    in batch j, matches (T^2 - sum_j c_j^2) / 2 times between rows of
-    different batches; at b = 1 every c_j is 0 or 1, so sum c_j^2 = nnz.
-    At b = 1 the squares are counted with one length-n ``bincount``; for
-    b > 1 from the runs of one sort of column-major (column, batch) keys,
-    which costs the round's nonzeros, not s passes over n.  Exact integer
-    arithmetic throughout.
+    Each entry matches the entries of its column in earlier batches.  For
+    b > 1 they are counted from ``_column_runs``, which costs the round's
+    nonzeros, not s passes over n.  At b = 1 a column held by T rows
+    matches (T^2 - T) / 2 times, and T comes from one length-n
+    ``bincount``.  Exact integer arithmetic throughout.
     """
-    ids = np.asarray(ids, dtype=np.int64)
-    cols = _row_columns(A, ids) if cols is None else np.asarray(cols, dtype=np.int64)
-    nnz, s = len(cols), len(ids) // b
-    if not nnz:
-        return 0
-    if b == 1:
-        total = np.bincount(cols, minlength=A.num_cols)
-        return (int(total @ total) - nnz) // 2
-    batch = np.repeat(np.arange(s), A.row_nnz[ids].reshape(s, b).sum(axis=1))
-    keys = cols * s + batch
-    keys.sort()
-    return (_square_runs(keys // s) - _square_runs(keys)) // 2
+    if b > 1:
+        return int(_column_runs(A, ids, b)[3].sum())
+    cols = _row_columns(A, ids)
+    total = np.bincount(cols, minlength=A.num_cols)
+    return (int(total @ total) - len(cols)) // 2
 
 
 @lru_cache(maxsize=8)

@@ -283,7 +283,7 @@ class TestRoundKernels:
         assert matches == _brute_lower_matches(d, ids, b)
 
     def test_gram_scipy_path_without_dense_cache(self):
-        # m*n above the dense-cache bound forces the sparse vectorized path
+        # m*n above the dense-cache bound forces the column-sort kernel
         rng = np.random.default_rng(40)
         d = synthetic_dataset(700, 3000, 5, seed=1)
         assert d.a_tilde.dense_cache() is None
@@ -317,36 +317,39 @@ class TestRoundKernels:
         ids[0] = 0  # an empty row
         if s * b > 2:
             ids[-1] = ids[-2]
-        want = _brute_lower_matches(d, ids, b)
-        assert _lower_block_matches(d.a_tilde, ids, b) == want
-        cols = np.concatenate([d.a_tilde.row(i)[0] for i in ids])
-        assert _lower_block_matches(d.a_tilde, ids, b, cols=cols.astype(np.int32)) == want
+        assert _lower_block_matches(d.a_tilde, ids, b) == _brute_lower_matches(d, ids, b)
 
-    def test_csr_gram_scatter_leaves_only_lower_blocks(self):
-        # Scattered CSR products: the lower blocks equal the dense reference
+    @pytest.mark.parametrize("sb,b", [(2, 1), (6, 1), (6, 3), (32, 1), (32, 16), (40, 1), (256, 1), (256, 16)])
+    def test_csr_gram_scatter_leaves_only_lower_blocks(self, ragged_libsvm, sb, b):
+        # Without a dense cache the lower blocks equal scipy's CSR product
         # exactly (exact zeros included); diagonal and upper blocks keep what
         # was there; a second round on the same buffer leaves nothing stale.
-        d = synthetic_dataset(700, 3000, 5, seed=11)
+        # Rows 0, 1 and 2 of the set are empty, stored zeros only and long.
+        d = ragged_libsvm
         assert d.a_tilde.dense_cache() is None
-        rng = np.random.default_rng(12)
-        s, b = 12, 4
-        blocks = np.arange(s * b) // b
+        R = d.a_tilde.scipy_csr
+        rng = np.random.default_rng(sb + b)
+        blocks = np.arange(sb) // b
         lower = blocks[:, None] > blocks[None, :]
         sentinel = -7.25
-        out = np.full((s * b, s * b), sentinel)
-        for _ in range(2):
-            ids = rng.choice(700, size=s * b, replace=False)
-            rows = gather_rows(d, ids, s)
-            assert scipy.sparse.issparse(rows)
+        out = np.full((sb, sb), sentinel)
+        seen = set()
+        for second in (False, True):
+            ids = rng.choice(d.num_points, size=sb)
+            ids[0] = ids[b] = ids[b // 2] = 2  # repeated across and, at b > 1, within batches
+            if second:
+                ids[-2:] = [1, 0]
+            # The solver's column ranks pass their gathered rows, its row
+            # layout none; the kernel reads the CSR arrays either way.
+            rows = gather_rows(d, ids, sb // b) if second else None
             got, matches = gram_lower_blocks(d, ids, b, out=out, rows=rows)
             assert got is out
-            full = rows.toarray() @ rows.toarray().T
-            ref = (rows @ rows.T).toarray()
-            np.testing.assert_allclose(ref, full, rtol=1e-13, atol=1e-13)
+            ref = (R[ids] @ R[ids].T).toarray()
             assert out[lower].tobytes() == ref[lower].tobytes()
-            assert (out[lower] == 0.0).any() and (out[lower] != 0.0).any()
             assert (out[~lower] == sentinel).all()
             assert matches == _brute_lower_matches(d, ids, b)
+            seen.update(np.sign(out[lower]).tolist())
+        assert seen >= {0.0, 1.0}
 
     def test_dense_gram_mask_built_once(self):
         rng = np.random.default_rng(13)
@@ -378,7 +381,7 @@ class TestRoundKernels:
     @pytest.mark.parametrize("b", [1, 3])
     def test_dense_gram_matches_merge_path(self, monkeypatch, s, b):
         # Two copies of one dataset: one keeps the dense cache (BLAS Gram),
-        # the other is built with the cache disabled (per-pair merges).
+        # the other is built with the cache disabled (column-sort kernel).
         rng = np.random.default_rng(100 * s + b)
         d = random_dataset(rng, 60, 25)
         ids = rng.choice(60, size=s * b, replace=True)
@@ -428,6 +431,24 @@ class TestRoundKernels:
         want = x + sampled_matvec_transpose(d, RowBlockSelector(ids), w)
         add_rows_transpose(d, ids, w, x, rows=rows)
         np.testing.assert_allclose(x, want, rtol=1e-13, atol=1e-13)
+
+
+@pytest.fixture(scope="module")
+def ragged_libsvm():
+    """LIBSVM-parsed rows above the dense-cache bound: lengths 0 to 40 over a
+    few shared columns, stored zeros (``k:0``) and both labels.  Row 0 is
+    empty, row 1 holds only stored zeros, row 2 is the longest."""
+    rng = np.random.default_rng(14)
+    lines = ["+1", "-1 4:0 9:0 5000:0"]
+    for i in range(2, 300):
+        k = 40 if i == 2 else int(rng.integers(0, 41))
+        cols = np.unique(np.concatenate([rng.integers(1, 13, size=k // 2), rng.integers(1, 8001, size=k - k // 2)]))
+        vals = np.where(rng.random(len(cols)) < 0.1, 0.0, rng.standard_normal(len(cols)))
+        pairs = " ".join(f"{c}:{v:.17g}" for c, v in zip(cols, vals))
+        lines.append(f"{rng.choice(['+1', '-1'])} {pairs}")
+    d = parse_libsvm("\n".join(lines), num_features=8000)
+    assert len(d.a_tilde.row(0)[0]) == 0 and not d.a_tilde.row(1)[1].any()
+    return d
 
 
 @pytest.fixture(scope="module")
