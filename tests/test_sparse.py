@@ -345,6 +345,7 @@ class TestRoundKernels:
             got, matches = gram_lower_blocks(d, ids, b, out=out, rows=rows)
             assert got is out
             ref = (R[ids] @ R[ids].T).toarray()
+            np.testing.assert_allclose(ref, R[ids].toarray() @ R[ids].toarray().T, rtol=1e-13, atol=1e-13)
             assert out[lower].tobytes() == ref[lower].tobytes()
             assert (out[~lower] == sentinel).all()
             assert matches == _brute_lower_matches(d, ids, b)
@@ -437,7 +438,7 @@ class TestRoundKernels:
 def ragged_libsvm():
     """LIBSVM-parsed rows above the dense-cache bound: lengths 0 to 40 over a
     few shared columns, stored zeros (``k:0``) and both labels.  Row 0 is
-    empty, row 1 holds only stored zeros, row 2 is the longest."""
+    empty, row 1 holds only stored zeros, row 2 is long."""
     rng = np.random.default_rng(14)
     lines = ["+1", "-1 4:0 9:0 5000:0"]
     for i in range(2, 300):
