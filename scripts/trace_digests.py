@@ -29,17 +29,18 @@ from casgd import (
 )
 
 
-def ragged_libsvm():
-    """LIBSVM text with 0 to 15 entries per row over a few shared columns, a
-    tenth of them stored zeros (``k:0``), parsed like an input file."""
-    rng = np.random.default_rng(9)
+def ragged_libsvm(m, n, seed):
+    """LIBSVM text of m rows with 0 to 15 entries each over n columns, a few
+    of them shared, a tenth of the entries stored zeros (``k:0``), parsed
+    like an input file."""
+    rng = np.random.default_rng(seed)
     lines = []
-    for i in range(800):
+    for i in range(m):
         k = int(rng.integers(0, 16))
-        cols = np.unique(np.concatenate([rng.integers(1, 9, size=k // 3), rng.integers(1, 3001, size=k - k // 3)]))
+        cols = np.unique(np.concatenate([rng.integers(1, 9, size=k // 3), rng.integers(1, n + 1, size=k - k // 3)]))
         vals = np.where(rng.random(len(cols)) < 0.1, 0.0, rng.standard_normal(len(cols)))
         lines.append(" ".join([("+1", "-1")[i % 2]] + [f"{c}:{v:.17g}" for c, v in zip(cols, vals)]))
-    return parse_libsvm("\n".join(lines), num_features=3000)
+    return parse_libsvm("\n".join(lines), num_features=n)
 
 
 def datasets():
@@ -51,7 +52,10 @@ def datasets():
         # Above the dense-cache bound: only the sparse kernels apply.
         "wide700x3000": synthetic_dataset(700, 3000, 5, seed=2),
         # The same, with rows of unequal length, empty rows and stored zeros.
-        "ragged800x3000": ragged_libsvm(),
+        "ragged800x3000": ragged_libsvm(800, 3000, 9),
+        # Such rows under the dense-cache bound, where rounds are taken in
+        # blocks and matches counted from the CSR pattern, not the values.
+        "ragged600x200": ragged_libsvm(600, 200, 10),
     }
 
 
@@ -70,7 +74,7 @@ GRID = [
     ("wide700x3000", BLOCK_ROW, 4, 4, (0, 1, 2, 8, 64), 2),
     ("ragged800x3000", BLOCK_COLUMN, 1, 3, (0, 2, 8, 64), 2),
     ("ragged800x3000", BLOCK_ROW, 4, 4, (0, 8, 64), 2),
-]
+] + [("ragged600x200", BLOCK_COLUMN, p, b, (0, 2, 8, 64), 2) for p in (1, 3) for b in (1, 3)]
 
 
 def main() -> int:

@@ -17,7 +17,8 @@ Because draws are counter-based, a stream computes a whole block of
 upcoming cursors at once: one vectorized ``uint64`` SplitMix64 pass, then
 the walks, kept as an ``int64`` array of at most about ``_BLOCK_DRAWS``
 indices (or one peek, if larger).  The block is only a cache; indices
-still depend on nothing but ``(seed, cursor)``.
+still depend on nothing but ``(seed, cursor)``.  The solvers read a block
+of rounds' batches with one ``peek_indices`` call, not one call per round.
 
 ``per_rank`` mode stratifies a batch over contiguous rank row ranges:
 each rank contributes ``b/p`` local indices, concatenated in rank order,
@@ -184,7 +185,12 @@ class BatchStream:
 
     # Plain-int variants of next_batch/peek_batches for solver hot loops;
     # same draws, minus selector construction and re-validation
-    # (Fisher-Yates already guarantees distinct in-range indices).
+    # (Fisher-Yates already guarantees distinct in-range indices).  The
+    # solvers call peek_indices once per block of rounds, so its list
+    # conversion is paid per block.  It stays list-valued: at s = 1 a batch
+    # is used as a list of row ids as it comes, and observers that wrap the
+    # method, such as the benchmark's tracer, test the result's truth value,
+    # which an ndarray does not have.
 
     def next_indices(self) -> list[int]:
         ids = self._rows(self.cursor, 1)[0].tolist()

@@ -15,6 +15,15 @@ groups s iterations per round.  Each round:
   5. the update x += a_tilde^T I_j^T w_j, split where a trace point
      falls inside the round.
 
+Only the scores, the recurrence and the update depend on x.  So steps 1
+and 2 run their x-independent part once per block of K rounds, K set so
+that a block's gathered rows and Gram blocks fit in ``_BLOCK_BYTES``: every
+round's draws come from one read of the stream, and column rounds with
+s > 1 over a matrix with a dense cache also take their rows from one
+gather, their Gram blocks from one stacked product per rank, and their
+index-match counts from one count.  Each round still forms its own
+scores, collective, recurrence and update.
+
 The payload is set by the entry point that ran:
 
   SGD, column: the b scores, partial over each rank's columns.
@@ -82,6 +91,13 @@ __all__ = [
 # Batch vectors at or below this length go through scalar exp (numpy
 # dispatch overhead dominates tiny arrays in the per-iteration loop).
 _SCALAR_SIG_MAX = 8
+
+# A block of rounds is drawn at once, and for dense column rounds also
+# gathered, multiplied and counted at once.  It holds as many rounds as keep
+# its gathered rows plus its Gram blocks within this many bytes (at least
+# one round).  Over 112 columns and one rank that is 143 rounds at
+# s * b = 2, 34 at 8, 2 at 64 and 1 from 128 on.
+_BLOCK_BYTES = 256 * 1024
 
 
 class ConfigError(ValueError):
@@ -374,17 +390,21 @@ def _apply_row_gradient(cluster: VirtualCluster, grads: np.ndarray, support, eta
 class _Rank:
     """One rank's data, its part of x, and what it holds during a round."""
 
-    __slots__ = ("data", "x", "spot", "scores", "gram", "ids", "rows")
+    __slots__ = ("data", "x", "spot", "cols", "scores", "gram", "ids", "rows", "grams", "matches")
 
-    def __init__(self, data, x, spot, scores, gram):
+    def __init__(self, data, x, spot, scores, gram, cols=None):
         self.data = data
         self.x = x
         # Where the rank's rows sit in the round's s*b rows (None: all).
         self.spot = spot
+        # Its columns of the matrix (column ranks).
+        self.cols = cols
         self.scores = scores
         self.gram = gram
         # The round's row ids and their form from ``gather_rows``.
         self.ids = self.rows = None
+        # A block's Gram blocks and match counts, one per round.
+        self.grams = self.matches = None
 
 
 def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
@@ -430,9 +450,19 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
     else:
         # Column ranks hold all of a round's rows, over their own columns.
         ranks = [
-            _Rank(D, x[start:stop], None, buf[:sb], buf[sb:].reshape(sb, sb) if casgd else None)
+            _Rank(D, x[start:stop], None, buf[:sb], buf[sb:].reshape(sb, sb) if casgd else None, slice(start, stop))
             for D, (start, stop), buf in zip(cluster.column_slices, cluster.layout.boundaries, bufs)
         ]
+    # A block holds K rounds.  Dense column rounds take their rows, Gram
+    # blocks and match counts from the block's, formed once: one gather of
+    # full rows that every rank reads through its column window, and per
+    # rank one stacked product into its block buffer (its round buffer
+    # itself when K = 1).
+    K = max(1, _BLOCK_BYTES // (8 * sb * (n + p * sb)))
+    blocked = gram and not row and A.dense_cache() is not None
+    if blocked:
+        for rk in ranks:
+            rk.grams = rk.gram[None] if K == 1 else np.zeros((K, sb, sb))
     w = np.empty(sb)
     v = np.empty(sb) if row else None
     # Row ranks' gradient buffers, zero between rounds.
@@ -450,22 +480,36 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
     t0 = _pc()
 
     for t in range(0, iterations, s):
-        # 1. draw s batches
-        batches_ids = source.peek_indices(s)
-        source.advance(s)
-        # One batch is a list of row ids already; s batches become one array.
-        ids = batches_ids[0] if s == 1 else np.array(batches_ids, dtype=np.int64).reshape(sb)
+        # 1. draw s batches, read once per block
+        k = t // s % K
+        if not k:
+            count = min(K, (iterations - t) // s)
+            block = source.peek_indices(count * s)
+            source.advance(count * s)
+            # One batch is a list of row ids already; the rounds of s > 1
+            # batches become the rows of one array (and the lists go).
+            if s > 1:
+                block = np.array(block, dtype=np.int64).reshape(count, sb)
+        ids = block[k]
         if timer:
             t0 = timer.lap("sampling", t0)
 
         # 2. each rank forms its payload
+        if blocked and not k:
+            block_rows = gather_rows(dataset, block, s)
+            for rk in ranks:
+                rk.matches = gram_lower_blocks(rk.data, block, b, out=rk.grams[:count], rows=block_rows[..., rk.cols])[1]
         score_madds = gram_madds = 0
         payloads = []
         for rk in ranks:
             rk.ids = rids = ids if rk.spot is None else ids[rk.spot]
-            rk.rows = rows = gather_rows(rk.data, rids, s)
+            rk.rows = rows = block_rows[k, :, rk.cols] if blocked else gather_rows(rk.data, rids, s)
             score_madds += batch_scores(rk.data, rids, rk.x, rows=rows, out=rk.scores)[1]
-            if gram and not row:
+            if blocked:
+                if K > 1:
+                    rk.gram[...] = rk.grams[k]
+                gram_madds += rk.matches[k]
+            elif gram and not row:
                 gram_madds += gram_lower_blocks(rk.data, rids, b, out=rk.gram, rows=rows)[1]
             elif casgd and row:
                 # Own rows' values of the first s-1 batches (the Gram's

@@ -14,8 +14,9 @@ Two kinds of kernels work on sampled rows:
     and update from one form of the round's rows, which ``gather_rows``
     picks: a list of row ids (row by row), dense rows or CSR rows.  Without
     a dense cache the Gram pairs the round's entries after one sort by
-    column instead.  A column-partitioned rank runs them on its
-    ``CsrMatrix.column_window``.
+    column instead; with one, ``gather_rows`` and ``gram_lower_blocks`` also
+    take a block of K rounds at once.  A column-partitioned rank runs them
+    on its ``CsrMatrix.column_window``.
 
 Pairwise row inner products match entries of the two rows' sorted column
 indices and sum the products in ascending column order, which keeps
@@ -458,7 +459,12 @@ def _matched_dot(
     pos = np.searchsorted(cols_a, cols_b)
     ok = pos < len(cols_a)
     ok[ok] = cols_a[pos[ok]] == cols_b[ok]
-    return float(np.dot(vals_a[pos[ok]], vals_b[ok]))
+    # One addition at a time from +0.0, as a CSR product sums (np.dot's
+    # BLAS may split the sum).
+    total = 0.0
+    for product in (vals_a[pos[ok]] * vals_b[ok]).tolist():
+        total += product
+    return total
 
 
 def gram_block(dataset: LabeledDataset, sel_row: RowBlockSelector, sel_col: RowBlockSelector) -> np.ndarray:
@@ -497,6 +503,10 @@ def gather_rows(dataset: LabeledDataset, row_ids, batches: int):
       * CSR rows (a scipy matrix) otherwise.
 
     Dense and CSR rows support ``@ x`` and ``.T @ w``; dense rows ``@ rows.T``.
+    With a dense cache, ``row_ids`` may also be a (K, s*b) array of K rounds
+    (one gather for a block of rounds); their dense rows are (K, s*b, n),
+    and a column window of them, ``rows[..., start:stop]``, is the window's
+    rows.
     """
     if batches > 1:
         A = dataset.a_tilde
@@ -536,7 +546,7 @@ def gram_lower_blocks(
     block_size: int,
     out: np.ndarray | None = None,
     rows=None,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, int | list[int]]:
     """Strictly-lower b-by-b blocks of the sampled-row Gram matrix.
 
     ``row_ids`` holds s consecutive batches of ``block_size`` rows; block
@@ -548,13 +558,18 @@ def gram_lower_blocks(
     Returns the matrix and the number of index matches (sparse
     multiply-adds) the blocks represent, counted exactly from the rows'
     column indices.
+
+    With a dense cache, ``row_ids`` may also hold K rounds, one per row of a
+    (K, s*b) array.  Then ``rows`` is (K, s*b, n), ``out`` is (K, s*b, s*b),
+    one stacked BLAS product gives every round's blocks, and the matches
+    come back as a list of K counts.
     """
-    sb = len(row_ids)
+    sb = np.shape(row_ids)[-1]
     b = block_size
     if sb % b:
         raise ValueError("len(row_ids) must be a multiple of block_size")
     if out is None:
-        out = np.zeros((sb, sb))
+        out = np.zeros(np.shape(row_ids)[:-1] + (sb, sb))
     elif not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
     A = dataset.a_tilde
@@ -562,8 +577,10 @@ def gram_lower_blocks(
     if dense is not None:
         if rows is None:
             rows = dense[row_ids]
-        np.copyto(out, rows @ rows.T, where=_block_tril_mask(sb, b))
-        return out, _lower_block_matches(A, row_ids, b)
+        np.copyto(out, np.matmul(rows, rows.swapaxes(-1, -2)), where=_block_tril_mask(sb, b))
+        return out, _lower_block_matches(A, row_ids, b).tolist()
+    if np.ndim(row_ids) > 1:
+        raise ValueError("rounds are taken together only with a dense cache")
     # Every pair of entries that share a column, the later one in a later
     # batch, adds its product to G[later, earlier].  Pairs come in
     # ascending column order, so each entry sums from +0.0 in that order.
@@ -659,20 +676,33 @@ def _column_runs(A: CsrMatrix, ids, b: int) -> tuple[np.ndarray, np.ndarray, np.
     return A.values[entries[order]], pos, first, batch_first - first
 
 
-def _lower_block_matches(A: CsrMatrix, ids, b: int) -> int:
-    """Sum of pairwise index-match counts over the strictly-lower blocks.
+def _lower_block_matches(A: CsrMatrix, ids, b: int) -> np.ndarray:
+    """Index matches over the strictly-lower blocks of each round in ``ids``.
 
-    Each entry matches the entries of its column in earlier batches.  For
-    b > 1 they are counted from ``_column_runs``, which costs the round's
-    nonzeros, not s passes over n.  At b = 1 a column held by T rows
-    matches (T^2 - T) / 2 times, and T comes from one length-n
-    ``bincount``.  Exact integer arithmetic throughout.
+    ``ids`` is one round of s*b row ids, or K rounds as a (K, s*b) array;
+    the result has the shape of ``ids`` without its last axis.  With T the
+    number of a round's batch-j rows that hold column c, the round matches
+
+        (sum_c (sum_j T)^2 - sum_c sum_j T^2) / 2
+
+    times: every pair of the column's entries, less the pairs within one
+    batch.  One ``bincount`` over (round, batch, column) keys gives every T.
+    The pattern is the CSR one, so stored zeros match.  Exact integer
+    arithmetic throughout.
     """
-    if b > 1:
-        return int(_column_runs(A, ids, b)[3].sum())
-    cols = _row_columns(A, ids)
-    total = np.bincount(cols, minlength=A.num_cols)
-    return (int(total @ total) - len(cols)) // 2
+    ids = np.asarray(ids)
+    n = A.num_cols
+    counts = A.row_nnz[ids]
+    cols = A.col_indices[_ranges(A.row_offsets[ids].ravel(), counts.ravel())]
+    # A batch of one row holds each of its columns once: at b = 1 every T
+    # is 0 or 1, sum_c sum_j T^2 is the round's nonzeros, and the keys need
+    # no batch (s times fewer bins).
+    group = ids.shape[-1] if b == 1 else b
+    keys = np.repeat(np.arange(ids.size) // group * n, counts.ravel()) + cols
+    T = np.bincount(keys, minlength=ids.size // group * n).reshape(ids.shape[:-1] + (ids.shape[-1] // group, n))
+    per_column = T.sum(axis=-2)
+    within = counts.sum(axis=-1) if b == 1 else np.einsum("...jc,...jc", T, T)
+    return (np.einsum("...c,...c", per_column, per_column) - within) // 2
 
 
 @lru_cache(maxsize=8)

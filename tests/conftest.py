@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from casgd import CsrMatrix, LabeledDataset
+from casgd import CsrMatrix, LabeledDataset, parse_libsvm
 
 
 def dataset_from_scaled(dense_scaled, labels) -> LabeledDataset:
@@ -31,3 +31,17 @@ def assert_datasets_equal(a: LabeledDataset, b: LabeledDataset) -> None:
     np.testing.assert_array_equal(a.a_tilde.row_offsets, b.a_tilde.row_offsets)
     np.testing.assert_array_equal(a.a_tilde.col_indices, b.a_tilde.col_indices)
     np.testing.assert_array_equal(a.a_tilde.values, b.a_tilde.values)
+
+
+def ragged_libsvm_dataset(m: int, n: int, seed: int) -> LabeledDataset:
+    """LIBSVM-parsed rows of 0 to 12 entries over n columns, a few of them
+    shared by many rows, about a tenth of the entries stored zeros (``k:0``).
+    Row 0 is empty and row 1 holds only stored zeros."""
+    rng = np.random.default_rng(seed)
+    lines = ["+1", "-1 1:0 3:0"]
+    for i in range(2, m):
+        k = int(rng.integers(0, 13))
+        cols = np.unique(np.concatenate([rng.integers(1, 4, size=k // 2), rng.integers(1, n + 1, size=k - k // 2)]))
+        vals = np.where(rng.random(len(cols)) < 0.1, 0.0, rng.standard_normal(len(cols)))
+        lines.append(" ".join([("+1", "-1")[i % 2]] + [f"{c}:{v:.17g}" for c, v in zip(cols, vals)]))
+    return parse_libsvm("\n".join(lines), num_features=n)

@@ -25,6 +25,8 @@ from casgd.datagen import synthetic_dataset
 from casgd.solvers import _apply_row_gradient, _sig_batch, epoch_schedule, iterations_per_epoch
 from casgd.sparse import _SUPPORT_MIN_RATIO, add_rows_transpose, column_support
 
+from conftest import ragged_libsvm_dataset
+
 
 def _col_cluster(d, p=1):
     return partition(d, BLOCK_COLUMN, p)
@@ -320,6 +322,62 @@ def test_trace_point_counters_frozen(acceptance_datasets, name, b, s):
     run = run_casgd(d, SolverConfig(eta0=1.0, b=b, s=s, epochs=3, seed=123), _col_cluster(d))
     assert [(t.flops, t.words, t.messages, t.collectives) for t in run.trace] == FROZEN_TRACE_COUNTERS[name, b, s]
     assert (run.counters.flops, run.counters.sig_evals) == FROZEN_FINAL[name, b, s]
+
+
+class TestRoundBlocks:
+    """Rounds taken K at a time run exactly as rounds taken one at a time."""
+
+    @staticmethod
+    def _run_by_block_size(monkeypatch, d, cfg, **kwargs):
+        """The run at K = 1, after checking that K = 3 and the default K give
+        the same bits, traces and counters; and the block sizes each K saw."""
+        sb = cfg.s * cfg.b
+        one_round = 8 * sb * (d.num_features + cfg.p * sb)
+        default = casgd.solvers._BLOCK_BYTES
+        real = casgd.solvers.gram_lower_blocks
+        base, sizes = None, []
+        for K in (1, 3, None):
+            monkeypatch.setattr(casgd.solvers, "_BLOCK_BYTES", default if K is None else K * one_round)
+            blocks = []
+
+            def spy(data, row_ids, *args, **kwargs):
+                if np.ndim(row_ids) == 2:
+                    blocks.append(len(row_ids))
+                return real(data, row_ids, *args, **kwargs)
+
+            monkeypatch.setattr(casgd.solvers, "gram_lower_blocks", spy)
+            run = run_casgd(d, cfg, _col_cluster(d, cfg.p), **kwargs)
+            if base is None:
+                base = run
+            else:
+                _assert_same_bits(base, run)
+                assert run.trace == base.trace and run.counters == base.counters
+            sizes.append(blocks)
+        return base, sizes
+
+    @pytest.mark.parametrize("s", [2, 8])
+    @pytest.mark.parametrize("b", [1, 3])
+    @pytest.mark.parametrize("p", [1, 3])
+    def test_block_size_leaves_the_run_unchanged(self, monkeypatch, p, b, s):
+        # 11 rounds: blocks of 3 leave a last block of 2, the default takes
+        # all 11 in one.  Trace points fall inside rounds 0, 3 and 6.
+        d = ragged_libsvm_dataset(150, 40, seed=p + b + s)
+        assert d.a_tilde.dense_cache() is not None
+        cfg = SolverConfig(eta0=1.0, b=b, s=s, total_iterations=11 * s, p=p, seed=7)
+        schedule = [(1, 1), (2, 3 * s + 1), (3, 7 * s - 1), (4, 11 * s)]
+        run, sizes = self._run_by_block_size(monkeypatch, d, cfg, schedule=schedule)
+        # Every rank forms its Gram blocks once per block.
+        assert sizes == [[1] * 11 * p, [3] * 3 * p + [2] * p, [11] * p]
+        assert len(run.epoch_solutions) == 5
+
+    def test_forced_batches_in_blocks(self, monkeypatch):
+        d = ragged_libsvm_dataset(150, 40, seed=5)
+        rng = np.random.default_rng(5)
+        batches = [RowBlockSelector(rng.choice(150, size=3, replace=False)) for _ in range(40)]
+        batches[1] = batches[0]
+        cfg = SolverConfig(eta0=1.0, b=3, s=8, total_iterations=40, p=3)
+        _, sizes = self._run_by_block_size(monkeypatch, d, cfg, batches=batches)
+        assert sizes == [[1] * 15, [3, 3, 3, 2, 2, 2], [5] * 3]
 
 
 class TestRowGradientReduction:

@@ -17,7 +17,7 @@ from casgd.datagen import synthetic_dataset
 import casgd.sparse
 from casgd.sparse import _lower_block_matches, add_rows_transpose, batch_scores, gather_rows, gram_lower_blocks
 
-from conftest import assert_datasets_equal, dataset_from_scaled, random_dataset
+from conftest import assert_datasets_equal, dataset_from_scaled, ragged_libsvm_dataset, random_dataset
 
 
 def _column_slices(d, cuts):
@@ -292,7 +292,7 @@ class TestRoundKernels:
         for j in range(3, 40, 11):
             for i in range(0, j, 7):
                 want = gram_block(d, RowBlockSelector(ids[j : j + 1]), RowBlockSelector(ids[i : i + 1]))
-                np.testing.assert_allclose(out[j, i], want[0, 0], rtol=1e-13, atol=1e-14)
+                assert out[j, i].tobytes() == want[0, 0].tobytes()
         assert matches == _brute_lower_matches(d, ids, 1)
 
     def test_lower_block_matches_with_repeated_rows(self):
@@ -304,9 +304,10 @@ class TestRoundKernels:
     @pytest.mark.parametrize("s", [1, 2, 7])
     @pytest.mark.parametrize("n", [3, 12, 400, 100_000])
     def test_lower_block_matches_by_sort_and_bincount(self, n, s, b):
-        # b = 1 counts by bincount, b > 1 by sort.  n = 3 is far below the
-        # round's nonzeros, 100000 far above; empty rows and rows drawn
-        # twice, within a batch and across batches, are in every round.
+        # One bincount over (batch, column) keys, or column keys alone at
+        # b = 1.  n = 3 is far below the round's nonzeros, 100000 far above;
+        # empty rows and rows drawn twice, within a batch and across
+        # batches, are in every round.
         rng = np.random.default_rng(n + 10 * s + b)
         dense = rng.standard_normal((30, n)) * (rng.random((30, n)) < min(1.0, 6 / n))
         dense[:4] = 0.0
@@ -348,9 +349,41 @@ class TestRoundKernels:
             np.testing.assert_allclose(ref, R[ids].toarray() @ R[ids].toarray().T, rtol=1e-13, atol=1e-13)
             assert out[lower].tobytes() == ref[lower].tobytes()
             assert (out[~lower] == sentinel).all()
+            # The reference kernel sums in the same order as scipy's product.
+            later, earlier = RowBlockSelector(np.unique(ids[b : 2 * b])), RowBlockSelector(np.unique(ids[:b]))
+            want = (R[later.indices] @ R[earlier.indices].T).toarray()
+            assert gram_block(d, later, earlier).tobytes() == want.tobytes()
             assert matches == _brute_lower_matches(d, ids, b)
             seen.update(np.sign(out[lower]).tolist())
         assert seen >= {0.0, 1.0}
+
+    @pytest.mark.parametrize("s", [2, 8])
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_block_of_rounds_matches_round_by_round(self, s, b):
+        # K rounds at once under a dense cache give each round's blocks
+        # bitwise and its match count from the CSR pattern: stored zeros
+        # match, empty rows do not, and rows repeat within and across
+        # batches and rounds.  A column window of the block's rows gives a
+        # column rank's blocks and counts.
+        d = ragged_libsvm_dataset(90, 30, seed=10 * s + b)
+        assert d.a_tilde.dense_cache() is not None
+        sb = s * b
+        block = np.random.default_rng(s + b).choice(90, size=(5, sb))
+        block[0, : 2 * b] = 1  # stored zeros only, in two batches
+        block[1, 0] = 0  # an empty row
+        block[2, b] = block[2, b - 1]  # one row in two batches
+        block[3] = block[2]
+        window = _column_slices(d, [0, 2, 19, 30])[1]
+        rows = gather_rows(d, block, s)
+        assert rows.shape == (5, sb, 30)
+        for data, got in ((d, gram_lower_blocks(d, block, b)), (window, gram_lower_blocks(window, block, b, rows=rows[..., 2:19]))):
+            out, matches = got
+            assert out.shape == (5, sb, sb)
+            assert matches == [_brute_lower_matches(data, ids, b) for ids in block]
+            for k, ids in enumerate(block):
+                one, count = gram_lower_blocks(data, ids, b)
+                assert out[k].tobytes() == one.tobytes() and count == matches[k]
+            assert sum(matches) > 0
 
     def test_dense_gram_mask_built_once(self):
         rng = np.random.default_rng(13)
