@@ -187,10 +187,9 @@ class BatchStream:
     # same draws, minus selector construction and re-validation
     # (Fisher-Yates already guarantees distinct in-range indices).  The
     # solvers call peek_indices once per block of rounds, so its list
-    # conversion is paid per block.  It stays list-valued: at s = 1 a batch
-    # is used as a list of row ids as it comes, and observers that wrap the
-    # method, such as the benchmark's tracer, test the result's truth value,
-    # which an ndarray does not have.
+    # conversion is paid per block.  It stays list-valued: observers that
+    # wrap the method, such as the benchmark's tracer, test the result's
+    # truth value, which an ndarray does not have.
 
     def next_indices(self) -> list[int]:
         ids = self._rows(self.cursor, 1)[0].tolist()

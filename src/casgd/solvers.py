@@ -17,12 +17,14 @@ groups s iterations per round.  Each round:
 
 Only the scores, the recurrence and the update depend on x.  So steps 1
 and 2 run their x-independent part once per block of K rounds, K set so
-that a block's gathered rows and Gram blocks fit in ``_BLOCK_BYTES``: every
-round's draws come from one read of the stream, and column rounds with
-s > 1 over a matrix with a dense cache also take their rows from one
-gather, their Gram blocks from one stacked product per rank, and their
-index-match counts from one count.  Each round still forms its own
-scores, collective, recurrence and update.
+that a block's gathered rows and Gram blocks fit in ``_BLOCK_BYTES``, in
+either layout and with or without a dense cache: the draws come from one
+read of the stream, every rank gathers its rows of the block at once, the
+rows' nonzeros are summed into per-round prefix sums that every flop charge
+reads, and each Gram owner (a column rank, or the row layout's one
+replicated Gram) forms every round's Gram blocks and index-match counts in
+one kernel call.  Each round still forms its own scores, collective,
+recurrence and update.
 
 The payload is set by the entry point that ran:
 
@@ -55,6 +57,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from time import perf_counter as _pc
 from typing import Sequence
 
@@ -92,11 +95,11 @@ __all__ = [
 # dispatch overhead dominates tiny arrays in the per-iteration loop).
 _SCALAR_SIG_MAX = 8
 
-# A block of rounds is drawn at once, and for dense column rounds also
-# gathered, multiplied and counted at once.  It holds as many rounds as keep
-# its gathered rows plus its Gram blocks within this many bytes (at least
-# one round).  Over 112 columns and one rank that is 143 rounds at
-# s * b = 2, 34 at 8, 2 at 64 and 1 from 128 on.
+# A block of rounds is drawn, gathered, counted and (at s > 1) given its
+# Gram blocks at once.  It holds as many rounds as keep its gathered rows
+# plus p ranks' Gram blocks within this many bytes (at least one round).
+# Over 112 columns and one rank that is 143 rounds at s * b = 2, 34 at 8, 2
+# at 64 and 1 from 128 on; over 3000 columns, 5 at s * b = 2 and 2 at 4.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -388,23 +391,23 @@ def _apply_row_gradient(cluster: VirtualCluster, grads: np.ndarray, support, eta
 
 
 class _Rank:
-    """One rank's data, its part of x, and what it holds during a round."""
+    """One rank's data, its part of x, and what it holds during a block and a round."""
 
-    __slots__ = ("data", "x", "spot", "cols", "scores", "gram", "ids", "rows", "grams", "matches")
+    __slots__ = ("data", "x", "spot", "scores", "gram", "grams", "block_ids", "block_rows", "ids", "rows")
 
-    def __init__(self, data, x, spot, scores, gram, cols=None):
+    def __init__(self, data, x, spot, scores, gram):
         self.data = data
         self.x = x
-        # Where the rank's rows sit in the round's s*b rows (None: all).
+        # Where the rank's rows sit in the round's s*b rows.
         self.spot = spot
-        # Its columns of the matrix (column ranks).
-        self.cols = cols
         self.scores = scores
         self.gram = gram
-        # The round's row ids and their form from ``gather_rows``.
-        self.ids = self.rows = None
-        # A block's Gram blocks and match counts, one per round.
-        self.grams = self.matches = None
+        # A block's Gram blocks, one per round (Gram owners).
+        self.grams = None
+        # The block's row ids and their form from ``gather_rows``, and the
+        # round's, which index them.  A Gram owner that is no rank keeps no
+        # rows, and the Gram kernel gathers what it needs.
+        self.block_ids = self.block_rows = self.ids = self.rows = None
 
 
 def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
@@ -447,22 +450,21 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
         ]
         # At s = 1 a rank's scores are its slice of the round's scores.
         ranks = [_Rank(dataset, x, spot, rs[spot] if s == 1 else np.empty(s * bp), None) for spot in spots]
+        # The replicated Gram is formed (and counted) once.
+        owners = [_Rank(dataset, x, None, None, G)] if gram else []
     else:
-        # Column ranks hold all of a round's rows, over their own columns.
+        # Column ranks hold all of a round's rows, over their own columns,
+        # and each forms its part of the Gram.
         ranks = [
-            _Rank(D, x[start:stop], None, buf[:sb], buf[sb:].reshape(sb, sb) if casgd else None, slice(start, stop))
+            _Rank(D, x[start:stop], slice(None), buf[:sb], buf[sb:].reshape(sb, sb) if casgd else None)
             for D, (start, stop), buf in zip(cluster.column_slices, cluster.layout.boundaries, bufs)
         ]
-    # A block holds K rounds.  Dense column rounds take their rows, Gram
-    # blocks and match counts from the block's, formed once: one gather of
-    # full rows that every rank reads through its column window, and per
-    # rank one stacked product into its block buffer (its round buffer
-    # itself when K = 1).
+        owners = ranks if gram else []
+    # A block holds K rounds, and every Gram owner one Gram buffer per round
+    # (its round buffer itself when K = 1).
     K = max(1, _BLOCK_BYTES // (8 * sb * (n + p * sb)))
-    blocked = gram and not row and A.dense_cache() is not None
-    if blocked:
-        for rk in ranks:
-            rk.grams = rk.gram[None] if K == 1 else np.zeros((K, sb, sb))
+    for rk in owners:
+        rk.grams = rk.gram[None] if K == 1 else np.zeros((K, sb, sb))
     w = np.empty(sb)
     v = np.empty(sb) if row else None
     # Row ranks' gradient buffers, zero between rounds.
@@ -474,50 +476,47 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
         (lo, rs[lo : lo + b], (G[lo, :lo] if b == 1 else G[lo : lo + b, :lo]) if lo else None, w[:lo], slice(lo, lo + b))
         for lo in range(0, sb, b)
     ]
-    # A round's update flops besides its rows' nonzeros: n per iteration
-    # (column) or round (row), and i*b*b recurrence flops for iteration i.
-    round_flops = (n if row else n * s) + b * b * s * (s - 1) // 2
     t0 = _pc()
 
     for t in range(0, iterations, s):
-        # 1. draw s batches, read once per block
+        # 1. draw s batches, read once per block with the block's
+        # x-independent work: every rank's rows, the rows' nonzeros (prefix
+        # sums per round, which every flop charge reads) and every Gram
+        # owner's blocks.  A round is charged its scores' multiply-adds and
+        # its Gram's index matches when its collective runs.
         k = t // s % K
         if not k:
             count = min(K, (iterations - t) // s)
-            block = source.peek_indices(count * s)
+            block = np.array(source.peek_indices(count * s), dtype=np.int64).reshape(count, sb)
             source.advance(count * s)
-            # One batch is a list of row ids already; the rounds of s > 1
-            # batches become the rows of one array (and the lists go).
-            if s > 1:
-                block = np.array(block, dtype=np.int64).reshape(count, sb)
-        ids = block[k]
-        if timer:
-            t0 = timer.lap("sampling", t0)
+            for rk in ranks:
+                rk.block_ids = block[:, rk.spot]
+                rk.block_rows = gather_rows(rk.data, rk.block_ids, s)
+            nnz = [[0, *accumulate(counts)] for counts in A.row_nnz[block].tolist()]
+            charges = [sums[-1] for sums in nnz]
+            if timer:
+                t0 = timer.lap("sampling", t0)
+            for rk in owners:
+                charges = (gram_lower_blocks(rk.data, block, b, out=rk.grams[:count], rows=rk.block_rows)[1] + charges).tolist()
+            if timer and gram:
+                t0 = timer.lap("gram", t0)
+        nnz_k = nnz[k]
 
         # 2. each rank forms its payload
-        if blocked and not k:
-            block_rows = gather_rows(dataset, block, s)
-            for rk in ranks:
-                rk.matches = gram_lower_blocks(rk.data, block, b, out=rk.grams[:count], rows=block_rows[..., rk.cols])[1]
-        score_madds = gram_madds = 0
         payloads = []
         for rk in ranks:
-            rk.ids = rids = ids if rk.spot is None else ids[rk.spot]
-            rk.rows = rows = block_rows[k, :, rk.cols] if blocked else gather_rows(rk.data, rids, s)
-            score_madds += batch_scores(rk.data, rids, rk.x, rows=rows, out=rk.scores)[1]
-            if blocked:
-                if K > 1:
-                    rk.gram[...] = rk.grams[k]
-                gram_madds += rk.matches[k]
-            elif gram and not row:
-                gram_madds += gram_lower_blocks(rk.data, rids, b, out=rk.gram, rows=rows)[1]
-            elif casgd and row:
+            rk.ids, rk.rows = rk.block_ids[k], rk.block_rows[k]
+            batch_scores(rk.data, rk.ids, rk.x, rows=rk.rows, out=rk.scores)
+            if casgd and row:
                 # Own rows' values of the first s-1 batches (the Gram's
                 # column side), then own scores for all s batches.
-                head = [A.row_slices[i][1] for i in rids[: (s - 1) * bp]]
+                head = [A.row_slices[i][1] for i in rk.ids[: (s - 1) * bp]]
                 payloads.append(np.concatenate(head + [rk.scores]))
+        if K > 1:
+            for rk in owners:
+                rk.gram[...] = rk.grams[k]
         if timer:
-            t0 = timer.lap("gram" if gram and not row else "score_matvec", t0)
+            t0 = timer.lap("score_matvec", t0)
 
         # 3. one collective
         if not row:
@@ -530,15 +529,9 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
             for rk, payload in zip(ranks, payloads):
                 end += len(payload)
                 rs[rk.spot] = gathered[end - s * bp : end]
-        c.flops += score_madds + gram_madds
+        c.flops += charges[k]
         if timer:
             t0 = timer.lap("collectives", t0)
-        if gram and row:
-            # Every row rank now holds the round's rows; the replicated Gram
-            # is formed (and counted) once.
-            c.flops += gram_lower_blocks(dataset, ids, b, out=G)[1]
-            if timer:
-                t0 = timer.lap("gram", t0)
 
         # 4. the scalar recurrence z_j = r_j + G[j, :j] w
         for lo, r_j, g_j, w_head, own in recurrence:
@@ -564,34 +557,32 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
         # 5. the update.  Row ranks sum their gradients into x once per
         # round.  Column ranks update their own x, in one span unless a trace
         # point falls inside the round, where the update is split.  Counters
-        # advance in closed form per applied span, so they read at every
-        # trace point what iteration-by-iteration accounting would give.
+        # advance in closed form per applied span: its rows' nonzeros, n per
+        # iteration (column) or round (row), and i*b*b recurrence flops for
+        # iteration i.  So they read at every trace point what
+        # iteration-by-iteration accounting would give.
         if row:
             for rk, g in zip(ranks, grads):
                 add_rows_transpose(rk.data, rk.ids, v[rk.spot], g, rows=rk.rows)
             if timer:
                 t0 = timer.lap("gradient", t0)
             # Every rank's rows share one form.
-            support = column_support(dataset, ids, ranks[0].rows)
+            support = column_support(dataset, block[k], ranks[0].rows)
             _apply_row_gradient(cluster, grads, support, eta_scale, x)
             if timer:
                 t0 = timer.lap("collectives", t0)
         done = 0
         while done < s:
             stop = s if row or next_it is None or next_it >= t + s else max(next_it - t, done + 1)
-            if stop - done == s:
-                if not row:
-                    for rk in ranks:
-                        add_rows_transpose(rk.data, rk.ids, w, rk.x, rows=rk.rows)
-                c.flops += score_madds + round_flops
-                c.sig_evals += sb
-            else:
-                lo, hi = done * b, stop * b
-                span = ids[lo:hi]
+            lo, hi = done * b, stop * b
+            if stop - done < s:
                 for rk in ranks:
-                    add_rows_transpose(rk.data, span, w[lo:hi], rk.x)
-                c.flops += int(A.row_nnz[span].sum()) + n * (stop - done) + b * b * (stop * (stop - 1) - done * (done - 1)) // 2
-                c.sig_evals += hi - lo
+                    add_rows_transpose(rk.data, block[k, lo:hi], w[lo:hi], rk.x)
+            elif not row:
+                for rk in ranks:
+                    add_rows_transpose(rk.data, rk.ids, w, rk.x, rows=rk.rows)
+            c.flops += nnz_k[hi] - nnz_k[lo] + (n if row else n * (stop - done)) + b * b * (stop * (stop - 1) - done * (done - 1)) // 2
+            c.sig_evals += hi - lo
             done = stop
             if timer:
                 t0 = timer.lap("update", t0)

@@ -12,11 +12,12 @@ Two kinds of kernels work on sampled rows:
   * round kernels (``batch_scores``, ``gram_lower_blocks``,
     ``add_rows_transpose``) compute a solver round's scores, Gram blocks
     and update from one form of the round's rows, which ``gather_rows``
-    picks: a list of row ids (row by row), dense rows or CSR rows.  Without
-    a dense cache the Gram pairs the round's entries after one sort by
-    column instead; with one, ``gather_rows`` and ``gram_lower_blocks`` also
-    take a block of K rounds at once.  A column-partitioned rank runs them
-    on its ``CsrMatrix.column_window``.
+    picks: a list of row ids (row by row), dense rows or CSR rows.
+    ``gather_rows`` and ``gram_lower_blocks`` also take a block of K rounds
+    at once.  The Gram takes one BLAS product of dense rows when the matrix
+    keeps a dense cache, and otherwise pairs the block's entries after one
+    sort by (round, column).  A column-partitioned rank runs the kernels on
+    its ``CsrMatrix.column_window``.
 
 Pairwise row inner products match entries of the two rows' sorted column
 indices and sum the products in ascending column order, which keeps
@@ -503,41 +504,41 @@ def gather_rows(dataset: LabeledDataset, row_ids, batches: int):
       * CSR rows (a scipy matrix) otherwise.
 
     Dense and CSR rows support ``@ x`` and ``.T @ w``; dense rows ``@ rows.T``.
-    With a dense cache, ``row_ids`` may also be a (K, s*b) array of K rounds
-    (one gather for a block of rounds); their dense rows are (K, s*b, n),
-    and a column window of them, ``rows[..., start:stop]``, is the window's
-    rows.
+    ``row_ids`` may also be a (K, s*b) array of K rounds; indexing the
+    result by round gives each round's form.  Dense rows are gathered in
+    one call, as a (K, s*b, n) array; other forms round by round.
     """
     if batches > 1:
         A = dataset.a_tilde
         dense = A.dense_cache()
         if dense is not None:
             return dense[row_ids]
+        if np.ndim(row_ids) > 1:
+            return [gather_rows(dataset, ids, batches) for ids in row_ids]
         if len(row_ids) >= _VECTORIZE_MIN_ROWS:
             return A.scipy_csr[row_ids]
     return row_ids if isinstance(row_ids, list) else row_ids.tolist()
 
 
-def batch_scores(dataset: LabeledDataset, row_ids, x: np.ndarray, rows=None, out=None) -> tuple[np.ndarray, int]:
-    """Scores of ``row_ids`` against full-length ``x``; returns (scores, multiply-adds).
+def batch_scores(dataset: LabeledDataset, row_ids, x: np.ndarray, rows=None, out=None) -> np.ndarray:
+    """Scores of ``row_ids`` against full-length ``x``.
 
     ``rows`` is ``gather_rows``' form of ``row_ids`` (None: row by row).
-    Scores are written into ``out`` when given.
+    Scores are written into ``out`` when given.  Their multiply-adds are
+    the rows' stored entries, ``row_nnz``, which the caller counts.
     """
     if out is None:
         out = np.empty(len(row_ids))
-    A = dataset.a_tilde
     if isinstance(rows, list) or rows is None:
+        A = dataset.a_tilde
         slices, dense = A.row_slices, A.dense_cache()
-        madds = 0
         for k, i in enumerate(row_ids if rows is None else rows):
             cols, vals = slices[i]
             # ndarray.dot is np.dot without its dispatch overhead.
             out[k] = vals.dot(x[cols]) if dense is None else dense[i].dot(x)
-            madds += len(vals)
-        return out, madds
+        return out
     out[:] = rows @ x
-    return out, int(A.row_nnz[row_ids].sum())
+    return out
 
 
 def gram_lower_blocks(
@@ -546,30 +547,29 @@ def gram_lower_blocks(
     block_size: int,
     out: np.ndarray | None = None,
     rows=None,
-) -> tuple[np.ndarray, int | list[int]]:
-    """Strictly-lower b-by-b blocks of the sampled-row Gram matrix.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Strictly-lower b-by-b blocks of the sampled-row Gram matrix of each round.
 
-    ``row_ids`` holds s consecutive batches of ``block_size`` rows; block
-    (j, i) with i < j is filled with inner products between batch j rows
-    and batch i rows.  Diagonal and upper blocks are left untouched (zero
-    when ``out`` is freshly allocated; ``out`` must be C-contiguous).
-    ``rows`` is the round's dense rows from ``gather_rows`` when the matrix
-    keeps a dense cache (None: gathered here), and is not used otherwise.
-    Returns the matrix and the number of index matches (sparse
-    multiply-adds) the blocks represent, counted exactly from the rows'
-    column indices.
+    ``row_ids`` holds s consecutive batches of ``block_size`` rows, or K
+    rounds of them, one per row of a (K, s*b) array; ``out`` then has the
+    shape (s*b, s*b) or (K, s*b, s*b).  In each round, block (j, i) with
+    i < j is filled with inner products between batch j rows and batch i
+    rows.  Diagonal and upper blocks are left untouched (zero when ``out``
+    is freshly allocated; ``out`` must be C-contiguous).  ``rows`` is
+    ``gather_rows``' form of ``row_ids``; only dense rows are used (None:
+    gathered here when the matrix keeps a dense cache).
 
-    With a dense cache, ``row_ids`` may also hold K rounds, one per row of a
-    (K, s*b) array.  Then ``rows`` is (K, s*b, n), ``out`` is (K, s*b, s*b),
-    one stacked BLAS product gives every round's blocks, and the matches
-    come back as a list of K counts.
+    Returns the blocks and each round's index matches (sparse multiply-adds),
+    counted exactly from the rows' column indices: an int64 array of the
+    shape of ``row_ids`` without its last axis.
     """
-    sb = np.shape(row_ids)[-1]
+    row_ids = np.asarray(row_ids)
+    sb = row_ids.shape[-1]
     b = block_size
     if sb % b:
         raise ValueError("len(row_ids) must be a multiple of block_size")
     if out is None:
-        out = np.zeros(np.shape(row_ids)[:-1] + (sb, sb))
+        out = np.zeros(row_ids.shape[:-1] + (sb, sb))
     elif not out.flags.c_contiguous:
         raise ValueError("out must be C-contiguous")
     A = dataset.a_tilde
@@ -578,19 +578,18 @@ def gram_lower_blocks(
         if rows is None:
             rows = dense[row_ids]
         np.copyto(out, np.matmul(rows, rows.swapaxes(-1, -2)), where=_block_tril_mask(sb, b))
-        return out, _lower_block_matches(A, row_ids, b).tolist()
-    if np.ndim(row_ids) > 1:
-        raise ValueError("rounds are taken together only with a dense cache")
-    # Every pair of entries that share a column, the later one in a later
-    # batch, adds its product to G[later, earlier].  Pairs come in
-    # ascending column order, so each entry sums from +0.0 in that order.
+        return out, _lower_block_matches(A, row_ids, b)
+    # Every pair of entries of one round that share a column, the later one
+    # in a later batch, adds its product to G[later, earlier].  Pairs come
+    # in ascending column order, so each entry sums from +0.0 in that order.
     for lo in range(b, sb, b):
-        out[lo : lo + b, :lo] = 0.0
+        out[..., lo : lo + b, :lo] = 0.0
     vals, pos, first, earlier = _column_runs(A, row_ids, b)
     later = np.repeat(np.arange(len(vals)), earlier)
     partner = _ranges(first, earlier)
-    np.add.at(out.reshape(-1), pos[later] * sb + pos[partner], vals[later] * vals[partner])
-    return out, len(later)
+    at = pos[later]
+    np.add.at(out.reshape(-1), at * sb + pos[partner] % sb, vals[later] * vals[partner])
+    return out, np.bincount(at // sb, minlength=row_ids.size // sb).reshape(row_ids.shape[:-1])
 
 
 def add_rows_transpose(dataset: LabeledDataset, row_ids, w: np.ndarray, x: np.ndarray, rows=None) -> None:
@@ -655,28 +654,33 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     return starts
 
 
-def _column_runs(A: CsrMatrix, ids, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The entries of rows ``ids``, sorted once by (column, position in ``ids``).
+def _column_runs(A: CsrMatrix, ids: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The entries of the rounds of ``ids`` (one round, or one per row of a
+    (K, s*b) array), sorted once by (round, column, position in the round).
 
-    Per sorted entry: its value, its row's position, where its column's run
-    starts, and how many entries of that run are in earlier batches of
-    ``b`` rows (they lead the run).
+    Per sorted entry: its value, its row's position in ``ids.ravel()``,
+    where its round's run of its column starts, and how many entries of
+    that run are in earlier batches of ``b`` rows (they lead the run).
     """
-    counts = A.row_nnz[ids]
-    entries = _ranges(A.row_offsets[ids], counts)
+    sb = ids.shape[-1]
+    flat = ids.ravel()
+    counts = A.row_nnz[flat]
+    entries = _ranges(A.row_offsets[flat], counts)
     nnz = len(entries)
     index = np.arange(nnz)
-    keys = A.col_indices[entries] * nnz + index
+    at = np.repeat(np.arange(len(flat)), counts)
+    # Each round's columns take their own range of keys.
+    keys = (A.col_indices[entries] + at // sb * A.num_cols) * nnz + index
     keys.sort()
     cols, order = np.divmod(keys, nnz)
-    pos = np.repeat(np.arange(len(ids)), counts)[order]
+    pos = at[order]
     col_starts = _run_starts(cols)
     first = np.maximum.accumulate(np.where(col_starts, index, 0))
     batch_first = np.maximum.accumulate(np.where(_run_starts(pos // b) | col_starts, index, 0))
     return A.values[entries[order]], pos, first, batch_first - first
 
 
-def _lower_block_matches(A: CsrMatrix, ids, b: int) -> np.ndarray:
+def _lower_block_matches(A: CsrMatrix, ids: np.ndarray, b: int) -> np.ndarray:
     """Index matches over the strictly-lower blocks of each round in ``ids``.
 
     ``ids`` is one round of s*b row ids, or K rounds as a (K, s*b) array;
@@ -690,7 +694,6 @@ def _lower_block_matches(A: CsrMatrix, ids, b: int) -> np.ndarray:
     The pattern is the CSR one, so stored zeros match.  Exact integer
     arithmetic throughout.
     """
-    ids = np.asarray(ids)
     n = A.num_cols
     counts = A.row_nnz[ids]
     cols = A.col_indices[_ranges(A.row_offsets[ids].ravel(), counts.ravel())]

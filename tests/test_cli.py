@@ -330,6 +330,23 @@ class TestBench:
         assert phase_sum <= by_phase["total"][0] * 1.05
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "algo,layout,gram",
+        [("casgd", "row", True), ("casgd", "col", True), ("sgd", "col", False), ("sgd", "row", False)],
+    )
+    def test_gram_phase_only_with_a_gram(self, data_file, tmp_path, capsys, algo, layout, gram):
+        # The Gram is formed once per block of rounds, in either layout, and
+        # its time lands in ``gram``; SGD forms none.
+        out = tmp_path / "bench.csv"
+        code = main(["bench", "--data", data_file, "--algo", algo, "--s-step", "4" if gram else "1",
+                     "--layout", layout, "--procs", "2", "--batch", "2", "--epochs", "2",
+                     "--repeats", "1", "--trace", str(out)])
+        assert code == 0
+        _, rows = _read_rows(out)
+        seconds = {r[0]: float(r[1]) for r in rows}
+        assert (seconds["gram"] > 0) == gram
+        capsys.readouterr()
+
     @pytest.mark.parametrize("repeats", ["0", "-2"])
     def test_repeats_below_one_exit_1(self, data_file, tmp_path, capsys, repeats):
         out = tmp_path / "bench.csv"

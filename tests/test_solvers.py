@@ -22,6 +22,7 @@ from casgd import (
     serialize_libsvm,
 )
 from casgd.datagen import synthetic_dataset
+from casgd.sampling import BatchStream
 from casgd.solvers import _apply_row_gradient, _sig_batch, epoch_schedule, iterations_per_epoch
 from casgd.sparse import _SUPPORT_MIN_RATIO, add_rows_transpose, column_support
 
@@ -341,12 +342,13 @@ class TestRoundBlocks:
             blocks = []
 
             def spy(data, row_ids, *args, **kwargs):
-                if np.ndim(row_ids) == 2:
-                    blocks.append(len(row_ids))
+                # Every Gram call takes a block of rounds.
+                assert np.ndim(row_ids) == 2
+                blocks.append(len(row_ids))
                 return real(data, row_ids, *args, **kwargs)
 
             monkeypatch.setattr(casgd.solvers, "gram_lower_blocks", spy)
-            run = run_casgd(d, cfg, _col_cluster(d, cfg.p), **kwargs)
+            run = run_casgd(d, cfg, partition(d, cfg.layout, cfg.p), **kwargs)
             if base is None:
                 base = run
             else:
@@ -370,6 +372,36 @@ class TestRoundBlocks:
         assert sizes == [[1] * 11 * p, [3] * 3 * p + [2] * p, [11] * p]
         assert len(run.epoch_solutions) == 5
 
+    @pytest.mark.parametrize("s", [2, 8])
+    @pytest.mark.parametrize(
+        "layout,p,b,m,n",
+        [
+            (BLOCK_COLUMN, 1, 1, 800, 3000),
+            (BLOCK_COLUMN, 1, 3, 800, 3000),
+            (BLOCK_COLUMN, 3, 1, 800, 3000),
+            (BLOCK_COLUMN, 3, 3, 800, 3000),
+            (BLOCK_ROW, 2, 2, 150, 40),
+            (BLOCK_ROW, 2, 4, 150, 40),
+            (BLOCK_ROW, 2, 2, 800, 3000),
+            (BLOCK_ROW, 2, 4, 800, 3000),
+        ],
+    )
+    def test_blocks_without_dense_cache_and_in_row_layout(self, monkeypatch, layout, p, b, m, n, s):
+        # The same for column rounds without a dense cache (the Gram sorts
+        # every round's entries at once) and for row rounds, whose one
+        # replicated Gram is formed per block.  Column trace points fall
+        # inside rounds; row layouts materialize x at round ends.
+        d = ragged_libsvm_dataset(m, n, seed=m + p + b + s)
+        assert (d.a_tilde.dense_cache() is None) == (n == 3000)
+        cfg = SolverConfig(eta0=1.0, b=b, s=s, total_iterations=11 * s, layout=layout, p=p, seed=7)
+        row = layout == BLOCK_ROW
+        schedule = [(1, s), (2, 4 * s), (3, 7 * s), (4, 11 * s)] if row else [(1, 1), (2, 3 * s + 1), (3, 7 * s - 1), (4, 11 * s)]
+        run, sizes = self._run_by_block_size(monkeypatch, d, cfg, schedule=schedule)
+        owners = 1 if row else p
+        default = max(1, casgd.solvers._BLOCK_BYTES // (8 * s * b * (n + p * s * b)))
+        assert sizes == [[min(K, 11 - start) for start in range(0, 11, K) for _ in range(owners)] for K in (1, 3, default)]
+        assert len(run.epoch_solutions) == 5
+
     def test_forced_batches_in_blocks(self, monkeypatch):
         d = ragged_libsvm_dataset(150, 40, seed=5)
         rng = np.random.default_rng(5)
@@ -378,6 +410,59 @@ class TestRoundBlocks:
         cfg = SolverConfig(eta0=1.0, b=3, s=8, total_iterations=40, p=3)
         _, sizes = self._run_by_block_size(monkeypatch, d, cfg, batches=batches)
         assert sizes == [[1] * 15, [3, 3, 3, 2, 2, 2], [5] * 3]
+
+
+def _replayed_flops(d, cfg, cluster, schedule):
+    """Cumulative flops at each trace point, counted iteration by iteration
+    over the replayed batch stream: each round's scores (its rows'
+    nonzeros) and strictly-lower cross-batch index matches, merged pair by
+    pair; then per iteration its rows' nonzeros, n (column) and i*b*b for
+    the i-th iteration of the round, and n per round (row)."""
+    row = cfg.layout == BLOCK_ROW
+    ranges = cluster.layout.boundaries if row else None
+    stream = BatchStream(cfg.seed, d.num_points, cfg.b, mode="per_rank" if row else "global", rank_ranges=ranges)
+    A, n, s, b = d.a_tilde, d.num_features, cfg.s, cfg.b
+    points = dict((it, e) for e, it in schedule)
+    flops, at = 0, {0: 0}
+    for t in range(0, cfg.total_iterations, s):
+        batches = [stream.next_indices() for _ in range(s)]
+        ids = [i for batch in batches for i in batch]
+        flops += sum(len(A.row(i)[0]) for i in ids)
+        for j in range(len(ids)):
+            for q in range(j - j % b):
+                flops += len(np.intersect1d(A.row(ids[j])[0], A.row(ids[q])[0], assume_unique=True))
+        for i, batch in enumerate(batches):
+            flops += sum(len(A.row(r)[0]) for r in batch) + (0 if row else n) + i * b * b
+            if t + i + 1 in points:
+                at[points[t + i + 1]] = flops
+        if row:
+            flops += n
+            at[points.get(t + s, -1)] = flops
+    return [at[e] for e in range(len(schedule) + 1)], flops
+
+
+@pytest.mark.parametrize("s", [2, 4])
+@pytest.mark.parametrize("layout", [BLOCK_COLUMN, BLOCK_ROW])
+@pytest.mark.parametrize("m,n", [(150, 40), (800, 3000)])
+def test_counters_match_replay_on_ragged_rows(layout, m, n, s):
+    # Rows of 0 to 12 nonzeros, stored zeros and an empty row: the closed
+    # forms are not exact here, so the flops are counted by brute force.
+    # Column trace points fall inside rounds (split updates); the row
+    # layout's sit at round ends.  Without a dense cache, s = 2 rounds come
+    # in blocks of K = 2 and s = 4 rounds one at a time.
+    d = ragged_libsvm_dataset(m, n, seed=3)
+    assert (d.a_tilde.dense_cache() is None) == (n == 3000)
+    b, p = 2, 2
+    cfg = SolverConfig(eta0=1.0, b=b, s=s, total_iterations=9 * s, layout=layout, p=p, seed=11)
+    row = layout == BLOCK_ROW
+    schedule = [(1, s), (2, 5 * s), (3, 9 * s)] if row else [(1, 1), (2, 3 * s + 1), (3, 6 * s - 1), (4, 9 * s)]
+    cluster = partition(d, layout, p)
+    run = run_casgd(d, cfg, cluster, schedule=schedule)
+    want, final = _replayed_flops(d, cfg, partition(d, layout, p), schedule)
+    assert [t.flops for t in run.trace] == want
+    assert run.counters.flops == final and run.counters.sig_evals == 9 * s * b
+    assert all(type(v) is int for v in run.counters.as_dict().values())
+    assert all(type(t.flops) is int for t in run.trace)
 
 
 class TestRowGradientReduction:

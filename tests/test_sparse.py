@@ -360,30 +360,43 @@ class TestRoundKernels:
     @pytest.mark.parametrize("s", [2, 8])
     @pytest.mark.parametrize("b", [1, 3])
     def test_block_of_rounds_matches_round_by_round(self, s, b):
-        # K rounds at once under a dense cache give each round's blocks
-        # bitwise and its match count from the CSR pattern: stored zeros
-        # match, empty rows do not, and rows repeat within and across
-        # batches and rounds.  A column window of the block's rows gives a
+        # K rounds at once give each round's blocks bitwise and its match
+        # count from the CSR pattern, under a dense cache (one stacked
+        # product) and without one (one sort over every round's entries):
+        # stored zeros match, empty rows do not, and rows repeat within and
+        # across batches and rounds.  A column window of the block gives a
         # column rank's blocks and counts.
-        d = ragged_libsvm_dataset(90, 30, seed=10 * s + b)
-        assert d.a_tilde.dense_cache() is not None
         sb = s * b
-        block = np.random.default_rng(s + b).choice(90, size=(5, sb))
-        block[0, : 2 * b] = 1  # stored zeros only, in two batches
-        block[1, 0] = 0  # an empty row
-        block[2, b] = block[2, b - 1]  # one row in two batches
-        block[3] = block[2]
-        window = _column_slices(d, [0, 2, 19, 30])[1]
-        rows = gather_rows(d, block, s)
-        assert rows.shape == (5, sb, 30)
-        for data, got in ((d, gram_lower_blocks(d, block, b)), (window, gram_lower_blocks(window, block, b, rows=rows[..., 2:19]))):
-            out, matches = got
-            assert out.shape == (5, sb, sb)
-            assert matches == [_brute_lower_matches(data, ids, b) for ids in block]
-            for k, ids in enumerate(block):
-                one, count = gram_lower_blocks(data, ids, b)
-                assert out[k].tobytes() == one.tobytes() and count == matches[k]
-            assert sum(matches) > 0
+        for m, n in ((90, 30), (800, 3000)):
+            d = ragged_libsvm_dataset(m, n, seed=10 * s + b)
+            assert (d.a_tilde.dense_cache() is None) == (n == 3000)
+            block = np.random.default_rng(s + b).choice(m, size=(5, sb))
+            block[0, : 2 * b] = 1  # stored zeros only, in two batches
+            block[1, 0] = 0  # an empty row
+            block[2, b] = block[2, b - 1]  # one row in two batches
+            block[3] = block[2]
+            if b > 1:
+                block[4, 1] = block[4, 0]  # one row twice in a batch
+            window = _column_slices(d, [0, 2, n * 19 // 30, n])[1]
+            for data in (d, window):
+                # The block's rows, indexed by round, are each round's rows.
+                rows = gather_rows(data, block, s)
+                for k, ids in enumerate(block):
+                    one = gather_rows(data, ids, s)
+                    assert type(rows[k]) is type(one)
+                    if scipy.sparse.issparse(one):
+                        rows_k, one = rows[k].toarray(), one.toarray()
+                    else:
+                        rows_k, one = np.asarray(rows[k]), np.asarray(one)
+                    assert rows_k.tobytes() == one.tobytes()
+                out, matches = gram_lower_blocks(data, block, b, rows=rows)
+                assert out.shape == (5, sb, sb)
+                assert matches.dtype == np.int64 and matches.shape == (5,)
+                assert matches.tolist() == [_brute_lower_matches(data, ids, b) for ids in block]
+                for k, ids in enumerate(block):
+                    one, count = gram_lower_blocks(data, ids, b)
+                    assert out[k].tobytes() == one.tobytes() and count == matches[k]
+                assert matches.sum() > 0
 
     def test_dense_gram_mask_built_once(self):
         rng = np.random.default_rng(13)
@@ -406,10 +419,9 @@ class TestRoundKernels:
             assert form is None or isinstance(rows, form)
             want = sampled_matvec(d, RowBlockSelector(ids), x)
             out = np.empty(size)
-            got, madds = batch_scores(d, ids, x, rows=rows, out=out)
+            got = batch_scores(d, ids, x, rows=rows, out=out)
             assert got is out
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
-            assert madds == sum(len(d.a_tilde.row(i)[0]) for i in ids)
 
     @pytest.mark.parametrize("s", [2, 8])
     @pytest.mark.parametrize("b", [1, 3])
@@ -442,10 +454,9 @@ class TestRoundKernels:
         rows = None if batches is None else gather_rows(d, ids, batches)
         assert rows is None or (scipy.sparse.issparse(rows) if batches > 1 else rows == ids.tolist())
         x = rng.standard_normal(3000)
-        got, madds = batch_scores(d, ids, x, rows=rows)
+        got = batch_scores(d, ids, x, rows=rows)
         want = [np.dot(d.a_tilde.row(i)[1], x[d.a_tilde.row(i)[0]]) for i in ids]
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
-        assert madds == 5 * 40
         w = rng.standard_normal(40)
         want = x.copy()
         for k, i in enumerate(ids):
