@@ -73,7 +73,7 @@ GRID = [
     ("synthetic2000x100", BLOCK_ROW, 2, 4, (0, 1, 2, 8, 64), 1),
     ("wide700x3000", BLOCK_ROW, 4, 4, (0, 1, 2, 8, 64), 2),
     ("ragged800x3000", BLOCK_COLUMN, 1, 3, (0, 2, 8, 64), 2),
-    # Tiny sparse rounds, sorted K = 5 (s = 2) and K = 2 (s = 4) at a time.
+    # Tiny sparse rounds: each run's rounds are sorted in one block.
     ("ragged800x3000", BLOCK_COLUMN, 1, 1, (0, 2, 4), 2),
     ("ragged800x3000", BLOCK_ROW, 4, 4, (0, 8, 64), 2),
 ] + [("ragged600x200", BLOCK_COLUMN, p, b, (0, 2, 8, 64), 2) for p in (1, 3) for b in (1, 3)]

@@ -16,15 +16,18 @@ groups s iterations per round.  Each round:
      falls inside the round.
 
 Only the scores, the recurrence and the update depend on x.  So steps 1
-and 2 run their x-independent part once per block of K rounds, K set so
-that a block's gathered rows and Gram blocks fit in ``_BLOCK_BYTES``, in
-either layout and with or without a dense cache: the draws come from one
-read of the stream, every rank gathers its rows of the block at once, the
-rows' nonzeros are summed into per-round prefix sums that every flop charge
-reads, and each Gram owner (a column rank, or the row layout's one
-replicated Gram) forms every round's Gram blocks and index-match counts in
-one kernel call.  Each round still forms its own scores, collective,
-recurrence and update.
+and 2 run their x-independent part once per block of K rounds, in either
+layout and with or without a dense cache: the draws come from one read of
+the stream, every rank gathers its rows of the block at once, the rows'
+nonzeros are summed into per-round prefix sums (one ``cumsum``) that every
+flop charge reads, and each Gram owner (a column rank, or the row layout's
+one replicated Gram) forms every round's Gram blocks and index-match counts
+in one kernel call.  K is set by what a block holds (``_rounds_per_block``):
+its draws, dense rows only under a dense cache, and Gram buffers only when
+there is a Gram, so SGD rounds and rounds without a dense cache also come
+many to a block.  Each round still forms its own scores, collective,
+recurrence and update; one-batch rounds over a dense cache score and update
+with each dense row (a dot, and an axpy over all of x).
 
 The payload is set by the entry point that ran:
 
@@ -57,7 +60,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from time import perf_counter as _pc
 from typing import Sequence
 
@@ -96,10 +98,13 @@ __all__ = [
 _SCALAR_SIG_MAX = 8
 
 # A block of rounds is drawn, gathered, counted and (at s > 1) given its
-# Gram blocks at once.  It holds as many rounds as keep its gathered rows
-# plus p ranks' Gram blocks within this many bytes (at least one round).
-# Over 112 columns and one rank that is 143 rounds at s * b = 2, 34 at 8, 2
-# at 64 and 1 from 128 on; over 3000 columns, 5 at s * b = 2 and 2 at 4.
+# Gram blocks at once.  It holds as many rounds as keep what it stores within
+# this many bytes (at least one round): per round its s*b draws at 64 bytes
+# each (an int64 id, and the id and its row as Python objects in the block's
+# lists), their dense rows under a dense cache, and one s*b square Gram
+# buffer per Gram owner.  Over 112 columns with a dense cache and one rank
+# that is 273 rounds at s * b = 1, 134 at 2, 32 at 8, 2 at 64 and 1 from 128
+# on.  Without a dense cache it is 256 SGD rounds at b = 16.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -298,7 +303,10 @@ def _check_cluster(cfg: SolverConfig, cluster: VirtualCluster, dataset: LabeledD
 
 
 class _Recorder:
-    """Walks an (epoch, iteration) schedule, snapshotting state as points pass."""
+    """Walks an (epoch, iteration) schedule, snapshotting state as points pass.
+
+    ``next_iteration`` is the next point's iteration (inf once all passed).
+    """
 
     def __init__(self, dataset, counters, schedule):
         self.dataset = dataset
@@ -307,7 +315,7 @@ class _Recorder:
         self.solutions: list[np.ndarray] = []
         self._sched = list(schedule)
         self._pos = 0
-        self.next_iteration = self._sched[0][1] if self._sched else None
+        self.next_iteration = self._sched[0][1] if self._sched else math.inf
 
     def record(self, epoch: int, x_full: np.ndarray) -> None:
         c = self.counters
@@ -325,10 +333,10 @@ class _Recorder:
         self.solutions.append(np.array(x_full, dtype=np.float64))
 
     def visit(self, iteration: int, x_full: np.ndarray) -> None:
-        while self.next_iteration is not None and self.next_iteration <= iteration:
+        while self.next_iteration <= iteration:
             self.record(self._sched[self._pos][0], x_full)
             self._pos += 1
-            self.next_iteration = self._sched[self._pos][1] if self._pos < len(self._sched) else None
+            self.next_iteration = self._sched[self._pos][1] if self._pos < len(self._sched) else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -388,6 +396,12 @@ def _apply_row_gradient(cluster: VirtualCluster, grads: np.ndarray, support, eta
     x[cols] += g * eta_scale
     for buf in grads:
         buf[cols] = 0.0
+
+
+def _rounds_per_block(sb: int, n: int, dense: bool, grams: int) -> int:
+    """K, the rounds in a block: rounds of ``sb`` rows over ``n`` columns,
+    with (``dense``) or without a dense cache, and ``grams`` Gram owners."""
+    return max(1, _BLOCK_BYTES // (8 * sb * (8 + (n if dense else 0) + grams * sb)))
 
 
 class _Rank:
@@ -462,7 +476,7 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
         owners = ranks if gram else []
     # A block holds K rounds, and every Gram owner one Gram buffer per round
     # (its round buffer itself when K = 1).
-    K = max(1, _BLOCK_BYTES // (8 * sb * (n + p * sb)))
+    K = _rounds_per_block(sb, n, A.dense_cache() is not None, len(owners))
     for rk in owners:
         rk.grams = rk.gram[None] if K == 1 else np.zeros((K, sb, sb))
     w = np.empty(sb)
@@ -476,6 +490,8 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
         (lo, rs[lo : lo + b], (G[lo, :lo] if b == 1 else G[lo : lo + b, :lo]) if lo else None, w[:lo], slice(lo, lo + b))
         for lo in range(0, sb, b)
     ]
+    # Flops of a whole round's update past its rows' nonzeros (see step 5).
+    update_flops = (n if row else n * s) + b * b * s * (s - 1) // 2
     t0 = _pc()
 
     for t in range(0, iterations, s):
@@ -490,23 +506,27 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
             block = np.array(source.peek_indices(count * s), dtype=np.int64).reshape(count, sb)
             source.advance(count * s)
             for rk in ranks:
-                rk.block_ids = block[:, rk.spot]
-                rk.block_rows = gather_rows(rk.data, rk.block_ids, s)
-            nnz = [[0, *accumulate(counts)] for counts in A.row_nnz[block].tolist()]
-            charges = [sums[-1] for sums in nnz]
+                ids = block[:, rk.spot]
+                rk.block_rows = gather_rows(rk.data, ids, s)
+                rk.block_ids = ids.tolist()
+            sums = np.zeros((count, sb + 1), dtype=np.int64)
+            np.cumsum(A.row_nnz[block], axis=1, out=sums[:, 1:])
+            charges = sums[:, -1]
             if timer:
                 t0 = timer.lap("sampling", t0)
             for rk in owners:
-                charges = (gram_lower_blocks(rk.data, block, b, out=rk.grams[:count], rows=rk.block_rows)[1] + charges).tolist()
+                charges = charges + gram_lower_blocks(rk.data, block, b, out=rk.grams[:count], rows=rk.block_rows)[1]
             if timer and gram:
                 t0 = timer.lap("gram", t0)
+            charges = charges.tolist()
+            nnz = sums.tolist()
         nnz_k = nnz[k]
 
         # 2. each rank forms its payload
         payloads = []
         for rk in ranks:
             rk.ids, rk.rows = rk.block_ids[k], rk.block_rows[k]
-            batch_scores(rk.data, rk.ids, rk.x, rows=rk.rows, out=rk.scores)
+            batch_scores(rk.data, rk.ids, rk.x, rk.rows, rk.scores)
             if casgd and row:
                 # Own rows' values of the first s-1 batches (the Gram's
                 # column side), then own scores for all s batches.
@@ -534,16 +554,24 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
             t0 = timer.lap("collectives", t0)
 
         # 4. the scalar recurrence z_j = r_j + G[j, :j] w
-        for lo, r_j, g_j, w_head, own in recurrence:
-            if b == 1:
-                zj = r_j.item(0)
+        if b == 1:
+            # One score per iteration, read as Python floats; sig as
+            # ``_sig_scalar`` evaluates it.
+            scores = rs.tolist()
+            for lo, _, g_j, w_head, _ in recurrence:
+                zj = scores[lo]
                 if lo:
                     zj += g_j.dot(w_head)
-                vj = _sig_scalar(zj)
+                if zj >= 0.0:
+                    e = math.exp(-zj)
+                    vj = e / (1.0 + e)
+                else:
+                    vj = 1.0 / (1.0 + math.exp(zj))
                 w[lo] = vj * eta_scale
                 if row:
                     v[lo] = vj
-            else:
+        else:
+            for lo, r_j, g_j, w_head, own in recurrence:
                 zj = r_j + g_j @ w_head if lo else r_j
                 if row:
                     # Each row rank evaluates its own b/p scores.
@@ -567,29 +595,39 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
             if timer:
                 t0 = timer.lap("gradient", t0)
             # Every rank's rows share one form.
-            support = column_support(dataset, block[k], ranks[0].rows)
+            support = column_support(dataset, block[k], ranks[0].rows, nnz=nnz_k[-1])
             _apply_row_gradient(cluster, grads, support, eta_scale, x)
             if timer:
                 t0 = timer.lap("collectives", t0)
-        done = 0
-        while done < s:
-            stop = s if row or next_it is None or next_it >= t + s else max(next_it - t, done + 1)
-            lo, hi = done * b, stop * b
-            if stop - done < s:
+        if row or next_it >= t + s:
+            if not row:
                 for rk in ranks:
-                    add_rows_transpose(rk.data, block[k, lo:hi], w[lo:hi], rk.x)
-            elif not row:
-                for rk in ranks:
-                    add_rows_transpose(rk.data, rk.ids, w, rk.x, rows=rk.rows)
-            c.flops += nnz_k[hi] - nnz_k[lo] + (n if row else n * (stop - done)) + b * b * (stop * (stop - 1) - done * (done - 1)) // 2
-            c.sig_evals += hi - lo
-            done = stop
+                    add_rows_transpose(rk.data, rk.ids, w, rk.x, rk.rows)
+            c.flops += nnz_k[-1] + update_flops
+            c.sig_evals += sb
             if timer:
                 t0 = timer.lap("update", t0)
-            if next_it is not None and next_it <= t + done:
-                rec.visit(t + done, x)
+            if next_it <= t + s:
+                rec.visit(t + s, x)
                 next_it = rec.next_iteration
                 t0 = _pc()
+        else:
+            # Spans of whole iterations, split where trace points fall.
+            done = 0
+            while done < s:
+                stop = s if next_it >= t + s else max(next_it - t, done + 1)
+                lo, hi = done * b, stop * b
+                for rk in ranks:
+                    add_rows_transpose(rk.data, block[k, lo:hi], w[lo:hi], rk.x)
+                c.flops += nnz_k[hi] - nnz_k[lo] + n * (stop - done) + b * b * (stop * (stop - 1) - done * (done - 1)) // 2
+                c.sig_evals += hi - lo
+                done = stop
+                if timer:
+                    t0 = timer.lap("update", t0)
+                if next_it <= t + done:
+                    rec.visit(t + done, x)
+                    next_it = rec.next_iteration
+                    t0 = _pc()
 
     return SolverRun(x.copy(), rec.trace, c.snapshot(), rec.solutions)
 
@@ -619,6 +657,6 @@ def run_reference(
         z = sampled_matvec(dataset, sel, x)
         v = sig(z)
         x = x + sampled_matvec_transpose(dataset, sel, eta_scale * v)
-        if rec.next_iteration is not None and rec.next_iteration <= t:
+        if rec.next_iteration <= t:
             rec.visit(t, x)
     return SolverRun(x.copy(), rec.trace, counters, rec.solutions)

@@ -12,11 +12,11 @@ Two kinds of kernels work on sampled rows:
   * round kernels (``batch_scores``, ``gram_lower_blocks``,
     ``add_rows_transpose``) compute a solver round's scores, Gram blocks
     and update from one form of the round's rows, which ``gather_rows``
-    picks: a list of row ids (row by row), dense rows or CSR rows.
-    ``gather_rows`` and ``gram_lower_blocks`` also take a block of K rounds
-    at once.  The Gram takes one BLAS product of dense rows when the matrix
-    keeps a dense cache, and otherwise pairs the block's entries after one
-    sort by (round, column).  A column-partitioned rank runs the kernels on
+    picks: a list of each row's (columns, values) (row by row), dense rows
+    or CSR rows.  ``gather_rows`` and ``gram_lower_blocks`` also take a
+    block of K rounds at once.  The Gram takes BLAS products of dense row
+    panels when the matrix keeps a dense cache, and otherwise pairs the
+    block's entries after one sort by (round, column).  A column-partitioned rank runs the kernels on
     its ``CsrMatrix.column_window``.
 
 Pairwise row inner products match entries of the two rows' sorted column
@@ -68,6 +68,16 @@ _SUPPORT_MIN_RATIO = 24
 # Matrices up to this many cells keep a dense row cache so round kernels can
 # run BLAS products on gathered rows; beyond it only the sparse paths apply.
 _DENSE_CACHE_MAX_CELLS = 2_000_000
+
+# The dense Gram multiplies row panels of this many rows by the rows up to
+# each panel's end, so at large s*b it forms a little over the lower half of
+# the product.  At s*b = 512 over 112 columns the four panels took 0.72 ms
+# and the square product 1.38 ms (OpenBLAS, one thread); 64-row panels were
+# no faster, 256-row ones 0.84 ms.
+_GRAM_PANEL_ROWS = 128
+
+# The columns of a dense row in ``gather_rows``' row-by-row form: all n.
+_ALL = slice(None)
 
 
 class LibsvmParseError(ValueError):
@@ -496,9 +506,12 @@ def gather_rows(dataset: LabeledDataset, row_ids, batches: int):
     ``row_ids`` are the rows a kernel is handed (a rank's part of the round)
     and ``batches`` how many batches they span.  The form is:
 
-      * a list of the row ids, which the kernels take row by row, for one
-        batch (s = 1 then mirrors plain SGD operation for operation) and,
-        without a dense cache, for fewer than ``_VECTORIZE_MIN_ROWS`` rows;
+      * a list of each row's (columns, values) pair, which the kernels take
+        row by row, for one batch (s = 1 then mirrors plain SGD operation
+        for operation) and, without a dense cache, for fewer than
+        ``_VECTORIZE_MIN_ROWS`` rows.  Under a dense cache a row's columns
+        are all n (``slice(None)``) and its values the dense row, so its
+        score is a dense dot and its update a dense-row axpy;
       * dense rows (an ndarray) when the matrix, or the column window, keeps
         a dense cache;
       * CSR rows (a scipy matrix) otherwise.
@@ -506,18 +519,26 @@ def gather_rows(dataset: LabeledDataset, row_ids, batches: int):
     Dense and CSR rows support ``@ x`` and ``.T @ w``; dense rows ``@ rows.T``.
     ``row_ids`` may also be a (K, s*b) array of K rounds; indexing the
     result by round gives each round's form.  Dense rows are gathered in
-    one call, as a (K, s*b, n) array; other forms round by round.
+    one call, as a (K, s*b, n) array, row lists in one pass split by round,
+    and CSR rows round by round.
     """
-    if batches > 1:
-        A = dataset.a_tilde
-        dense = A.dense_cache()
-        if dense is not None:
-            return dense[row_ids]
-        if np.ndim(row_ids) > 1:
-            return [gather_rows(dataset, ids, batches) for ids in row_ids]
-        if len(row_ids) >= _VECTORIZE_MIN_ROWS:
-            return A.scipy_csr[row_ids]
-    return row_ids if isinstance(row_ids, list) else row_ids.tolist()
+    A = dataset.a_tilde
+    dense = A.dense_cache()
+    if dense is not None and batches > 1:
+        return dense[row_ids]
+    ids = np.asarray(row_ids, dtype=np.int64)
+    if batches > 1 and ids.shape[-1] >= _VECTORIZE_MIN_ROWS:
+        csr = A.scipy_csr
+        return csr[ids] if ids.ndim == 1 else [csr[round_ids] for round_ids in ids]
+    if dense is not None:
+        rows = [(_ALL, row) for row in dense[ids.ravel()]]
+    else:
+        slices = A.row_slices
+        rows = [slices[i] for i in ids.ravel().tolist()]
+    if ids.ndim == 1:
+        return rows
+    step = ids.shape[-1]
+    return [rows[i : i + step] for i in range(0, len(rows), step)]
 
 
 def batch_scores(dataset: LabeledDataset, row_ids, x: np.ndarray, rows=None, out=None) -> np.ndarray:
@@ -529,13 +550,13 @@ def batch_scores(dataset: LabeledDataset, row_ids, x: np.ndarray, rows=None, out
     """
     if out is None:
         out = np.empty(len(row_ids))
-    if isinstance(rows, list) or rows is None:
-        A = dataset.a_tilde
-        slices, dense = A.row_slices, A.dense_cache()
-        for k, i in enumerate(row_ids if rows is None else rows):
-            cols, vals = slices[i]
-            # ndarray.dot is np.dot without its dispatch overhead.
-            out[k] = vals.dot(x[cols]) if dense is None else dense[i].dot(x)
+    if rows is None:
+        rows = gather_rows(dataset, row_ids, 1)
+    if isinstance(rows, list):
+        for k, (cols, vals) in enumerate(rows):
+            # ndarray.dot is np.dot without its dispatch overhead; a dense
+            # row takes x itself, not the view x[:].
+            out[k] = vals.dot(x if cols is _ALL else x[cols])
         return out
     out[:] = rows @ x
     return out
@@ -556,8 +577,13 @@ def gram_lower_blocks(
     i < j is filled with inner products between batch j rows and batch i
     rows.  Diagonal and upper blocks are left untouched (zero when ``out``
     is freshly allocated; ``out`` must be C-contiguous).  ``rows`` is
-    ``gather_rows``' form of ``row_ids``; only dense rows are used (None:
-    gathered here when the matrix keeps a dense cache).
+    ``gather_rows``' form of ``row_ids``; only dense rows are used (other
+    forms: gathered here when the matrix keeps a dense cache).  Dense rows
+    are multiplied in row panels of ``_GRAM_PANEL_ROWS``, each against the
+    rows up to its end, so the products above the panels' diagonal squares
+    are never formed.  Up to one panel that is one square product; above
+    it, an entry may differ in its last bit from a square product's, where
+    the BLAS rounds a square (syrk) and a panel (gemm) call differently.
 
     Returns the blocks and each round's index matches (sparse multiply-adds),
     counted exactly from the rows' column indices: an int64 array of the
@@ -575,9 +601,15 @@ def gram_lower_blocks(
     A = dataset.a_tilde
     dense = A.dense_cache()
     if dense is not None:
-        if rows is None:
+        if not isinstance(rows, np.ndarray):
             rows = dense[row_ids]
-        np.copyto(out, np.matmul(rows, rows.swapaxes(-1, -2)), where=_block_tril_mask(sb, b))
+        # Row panels [lo, hi) against rows [0, hi): no product above the
+        # panels' diagonal squares is formed.
+        mask = _block_tril_mask(sb, b)
+        for lo in range(0, sb, _GRAM_PANEL_ROWS):
+            hi = min(lo + _GRAM_PANEL_ROWS, sb)
+            panel = np.matmul(rows[..., lo:hi, :], rows[..., :hi, :].swapaxes(-1, -2))
+            np.copyto(out[..., lo:hi, :hi], panel, where=mask[lo:hi, :hi])
         return out, _lower_block_matches(A, row_ids, b)
     # Every pair of entries of one round that share a column, the later one
     # in a later batch, adds its product to G[later, earlier].  Pairs come
@@ -596,15 +628,23 @@ def add_rows_transpose(dataset: LabeledDataset, row_ids, w: np.ndarray, x: np.nd
     """``x += A[row_ids]^T w`` in place, for full-length ``x``.
 
     ``rows`` is ``gather_rows``' form of ``row_ids`` (None: row by row).
-    Dense rows take one BLAS product.  Otherwise only the rows' own
-    columns are touched, row after row (CSR rows in one unbuffered
-    scatter-add), which gives the same bits as updating row by row.
+    Dense rows take one BLAS product.  CSR rows take one unbuffered
+    scatter-add, which gives the bits of adding them row by row.  A
+    row-by-row list adds each row in turn: a sparse row to its own columns,
+    a dense row to all n.  Off its columns a dense row adds +0.0 or -0.0
+    products, which change no entry of an ``x`` free of -0.0, so it gives
+    the sparse row's bits.  The solvers' x and gradient buffers start at
+    +0.0 and never hold -0.0 (a sum is -0.0 only if both terms are).
     """
-    if isinstance(rows, list) or rows is None:
-        slices = dataset.a_tilde.row_slices
-        for k, i in enumerate(row_ids if rows is None else rows):
-            cols, vals = slices[i]
-            x[cols] += w[k] * vals
+    if rows is None:
+        rows = gather_rows(dataset, row_ids, 1)
+    if isinstance(rows, list):
+        for k, (cols, vals) in enumerate(rows):
+            # A dense row adds in place, without x[:]'s view and write-back.
+            if cols is _ALL:
+                x += w[k] * vals
+            else:
+                x[cols] += w[k] * vals
     elif isinstance(rows, np.ndarray):
         x += rows.T @ w
     else:
@@ -631,16 +671,20 @@ def _row_columns(A: CsrMatrix, ids: np.ndarray) -> np.ndarray:
     return A.col_indices[_ranges(A.row_offsets[ids], A.row_nnz[ids])]
 
 
-def column_support(dataset: LabeledDataset, row_ids, rows=None) -> np.ndarray | None:
+def column_support(dataset: LabeledDataset, row_ids, rows=None, nnz: int | None = None) -> np.ndarray | None:
     """Sorted distinct columns of the rows ``row_ids``, or None when they are dense.
 
-    ``rows`` is ``gather_rows``' form of the rows (None: row by row).  None
-    is returned for dense rows, whose products write every column, and
-    when the rows hold more than n / ``_SUPPORT_MIN_RATIO`` nonzeros, where
-    a pass over all n columns is cheaper than one over the support.
+    ``rows`` is ``gather_rows``' form of the rows (None: row by row), and
+    ``nnz`` their stored entries (None: summed here).  None is returned for
+    rows gathered as one dense matrix, whose product writes every column,
+    and when the rows hold more than n / ``_SUPPORT_MIN_RATIO`` nonzeros,
+    where a pass over all n columns is cheaper than one over the support.
+    (Dense rows added one by one write +0.0 off their columns.)
     """
     A = dataset.a_tilde
-    if isinstance(rows, np.ndarray) or int(A.row_nnz[row_ids].sum()) * _SUPPORT_MIN_RATIO > A.num_cols:
+    if nnz is None:
+        nnz = int(A.row_nnz[row_ids].sum())
+    if isinstance(rows, np.ndarray) or nnz * _SUPPORT_MIN_RATIO > A.num_cols:
         return None
     cols = np.sort(_row_columns(A, row_ids))
     return cols[_run_starts(cols)]

@@ -329,17 +329,17 @@ class TestRoundBlocks:
     """Rounds taken K at a time run exactly as rounds taken one at a time."""
 
     @staticmethod
-    def _run_by_block_size(monkeypatch, d, cfg, **kwargs):
+    def _run_by_block_size(monkeypatch, d, cfg, solver=run_casgd, **kwargs):
         """The run at K = 1, after checking that K = 3 and the default K give
-        the same bits, traces and counters; and the block sizes each K saw."""
-        sb = cfg.s * cfg.b
-        one_round = 8 * sb * (d.num_features + cfg.p * sb)
-        default = casgd.solvers._BLOCK_BYTES
+        the same bits, traces and counters; and, for each K, the block sizes
+        of its Gram calls and how many stream reads it made."""
+        default = casgd.solvers._rounds_per_block
         real = casgd.solvers.gram_lower_blocks
-        base, sizes = None, []
+        peek = BatchStream.peek_indices
+        base, sizes, reads = None, [], []
         for K in (1, 3, None):
-            monkeypatch.setattr(casgd.solvers, "_BLOCK_BYTES", default if K is None else K * one_round)
-            blocks = []
+            monkeypatch.setattr(casgd.solvers, "_rounds_per_block", default if K is None else lambda *args, K=K: K)
+            blocks, calls = [], []
 
             def spy(data, row_ids, *args, **kwargs):
                 # Every Gram call takes a block of rounds.
@@ -347,15 +347,21 @@ class TestRoundBlocks:
                 blocks.append(len(row_ids))
                 return real(data, row_ids, *args, **kwargs)
 
+            def counted(stream, count):
+                calls.append(count)
+                return peek(stream, count)
+
             monkeypatch.setattr(casgd.solvers, "gram_lower_blocks", spy)
-            run = run_casgd(d, cfg, partition(d, cfg.layout, cfg.p), **kwargs)
+            monkeypatch.setattr(BatchStream, "peek_indices", counted)
+            run = solver(d, cfg, partition(d, cfg.layout, cfg.p), **kwargs)
             if base is None:
                 base = run
             else:
                 _assert_same_bits(base, run)
                 assert run.trace == base.trace and run.counters == base.counters
             sizes.append(blocks)
-        return base, sizes
+            reads.append(len(calls))
+        return base, sizes, reads
 
     @pytest.mark.parametrize("s", [2, 8])
     @pytest.mark.parametrize("b", [1, 3])
@@ -367,9 +373,10 @@ class TestRoundBlocks:
         assert d.a_tilde.dense_cache() is not None
         cfg = SolverConfig(eta0=1.0, b=b, s=s, total_iterations=11 * s, p=p, seed=7)
         schedule = [(1, 1), (2, 3 * s + 1), (3, 7 * s - 1), (4, 11 * s)]
-        run, sizes = self._run_by_block_size(monkeypatch, d, cfg, schedule=schedule)
+        run, sizes, reads = self._run_by_block_size(monkeypatch, d, cfg, schedule=schedule)
         # Every rank forms its Gram blocks once per block.
         assert sizes == [[1] * 11 * p, [3] * 3 * p + [2] * p, [11] * p]
+        assert reads == [11, 4, 1]
         assert len(run.epoch_solutions) == 5
 
     @pytest.mark.parametrize("s", [2, 8])
@@ -396,9 +403,9 @@ class TestRoundBlocks:
         cfg = SolverConfig(eta0=1.0, b=b, s=s, total_iterations=11 * s, layout=layout, p=p, seed=7)
         row = layout == BLOCK_ROW
         schedule = [(1, s), (2, 4 * s), (3, 7 * s), (4, 11 * s)] if row else [(1, 1), (2, 3 * s + 1), (3, 7 * s - 1), (4, 11 * s)]
-        run, sizes = self._run_by_block_size(monkeypatch, d, cfg, schedule=schedule)
+        run, sizes, _ = self._run_by_block_size(monkeypatch, d, cfg, schedule=schedule)
         owners = 1 if row else p
-        default = max(1, casgd.solvers._BLOCK_BYTES // (8 * s * b * (n + p * s * b)))
+        default = casgd.solvers._rounds_per_block(s * b, n, n == 40, owners)
         assert sizes == [[min(K, 11 - start) for start in range(0, 11, K) for _ in range(owners)] for K in (1, 3, default)]
         assert len(run.epoch_solutions) == 5
 
@@ -408,8 +415,22 @@ class TestRoundBlocks:
         batches = [RowBlockSelector(rng.choice(150, size=3, replace=False)) for _ in range(40)]
         batches[1] = batches[0]
         cfg = SolverConfig(eta0=1.0, b=3, s=8, total_iterations=40, p=3)
-        _, sizes = self._run_by_block_size(monkeypatch, d, cfg, batches=batches)
+        _, sizes, _ = self._run_by_block_size(monkeypatch, d, cfg, batches=batches)
         assert sizes == [[1] * 15, [3, 3, 3, 2, 2, 2], [5] * 3]
+
+    @pytest.mark.parametrize("layout,p,b", [(BLOCK_COLUMN, 1, 1), (BLOCK_COLUMN, 3, 2), (BLOCK_ROW, 2, 4)])
+    def test_sgd_rounds_in_blocks_without_dense_cache(self, monkeypatch, layout, p, b):
+        # Without a dense cache and a Gram a block stores only its draws, so
+        # SGD rounds come many to a block: 40 rounds in one stream read.
+        d = ragged_libsvm_dataset(800, 3000, seed=p + b)
+        assert d.a_tilde.dense_cache() is None
+        assert casgd.solvers._rounds_per_block(b, 3000, False, 0) > 40
+        cfg = SolverConfig(eta0=1.0, b=b, total_iterations=40, layout=layout, p=p, seed=7)
+        schedule = [(1, 5), (2, 17), (3, 40)]
+        run, sizes, reads = self._run_by_block_size(monkeypatch, d, cfg, solver=run_sgd, schedule=schedule)
+        assert sizes == [[], [], []]
+        assert reads == [40, 14, 1]
+        assert len(run.epoch_solutions) == 4
 
 
 def _replayed_flops(d, cfg, cluster, schedule):
@@ -444,25 +465,27 @@ def _replayed_flops(d, cfg, cluster, schedule):
 @pytest.mark.parametrize("s", [2, 4])
 @pytest.mark.parametrize("layout", [BLOCK_COLUMN, BLOCK_ROW])
 @pytest.mark.parametrize("m,n", [(150, 40), (800, 3000)])
-def test_counters_match_replay_on_ragged_rows(layout, m, n, s):
+def test_counters_match_replay_on_ragged_rows(monkeypatch, layout, m, n, s):
     # Rows of 0 to 12 nonzeros, stored zeros and an empty row: the closed
     # forms are not exact here, so the flops are counted by brute force.
     # Column trace points fall inside rounds (split updates); the row
-    # layout's sit at round ends.  Without a dense cache, s = 2 rounds come
-    # in blocks of K = 2 and s = 4 rounds one at a time.
+    # layout's sit at round ends.  The default block takes all 9 rounds at
+    # once, K = 2 takes them two at a time (the last block holds one).
     d = ragged_libsvm_dataset(m, n, seed=3)
     assert (d.a_tilde.dense_cache() is None) == (n == 3000)
     b, p = 2, 2
     cfg = SolverConfig(eta0=1.0, b=b, s=s, total_iterations=9 * s, layout=layout, p=p, seed=11)
     row = layout == BLOCK_ROW
     schedule = [(1, s), (2, 5 * s), (3, 9 * s)] if row else [(1, 1), (2, 3 * s + 1), (3, 6 * s - 1), (4, 9 * s)]
-    cluster = partition(d, layout, p)
-    run = run_casgd(d, cfg, cluster, schedule=schedule)
     want, final = _replayed_flops(d, cfg, partition(d, layout, p), schedule)
-    assert [t.flops for t in run.trace] == want
-    assert run.counters.flops == final and run.counters.sig_evals == 9 * s * b
-    assert all(type(v) is int for v in run.counters.as_dict().values())
-    assert all(type(t.flops) is int for t in run.trace)
+    for K in (None, 2):
+        if K is not None:
+            monkeypatch.setattr(casgd.solvers, "_rounds_per_block", lambda *args: K)
+        run = run_casgd(d, cfg, partition(d, layout, p), schedule=schedule)
+        assert [t.flops for t in run.trace] == want
+        assert run.counters.flops == final and run.counters.sig_evals == 9 * s * b
+        assert all(type(v) is int for v in run.counters.as_dict().values())
+        assert all(type(t.flops) is int for t in run.trace)
 
 
 class TestRowGradientReduction:

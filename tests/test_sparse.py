@@ -20,6 +20,22 @@ from casgd.sparse import _lower_block_matches, add_rows_transpose, batch_scores,
 from conftest import assert_datasets_equal, dataset_from_scaled, ragged_libsvm_dataset, random_dataset
 
 
+def _form_bytes(rows):
+    """``gather_rows``' form of some rows as comparable bytes: a list's
+    (columns, values) pairs row by row, or the gathered matrix."""
+    if isinstance(rows, list):
+        return [(repr(cols) if isinstance(cols, slice) else cols.tobytes(), vals.tobytes()) for cols, vals in rows]
+    return (rows.toarray() if scipy.sparse.issparse(rows) else rows).tobytes()
+
+
+def _row_pairs(d, ids):
+    """Each row's (columns, values) as ``gather_rows`` lists them: the dense
+    row over all n columns under a dense cache, else the stored entries."""
+    A = d.a_tilde
+    dense = A.dense_cache()
+    return [(slice(None), dense[i]) if dense is not None else A.row(i) for i in ids]
+
+
 def _column_slices(d, cuts):
     """Per-window datasets, built the way ``VirtualCluster.column_slices`` builds them."""
     return [LabeledDataset.build(d.a_tilde.column_window(c0, c1), d.labels) for c0, c1 in zip(cuts[:-1], cuts[1:])]
@@ -384,11 +400,7 @@ class TestRoundKernels:
                 for k, ids in enumerate(block):
                     one = gather_rows(data, ids, s)
                     assert type(rows[k]) is type(one)
-                    if scipy.sparse.issparse(one):
-                        rows_k, one = rows[k].toarray(), one.toarray()
-                    else:
-                        rows_k, one = np.asarray(rows[k]), np.asarray(one)
-                    assert rows_k.tobytes() == one.tobytes()
+                    assert _form_bytes(rows[k]) == _form_bytes(one)
                 out, matches = gram_lower_blocks(data, block, b, rows=rows)
                 assert out.shape == (5, sb, sb)
                 assert matches.dtype == np.int64 and matches.shape == (5,)
@@ -452,7 +464,7 @@ class TestRoundKernels:
         ids = rng.choice(700, size=40, replace=False)
         ids[1] = ids[0]  # a row drawn twice adds twice
         rows = None if batches is None else gather_rows(d, ids, batches)
-        assert rows is None or (scipy.sparse.issparse(rows) if batches > 1 else rows == ids.tolist())
+        assert rows is None or (scipy.sparse.issparse(rows) if batches > 1 else _form_bytes(rows) == _form_bytes(_row_pairs(d, ids)))
         x = rng.standard_normal(3000)
         got = batch_scores(d, ids, x, rows=rows)
         want = [np.dot(d.a_tilde.row(i)[1], x[d.a_tilde.row(i)[0]]) for i in ids]
@@ -476,6 +488,67 @@ class TestRoundKernels:
         want = x + sampled_matvec_transpose(d, RowBlockSelector(ids), w)
         add_rows_transpose(d, ids, w, x, rows=rows)
         np.testing.assert_allclose(x, want, rtol=1e-13, atol=1e-13)
+
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_dense_row_update_matches_scatter(self, b):
+        # One-batch rounds under a dense cache add each dense row to all of
+        # x; the scatter adds each row's stored entries to its own columns.
+        # Rows: empty, stored zeros only, ragged, and one drawn twice.  At
+        # eta0 = 0 every weight is 0.0, so each product is +0.0 or (for a
+        # negative value) -0.0, on and off the rows' columns.
+        d = ragged_libsvm_dataset(150, 40, seed=b)
+        assert d.a_tilde.dense_cache() is not None
+        rng = np.random.default_rng(b)
+        ids = rng.choice(150, size=b, replace=False)
+        window = _column_slices(d, [0, 13, 27, 40])[1]
+        for data in (d, window):
+            A = data.a_tilde
+            for first in ([0], [1], [int(ids[0])]):
+                batch = np.array(first + ids[1:].tolist() if b > 1 else first)
+                if b > 1:
+                    batch[-1] = batch[0]  # a repeated id
+                rows = gather_rows(data, batch, 1)
+                assert all(cols == slice(None) and len(vals) == A.num_cols for cols, vals in rows)
+                for eta0 in (0.0, 1.0):
+                    w = eta0 / 150 * rng.random(b)
+                    x = rng.standard_normal(A.num_cols)
+                    x[::3] = 0.0  # +0.0 entries, on and off the rows' columns
+                    want = x.copy()
+                    for k, i in enumerate(batch):
+                        cols, vals = A.row(i)
+                        want[cols] += w[k] * vals
+                    add_rows_transpose(data, batch, w, x, rows=rows)
+                    assert x.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [100, 112])
+    @pytest.mark.parametrize("sb,b", [(512, 1), (300, 3)])
+    def test_panel_gram_matches_full_product(self, sb, b, n):
+        # Above one panel the dense Gram multiplies row panels by the rows
+        # up to their end.  Its strictly-lower blocks are the full product's,
+        # and the diagonal and upper blocks keep their sentinels.
+        assert sb > casgd.sparse._GRAM_PANEL_ROWS
+        d = synthetic_dataset(1500, n, 12, seed=n + b)
+        dense = d.a_tilde.dense_cache()
+        assert dense is not None
+        ids = np.random.default_rng(sb).choice(1500, size=sb)
+        ids[b] = ids[0]  # a row in two batches
+        blocks = np.arange(sb) // b
+        lower = blocks[:, None] > blocks[None, :]
+        sentinel = -7.25
+        out = np.full((sb, sb), sentinel)
+        got, _ = gram_lower_blocks(d, ids, b, out=out)
+        assert got is out
+        assert (out[~lower] == sentinel).all()
+        rows = dense[ids]
+        full = rows @ rows.T
+        if sb % 8:
+            # The full product is one syrk call.  At 300 rows OpenBLAS's
+            # Haswell kernels round some entries of its last rows differently
+            # from the panels' gemm calls (89 of 44550 at n = 100, by 1 ulp);
+            # at 512 rows they agree bit for bit.
+            np.testing.assert_allclose(out[lower], full[lower], rtol=0, atol=4 * np.spacing(np.abs(full).max()))
+        else:
+            assert out[lower].tobytes() == full[lower].tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -527,7 +600,7 @@ def test_gather_rows_form(cached_and_uncached, name, size, batches, form):
     rows = gather_rows(d, ids, batches)
     assert type(rows) is form
     if form is list:
-        assert rows == ids.tolist() and gather_rows(d, rows, batches) is rows
+        assert _form_bytes(rows) == _form_bytes(_row_pairs(d, ids))
     else:
         got = rows.toarray() if scipy.sparse.issparse(rows) else rows
         np.testing.assert_array_equal(got, d.a_tilde.to_dense()[ids])
