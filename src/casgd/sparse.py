@@ -12,12 +12,12 @@ Two kinds of kernels work on sampled rows:
   * round kernels (``batch_scores``, ``gram_lower_blocks``,
     ``add_rows_transpose``) compute a solver round's scores, Gram blocks
     and update from one form of the round's rows, which ``gather_rows``
-    picks: a list of each row's (columns, values) (row by row), dense rows
-    or CSR rows.  ``gather_rows`` and ``gram_lower_blocks`` also take a
-    block of K rounds at once.  The Gram takes BLAS products of dense row
-    panels when the matrix keeps a dense cache, and otherwise pairs the
-    block's entries after one sort by (round, column).  A column-partitioned rank runs the kernels on
-    its ``CsrMatrix.column_window``.
+    picks: a list of (columns, values) rows (row by row), dense rows or
+    CSR rows.  ``gather_rows`` and ``gram_lower_blocks`` also take a block
+    of K rounds at once.  The Gram takes BLAS products of dense row panels
+    when the matrix keeps a dense cache, and otherwise pairs the block's
+    entries after one sort by (round, column).  A column-partitioned rank
+    runs the kernels on its ``CsrMatrix.column_window``.
 
 Pairwise row inner products match entries of the two rows' sorted column
 indices and sum the products in ascending column order, which keeps
@@ -577,8 +577,8 @@ def gram_lower_blocks(
     i < j is filled with inner products between batch j rows and batch i
     rows.  Diagonal and upper blocks are left untouched (zero when ``out``
     is freshly allocated; ``out`` must be C-contiguous).  ``rows`` is
-    ``gather_rows``' form of ``row_ids``; only dense rows are used (other
-    forms: gathered here when the matrix keeps a dense cache).  Dense rows
+    ``gather_rows``' form of ``row_ids``; only dense rows are used (None:
+    gathered here when the matrix keeps a dense cache).  Dense rows
     are multiplied in row panels of ``_GRAM_PANEL_ROWS``, each against the
     rows up to its end, so the products above the panels' diagonal squares
     are never formed.  Up to one panel that is one square product; above
@@ -601,7 +601,7 @@ def gram_lower_blocks(
     A = dataset.a_tilde
     dense = A.dense_cache()
     if dense is not None:
-        if not isinstance(rows, np.ndarray):
+        if rows is None:
             rows = dense[row_ids]
         # Row panels [lo, hi) against rows [0, hi): no product above the
         # panels' diagonal squares is formed.
@@ -679,7 +679,8 @@ def column_support(dataset: LabeledDataset, row_ids, rows=None, nnz: int | None 
     rows gathered as one dense matrix, whose product writes every column,
     and when the rows hold more than n / ``_SUPPORT_MIN_RATIO`` nonzeros,
     where a pass over all n columns is cheaper than one over the support.
-    (Dense rows added one by one write +0.0 off their columns.)
+    Dense rows listed one by one add only +0.0 off their columns (their
+    weights are sig values, never negative), so their support still holds.
     """
     A = dataset.a_tilde
     if nnz is None:
