@@ -76,6 +76,11 @@ GRID = [
     # Tiny sparse rounds: each run's rounds are sorted in one block.
     ("ragged800x3000", BLOCK_COLUMN, 1, 1, (0, 2, 4), 2),
     ("ragged800x3000", BLOCK_ROW, 4, 4, (0, 8, 64), 2),
+] + [
+    # The row benchmark's shape: four rows per rank of every batch, row by
+    # row up to s = 4, CSR rows at s = 16, ranks interleaved from s = 2 on.
+    (name, BLOCK_ROW, 4, 16, (0, 1, 4, 16), 2)
+    for name in ("wide700x3000", "ragged800x3000")
 ] + [("ragged600x200", BLOCK_COLUMN, p, b, (0, 2, 8, 64), 2) for p in (1, 3) for b in (1, 3)]
 
 

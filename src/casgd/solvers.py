@@ -6,28 +6,37 @@ loop.  Plain SGD is its s = 1 case without a Gram; the s-step variant
 groups s iterations per round.  Each round:
 
   1. draws s batches;
-  2. each rank forms its payload;
+  2. each rank forms its payload.  Column ranks score the round's rows
+     over their own columns, one kernel call each.  In the row layout one
+     kernel call scores every rank's rows, in the form a rank's rows take
+     (under a dense cache at s > 1, one BLAS product per rank);
   3. one collective combines the payloads;
   4. the scalar recurrence gives every batch's weights; with r_j the
      scores of batch j against the round's starting point, G[j, i] the
      inner products between batch j and batch i rows, and
      w_i = (eta0/m) * v_i:  v_j = sig(r_j + sum_{i<j} G[j, i] w_i);
   5. the update x += a_tilde^T I_j^T w_j, split where a trace point
-     falls inside the round.
+     falls inside the round.  Column ranks update their own part of x.
+     In the row layout one scatter adds every rank's gradient into its own
+     buffer, which the ranks keep only for the simulated reduction.
 
-Only the scores, the recurrence and the update depend on x.  So steps 1
-and 2 run their x-independent part once per block of K rounds, in either
+Only the scores, the recurrence and the update depend on x.  So steps 1, 2
+and 5 run their x-independent part once per block of K rounds, in either
 layout and with or without a dense cache: the draws come from one read of
-the stream, every rank gathers its rows of the block at once, the rows'
-nonzeros are summed into per-round prefix sums (one ``cumsum``) that every
-flop charge reads, and each Gram owner (a column rank, or the row layout's
-one replicated Gram) forms every round's Gram blocks and index-match counts
-in one kernel call.  K is set by what a block holds (``_rounds_per_block``):
-its draws, dense rows only under a dense cache, and Gram buffers only when
-there is a Gram, so SGD rounds and rounds without a dense cache also come
-many to a block.  Each round still forms its own scores, collective,
-recurrence and update; one-batch rounds over a dense cache score and update
-with each dense row (a dot, and an axpy over all of x).
+the stream, the block's rows are gathered at once (by every column rank, or
+once for all row ranks), the rows' nonzeros are summed into per-round
+prefix sums (one ``cumsum``) that every flop charge reads, and each Gram
+owner (a column rank, or the row layout's one replicated Gram) forms every
+round's Gram blocks and index-match counts in one kernel call.  The row
+layout also keys its rows' entries for the gradient scatter and sorts
+every round's columns for the reduction (``rank_entries`` and
+``column_support``).  K is set by what a block holds
+(``_rounds_per_block``): its draws, dense rows only under a dense cache,
+Gram buffers only when there is a Gram, and keyed entries only in the row
+layout, so SGD rounds and rounds without a dense cache also come many to a
+block.  Each round still forms its own scores, collective, recurrence and
+update; one-batch column rounds over a dense cache score and update with
+each dense row (a dot, and an axpy over all of x).
 
 The payload is set by the entry point that ran:
 
@@ -42,8 +51,9 @@ The payload is set by the entry point that ran:
 
 Column ranks work on their own column slices of the matrix and update
 their part of x with no further communication; row ranks accumulate
-gradients over their own rows, and a round whose rows touch few columns
-reduces and updates only those (the allreduce still counts n words).
+gradients over their own rows, each in its own buffer, and a round whose
+rows touch few columns reduces and updates only those (the allreduce still
+counts n words).
 Collectives go through ``VirtualCluster.combine``, which at p = 1 only
 counts them.  The recurrence reproduces plain SGD's iterates in exact
 arithmetic; in floating point the trajectories agree to ~1e-10 relative
@@ -75,6 +85,7 @@ from .sparse import (
     column_support,
     gather_rows,
     gram_lower_blocks,
+    rank_entries,
     sampled_matvec,
     sampled_matvec_transpose,
 )
@@ -101,10 +112,12 @@ _SCALAR_SIG_MAX = 8
 # Gram blocks at once.  It holds as many rounds as keep what it stores within
 # this many bytes (at least one round): per round its s*b draws at 64 bytes
 # each (an int64 id, and the id and its row as Python objects in the block's
-# lists), their dense rows under a dense cache, and one s*b square Gram
-# buffer per Gram owner.  Over 112 columns with a dense cache and one rank
-# that is 273 rounds at s * b = 1, 134 at 2, 32 at 8, 2 at 64 and 1 from 128
-# on.  Without a dense cache it is 256 SGD rounds at b = 16.
+# lists), their dense rows under a dense cache, one s*b square Gram buffer
+# per Gram owner, and in the row layout 16 bytes per stored entry of its
+# rows (a key and a value, at the mean row's entries).  Over 112 columns with
+# a dense cache and one column rank that is 273 rounds at s * b = 1, 134 at
+# 2, 32 at 8, 2 at 64 and 1 from 128 on.  Row-layout SGD at b = 16 over
+# rows of 20 entries and no dense cache takes 42 rounds.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -250,15 +263,12 @@ def _sig_scalar(t) -> float:
 def _sig_batch(z: np.ndarray, width: int | None = None) -> np.ndarray:
     """sig of every entry, as ranks holding ``width`` entries each (default: all) evaluate it.
 
-    Widths up to ``_SCALAR_SIG_MAX`` take scalar exp entry by entry, wider
-    ones one vector call per rank.
+    Widths up to ``_SCALAR_SIG_MAX`` take scalar exp entry by entry, over
+    the entries as Python floats, wider ones one vector call per rank.
     """
     width = z.shape[0] if width is None else width
     if width <= _SCALAR_SIG_MAX:
-        out = np.empty_like(z)
-        for k in range(z.shape[0]):
-            out[k] = _sig_scalar(z[k])
-        return out
+        return np.array([_sig_scalar(t) for t in z.tolist()], dtype=np.float64)
     return np.concatenate([sig(z[k : k + width]) for k in range(0, z.shape[0], width)])
 
 
@@ -384,43 +394,50 @@ def run_casgd(
 def _apply_row_gradient(cluster: VirtualCluster, grads: np.ndarray, support, eta_scale: float, x: np.ndarray) -> None:
     """``x += eta_scale * (sum of the row ranks' gradients)``; leaves ``grads`` zero.
 
-    ``grads`` holds one length-n buffer per rank.  With a ``support`` (the
-    sorted distinct columns of the round's rows, outside which every buffer
-    is zero) only those entries are reduced and updated; with None, all n
-    are.  Both give the same bits: off the support the update adds +0.0,
-    which changes no entry of x (x starts at +0.0, and a sum is -0.0 only
-    if both terms are).  The collective counts n words either way.
+    ``grads`` is a (p, n) array, one buffer per rank.  With a ``support``
+    (the sorted distinct columns of the round's rows, outside which every
+    buffer is zero) only those entries are reduced and updated, gathered
+    and zeroed in all buffers by one flat index each; with None, all n are.
+    Both give the same bits: off the support the update adds +0.0, which
+    changes no entry of x (x starts at +0.0, and a sum is -0.0 only if both
+    terms are).  The collective counts n words either way.
     """
-    cols = slice(None) if support is None else support
-    g = cluster.combine([buf[cols] for buf in grads], words=len(x))
+    n = len(x)
+    flat = grads.reshape(-1)
+    if support is None:
+        cols = at = slice(None)
+        parts = grads
+    else:
+        cols, at = support, support + np.arange(0, flat.size, n)[:, None]
+        parts = flat[at]
+    g = cluster.combine(list(parts), words=n)
     x[cols] += g * eta_scale
-    for buf in grads:
-        buf[cols] = 0.0
+    flat[at] = 0.0
 
 
-def _rounds_per_block(sb: int, n: int, dense: bool, grams: int) -> int:
+def _rounds_per_block(sb: int, n: int, dense: bool, grams: int, entries: float) -> int:
     """K, the rounds in a block: rounds of ``sb`` rows over ``n`` columns,
-    with (``dense``) or without a dense cache, and ``grams`` Gram owners."""
-    return max(1, _BLOCK_BYTES // (8 * sb * (8 + (n if dense else 0) + grams * sb)))
+    with (``dense``) or without a dense cache, ``grams`` Gram owners, and
+    ``entries`` stored entries kept per row (the row layout's keyed entries)."""
+    return max(1, int(_BLOCK_BYTES // (8 * sb * (8 + (n if dense else 0) + grams * sb + 2 * entries))))
 
 
 class _Rank:
-    """One rank's data, its part of x, and what it holds during a block and a round."""
+    """One column rank's data, its part of x, and what it holds during a block
+    and a round; or the row layout's one Gram owner."""
 
-    __slots__ = ("data", "x", "spot", "scores", "gram", "grams", "block_ids", "block_rows", "ids", "rows")
+    __slots__ = ("data", "x", "scores", "gram", "grams", "block_ids", "block_rows", "ids", "rows")
 
-    def __init__(self, data, x, spot, scores, gram):
+    def __init__(self, data, x, scores, gram):
         self.data = data
         self.x = x
-        # Where the rank's rows sit in the round's s*b rows.
-        self.spot = spot
         self.scores = scores
         self.gram = gram
         # A block's Gram blocks, one per round (Gram owners).
         self.grams = None
         # The block's row ids and their form from ``gather_rows``, and the
-        # round's, which index them.  A Gram owner that is no rank keeps no
-        # rows, and the Gram kernel gathers what it needs.
+        # round's, which index them.  The row layout's Gram owner takes the
+        # rows gathered for all row ranks.
         self.block_ids = self.block_rows = self.ids = self.rows = None
 
 
@@ -456,33 +473,38 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
     rs = total[:sb]
     G = total[sb:].reshape(sb, sb) if casgd else None
     if row:
-        # Row ranks hold b/p rows of every batch, contiguous within it.
+        # Row ranks hold b/p rows of every batch, contiguous within it: rank
+        # r's rows sit at spots[r] of the round's s*b rows, and ``ranked``
+        # lists the round's positions rank after rank.  The round's kernels
+        # run once over all its rows; ranks keep their own buffers only for
+        # the simulated reduction.
         bp = b // p
         spots = [
             slice(r * bp, (r + 1) * bp) if s == 1 else (np.arange(0, sb, b)[:, None] + np.arange(r * bp, (r + 1) * bp)).ravel()
             for r in range(p)
         ]
-        # At s = 1 a rank's scores are its slice of the round's scores.
-        ranks = [_Rank(dataset, x, spot, rs[spot] if s == 1 else np.empty(s * bp), None) for spot in spots]
+        ranked = slice(None) if s == 1 else np.concatenate(spots)
+        ranks = []
         # The replicated Gram is formed (and counted) once.
-        owners = [_Rank(dataset, x, None, None, G)] if gram else []
+        owners = [_Rank(dataset, x, None, G)] if gram else []
     else:
         # Column ranks hold all of a round's rows, over their own columns,
         # and each forms its part of the Gram.
         ranks = [
-            _Rank(D, x[start:stop], slice(None), buf[:sb], buf[sb:].reshape(sb, sb) if casgd else None)
+            _Rank(D, x[start:stop], buf[:sb], buf[sb:].reshape(sb, sb) if casgd else None)
             for D, (start, stop), buf in zip(cluster.column_slices, cluster.layout.boundaries, bufs)
         ]
         owners = ranks if gram else []
     # A block holds K rounds, and every Gram owner one Gram buffer per round
     # (its round buffer itself when K = 1).
-    K = _rounds_per_block(sb, n, A.dense_cache() is not None, len(owners))
+    K = _rounds_per_block(sb, n, A.dense_cache() is not None, len(owners), A.nnz / m if row else 0)
     for rk in owners:
         rk.grams = rk.gram[None] if K == 1 else np.zeros((K, sb, sb))
     w = np.empty(sb)
     v = np.empty(sb) if row else None
     # Row ranks' gradient buffers, zero between rounds.
     grads = np.zeros((p, n)) if row else None
+    flat_grads = grads.reshape(-1) if row else None
     # Per iteration: batch offset, its scores, its Gram rows left of the
     # diagonal block, the weights they multiply, and its own weights;
     # views, built once, stay valid as the buffers are rewritten in place.
@@ -506,9 +528,24 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
             block = np.array(source.peek_indices(count * s), dtype=np.int64).reshape(count, sb)
             source.advance(count * s)
             for rk in ranks:
-                ids = block[:, rk.spot]
-                rk.block_rows = gather_rows(rk.data, ids, s)
-                rk.block_ids = ids.tolist()
+                rk.block_rows = gather_rows(rk.data, block, s)
+                rk.block_ids = block.tolist()
+            if row:
+                # Every rank's rows at once, in the form a rank's rows take;
+                # each round's entries keyed for one scatter into the ranks'
+                # buffers, rank after rank, with each rank's first s-1
+                # batches (its payload head) at the start of its stretch.
+                block_rows = gather_rows(dataset, block, s, s * bp)
+                dense_rows = isinstance(block_rows, np.ndarray)
+                keys, vals, counts = rank_entries(dataset, block[:, ranked], s * bp)
+                starts = np.zeros(counts.size + 1, dtype=np.int64)
+                np.cumsum(counts, out=starts[1:])
+                bounds = starts[::sb].tolist()
+                stretch = starts[:-1].reshape(count, p, s * bp)
+                heads = np.stack((stretch[..., 0], stretch[..., (s - 1) * bp]), axis=-1).tolist()
+                supports = column_support(dataset, block, block_rows)
+                for rk in owners:
+                    rk.block_rows = block_rows
             sums = np.zeros((count, sb + 1), dtype=np.int64)
             np.cumsum(A.row_nnz[block], axis=1, out=sums[:, 1:])
             charges = sums[:, -1]
@@ -523,15 +560,22 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
         nnz_k = nnz[k]
 
         # 2. each rank forms its payload
-        payloads = []
         for rk in ranks:
             rk.ids, rk.rows = rk.block_ids[k], rk.block_rows[k]
             batch_scores(rk.data, rk.ids, rk.x, rk.rows, rk.scores)
-            if casgd and row:
-                # Own rows' values of the first s-1 batches (the Gram's
-                # column side), then own scores for all s batches.
-                head = [A.row_slices[i][1] for i in rk.ids[: (s - 1) * bp]]
-                payloads.append(np.concatenate(head + [rk.scores]))
+        if row:
+            ids, rows = block[k], block_rows[k]
+            if dense_rows:
+                # One BLAS product per rank: its bits may depend on the rows
+                # it is handed.
+                for spot in spots:
+                    rs[spot] = batch_scores(dataset, ids[spot], x, rows[spot])
+            else:
+                batch_scores(dataset, ids, x, rows, rs)
+            if casgd:
+                # Each rank's rows' values of the first s-1 batches (the
+                # Gram's column side), then its scores for all s batches.
+                payloads = [np.concatenate((vals[lo:hi], rs[spot])) for (lo, hi), spot in zip(heads[k], spots)]
         if K > 1:
             for rk in owners:
                 rk.gram[...] = rk.grams[k]
@@ -544,11 +588,8 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
             if summed is not total:
                 total[:] = summed
         elif casgd:
-            gathered = cluster.combine(payloads, gather=True)
-            end = 0
-            for rk, payload in zip(ranks, payloads):
-                end += len(payload)
-                rs[rk.spot] = gathered[end - s * bp : end]
+            # Every rank receives what ``rs`` already holds.
+            cluster.combine(payloads, gather=True)
         c.flops += charges[k]
         if timer:
             t0 = timer.lap("collectives", t0)
@@ -582,21 +623,24 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
         if timer:
             t0 = timer.lap("sig", t0)
 
-        # 5. the update.  Row ranks sum their gradients into x once per
-        # round.  Column ranks update their own x, in one span unless a trace
+        # 5. the update.  Row ranks' gradients go into their buffers in one
+        # scatter (dense rows: one BLAS product per rank), and the buffers
+        # are summed into x once per round.  Column ranks update their own x, in one span unless a trace
         # point falls inside the round, where the update is split.  Counters
         # advance in closed form per applied span: its rows' nonzeros, n per
         # iteration (column) or round (row), and i*b*b recurrence flops for
         # iteration i.  So they read at every trace point what
         # iteration-by-iteration accounting would give.
         if row:
-            for rk, g in zip(ranks, grads):
-                add_rows_transpose(rk.data, rk.ids, v[rk.spot], g, rows=rk.rows)
+            if dense_rows:
+                for spot, g in zip(spots, grads):
+                    add_rows_transpose(dataset, ids[spot], v[spot], g, rows=rows[spot])
+            else:
+                lo, hi = bounds[k], bounds[k + 1]
+                np.add.at(flat_grads, keys[lo:hi], vals[lo:hi] * np.repeat(v[ranked], counts[k]))
             if timer:
                 t0 = timer.lap("gradient", t0)
-            # Every rank's rows share one form.
-            support = column_support(dataset, block[k], ranks[0].rows, nnz=nnz_k[-1])
-            _apply_row_gradient(cluster, grads, support, eta_scale, x)
+            _apply_row_gradient(cluster, grads, supports[k], eta_scale, x)
             if timer:
                 t0 = timer.lap("collectives", t0)
         if row or next_it >= t + s:

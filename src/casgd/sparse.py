@@ -14,10 +14,12 @@ Two kinds of kernels work on sampled rows:
     and update from one form of the round's rows, which ``gather_rows``
     picks: a list of (columns, values) rows (row by row), dense rows or
     CSR rows.  ``gather_rows`` and ``gram_lower_blocks`` also take a block
-    of K rounds at once.  The Gram takes BLAS products of dense row panels
-    when the matrix keeps a dense cache, and otherwise pairs the block's
-    entries after one sort by (round, column).  A column-partitioned rank
-    runs the kernels on its ``CsrMatrix.column_window``.
+    of K rounds at once, and ``column_support`` and ``rank_entries``, which
+    serve the row layout's gradient reduction, take only such blocks.  The
+    Gram takes BLAS products of dense row panels when the matrix keeps a
+    dense cache, and otherwise pairs the block's entries after one sort by
+    (round, column).  A column-partitioned rank runs the kernels on its
+    ``CsrMatrix.column_window``.
 
 Pairwise row inner products match entries of the two rows' sorted column
 indices and sum the products in ascending column order, which keeps
@@ -49,12 +51,12 @@ __all__ = [
     "batch_scores",
     "gram_lower_blocks",
     "add_rows_transpose",
+    "rank_entries",
 ]
 
-# Without a dense row cache, ``gather_rows`` leaves fewer rows than this to
-# go row by row (per-row dots and per-row updates), and ``_row_columns``
-# joins their slices; from it on rows are gathered as CSR rows for scipy
-# products, and columns in one vectorized pass, despite their call overhead.
+# Without a dense row cache, ``gather_rows`` leaves ranks of fewer rows than
+# this to go row by row (per-row dots and per-row updates); from it on rows
+# are gathered as CSR rows for scipy products, despite their call overhead.
 _VECTORIZE_MIN_ROWS = 33
 
 # ``column_support`` gives a round's distinct columns when n is at least this
@@ -500,15 +502,19 @@ def gram_block(dataset: LabeledDataset, sel_row: RowBlockSelector, sel_col: RowB
 # Round kernels used by the solvers
 
 
-def gather_rows(dataset: LabeledDataset, row_ids, batches: int):
+def gather_rows(dataset: LabeledDataset, row_ids, batches: int, width: int | None = None):
     """A round's rows in the one form its kernels share.
 
-    ``row_ids`` are the rows a kernel is handed (a rank's part of the round)
-    and ``batches`` how many batches they span.  The form is:
+    ``row_ids`` are the rows a kernel is handed and ``batches`` how many
+    batches they span.  ``width`` is how many of them one rank holds
+    (default: all); the form is the one a rank's rows take, so a kernel run
+    once over the rows of several ranks gives the bits of one call per rank
+    (not so for dense rows, whose BLAS products may round by the rows they
+    are handed).  The form is:
 
       * a list of each row's (columns, values) pair, which the kernels take
         row by row, for one batch (s = 1 then mirrors plain SGD operation
-        for operation) and, without a dense cache, for fewer than
+        for operation) and, without a dense cache, for ranks of fewer than
         ``_VECTORIZE_MIN_ROWS`` rows.  Under a dense cache a row's columns
         are all n (``slice(None)``) and its values the dense row, so its
         score is a dense dot and its update a dense-row axpy;
@@ -527,7 +533,7 @@ def gather_rows(dataset: LabeledDataset, row_ids, batches: int):
     if dense is not None and batches > 1:
         return dense[row_ids]
     ids = np.asarray(row_ids, dtype=np.int64)
-    if batches > 1 and ids.shape[-1] >= _VECTORIZE_MIN_ROWS:
+    if batches > 1 and (ids.shape[-1] if width is None else width) >= _VECTORIZE_MIN_ROWS:
         csr = A.scipy_csr
         return csr[ids] if ids.ndim == 1 else [csr[round_ids] for round_ids in ids]
     if dense is not None:
@@ -657,38 +663,55 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
 
 
-def _row_columns(A: CsrMatrix, ids: np.ndarray) -> np.ndarray:
-    """The column indices of rows ``ids``, row after row.
+def column_support(dataset: LabeledDataset, row_ids, rows=None) -> list[np.ndarray | None]:
+    """Each round's sorted distinct columns, or None for a round whose rows are dense.
 
-    Fewer than ``_VECTORIZE_MIN_ROWS`` rows are joined from their slices,
-    more are taken in one vectorized gather.
-    """
-    if not len(ids):
-        return np.empty(0, dtype=np.int64)
-    if len(ids) < _VECTORIZE_MIN_ROWS:
-        slices = A.row_slices
-        return np.concatenate([slices[i][0] for i in ids])
-    return A.col_indices[_ranges(A.row_offsets[ids], A.row_nnz[ids])]
-
-
-def column_support(dataset: LabeledDataset, row_ids, rows=None, nnz: int | None = None) -> np.ndarray | None:
-    """Sorted distinct columns of the rows ``row_ids``, or None when they are dense.
-
-    ``rows`` is ``gather_rows``' form of the rows (None: row by row), and
-    ``nnz`` their stored entries (None: summed here).  None is returned for
-    rows gathered as one dense matrix, whose product writes every column,
-    and when the rows hold more than n / ``_SUPPORT_MIN_RATIO`` nonzeros,
-    where a pass over all n columns is cheaper than one over the support.
-    Dense rows listed one by one add only +0.0 off their columns (their
-    weights are sig values, never negative), so their support still holds.
+    ``row_ids`` holds K rounds, one per row of a (K, s*b) array, and
+    ``rows`` is ``gather_rows``' form of them (None: row by row).  A round's
+    entry is None when its rows were gathered as one dense matrix, whose
+    product writes every column, and when they hold more than
+    n / ``_SUPPORT_MIN_RATIO`` nonzeros, where a pass over all n columns is
+    cheaper than one over the support.  The other rounds' entries come from
+    one sort of (round, column) keys.
     """
     A = dataset.a_tilde
-    if nnz is None:
-        nnz = int(A.row_nnz[row_ids].sum())
-    if isinstance(rows, np.ndarray) or nnz * _SUPPORT_MIN_RATIO > A.num_cols:
-        return None
-    cols = np.sort(_row_columns(A, row_ids))
-    return cols[_run_starts(cols)]
+    ids = np.asarray(row_ids, dtype=np.int64)
+    if isinstance(rows, np.ndarray):
+        return [None] * len(ids)
+    n = A.num_cols
+    counts = A.row_nnz[ids]
+    small = (counts.sum(axis=1) * _SUPPORT_MIN_RATIO <= n).tolist()
+    if not any(small):
+        return [None] * len(ids)
+    kept, counts = ids[small].ravel(), counts[small].ravel()
+    keys = A.col_indices[_ranges(A.row_offsets[kept], counts)]
+    keys += np.repeat(np.arange(len(kept)) // ids.shape[-1] * n, counts)
+    keys.sort()
+    keys = keys[_run_starts(keys)]
+    supports = iter(np.split(keys % n, np.searchsorted(keys, np.arange(1, sum(small)) * n)))
+    return [next(supports) if keep else None for keep in small]
+
+
+def rank_entries(dataset: LabeledDataset, row_ids, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The stored entries of rows held by ranks, keyed for one scatter into the ranks' buffers.
+
+    ``row_ids`` holds K rounds, one per row of a (K, s*b) array, each
+    listing its ranks' rows rank after rank, ``width`` rows per rank.
+    Returns, in the order of ``row_ids.ravel()``, each entry's key
+    ``rank * n + column`` and its value, and each row's entry count (the
+    shape of ``row_ids``).  For a round's entries ``np.add.at(buffers.ravel(),
+    keys, values * np.repeat(w, counts))`` adds each rank's rows, weighted
+    by ``w``, into its row of the (ranks, n) ``buffers``.  The scatter is
+    unbuffered and keeps every rank's row order, so each rank's buffer gets
+    the bits of ``add_rows_transpose`` over its own rows.
+    """
+    A = dataset.a_tilde
+    ids = np.asarray(row_ids, dtype=np.int64)
+    counts = A.row_nnz[ids]
+    flat = counts.ravel()
+    entries = _ranges(A.row_offsets[ids.ravel()], flat)
+    keys = A.col_indices[entries] + np.repeat(np.arange(ids.size) % ids.shape[-1] // width * A.num_cols, flat)
+    return keys, A.values[entries], counts
 
 
 def _run_starts(a: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from casgd import (
 from casgd.datagen import synthetic_dataset
 from casgd.sampling import BatchStream
 from casgd.solvers import _apply_row_gradient, _sig_batch, epoch_schedule, iterations_per_epoch
-from casgd.sparse import _SUPPORT_MIN_RATIO, add_rows_transpose, column_support
+from casgd.sparse import _SUPPORT_MIN_RATIO, add_rows_transpose, column_support, gather_rows, rank_entries
 
 from conftest import ragged_libsvm_dataset
 
@@ -405,7 +405,7 @@ class TestRoundBlocks:
         schedule = [(1, s), (2, 4 * s), (3, 7 * s), (4, 11 * s)] if row else [(1, 1), (2, 3 * s + 1), (3, 7 * s - 1), (4, 11 * s)]
         run, sizes, _ = self._run_by_block_size(monkeypatch, d, cfg, schedule=schedule)
         owners = 1 if row else p
-        default = casgd.solvers._rounds_per_block(s * b, n, n == 40, owners)
+        default = casgd.solvers._rounds_per_block(s * b, n, n == 40, owners, d.nnz / m if row else 0)
         assert sizes == [[min(K, 11 - start) for start in range(0, 11, K) for _ in range(owners)] for K in (1, 3, default)]
         assert len(run.epoch_solutions) == 5
 
@@ -424,7 +424,7 @@ class TestRoundBlocks:
         # SGD rounds come many to a block: 40 rounds in one stream read.
         d = ragged_libsvm_dataset(800, 3000, seed=p + b)
         assert d.a_tilde.dense_cache() is None
-        assert casgd.solvers._rounds_per_block(b, 3000, False, 0) > 40
+        assert casgd.solvers._rounds_per_block(b, 3000, False, 0, d.nnz / 800 if layout == BLOCK_ROW else 0) > 40
         cfg = SolverConfig(eta0=1.0, b=b, total_iterations=40, layout=layout, p=p, seed=7)
         schedule = [(1, 5), (2, 17), (3, 40)]
         run, sizes, reads = self._run_by_block_size(monkeypatch, d, cfg, solver=run_sgd, schedule=schedule)
@@ -488,6 +488,16 @@ def test_counters_match_replay_on_ragged_rows(monkeypatch, layout, m, n, s):
         assert all(type(t.flops) is int for t in run.trace)
 
 
+def _scatter(d, block, width, w, buffers):
+    """Every round's rows of ``block`` into ``buffers`` (one (p, n) array per
+    round), as the row layout adds them: one ``np.add.at`` per round."""
+    keys, vals, counts = rank_entries(d, block, width)
+    starts = np.concatenate(([0], np.cumsum(counts)))[:: block.shape[1]]
+    for k, buf in enumerate(buffers):
+        lo, hi = starts[k], starts[k + 1]
+        np.add.at(buf.reshape(-1), keys[lo:hi], vals[lo:hi] * np.repeat(w[k], counts[k]))
+
+
 class TestRowGradientReduction:
     @pytest.mark.parametrize("p", [1, 3])
     @pytest.mark.parametrize("rows_per_rank", [1, 4, 40])
@@ -512,19 +522,90 @@ class TestRowGradientReduction:
         g = reference.combine(gs)
         want = x0 + g * eta
 
-        support = column_support(d, ids)
+        [support] = column_support(d, ids[None])
         np.testing.assert_array_equal(support, np.unique(np.concatenate([d.a_tilde.row(i)[0] for i in ids])))
         for cols in (support, None):
             cluster = _row_cluster(d, p)
             grads = np.zeros((p, 3000))
-            for rows, w, buf in zip(parts, weights, grads):
-                add_rows_transpose(d, rows, w, buf)
+            _scatter(d, ids[None], rows_per_rank, np.concatenate(weights)[None], [grads])
             x = x0.copy()
             _apply_row_gradient(cluster, grads, cols, eta, x)
             assert x.tobytes() == want.tobytes()
             assert not grads.any()
             assert cluster.counters == reference.counters
             assert cluster.counters.words_moved == 3000
+
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize(
+        "n,width,batches", [(3000, 1, 1), (3000, 4, 1), (3000, 4, 2), (3000, 40, 1), (3000, 40, 2), (40, 1, 1), (40, 40, 1)]
+    )
+    def test_one_scatter_matches_per_rank_updates(self, p, n, width, batches):
+        # One scatter over a block of rounds, each round's rows rank after
+        # rank, gives every rank's buffer the bits of ``add_rows_transpose``
+        # over that rank's rows, in the form the solver gathers them:
+        # (columns, values) lists (dense rows under a dense cache) and, from
+        # 33 rows of two batches on, CSR rows.  Dense ndarray rows take a
+        # BLAS product per rank instead, so they are not compared.  The rows
+        # include the empty row 0, row 1 of stored zeros only, and a row
+        # held by two ranks; buffers start from nonzero values.
+        d = ragged_libsvm_dataset(800, n, seed=width + p)
+        assert (d.a_tilde.dense_cache() is not None) == (n == 40)
+        rng = np.random.default_rng(width * p + batches)
+        K, sb = 3, p * width
+        block = np.stack([rng.choice(800, size=sb, replace=False) for _ in range(K)])
+        block[0, 0], block[1, -1] = 0, 1
+        if p > 1:
+            block[2, width] = block[2, 0]
+        w = rng.standard_normal((K, sb))
+        start = rng.standard_normal((K, p, n))
+        got = start.copy()
+        _scatter(d, block, width, w, got)
+        want = start.copy()
+        forms = set()
+        for k in range(K):
+            for r in range(p):
+                ids = block[k, r * width : (r + 1) * width]
+                rows = gather_rows(d, ids, batches)
+                forms.add(type(rows).__name__)
+                add_rows_transpose(d, ids, w[k, r * width : (r + 1) * width], want[k, r], rows=rows)
+        assert forms == ({"csr_matrix"} if width == 40 and batches == 2 else {"list"})
+        assert got.tobytes() == want.tobytes()
+
+    def test_block_support_matches_each_round(self, monkeypatch):
+        # One call over a block of ragged rounds, some above and some below
+        # n / _SUPPORT_MIN_RATIO nonzeros, gives each round its own sorted
+        # distinct columns, or None for the dense ones; with the ratio
+        # lifted, every round its columns.
+        d = ragged_libsvm_dataset(800, 3000, seed=4)
+        A = d.a_tilde
+        rng = np.random.default_rng(4)
+        by_size = np.argsort(A.row_nnz, kind="stable")
+        sb = 16
+        block = np.stack(
+            [
+                by_size[:sb],  # the fewest entries, empty rows included
+                by_size[-sb:],  # the most
+                rng.choice(800, size=sb, replace=False),
+                by_size[sb : 2 * sb],
+                by_size[-2 * sb : -sb],
+                rng.choice(800, size=sb, replace=False),
+            ]
+        )
+        limit = 3000 / casgd.sparse._SUPPORT_MIN_RATIO
+        dense = [A.row_nnz[ids].sum() > limit for ids in block]
+        assert any(dense) and not all(dense)
+        for lifted in (False, True):
+            if lifted:
+                monkeypatch.setattr(casgd.sparse, "_SUPPORT_MIN_RATIO", 0)
+                dense = [False] * len(block)
+            supports = column_support(d, block)
+            assert len(supports) == len(block)
+            for ids, got, over in zip(block, supports, dense):
+                if over:
+                    assert got is None
+                else:
+                    want = np.unique(np.concatenate([A.row(i)[0] for i in ids]))
+                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("s,dense_cache", [(1, True), (4, True), (4, False)])
     def test_support_only_with_sparse_row_forms(self, monkeypatch, s, dense_cache):
@@ -551,11 +632,11 @@ class TestRowGradientReduction:
         d = synthetic_dataset(700, 3000, 5, seed=8)
         most = 3000 // (5 * _SUPPORT_MIN_RATIO)
         few, many = np.arange(most), np.arange(most + 1)
-        assert column_support(d, few) is not None
-        assert column_support(d, many) is None
-        assert len(column_support(d, [])) == 0
+        assert column_support(d, few[None])[0] is not None
+        assert column_support(d, many[None])[0] is None
+        assert len(column_support(d, np.empty((1, 0), dtype=np.int64))[0]) == 0
         # Dense rows write every column of the buffers.
-        assert column_support(d, few, rows=d.a_tilde.to_dense()[few]) is None
+        assert column_support(d, few[None], rows=d.a_tilde.to_dense()[few][None]) == [None]
 
 
 @pytest.mark.parametrize("width", [1, 3, 8, 9, 12, 36])
