@@ -11,7 +11,10 @@ directory is only read) and run its configs as a benchmark pass does: plain
 SGD up to the last trace point of any s, then CA-SGD at each s.  Every
 solve is timed on its own, alternating which tree runs first, ``--repeats``
 times after one untimed warm-up solve per side.  Each config must give the
-same ``final_x`` bytes and counters on both sides, or the script exits 1.
+same outputs on both sides, or the script exits 1: the ``final_x`` bytes,
+the final counters, every trace record (epoch, loss, accuracy and
+counters, the floats compared bit for bit) and the bytes of every epoch
+solution.
 
 Prints each config's best time on each side and the ratio, then their sums.
 """
@@ -85,11 +88,21 @@ class Side:
         }
 
     def solve(self, label: str):
+        """The solve's seconds, and its outputs by name."""
         solver, cfg, cluster, schedule = self.solves[label]
         gc.collect()
         t0 = perf_counter()
         run = solver(self.dataset, cfg, cluster, schedule=schedule)
-        return perf_counter() - t0, run.final_x.tobytes(), run.counters.as_dict()
+        seconds = perf_counter() - t0
+        return seconds, {
+            "final_x": run.final_x.tobytes(),
+            "counters": run.counters.as_dict(),
+            "trace": [
+                (t.epoch, float(t.loss).hex(), float(t.accuracy).hex(), t.flops, t.words, t.messages, t.collectives)
+                for t in run.trace
+            ],
+            "epoch_solutions": [x.tobytes() for x in run.epoch_solutions],
+        }
 
 
 def main(argv=None) -> int:
@@ -115,14 +128,15 @@ def main(argv=None) -> int:
     best = {name: dict.fromkeys(labels, float("inf")) for name in sides}
     mismatched = []
     for label in labels:
-        outputs = {name: side.solve(label)[1:] for name, side in sides.items()}
-        if outputs["base"] != outputs["head"]:
-            mismatched.append(label)
+        outputs = {name: side.solve(label)[1] for name, side in sides.items()}
+        differ = [key for key, value in outputs["base"].items() if outputs["head"][key] != value]
+        if differ:
+            mismatched.append((label, differ))
     for rep in range(args.repeats):
         order = ("base", "head") if rep % 2 == 0 else ("head", "base")
         for label in labels:
             for name in order:
-                seconds, *_ = sides[name].solve(label)
+                seconds, _ = sides[name].solve(label)
                 best[name][label] = min(best[name][label], seconds)
 
     print(f"{args.workload} seed={args.seed} base={args.base} best of {args.repeats}")
@@ -133,8 +147,8 @@ def main(argv=None) -> int:
         else:
             b, h = best["base"][label], best["head"][label]
         print(f"  {label:<12} {b * 1e3:9.2f} {h * 1e3:9.2f} {b / h:9.3f}")
-    for label in mismatched:
-        print(f"MISMATCH {label}: final_x or counters differ between base and head", file=sys.stderr)
+    for label, differ in mismatched:
+        print(f"MISMATCH {label}: {', '.join(differ)} differ between base and head", file=sys.stderr)
     return 1 if mismatched else 0
 
 

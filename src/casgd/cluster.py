@@ -125,11 +125,27 @@ class VirtualCluster:
         c.messages += tree_message_count(self.layout.p)
         c.collectives += 1
 
+    def count_local(self, words: int, collectives: int = 1) -> None:
+        """Count ``collectives`` collectives of ``words`` words each on one rank.
+
+        Nothing moves between ranks, so they add no messages.  ``combine``
+        counts its one-rank collectives here, and a caller that runs many
+        rounds between counter reads may count them all at once.
+        """
+        if self.layout.p != 1:
+            raise ValueError(f"local collectives need one rank, not {self.layout.p}")
+        c = self.counters
+        c.words_moved += collectives * words
+        c.collectives += collectives
+
     def allreduce_sum(self, buffers: list[np.ndarray], words: int | None = None) -> np.ndarray:
         """Elementwise sum of equal-length rank buffers, replicated on all ranks.
 
-        Summation follows the fixed ascending-rank tree.  With p = 1 the
-        input buffer is returned as-is (callers must treat it read-only).
+        Summation follows the fixed ascending-rank tree.  Its first level
+        forms fresh sums of rank pairs and later levels add into those, so
+        no input is copied or written, and with p > 1 the result shares no
+        memory with an input.  With p = 1 the input buffer is returned as-is
+        (callers must treat it read-only).
         ``words`` is the modeled length counted for the collective (default:
         the buffer length); a caller that sends only the entries its ranks
         can have made nonzero still counts the whole vector.
@@ -144,8 +160,10 @@ class VirtualCluster:
         self._count(length if words is None else words)
         if p == 1:
             return buffers[0]
-        work = [np.array(buf, dtype=np.float64) for buf in buffers]
-        step = 1
+        work = list(buffers)
+        for rank in range(0, p - 1, 2):
+            work[rank] = np.add(work[rank], work[rank + 1], dtype=np.float64)
+        step = 2
         while step < p:
             for rank in range(0, p - step, 2 * step):
                 work[rank] += work[rank + step]
@@ -169,9 +187,7 @@ class VirtualCluster:
         ``words`` is passed on to ``allreduce_sum``.
         """
         if self.layout.p == 1:
-            c = self.counters
-            c.words_moved += len(buffers[0]) if words is None else words
-            c.collectives += 1
+            self.count_local(len(buffers[0]) if words is None else words)
             return buffers[0]
         return self.allgather(buffers) if gather else self.allreduce_sum(buffers, words)
 

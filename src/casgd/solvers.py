@@ -35,8 +35,24 @@ every round's columns for the reduction (``rank_entries`` and
 Gram buffers only when there is a Gram, and keyed entries only in the row
 layout, so SGD rounds and rounds without a dense cache also come many to a
 block.  Each round still forms its own scores, collective, recurrence and
-update; one-batch column rounds over a dense cache score and update with
-each dense row (a dot, and an axpy over all of x).
+update.
+
+Rounds run in segments: a block's rounds up to the next trace point.
+Counters advance once per segment, in closed form, before the point is
+recorded: its flops and sig evaluations and, at one column rank, its
+collectives, which move nothing and are only counted
+(``VirtualCluster.count_local``).  A column round that a trace point falls
+inside ends its segment, and its update is applied in spans of whole
+iterations, each counted as it is applied; the row layout materializes x
+only at round ends, so a point ends its segment with the round that holds
+it.  So every trace point reads what iteration-by-iteration accounting
+would give.  One column rank runs a segment's rounds in one inner loop,
+with its kernels bound by the rows' form once per block: a one-row round
+(s = b = 1) is a dot, the sig and an axpy (over all of x for a dense
+cache's row), dense rows at s > 1 take a BLAS product for the scores and
+``x += R.T @ w`` for the update, and other forms the round kernels.  More
+column ranks and the row layout run each round through every rank's
+kernels and a collective.
 
 The payload is set by the entry point that ran:
 
@@ -55,10 +71,11 @@ gradients over their own rows, each in its own buffer, and a round whose
 rows touch few columns reduces and updates only those (the allreduce still
 counts n words).
 Collectives go through ``VirtualCluster.combine``, which at p = 1 only
-counts them.  The recurrence reproduces plain SGD's iterates in exact
-arithmetic; in floating point the trajectories agree to ~1e-10 relative
-over hundreds of epochs, and at s = 1 every step mirrors plain SGD
-operation for operation, so the runs coincide bitwise.
+counts them; one column rank counts a segment's at once.  The recurrence
+reproduces plain SGD's iterates in exact arithmetic; in floating point the
+trajectories agree to ~1e-10 relative over hundreds of epochs, and at
+s = 1 every step mirrors plain SGD operation for operation, so the runs
+coincide bitwise.
 
 Counter conventions (shared with the closed-form cost module): one flop
 per sparse multiply-add and per dense solution-axpy element; scalar
@@ -423,10 +440,10 @@ def _rounds_per_block(sb: int, n: int, dense: bool, grams: int, entries: float) 
 
 
 class _Rank:
-    """One column rank's data, its part of x, and what it holds during a block
-    and a round; or the row layout's one Gram owner."""
+    """One column rank's data, its part of x, and what it holds during a
+    block; or the row layout's one Gram owner."""
 
-    __slots__ = ("data", "x", "scores", "gram", "grams", "block_ids", "block_rows", "ids", "rows")
+    __slots__ = ("data", "x", "scores", "gram", "grams", "block_rows")
 
     def __init__(self, data, x, scores, gram):
         self.data = data
@@ -435,10 +452,9 @@ class _Rank:
         self.gram = gram
         # A block's Gram blocks, one per round (Gram owners).
         self.grams = None
-        # The block's row ids and their form from ``gather_rows``, and the
-        # round's, which index them.  The row layout's Gram owner takes the
-        # rows gathered for all row ranks.
-        self.block_ids = self.block_rows = self.ids = self.rows = None
+        # The block's rows in their form from ``gather_rows``.  The row
+        # layout's Gram owner takes the rows gathered for all row ranks.
+        self.block_rows = None
 
 
 def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
@@ -448,6 +464,8 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
     s, b, p = cfg.s, cfg.b, cluster.p
     sb = s * b
     row = cfg.layout == BLOCK_ROW
+    # One column rank runs a segment's rounds in one inner loop.
+    local = not row and p == 1
     H = cfg.total_iterations if cfg.epochs is None else cfg.epochs * iterations_per_epoch(m, b)
     iterations = s * -(-H // s)
     if schedule is None:
@@ -455,6 +473,7 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
     source = _source(cfg, cluster, dataset, batches, iterations)
     eta_scale = cfg.eta0 / m
     A = dataset.a_tilde
+    dense = A.dense_cache() is not None
     c = cluster.counters
     c.reset()
     x = np.zeros(n)
@@ -497,9 +516,12 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
         owners = ranks if gram else []
     # A block holds K rounds, and every Gram owner one Gram buffer per round
     # (its round buffer itself when K = 1).
-    K = _rounds_per_block(sb, n, A.dense_cache() is not None, len(owners), A.nnz / m if row else 0)
+    K = _rounds_per_block(sb, n, dense, len(owners), A.nnz / m if row else 0)
     for rk in owners:
         rk.grams = rk.gram[None] if K == 1 else np.zeros((K, sb, sb))
+    # One column rank's round copies its Gram blocks into G, which the
+    # recurrence's views read (K = 1: they are G).
+    grams = owners[0].grams if local and gram and K > 1 else None
     w = np.empty(sb)
     v = np.empty(sb) if row else None
     # Row ranks' gradient buffers, zero between rounds.
@@ -514,90 +536,12 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
     ]
     # Flops of a whole round's update past its rows' nonzeros (see step 5).
     update_flops = (n if row else n * s) + b * b * s * (s - 1) // 2
-    t0 = _pc()
 
-    for t in range(0, iterations, s):
-        # 1. draw s batches, read once per block with the block's
-        # x-independent work: every rank's rows, the rows' nonzeros (prefix
-        # sums per round, which every flop charge reads) and every Gram
-        # owner's blocks.  A round is charged its scores' multiply-adds and
-        # its Gram's index matches when its collective runs.
-        k = t // s % K
-        if not k:
-            count = min(K, (iterations - t) // s)
-            block = np.array(source.peek_indices(count * s), dtype=np.int64).reshape(count, sb)
-            source.advance(count * s)
-            for rk in ranks:
-                rk.block_rows = gather_rows(rk.data, block, s)
-                rk.block_ids = block.tolist()
-            if row:
-                # Every rank's rows at once, in the form a rank's rows take;
-                # each round's entries keyed for one scatter into the ranks'
-                # buffers, rank after rank, with each rank's first s-1
-                # batches (its payload head) at the start of its stretch.
-                block_rows = gather_rows(dataset, block, s, s * bp)
-                dense_rows = isinstance(block_rows, np.ndarray)
-                keys, vals, counts = rank_entries(dataset, block[:, ranked], s * bp)
-                starts = np.zeros(counts.size + 1, dtype=np.int64)
-                np.cumsum(counts, out=starts[1:])
-                bounds = starts[::sb].tolist()
-                stretch = starts[:-1].reshape(count, p, s * bp)
-                heads = np.stack((stretch[..., 0], stretch[..., (s - 1) * bp]), axis=-1).tolist()
-                supports = column_support(dataset, block, block_rows)
-                for rk in owners:
-                    rk.block_rows = block_rows
-            sums = np.zeros((count, sb + 1), dtype=np.int64)
-            np.cumsum(A.row_nnz[block], axis=1, out=sums[:, 1:])
-            charges = sums[:, -1]
-            if timer:
-                t0 = timer.lap("sampling", t0)
-            for rk in owners:
-                charges = charges + gram_lower_blocks(rk.data, block, b, out=rk.grams[:count], rows=rk.block_rows)[1]
-            if timer and gram:
-                t0 = timer.lap("gram", t0)
-            charges = charges.tolist()
-            nnz = sums.tolist()
-        nnz_k = nnz[k]
-
-        # 2. each rank forms its payload
-        for rk in ranks:
-            rk.ids, rk.rows = rk.block_ids[k], rk.block_rows[k]
-            batch_scores(rk.data, rk.ids, rk.x, rk.rows, rk.scores)
-        if row:
-            ids, rows = block[k], block_rows[k]
-            if dense_rows:
-                # One BLAS product per rank: its bits may depend on the rows
-                # it is handed.
-                for spot in spots:
-                    rs[spot] = batch_scores(dataset, ids[spot], x, rows[spot])
-            else:
-                batch_scores(dataset, ids, x, rows, rs)
-            if casgd:
-                # Each rank's rows' values of the first s-1 batches (the
-                # Gram's column side), then its scores for all s batches.
-                payloads = [np.concatenate((vals[lo:hi], rs[spot])) for (lo, hi), spot in zip(heads[k], spots)]
-        if K > 1:
-            for rk in owners:
-                rk.gram[...] = rk.grams[k]
-        if timer:
-            t0 = timer.lap("score_matvec", t0)
-
-        # 3. one collective
-        if not row:
-            summed = cluster.combine(bufs)
-            if summed is not total:
-                total[:] = summed
-        elif casgd:
-            # Every rank receives what ``rs`` already holds.
-            cluster.combine(payloads, gather=True)
-        c.flops += charges[k]
-        if timer:
-            t0 = timer.lap("collectives", t0)
-
-        # 4. the scalar recurrence z_j = r_j + G[j, :j] w
+    def weigh():
+        """4. The scalar recurrence z_j = r_j + G[j, :j] w: every batch's weights."""
         if b == 1:
             # One score per iteration, read as Python floats; sig as
-            # ``_sig_scalar`` evaluates it.
+            # ``_sig_scalar`` evaluates it, inline.
             scores = rs.tolist()
             for lo, _, g_j, w_head, _ in recurrence:
                 zj = scores[lo]
@@ -611,67 +555,204 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
                 w[lo] = vj * eta_scale
                 if row:
                     v[lo] = vj
-        else:
-            for lo, r_j, g_j, w_head, own in recurrence:
-                zj = r_j + g_j @ w_head if lo else r_j
-                if row:
-                    # Each row rank evaluates its own b/p scores.
-                    v[own] = vj = _sig_batch(zj, bp)
-                else:
-                    vj = _sig_batch(zj)
-                np.multiply(vj, eta_scale, out=w[own])
-        if timer:
-            t0 = timer.lap("sig", t0)
-
-        # 5. the update.  Row ranks' gradients go into their buffers in one
-        # scatter (dense rows: one BLAS product per rank), and the buffers
-        # are summed into x once per round.  Column ranks update their own x, in one span unless a trace
-        # point falls inside the round, where the update is split.  Counters
-        # advance in closed form per applied span: its rows' nonzeros, n per
-        # iteration (column) or round (row), and i*b*b recurrence flops for
-        # iteration i.  So they read at every trace point what
-        # iteration-by-iteration accounting would give.
-        if row:
-            if dense_rows:
-                for spot, g in zip(spots, grads):
-                    add_rows_transpose(dataset, ids[spot], v[spot], g, rows=rows[spot])
+            return
+        for lo, r_j, g_j, w_head, own in recurrence:
+            zj = r_j + g_j @ w_head if lo else r_j
+            if row:
+                # Each row rank evaluates its own b/p scores.
+                v[own] = vj = _sig_batch(zj, bp)
             else:
-                lo, hi = bounds[k], bounds[k + 1]
-                np.add.at(flat_grads, keys[lo:hi], vals[lo:hi] * np.repeat(v[ranked], counts[k]))
-            if timer:
-                t0 = timer.lap("gradient", t0)
-            _apply_row_gradient(cluster, grads, supports[k], eta_scale, x)
-            if timer:
-                t0 = timer.lap("collectives", t0)
-        if row or next_it >= t + s:
-            if not row:
-                for rk in ranks:
-                    add_rows_transpose(rk.data, rk.ids, w, rk.x, rk.rows)
-            c.flops += nnz_k[-1] + update_flops
-            c.sig_evals += sb
-            if timer:
-                t0 = timer.lap("update", t0)
-            if next_it <= t + s:
-                rec.visit(t + s, x)
-                next_it = rec.next_iteration
-                t0 = _pc()
+                vj = _sig_batch(zj)
+            np.multiply(vj, eta_scale, out=w[own])
+
+    t0 = _pc()
+    t = 0
+    while t < iterations:
+        # 1. draw a block of s-batch rounds, read once with the block's
+        # x-independent work: every rank's rows, the rows' nonzeros (prefix
+        # sums per round, which every flop charge reads) and every Gram
+        # owner's blocks.
+        count = min(K, (iterations - t) // s)
+        block = np.array(source.peek_indices(count * s), dtype=np.int64).reshape(count, sb)
+        source.advance(count * s)
+        if row:
+            # Every rank's rows at once, in the form a rank's rows take;
+            # each round's entries keyed for one scatter into the ranks'
+            # buffers, rank after rank, with each rank's first s-1
+            # batches (its payload head) at the start of its stretch.
+            block_rows = gather_rows(dataset, block, s, s * bp)
+            keys, vals, counts = rank_entries(dataset, block[:, ranked], s * bp)
+            starts = np.zeros(counts.size + 1, dtype=np.int64)
+            np.cumsum(counts, out=starts[1:])
+            bounds = starts[::sb].tolist()
+            stretch = starts[:-1].reshape(count, p, s * bp)
+            heads = np.stack((stretch[..., 0], stretch[..., (s - 1) * bp]), axis=-1).tolist()
+            supports = column_support(dataset, block, block_rows)
+            for rk in owners:
+                rk.block_rows = block_rows
         else:
-            # Spans of whole iterations, split where trace points fall.
-            done = 0
-            while done < s:
-                stop = s if next_it >= t + s else max(next_it - t, done + 1)
-                lo, hi = done * b, stop * b
-                for rk in ranks:
-                    add_rows_transpose(rk.data, block[k, lo:hi], w[lo:hi], rk.x)
-                c.flops += nnz_k[hi] - nnz_k[lo] + n * (stop - done) + b * b * (stop * (stop - 1) - done * (done - 1)) // 2
-                c.sig_evals += hi - lo
-                done = stop
-                if timer:
-                    t0 = timer.lap("update", t0)
-                if next_it <= t + done:
-                    rec.visit(t + done, x)
+            for rk in ranks:
+                rk.block_rows = gather_rows(rk.data, block, s)
+            # All the rows, at one rank.
+            block_rows = ranks[0].block_rows
+        # The form the rows take is fixed for the block.
+        dense_rows = isinstance(block_rows, np.ndarray)
+        sums = np.zeros((count, sb + 1), dtype=np.int64)
+        np.cumsum(A.row_nnz[block], axis=1, out=sums[:, 1:])
+        # A round's scores and Gram cost its rows' nonzeros and its index
+        # matches; its whole update adds its rows' nonzeros and
+        # ``update_flops``.  ``done`` sums both over the block's rounds.
+        charges = sums[:, -1]
+        if timer:
+            t0 = timer.lap("sampling", t0)
+        for rk in owners:
+            charges = charges + gram_lower_blocks(rk.data, block, b, out=rk.grams[:count], rows=rk.block_rows)[1]
+        if timer and gram:
+            t0 = timer.lap("gram", t0)
+        done = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(charges + sums[:, -1] + update_flops, out=done[1:])
+        charges, nnz, done = charges.tolist(), sums.tolist(), done.tolist()
+
+        k = 0
+        while k < count:
+            # A segment: rounds k..j-1, which end at or before the next trace
+            # point, run whole.  Column round j splits its update when the
+            # point falls inside it; the row layout runs the round holding a
+            # point whole and records it at the round's end.
+            ahead = min(next_it, t + count * s) - t
+            j = max(k, -(-ahead // s) if row else ahead // s)
+            split = j * s < ahead
+            if local and sb == 1:
+                # One row per round: a dot, the sig and an axpy.
+                for ((cols, a),) in block_rows[k:j]:
+                    z = a.dot(x if dense else x[cols])
+                    if timer:
+                        t0 = timer.lap("score_matvec", t0)
+                    wk = _sig_scalar(z) * eta_scale
+                    if timer:
+                        t0 = timer.lap("sig", t0)
+                    if dense:
+                        x += wk * a
+                    else:
+                        x[cols] += wk * a
+                    if timer:
+                        t0 = timer.lap("update", t0)
+            elif local:
+                for r, rows in enumerate(block_rows[k : j + split], k):
+                    if dense_rows:
+                        np.matmul(rows, x, out=rs)
+                    else:
+                        batch_scores(dataset, block[r], x, rows, rs)
+                    if grams is not None:
+                        G[...] = grams[r]
+                    if timer:
+                        t0 = timer.lap("score_matvec", t0)
+                    weigh()
+                    if timer:
+                        t0 = timer.lap("sig", t0)
+                    if r < j:
+                        if dense_rows:
+                            x += rows.T @ w
+                        else:
+                            add_rows_transpose(dataset, block[r], w, x, rows)
+                        if timer:
+                            t0 = timer.lap("update", t0)
+            else:
+                for r in range(k, j + split):
+                    # 2. each rank forms its payload
+                    ids = block[r]
+                    for rk in ranks:
+                        batch_scores(rk.data, ids, rk.x, rk.block_rows[r], rk.scores)
+                    if row:
+                        rows = block_rows[r]
+                        if dense_rows:
+                            # One BLAS product per rank: its bits may depend
+                            # on the rows it is handed.
+                            for spot in spots:
+                                rs[spot] = batch_scores(dataset, ids[spot], x, rows[spot])
+                        else:
+                            batch_scores(dataset, ids, x, rows, rs)
+                        if casgd:
+                            # Each rank's rows' values of the first s-1
+                            # batches (the Gram's column side), then its
+                            # scores for all s batches.
+                            payloads = [np.concatenate((vals[lo:hi], rs[spot])) for (lo, hi), spot in zip(heads[r], spots)]
+                    if K > 1:
+                        for rk in owners:
+                            rk.gram[...] = rk.grams[r]
+                    if timer:
+                        t0 = timer.lap("score_matvec", t0)
+                    # 3. one collective
+                    if not row:
+                        summed = cluster.combine(bufs)
+                        if summed is not total:
+                            total[:] = summed
+                    elif casgd:
+                        # Every rank receives what ``rs`` already holds.
+                        cluster.combine(payloads, gather=True)
+                    if timer:
+                        t0 = timer.lap("collectives", t0)
+                    weigh()
+                    if timer:
+                        t0 = timer.lap("sig", t0)
+                    # 5. the update.  Row ranks' gradients go into their
+                    # buffers in one scatter (dense rows: one BLAS product
+                    # per rank), and the buffers are summed into x once per
+                    # round.  Column ranks update their own part of x.
+                    if row:
+                        if dense_rows:
+                            for spot, g in zip(spots, grads):
+                                add_rows_transpose(dataset, ids[spot], v[spot], g, rows=rows[spot])
+                        else:
+                            lo, hi = bounds[r], bounds[r + 1]
+                            np.add.at(flat_grads, keys[lo:hi], vals[lo:hi] * np.repeat(v[ranked], counts[r]))
+                        if timer:
+                            t0 = timer.lap("gradient", t0)
+                        _apply_row_gradient(cluster, grads, supports[r], eta_scale, x)
+                        if timer:
+                            t0 = timer.lap("collectives", t0)
+                    elif r < j:
+                        for rk in ranks:
+                            add_rows_transpose(rk.data, ids, w, rk.x, rk.block_rows[r])
+                        if timer:
+                            t0 = timer.lap("update", t0)
+            # Counters advance in closed form per segment: whole rounds,
+            # their sig evaluations and, at one rank, their collectives
+            # (nothing moves, so they are only counted); a split round's
+            # scores, Gram and collective, then each applied span.  So they
+            # read at every trace point what round-by-round accounting gives.
+            c.flops += done[j] - done[k]
+            c.sig_evals += (j - k) * sb
+            if local:
+                cluster.count_local(size, j - k + split)
+            if not split:
+                if next_it <= t + j * s:
+                    rec.visit(t + j * s, x)
                     next_it = rec.next_iteration
                     t0 = _pc()
+                k = j
+                continue
+            # Spans of whole iterations of round j, split where trace points
+            # fall: its rows' nonzeros, n per iteration and i*b*b recurrence
+            # flops for iteration i.
+            c.flops += charges[j]
+            start, nnz_j, at = t + j * s, nnz[j], 0
+            while at < s:
+                stop = s if next_it >= start + s else max(next_it - start, at + 1)
+                lo, hi = at * b, stop * b
+                for rk in ranks:
+                    add_rows_transpose(rk.data, block[j, lo:hi], w[lo:hi], rk.x)
+                c.flops += nnz_j[hi] - nnz_j[lo] + n * (stop - at) + b * b * (stop * (stop - 1) - at * (at - 1)) // 2
+                c.sig_evals += hi - lo
+                at = stop
+                if timer:
+                    t0 = timer.lap("update", t0)
+                if next_it <= start + at:
+                    rec.visit(start + at, x)
+                    next_it = rec.next_iteration
+                    t0 = _pc()
+            k = j + 1
+        t += count * s
 
     return SolverRun(x.copy(), rec.trace, c.snapshot(), rec.solutions)
 

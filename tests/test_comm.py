@@ -83,6 +83,26 @@ class TestAllreduce:
         cluster.allreduce_sum([a, b])
         assert a[0] == 1.0 and b[0] == 2.0
 
+    @pytest.mark.parametrize("p", [2, 3, 4, 5, 8])
+    def test_tree_sum_bits_without_copies(self, p):
+        # The tree's first level forms fresh sums and later levels add into
+        # them: the bits of copying every buffer and summing the copies in
+        # place, with the inputs left as they were and shared by no result.
+        rng = np.random.default_rng(20 + p)
+        d = random_dataset(rng, 10, 6)
+        buffers = [rng.standard_normal(33) * 10.0 ** rng.integers(-8, 8, size=33) for _ in range(p)]
+        before = [buf.copy() for buf in buffers]
+        work = [buf.copy() for buf in buffers]
+        step = 1
+        while step < p:
+            for rank in range(0, p - step, 2 * step):
+                work[rank] += work[rank + step]
+            step *= 2
+        out = partition(d, BLOCK_ROW, p).allreduce_sum(buffers)
+        assert out.tobytes() == work[0].tobytes()
+        assert all(buf.tobytes() == old.tobytes() for buf, old in zip(buffers, before))
+        assert not any(np.shares_memory(out, buf) for buf in buffers)
+
 
 class TestAllgather:
     def test_single_rank_identity(self):
@@ -122,6 +142,19 @@ class TestCombine:
         assert cluster.combine([buf]) is buf
         assert cluster.combine([buf], gather=True) is buf
         assert cluster.counters == reference.counters
+
+    def test_local_collectives_counted_at_once(self):
+        # r collectives of one rank counted at once read as r counted one
+        # by one through ``combine``; ranks that exchange data cannot.
+        d = random_dataset(np.random.default_rng(0), 10, 6)
+        one, each = partition(d, BLOCK_COLUMN, 1), partition(d, BLOCK_COLUMN, 1)
+        one.count_local(7, 5)
+        for _ in range(5):
+            each.combine([np.zeros(7)])
+        assert one.counters == each.counters
+        assert one.counters.as_dict() == {"flops": 0, "words": 35, "messages": 0, "collectives": 5, "sig_evals": 0}
+        with pytest.raises(ValueError, match="one rank"):
+            partition(d, BLOCK_COLUMN, 2).count_local(7)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_ranks_match_the_collectives(self, p):
