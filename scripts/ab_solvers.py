@@ -1,22 +1,26 @@
 #!/usr/bin/env python3
-"""Time the solvers of a base commit against the working tree's, in one process.
+"""Time the set-up and solvers of a base commit against the working tree's, in one process.
 
     python3 scripts/ab_solvers.py <base-ref> <workload> [--seed 7] [--repeats 7]
 
 Run from the repository root.  Extracts <base-ref>'s src/ into a temporary
 directory with git archive and imports it as the package ``casgd_base``,
-next to the working tree's ``casgd``.  Both parse the same input of the
+next to the working tree's ``casgd``.  Both read the same input file of the
 perfbench workload (generated as ``perfbench/workloads.py`` writes it; that
-directory is only read) and run its configs as a benchmark pass does: plain
-SGD up to the last trace point of any s, then CA-SGD at each s.  Every
-solve is timed on its own, alternating which tree runs first, ``--repeats``
-times after one untimed warm-up solve per side.  Each config must give the
-same outputs on both sides, or the script exits 1: the ``final_x`` bytes,
-the final counters, every trace record (epoch, loss, accuracy and
-counters, the floats compared bit for bit) and the bytes of every epoch
-solution.
+directory is only read) and set up and run its configs as a benchmark pass
+does.  Set-up is reading and parsing the file, partitioning it for every
+config and warming the matrix caches.  The configs are plain SGD up to the
+last trace point of any s, then CA-SGD at each s.  The set-up and every
+solve are timed on their own, alternating which tree runs first,
+``--repeats`` times after one untimed warm-up per side.  The script exits 1
+unless both trees parse the input to the same bytes (CSR arrays, labels and
+column count) and each config gives the same outputs on both sides: the
+``final_x`` bytes, the final counters, every trace record (epoch, loss,
+accuracy and counters, the floats compared bit for bit) and the bytes of
+every epoch solution.
 
-Prints each config's best time on each side and the ratio, then their sums.
+Prints the set-up's and each config's best time on each side and the ratio,
+then the sums of the solves.
 """
 
 from __future__ import annotations
@@ -77,14 +81,38 @@ def configs(lib, w, m: int, seed: int):
 class Side:
     """One tree's dataset, clusters and configs."""
 
-    def __init__(self, lib, w, text: str, seed: int):
-        self.dataset = lib.parse_libsvm(text)
-        # Warm the lazy matrix caches, as a benchmark pass's set-up does.
-        A = self.dataset.a_tilde
+    def __init__(self, lib, w, path: Path, seed: int):
+        self.lib, self.w, self.path, self.seed = lib, w, path, seed
+        self.set_up()
+
+    def set_up(self) -> float:
+        """Read, parse, partition and warm the lazy matrix caches, as a
+        benchmark pass's set-up does; returns its seconds."""
+        lib, w = self.lib, self.w
+        gc.collect()
+        t0 = perf_counter()
+        text = self.path.read_text()
+        dataset = lib.parse_libsvm(text)
+        del text
+        solves = {
+            label: (solver, cfg, lib.partition(dataset, w.layout, w.p), schedule)
+            for label, solver, cfg, schedule in configs(lib, w, dataset.num_points, self.seed)
+        }
+        A = dataset.a_tilde
         A.row_slices, A.dense_cache(), A.scipy_csr
-        self.solves = {
-            label: (solver, cfg, lib.partition(self.dataset, w.layout, w.p), schedule)
-            for label, solver, cfg, schedule in configs(lib, w, self.dataset.num_points, seed)
+        seconds = perf_counter() - t0
+        self.dataset, self.solves = dataset, solves
+        return seconds
+
+    def parsed(self) -> dict[str, bytes | int]:
+        """The parsed input's arrays as bytes, and its column count."""
+        A = self.dataset.a_tilde
+        return {
+            "row_offsets": A.row_offsets.tobytes(),
+            "col_indices": A.col_indices.tobytes(),
+            "values": A.values.tobytes(),
+            "labels": self.dataset.labels.tobytes(),
+            "num_cols": A.num_cols,
         }
 
     def solve(self, label: str):
@@ -120,13 +148,19 @@ def main(argv=None) -> int:
         base_lib = load_package("casgd_base", extract_sources(args.base, Path(tmp)))
         path = Path(tmp) / "input.svm"
         write_input(w, args.seed, str(path))
-        text = path.read_text()
-    sides = {"base": Side(base_lib, w, text, args.seed), "head": Side(casgd, w, text, args.seed)}
-    del text
+        sides = {"base": Side(base_lib, w, path, args.seed), "head": Side(casgd, w, path, args.seed)}
+        best_setup = dict.fromkeys(sides, float("inf"))
+        for rep in range(args.repeats):
+            for name in ("base", "head") if rep % 2 == 0 else ("head", "base"):
+                best_setup[name] = min(best_setup[name], sides[name].set_up())
 
+    parsed = {name: side.parsed() for name, side in sides.items()}
+    mismatched = []
+    differ = [key for key, value in parsed["base"].items() if parsed["head"][key] != value]
+    if differ:
+        mismatched.append(("parse", differ))
     labels = list(sides["head"].solves)
     best = {name: dict.fromkeys(labels, float("inf")) for name in sides}
-    mismatched = []
     for label in labels:
         outputs = {name: side.solve(label)[1] for name, side in sides.items()}
         differ = [key for key, value in outputs["base"].items() if outputs["head"][key] != value]
@@ -141,8 +175,10 @@ def main(argv=None) -> int:
 
     print(f"{args.workload} seed={args.seed} base={args.base} best of {args.repeats}")
     print(f"  {'config':<12} {'base ms':>9} {'head ms':>9} {'base/head':>9}")
-    for label in labels + ["sum"]:
-        if label == "sum":
+    for label in ["set-up"] + labels + ["sum"]:
+        if label == "set-up":
+            b, h = best_setup["base"], best_setup["head"]
+        elif label == "sum":
             b, h = (sum(best[name].values()) for name in ("base", "head"))
         else:
             b, h = best["base"][label], best["head"][label]

@@ -29,9 +29,10 @@ transpose of ``gram_block(s2, s1)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence, TextIO
 
 import numpy as np
 import scipy.sparse
@@ -77,6 +78,16 @@ _DENSE_CACHE_MAX_CELLS = 2_000_000
 # and the square product 1.38 ms (OpenBLAS, one thread); 64-row panels were
 # no faster, 256-row ones 0.84 ms.
 _GRAM_PANEL_ROWS = 128
+
+# ``parse_libsvm`` converts lines a chunk at a time, a chunk closing once its
+# lines hold this many characters, so only one chunk's tokens are ever held
+# as Python strings.  On the 8124-line, 0.9 MB benchmark input, chunks of
+# 256K characters raised the parse's peak RSS by 5 MiB over this size and
+# were no faster; chunks of 16K to 128K took the same time.
+_CHUNK_CHARS = 32 * 1024
+
+# The largest feature index: a 1-based index is stored in int64.
+_MAX_INDEX = 2**63 - 1
 
 # The columns of a dense row in ``gather_rows``' row-by-row form: all n.
 _ALL = slice(None)
@@ -178,7 +189,9 @@ class CsrMatrix:
         Column windows slice their rows on access instead (see
         ``column_window``).
         """
-        return tuple(self.row(i) for i in range(self.num_rows))
+        offsets = self.row_offsets.tolist()
+        cols, vals = self.col_indices, self.values
+        return tuple((cols[lo:hi], vals[lo:hi]) for lo, hi in zip(offsets, offsets[1:]))
 
     @cached_property
     def _dense(self) -> np.ndarray | None:
@@ -217,9 +230,7 @@ class CsrMatrix:
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros((self.num_rows, self.num_cols))
-        for i in range(self.num_rows):
-            cols, vals = self.row(i)
-            out[i, cols] = vals
+        out[np.repeat(np.arange(self.num_rows), self.row_nnz), self.col_indices] = self.values
         return out
 
     @classmethod
@@ -286,18 +297,136 @@ class RowBlockSelector:
 # LIBSVM text format
 
 
-def _resolve_policy(policy: str, raw_labels: list[tuple[int, float]]) -> str:
+def _resolve_policy(policy: str, labels: np.ndarray) -> str:
     if policy in ("plus_minus", "zero_one"):
         return policy
     if policy != "auto":
         raise ValueError(f"unknown label policy {policy!r}")
-    seen = {lab for _, lab in raw_labels}
+    seen = set(np.unique(labels).tolist())
     if seen <= {-1.0, 1.0}:
         return "plus_minus"
     if seen <= {0.0, 1.0}:
         return "zero_one"
     bad = sorted(seen - {-1.0, 0.0, 1.0})
     raise ValueError(f"cannot infer label policy: labels {bad or sorted(seen)} present")
+
+
+def _parse_line(line_no: int, tokens: list[str]) -> None:
+    """Check one line's tokens one at a time; raise the first error found."""
+    try:
+        label = float(tokens[0])
+    except ValueError:
+        raise LibsvmParseError(line_no, f"bad label token {tokens[0]!r}") from None
+    if not math.isfinite(label):
+        raise LibsvmParseError(line_no, f"non-finite label {tokens[0]!r}")
+    prev = 0
+    for token in tokens[1:]:
+        idx_s, sep, val_s = token.partition(":")
+        if not sep:
+            raise LibsvmParseError(line_no, f"expected idx:val, got {token!r}")
+        try:
+            idx = int(idx_s)
+        except ValueError:
+            raise LibsvmParseError(line_no, f"bad feature index {idx_s!r}") from None
+        if idx < 1:
+            raise LibsvmParseError(line_no, f"feature index {idx} must be >= 1")
+        if idx > _MAX_INDEX:
+            raise LibsvmParseError(line_no, f"feature index {idx} must be <= {_MAX_INDEX}")
+        if idx <= prev:
+            raise LibsvmParseError(line_no, f"feature indices must be strictly increasing (index {idx} after {prev})")
+        try:
+            float(val_s)
+        except ValueError:
+            raise LibsvmParseError(line_no, f"bad feature value {val_s!r}") from None
+        prev = idx
+
+
+def _chunks(lines: Iterable[str]) -> Iterator[tuple[list[int], list[str], list[int], list[str]]]:
+    """The non-blank lines' tokens, a chunk of about ``_CHUNK_CHARS`` characters
+    at a time: (line numbers, label tokens, feature counts, feature tokens)."""
+    chunk: tuple[list[int], list[str], list[int], list[str]] = ([], [], [], [])
+    size = 0
+    for line_no, raw in enumerate(lines, start=1):
+        tokens = raw.split()
+        if not tokens:
+            continue
+        line_nos, labels, counts, features = chunk
+        line_nos.append(line_no)
+        labels.append(tokens[0])
+        counts.append(len(tokens) - 1)
+        features += tokens[1:]
+        size += len(raw)
+        if size >= _CHUNK_CHARS:
+            yield chunk
+            chunk, size = ([], [], [], []), 0
+    if chunk[0]:
+        yield chunk
+
+
+class _Rows(NamedTuple):
+    """A chunk's rows: line numbers, labels before the policy maps them,
+    feature counts, 1-based indices, unscaled values, and the error for the
+    chunk's first non-finite value, raised once the whole input has parsed."""
+
+    line_nos: np.ndarray
+    labels: np.ndarray
+    counts: np.ndarray
+    indices: np.ndarray
+    values: np.ndarray
+    non_finite: LibsvmParseError | None
+
+
+def _convert(line_nos: list[int], label_tokens: list[str], counts: list[int], features: list[str]) -> _Rows:
+    """One chunk's tokens as arrays, converted in batches."""
+    nnz = len(features)
+    joined = " ".join(features)
+    try:
+        if nnz and not _one_colon_each(joined, nnz):
+            raise ValueError("a feature token without exactly one ':'")
+        # Index and value strings alternate.
+        parts = joined.replace(":", " ").split(" ") if nnz else []
+        labels = np.fromiter(map(float, label_tokens), np.float64, len(label_tokens))
+        indices = np.fromiter(map(int, parts[0::2]), np.int64, nnz)
+        values = np.fromiter(map(float, parts[1::2]), np.float64, nnz)
+    except (ValueError, OverflowError):
+        _replay(line_nos, label_tokens, counts, features)
+    row_nnz = np.array(counts, dtype=np.int64)
+    ends = np.cumsum(row_nnz)
+    # Each index must exceed the one before it in its row, and 0 at the
+    # row's start: so indices are >= 1 and strictly increasing.
+    previous = np.empty(nnz, dtype=np.int64)
+    previous[1:] = indices[:-1]
+    previous[(ends - row_nnz)[row_nnz > 0]] = 0
+    if not (np.isfinite(labels).all() and (indices > previous).all()):
+        _replay(line_nos, label_tokens, counts, features)
+    non_finite = None
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        line_no = line_nos[int(np.searchsorted(ends, k, side="right"))]
+        non_finite = LibsvmParseError(line_no, f"non-finite feature value {parts[2 * k + 1]!r}")
+    return _Rows(np.array(line_nos, dtype=np.int64), labels, row_nnz, indices, values, non_finite)
+
+
+def _one_colon_each(joined: str, count: int) -> bool:
+    """Whether each of ``count`` (at least one) space-joined tokens holds exactly one ':'.
+
+    Tokens hold no whitespace, and in UTF-8 no other character encodes to a
+    ':' or ' ' byte.  The count - 1 spaces and the ':' bytes alternate, from
+    a ':' to a ':', exactly when every token holds one ':'.
+    """
+    raw = np.frombuffer(joined.encode(), dtype=np.uint8)
+    seps = raw[(raw == ord(":")) | (raw == ord(" "))]
+    return len(seps) == 2 * count - 1 and bool((seps[0::2] == ord(":")).all())
+
+
+def _replay(line_nos: list[int], label_tokens: list[str], counts: list[int], features: list[str]) -> NoReturn:
+    """Check a chunk that failed a batched check line by line; raise its first error."""
+    lo = 0
+    for line_no, label, count in zip(line_nos, label_tokens, counts):
+        _parse_line(line_no, [label, *features[lo : lo + count]])
+        lo += count
+    raise AssertionError("a chunk failed a batched check that none of its lines fails")
 
 
 def parse_libsvm(
@@ -312,6 +441,20 @@ def parse_libsvm(
     fits the file.  ``num_features`` may force a column count larger than
     the maximum index seen (files underreport trailing all-zero features).
     The stored matrix is pre-scaled by the mapped labels.
+
+    Lines split into tokens with ``str.split()`` and convert a chunk of
+    about ``_CHUNK_CHARS`` characters at a time: the chunk's labels in one
+    ``map(float)``, its feature tokens joined and split at ':' and ' ' into
+    index and value strings, which one ``map(int)`` and one ``map(float)``
+    convert, and array comparisons check that indices are >= 1 and strictly
+    increasing within each row.  These are the ``int`` and ``float`` calls a
+    token-by-token loop makes, so the accepted inputs and the values are
+    the same.  A chunk that fails a check is replayed one token at a time
+    by ``_parse_line``, which raises the first error in line order with its
+    line number: a malformed token, an index outside [1, 2**63 - 1] or not
+    increasing, or a non-finite label.  Errors in the labels against the
+    policy come after every line has parsed, and a non-finite feature value
+    (quoted as the file wrote it) after those.
     """
     if isinstance(source, str):
         lines = source.splitlines()
@@ -320,63 +463,23 @@ def parse_libsvm(
     else:
         lines = [ln.rstrip("\n") for ln in source]
 
-    raw_labels: list[tuple[int, float]] = []
-    row_cols: list[np.ndarray] = []
-    row_vals: list[np.ndarray] = []
-    max_col = 0
-
-    for line_no, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text:
-            continue
-        tokens = text.split()
-        try:
-            label = float(tokens[0])
-        except ValueError:
-            raise LibsvmParseError(line_no, f"bad label token {tokens[0]!r}") from None
-        cols: list[int] = []
-        vals: list[float] = []
-        prev = 0
-        for token in tokens[1:]:
-            idx_s, sep, val_s = token.partition(":")
-            if not sep:
-                raise LibsvmParseError(line_no, f"expected idx:val, got {token!r}")
-            try:
-                idx = int(idx_s)
-            except ValueError:
-                raise LibsvmParseError(line_no, f"bad feature index {idx_s!r}") from None
-            if idx < 1:
-                raise LibsvmParseError(line_no, f"feature index {idx} must be >= 1")
-            if idx <= prev:
-                raise LibsvmParseError(line_no, f"feature indices must be strictly increasing (index {idx} after {prev})")
-            try:
-                val = float(val_s)
-            except ValueError:
-                raise LibsvmParseError(line_no, f"bad feature value {val_s!r}") from None
-            prev = idx
-            cols.append(idx - 1)
-            vals.append(val)
-        if cols:
-            max_col = max(max_col, cols[-1] + 1)
-        raw_labels.append((line_no, label))
-        row_cols.append(np.array(cols, dtype=np.int64))
-        row_vals.append(np.array(vals, dtype=np.float64))
-
-    if not raw_labels:
+    chunks = [_convert(*chunk) for chunk in _chunks(lines)]
+    if not chunks:
         raise LibsvmParseError(0, "no data lines found")
+    columns = list(zip(*chunks))
+    line_nos, raw_labels, counts, indices, values = map(np.concatenate, columns[:5])
 
-    policy = _resolve_policy(label_policy, raw_labels)
-    labels = np.empty(len(raw_labels))
-    for i, (line_no, lab) in enumerate(raw_labels):
-        if policy == "plus_minus":
-            if lab not in (-1.0, 1.0):
-                raise LibsvmParseError(line_no, f"label {lab} not in {{-1, +1}}")
-            labels[i] = lab
-        else:
-            if lab not in (0.0, 1.0):
-                raise LibsvmParseError(line_no, f"label {lab} not in {{0, 1}}")
-            labels[i] = 1.0 if lab == 1.0 else -1.0
+    if _resolve_policy(label_policy, raw_labels) == "plus_minus":
+        allowed, labels = "{-1, +1}", raw_labels
+        fits = np.abs(raw_labels) == 1.0
+    else:
+        allowed, labels = "{0, 1}", np.where(raw_labels == 1.0, 1.0, -1.0)
+        fits = (raw_labels == 0.0) | (raw_labels == 1.0)
+    if not fits.all():
+        row = int(np.argmin(fits))
+        raise LibsvmParseError(int(line_nos[row]), f"label {float(raw_labels[row])} not in {allowed}")
 
+    max_col = int(indices.max()) if len(indices) else 0
     n = max_col
     if num_features is not None:
         if num_features < max_col:
@@ -385,18 +488,13 @@ def parse_libsvm(
     if n == 0:
         raise LibsvmParseError(0, "no features found")
 
-    m = len(raw_labels)
+    m = len(labels)
     offsets = np.zeros(m + 1, dtype=np.int64)
-    for i, cols in enumerate(row_cols):
-        offsets[i + 1] = offsets[i] + len(cols)
-    col_indices = np.concatenate(row_cols) if m else np.empty(0, dtype=np.int64)
-    values = np.concatenate([v * labels[i] for i, v in enumerate(row_vals)]) if m else np.empty(0)
-    if not np.isfinite(values).all():
-        bad = int(np.argmin(np.isfinite(values)))
-        row = int(np.searchsorted(offsets, bad, side="right")) - 1
-        line_no = raw_labels[row][0]
-        raise LibsvmParseError(line_no, f"non-finite feature value {values[bad] * labels[row]!r}")
-    matrix = CsrMatrix(m, n, offsets, col_indices, values)
+    np.cumsum(counts, out=offsets[1:])
+    non_finite = next((error for error in columns[5] if error is not None), None)
+    if non_finite is not None:
+        raise non_finite
+    matrix = CsrMatrix(m, n, offsets, indices - 1, values * np.repeat(labels, counts))
     return LabeledDataset.build(matrix, labels)
 
 

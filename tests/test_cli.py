@@ -123,6 +123,22 @@ class TestExitCodes:
         assert code == 1
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("+1 1:1.0\n-1 99999999999999999999:1\n", "line 2: feature index 99999999999999999999 must be <="),
+            ("1 1:1.0\n2 1:1.0\nnan 2:1.0\n3 1:1.0\n", "line 3: non-finite label 'nan'"),
+            ("+1 1:1.0\n-1 1:1e999\n", "line 2: non-finite feature value '1e999'"),
+        ],
+    )
+    def test_escaping_parse_errors_exit_1_with_line(self, tmp_path, capsys, text, message):
+        bad = tmp_path / "bad.svm"
+        bad.write_text(text)
+        code = main(["train", "--data", str(bad), "--epochs", "1", "--trace", str(tmp_path / "t.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
     def test_no_partial_csv_on_error(self, data_file, tmp_path):
         out = tmp_path / "t.csv"
         code = main(

@@ -1,6 +1,12 @@
+import io
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from casgd import (
     CsrMatrix,
@@ -80,6 +86,21 @@ class TestParseLibsvm:
         with pytest.raises(LibsvmParseError, match="strictly increasing"):
             parse_libsvm("+1 3:1.0 2:3.0")
 
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("+1 7 8:9:3", "expected idx:val, got '7'"),
+            ("+1 7:8:9 3", "bad feature value '8:9'"),
+            ("+1 2:1 5 6:7:8 9:1", "expected idx:val, got '5'"),
+        ],
+    )
+    def test_tokens_without_and_with_two_colons_in_one_row(self, line, message):
+        """The two flaws leave as many ':' as tokens, and their strings
+        re-pair into increasing indices; the first flaw is still reported."""
+        with pytest.raises(LibsvmParseError) as info:
+            parse_libsvm(f"-1 1:1\n{line}")
+        assert str(info.value) == f"line 2: {message}"
+
     def test_index_zero_rejected(self):
         with pytest.raises(LibsvmParseError, match=">= 1"):
             parse_libsvm("+1 0:1.0")
@@ -93,6 +114,29 @@ class TestParseLibsvm:
         with pytest.raises(LibsvmParseError, match="non-finite") as info:
             parse_libsvm(f"+1 1:1.0\n\n-1 1:2.0 3:{token}\n+1 2:1.0")
         assert info.value.line == 3
+
+    @pytest.mark.parametrize("token", ["nan", "1e999"])
+    def test_non_finite_value_quoted_as_written(self, token):
+        with pytest.raises(LibsvmParseError) as info:
+            parse_libsvm(f"+1 1:1.0\n-1 2:{token}")
+        assert str(info.value) == f"line 2: non-finite feature value {token!r}"
+
+    @pytest.mark.parametrize("policy", ["auto", "plus_minus", "zero_one"])
+    @pytest.mark.parametrize("token", ["nan", "-inf", "1e999"])
+    def test_non_finite_label_rejected_with_line(self, policy, token):
+        with pytest.raises(LibsvmParseError) as info:
+            parse_libsvm(f"1 1:1.0\n\n{token} 2:1.0\n2 1:1.0", label_policy=policy)
+        assert info.value.line == 3
+        assert str(info.value) == f"line 3: non-finite label {token!r}"
+
+    @pytest.mark.parametrize("index", ["99999999999999999999", "9223372036854775808"])
+    def test_index_beyond_int64_rejected_with_line(self, index):
+        with pytest.raises(LibsvmParseError) as info:
+            parse_libsvm(f"+1 1:1.0\n-1 {index}:1")
+        assert info.value.line == 2
+        assert "must be <= 9223372036854775807" in str(info.value)
+        d = parse_libsvm("+1 1:1.0\n-1 9223372036854775807:1")
+        assert d.num_features == 2**63 - 1 and d.a_tilde.col_indices[-1] == 2**63 - 2
 
     def test_unknown_label_under_policy(self):
         with pytest.raises(LibsvmParseError, match="label"):
@@ -126,6 +170,229 @@ class TestParseLibsvm:
         assert serialize_libsvm(d2) == text
 
 
+def _reference_parse(source, label_policy="auto", num_features=None) -> LabeledDataset:
+    """The token-by-token parser ``parse_libsvm`` replaced, kept as its oracle.
+
+    It differs from the replaced loop in three checks only: a non-finite
+    label and an index above int64 are line-numbered errors, and a
+    non-finite value is quoted as the file wrote it.
+    """
+    if isinstance(source, str):
+        lines = source.splitlines()
+    elif hasattr(source, "read"):
+        lines = source.read().splitlines()
+    else:
+        lines = [ln.rstrip("\n") for ln in source]
+
+    raw_labels: list[tuple[int, float]] = []
+    row_cols: list[np.ndarray] = []
+    row_vals: list[np.ndarray] = []
+    row_tokens: list[list[str]] = []
+    max_col = 0
+
+    for line_no, raw in enumerate(lines, start=1):
+        text = raw.strip()
+        if not text:
+            continue
+        tokens = text.split()
+        try:
+            label = float(tokens[0])
+        except ValueError:
+            raise LibsvmParseError(line_no, f"bad label token {tokens[0]!r}") from None
+        if not math.isfinite(label):
+            raise LibsvmParseError(line_no, f"non-finite label {tokens[0]!r}")
+        cols: list[int] = []
+        vals: list[float] = []
+        val_tokens: list[str] = []
+        prev = 0
+        for token in tokens[1:]:
+            idx_s, sep, val_s = token.partition(":")
+            if not sep:
+                raise LibsvmParseError(line_no, f"expected idx:val, got {token!r}")
+            try:
+                idx = int(idx_s)
+            except ValueError:
+                raise LibsvmParseError(line_no, f"bad feature index {idx_s!r}") from None
+            if idx < 1:
+                raise LibsvmParseError(line_no, f"feature index {idx} must be >= 1")
+            if idx > 2**63 - 1:
+                raise LibsvmParseError(line_no, f"feature index {idx} must be <= {2**63 - 1}")
+            if idx <= prev:
+                raise LibsvmParseError(line_no, f"feature indices must be strictly increasing (index {idx} after {prev})")
+            try:
+                val = float(val_s)
+            except ValueError:
+                raise LibsvmParseError(line_no, f"bad feature value {val_s!r}") from None
+            prev = idx
+            cols.append(idx - 1)
+            vals.append(val)
+            val_tokens.append(val_s)
+        if cols:
+            max_col = max(max_col, cols[-1] + 1)
+        raw_labels.append((line_no, label))
+        row_cols.append(np.array(cols, dtype=np.int64))
+        row_vals.append(np.array(vals, dtype=np.float64))
+        row_tokens.append(val_tokens)
+
+    if not raw_labels:
+        raise LibsvmParseError(0, "no data lines found")
+
+    policy = label_policy
+    if policy not in ("plus_minus", "zero_one"):
+        if policy != "auto":
+            raise ValueError(f"unknown label policy {policy!r}")
+        seen = {lab for _, lab in raw_labels}
+        if seen <= {-1.0, 1.0}:
+            policy = "plus_minus"
+        elif seen <= {0.0, 1.0}:
+            policy = "zero_one"
+        else:
+            bad = sorted(seen - {-1.0, 0.0, 1.0})
+            raise ValueError(f"cannot infer label policy: labels {bad or sorted(seen)} present")
+    labels = np.empty(len(raw_labels))
+    for i, (line_no, lab) in enumerate(raw_labels):
+        if policy == "plus_minus":
+            if lab not in (-1.0, 1.0):
+                raise LibsvmParseError(line_no, f"label {lab} not in {{-1, +1}}")
+            labels[i] = lab
+        else:
+            if lab not in (0.0, 1.0):
+                raise LibsvmParseError(line_no, f"label {lab} not in {{0, 1}}")
+            labels[i] = 1.0 if lab == 1.0 else -1.0
+
+    n = max_col
+    if num_features is not None:
+        if num_features < max_col:
+            raise ValueError(f"num_features={num_features} smaller than max index seen ({max_col})")
+        n = num_features
+    if n == 0:
+        raise LibsvmParseError(0, "no features found")
+
+    m = len(raw_labels)
+    offsets = np.zeros(m + 1, dtype=np.int64)
+    for i, cols in enumerate(row_cols):
+        offsets[i + 1] = offsets[i] + len(cols)
+    col_indices = np.concatenate(row_cols)
+    values = np.concatenate([v * labels[i] for i, v in enumerate(row_vals)])
+    if not np.isfinite(values).all():
+        bad = int(np.argmin(np.isfinite(values)))
+        row = int(np.searchsorted(offsets, bad, side="right")) - 1
+        token = row_tokens[row][bad - offsets[row]]
+        raise LibsvmParseError(raw_labels[row][0], f"non-finite feature value {token!r}")
+    return LabeledDataset.build(CsrMatrix(m, n, offsets, col_indices, values), labels)
+
+
+_ARABIC_DIGITS = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669")
+# Spellings that int() reads as the same index.
+_INDEX_FORMS = [str, lambda i: f"+{i}", lambda i: f"00{i}", lambda i: "_".join(str(i)), lambda i: str(i).translate(_ARABIC_DIGITS)]
+_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(lambda v: format(v, ".17g")),
+    st.sampled_from(["0", "-0", "1", "-1.5", ".5", "5.", "+1e-320", "1_0.5", "1E3", "\u0662.5"]),
+)
+_LABEL_SETS = [("+1", "-1"), ("0", "1"), ("1", "-1.0", "+1e0"), ("-0", "1.0"), ("1", "2", "-1")]
+# Each kind of malformed feature token, with an index above any row's
+# (they go at a row's end), and of malformed label.
+_BAD_TOKENS = [
+    "77", "77:1:3", ":1", "77:", "a:1", "77:x", "0:1", "-2:1", "1.5:1", "99999999999999999999:1",
+    "-99999999999999999999:1", "9223372036854775808:1", "77::2", "\u0667\u0667:\u0662x", "77:nan", "77:-inf", "77:1e999",
+]
+_BAD_LABELS = ["abc", "1:2", "nan", "inf", "-1e999", "0x1"]
+_SEPARATORS = [" ", "  ", "\t", " \t ", "\xa0", "\u3000"]
+
+
+@st.composite
+def _libsvm_text(draw):
+    """LIBSVM text with ragged whitespace, mixed line ends, blank and
+    label-only lines, stored zeros, unusual index spellings and 17-digit
+    values; half the inputs then take one to three flaws: a malformed label,
+    a malformed or non-finite feature token, or a swapped or repeated one."""
+    label_set = draw(st.sampled_from(_LABEL_SETS))
+    rows = []
+    for _ in range(draw(st.integers(0, 14))):
+        if draw(st.integers(0, 9)) == 0:
+            rows.append([])
+            continue
+        indices = sorted(draw(st.sets(st.integers(1, 60), max_size=8)))
+        pairs = [f"{draw(st.sampled_from(_INDEX_FORMS))(idx)}:{draw(_VALUES)}" for idx in indices]
+        rows.append([draw(st.sampled_from(label_set))] + pairs)
+    filled = [row for row in rows if row]
+    if filled and draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 3))):
+            tokens = draw(st.sampled_from(filled))
+            flaw = draw(st.sampled_from(["label", "token", "swap", "repeat"]))
+            if flaw == "label":
+                tokens[0] = draw(st.sampled_from(_BAD_LABELS))
+            elif flaw == "token":
+                tokens.append(draw(st.sampled_from(_BAD_TOKENS)))
+            elif len(tokens) > 2:
+                tokens[1:3] = tokens[2:0:-1] if flaw == "swap" else tokens[1:2] * 2
+    lines = []
+    for tokens in rows:
+        line = draw(st.sampled_from(["", " ", "\t"]))
+        for token in tokens:
+            line += token + draw(st.sampled_from(_SEPARATORS))
+        lines.append(line + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+    return "".join(lines)
+
+
+def _parse_outcome(parse, source, policy, num_features):
+    """The arrays a parse gives, or its exception's type, message and line."""
+    try:
+        d = parse(source, label_policy=policy, num_features=num_features)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+    A = d.a_tilde
+    return d.num_features, *(arr.tobytes() for arr in (A.row_offsets, A.col_indices, A.values, d.labels))
+
+
+_SOURCES = {
+    "str": lambda text: text,
+    "text_io": io.StringIO,
+    "lines": lambda text: (line for line in text.splitlines(keepends=True)),
+}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    text=_libsvm_text(),
+    source=st.sampled_from(sorted(_SOURCES)),
+    policy=st.sampled_from(["auto", "auto", "plus_minus", "zero_one"]),
+    num_features=st.sampled_from([None, None, 60, 2]),
+    chunk_chars=st.sampled_from([1, 12, 40, casgd.sparse._CHUNK_CHARS]),
+)
+def test_parse_matches_token_by_token_reference(text, source, policy, num_features, chunk_chars):
+    """Byte-identical arrays, or the same error, as the token-by-token
+    parser, in every source kind; small chunks put errors in later chunks."""
+    expected = _parse_outcome(_reference_parse, _SOURCES[source](text), policy, num_features)
+    with mock.patch.object(casgd.sparse, "_CHUNK_CHARS", chunk_chars):
+        got = _parse_outcome(parse_libsvm, _SOURCES[source](text), policy, num_features)
+    assert got == expected
+
+
+@pytest.mark.parametrize("source", sorted(_SOURCES))
+@pytest.mark.parametrize("flaw", [f"+1 {t}" for t in _BAD_TOKENS] + [f"{t} 3:1" for t in _BAD_LABELS])
+def test_each_malformed_kind_in_a_later_chunk(source, flaw):
+    """Each kind of flaw on line 26 of 30, in a late chunk, after a non-finite
+    value on line 20 (an error raised only once every line has parsed)."""
+    lines = [f"{'+1' if i % 2 else '-1'} 2:0.5 {3 + i % 5}:1.25e-3 40:7" for i in range(30)]
+    lines[19] = "-1 2:inf"
+    lines[25] = flaw
+    text = "\r\n".join(lines)
+    expected = _parse_outcome(_reference_parse, _SOURCES[source](text), "auto", None)
+    assert isinstance(expected[0], type) and expected[2] in (20, 26)
+    with mock.patch.object(casgd.sparse, "_CHUNK_CHARS", 64):
+        assert _parse_outcome(parse_libsvm, _SOURCES[source](text), "auto", None) == expected
+
+
+def test_reference_agrees_on_the_perfbench_shapes():
+    """The benchmark inputs' two kinds of values, binary and 17-digit
+    gaussian, over many chunks."""
+    for values in ("binary", "gaussian"):
+        text = serialize_libsvm(synthetic_dataset(300, 500, 21, seed=3, feature_values=values))
+        with mock.patch.object(casgd.sparse, "_CHUNK_CHARS", 2048):
+            assert _parse_outcome(parse_libsvm, text, "auto", None) == _parse_outcome(_reference_parse, text, "auto", None)
+
+
 class TestCsrMatrix:
     def test_invariant_violations(self):
         with pytest.raises(ValueError, match="non-decreasing"):
@@ -141,6 +408,17 @@ class TestCsrMatrix:
         mat = CsrMatrix.from_dense([[1.0, 0.0], [0.0, 2.0]])
         with pytest.raises(ValueError):
             mat.values[0] = 9.0
+
+    def test_row_slices_and_dense_rows_match_row(self, ragged_libsvm):
+        A = ragged_libsvm.a_tilde
+        dense = A.to_dense()
+        assert len(A.row_slices) == A.num_rows
+        for i, (cols, vals) in enumerate(A.row_slices):
+            ref_cols, ref_vals = A.row(i)
+            assert cols.tobytes() == ref_cols.tobytes() and vals.tobytes() == ref_vals.tobytes()
+            expected = np.zeros(A.num_cols)
+            expected[ref_cols] = ref_vals
+            assert dense[i].tobytes() == expected.tobytes()
 
     def test_dense_roundtrip(self):
         dense = np.array([[1.0, 0.0, 3.0], [0.0, 0.0, 0.0], [2.0, -1.0, 0.0]])
