@@ -19,8 +19,10 @@ column count) and each config gives the same outputs on both sides: the
 accuracy and counters, the floats compared bit for bit) and the bytes of
 every epoch solution.
 
-Prints the set-up's and each config's best time on each side and the ratio,
-then the sums of the solves.
+Prints the set-up's and each config's best time on each side and their
+ratio, then the sums of the solves.  Next to them it prints the median and
+the range of the repeats' own base/head ratios (each repeat runs both sides
+back to back), which show how far the host's noise moves a config.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse  # noqa: E402
 import gc  # noqa: E402
 import importlib.util  # noqa: E402
+import statistics  # noqa: E402
 import subprocess  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -149,10 +152,11 @@ def main(argv=None) -> int:
         path = Path(tmp) / "input.svm"
         write_input(w, args.seed, str(path))
         sides = {"base": Side(base_lib, w, path, args.seed), "head": Side(casgd, w, path, args.seed)}
-        best_setup = dict.fromkeys(sides, float("inf"))
+        # Seconds per label, side and repeat.
+        times = {"set-up": {name: [] for name in sides}}
         for rep in range(args.repeats):
             for name in ("base", "head") if rep % 2 == 0 else ("head", "base"):
-                best_setup[name] = min(best_setup[name], sides[name].set_up())
+                times["set-up"][name].append(sides[name].set_up())
 
     parsed = {name: side.parsed() for name, side in sides.items()}
     mismatched = []
@@ -160,7 +164,7 @@ def main(argv=None) -> int:
     if differ:
         mismatched.append(("parse", differ))
     labels = list(sides["head"].solves)
-    best = {name: dict.fromkeys(labels, float("inf")) for name in sides}
+    times.update({label: {name: [] for name in sides} for label in labels})
     for label in labels:
         outputs = {name: side.solve(label)[1] for name, side in sides.items()}
         differ = [key for key, value in outputs["base"].items() if outputs["head"][key] != value]
@@ -171,18 +175,16 @@ def main(argv=None) -> int:
         for label in labels:
             for name in order:
                 seconds, _ = sides[name].solve(label)
-                best[name][label] = min(best[name][label], seconds)
+                times[label][name].append(seconds)
+    times["sum"] = {name: [sum(values) for values in zip(*(times[label][name] for label in labels))] for name in sides}
 
-    print(f"{args.workload} seed={args.seed} base={args.base} best of {args.repeats}")
-    print(f"  {'config':<12} {'base ms':>9} {'head ms':>9} {'base/head':>9}")
-    for label in ["set-up"] + labels + ["sum"]:
-        if label == "set-up":
-            b, h = best_setup["base"], best_setup["head"]
-        elif label == "sum":
-            b, h = (sum(best[name].values()) for name in ("base", "head"))
-        else:
-            b, h = best["base"][label], best["head"][label]
-        print(f"  {label:<12} {b * 1e3:9.2f} {h * 1e3:9.2f} {b / h:9.3f}")
+    print(f"{args.workload} seed={args.seed} base={args.base} best of {args.repeats}; base/head ratios per repeat")
+    print(f"  {'config':<12} {'base ms':>9} {'head ms':>9} {'base/head':>9} {'median':>7}  range")
+    for label, runs in times.items():
+        b, h = min(runs["base"]), min(runs["head"])
+        ratios = [x / y for x, y in zip(runs["base"], runs["head"])]
+        spread = f"{min(ratios):.3f}-{max(ratios):.3f}"
+        print(f"  {label:<12} {b * 1e3:9.2f} {h * 1e3:9.2f} {b / h:9.3f} {statistics.median(ratios):7.3f}  {spread}")
     for label, differ in mismatched:
         print(f"MISMATCH {label}: {', '.join(differ)} differ between base and head", file=sys.stderr)
     return 1 if mismatched else 0

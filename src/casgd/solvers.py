@@ -26,16 +26,20 @@ layout and with or without a dense cache: the draws come from one read of
 the stream, the block's rows are gathered at once (by every column rank, or
 once for all row ranks), the rows' nonzeros are summed into per-round
 prefix sums (one ``cumsum``) that every flop charge reads, and each Gram
-owner (a column rank, or the row layout's one replicated Gram) forms every
-round's Gram blocks and index-match counts in one kernel call.  The row
-layout also keys its rows' entries for the gradient scatter and sorts
-every round's columns for the reduction (``rank_entries`` and
-``column_support``).  K is set by what a block holds
+owner (a column rank, or the row layout's one replicated Gram under a dense
+cache) forms every round's Gram blocks and index-match counts in one kernel
+call.  The row layout reads its block from one gather of the rows' stored
+entries and at most one sort (``RowBlock``): the rows in the form their
+scores take, each round's support and gradient keys, its ranks' payload
+values and, without a dense cache, its Gram pairs and their match counts.
+Each such round adds its pairs straight into G and clears the entries they
+wrote once the recurrence has read them, so G's strictly lower blocks are
+zero between rounds.  K is set by what a block holds
 (``_rounds_per_block``): its draws, dense rows only under a dense cache,
-Gram buffers only when there is a Gram, and keyed entries only in the row
-layout, so SGD rounds and rounds without a dense cache also come many to a
-block.  Each round still forms its own scores, collective, recurrence and
-update.
+Gram buffers only for owners that form a block's Gram at once, and gathered
+entries only in the row layout, so SGD rounds and rounds without a dense
+cache also come many to a block.  Each round still forms its own scores,
+collective, recurrence and update.
 
 Rounds run in segments: a block's rounds up to the next trace point.
 Counters advance once per segment, in closed form, before the point is
@@ -67,9 +71,10 @@ The payload is set by the entry point that ran:
 
 Column ranks work on their own column slices of the matrix and update
 their part of x with no further communication; row ranks accumulate
-gradients over their own rows, each in its own buffer, and a round whose
-rows touch few columns reduces and updates only those (the allreduce still
-counts n words).
+gradients over their own rows, each in its own buffer.  A round whose rows
+touch few columns scatters into buffers over just those columns (its own
+columns of its block's buffers, which need no zeroing), and reduces and
+updates only those; the allreduce still counts n words.
 Collectives go through ``VirtualCluster.combine``, which at p = 1 only
 counts them; one column rank counts a segment's at once.  The recurrence
 reproduces plain SGD's iterates in exact arithmetic; in floating point the
@@ -97,12 +102,11 @@ from .model import accuracy, loss, sig
 from .sampling import BatchStream, RowBlockSelector
 from .sparse import (
     LabeledDataset,
+    RowBlock,
     add_rows_transpose,
     batch_scores,
-    column_support,
     gather_rows,
     gram_lower_blocks,
-    rank_entries,
     sampled_matvec,
     sampled_matvec_transpose,
 )
@@ -130,11 +134,12 @@ _SCALAR_SIG_MAX = 8
 # this many bytes (at least one round): per round its s*b draws at 64 bytes
 # each (an int64 id, and the id and its row as Python objects in the block's
 # lists), their dense rows under a dense cache, one s*b square Gram buffer
-# per Gram owner, and in the row layout 16 bytes per stored entry of its
-# rows (a key and a value, at the mean row's entries).  Over 112 columns with
-# a dense cache and one column rank that is 273 rounds at s * b = 1, 134 at
-# 2, 32 at 8, 2 at 64 and 1 from 128 on.  Row-layout SGD at b = 16 over
-# rows of 20 entries and no dense cache takes 42 rounds.
+# per Gram owner that forms a block's Gram at once, and in the row layout 24
+# bytes per stored entry of its rows (a column, a value and a gradient key,
+# at the mean row's entries).  Over 112 columns with a dense cache and one
+# column rank that is 273 rounds at s * b = 1, 134 at 2, 32 at 8, 2 at 64
+# and 1 from 128 on.  Row-layout SGD at b = 16 over rows of 20 entries and
+# no dense cache takes 30 rounds.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -408,35 +413,31 @@ def run_casgd(
 # the round loop
 
 
-def _apply_row_gradient(cluster: VirtualCluster, grads: np.ndarray, support, eta_scale: float, x: np.ndarray) -> None:
-    """``x += eta_scale * (sum of the row ranks' gradients)``; leaves ``grads`` zero.
+def _apply_row_gradient(cluster: VirtualCluster, parts: np.ndarray, support, eta_scale: float, x: np.ndarray) -> None:
+    """``x += eta_scale * (sum of the row ranks' gradients)``.
 
-    ``grads`` is a (p, n) array, one buffer per rank.  With a ``support``
-    (the sorted distinct columns of the round's rows, outside which every
-    buffer is zero) only those entries are reduced and updated, gathered
-    and zeroed in all buffers by one flat index each; with None, all n are.
+    ``parts`` holds one gradient per rank, over the round's ``support`` (the
+    sorted distinct columns of its rows, off which every gradient is zero),
+    or with None over all n columns.  Only the support's entries are then
+    reduced and updated; the (p, n) buffers are zeroed for the next round.
     Both give the same bits: off the support the update adds +0.0, which
     changes no entry of x (x starts at +0.0, and a sum is -0.0 only if both
     terms are).  The collective counts n words either way.
     """
-    n = len(x)
-    flat = grads.reshape(-1)
+    g = cluster.combine(list(parts), words=len(x))
     if support is None:
-        cols = at = slice(None)
-        parts = grads
+        x += g * eta_scale
+        parts[...] = 0.0
     else:
-        cols, at = support, support + np.arange(0, flat.size, n)[:, None]
-        parts = flat[at]
-    g = cluster.combine(list(parts), words=n)
-    x[cols] += g * eta_scale
-    flat[at] = 0.0
+        x[support] += g * eta_scale
 
 
 def _rounds_per_block(sb: int, n: int, dense: bool, grams: int, entries: float) -> int:
     """K, the rounds in a block: rounds of ``sb`` rows over ``n`` columns,
-    with (``dense``) or without a dense cache, ``grams`` Gram owners, and
-    ``entries`` stored entries kept per row (the row layout's keyed entries)."""
-    return max(1, int(_BLOCK_BYTES // (8 * sb * (8 + (n if dense else 0) + grams * sb + 2 * entries))))
+    with (``dense``) or without a dense cache, ``grams`` Gram owners that
+    keep a block of Gram buffers, and ``entries`` stored entries gathered
+    per row (the row layout's ``RowBlock``)."""
+    return max(1, int(_BLOCK_BYTES // (8 * sb * (8 + (n if dense else 0) + grams * sb + 3 * entries))))
 
 
 class _Rank:
@@ -493,19 +494,19 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
     G = total[sb:].reshape(sb, sb) if casgd else None
     if row:
         # Row ranks hold b/p rows of every batch, contiguous within it: rank
-        # r's rows sit at spots[r] of the round's s*b rows, and ``ranked``
-        # lists the round's positions rank after rank.  The round's kernels
-        # run once over all its rows; ranks keep their own buffers only for
-        # the simulated reduction.
+        # r's rows sit at spots[r] of the round's s*b rows.  The round's
+        # kernels run once over all its rows; ranks keep their own buffers
+        # only for the simulated reduction.
         bp = b // p
         spots = [
             slice(r * bp, (r + 1) * bp) if s == 1 else (np.arange(0, sb, b)[:, None] + np.arange(r * bp, (r + 1) * bp)).ravel()
             for r in range(p)
         ]
-        ranked = slice(None) if s == 1 else np.concatenate(spots)
         ranks = []
-        # The replicated Gram is formed (and counted) once.
-        owners = [_Rank(dataset, x, None, G)] if gram else []
+        # The replicated Gram is formed (and counted) once: a block at a
+        # time from dense rows, or else round by round from the block's
+        # pairs, straight into G.
+        owners = [_Rank(dataset, x, None, G)] if gram and dense else []
     else:
         # Column ranks hold all of a round's rows, over their own columns,
         # and each forms its part of the Gram.
@@ -522,11 +523,12 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
     # One column rank's round copies its Gram blocks into G, which the
     # recurrence's views read (K = 1: they are G).
     grams = owners[0].grams if local and gram and K > 1 else None
+    round_gram = row and gram and not dense
     w = np.empty(sb)
     v = np.empty(sb) if row else None
-    # Row ranks' gradient buffers, zero between rounds.
+    scalar_sig = row and bp <= _SCALAR_SIG_MAX
+    # Row ranks' gradient buffers over all n columns, zero between rounds.
     grads = np.zeros((p, n)) if row else None
-    flat_grads = grads.reshape(-1) if row else None
     # Per iteration: batch offset, its scores, its Gram rows left of the
     # diagonal block, the weights they multiply, and its own weights;
     # views, built once, stay valid as the buffers are rewritten in place.
@@ -558,11 +560,22 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
             return
         for lo, r_j, g_j, w_head, own in recurrence:
             zj = r_j + g_j @ w_head if lo else r_j
-            if row:
-                # Each row rank evaluates its own b/p scores.
-                v[own] = vj = _sig_batch(zj, bp)
-            else:
+            if not row:
                 vj = _sig_batch(zj)
+            elif scalar_sig:
+                # Each row rank evaluates its own b/p scores, one at a time;
+                # sig as ``_sig_scalar`` evaluates it, inline.
+                vs = []
+                for t in zj.tolist():
+                    if t >= 0.0:
+                        e = math.exp(-t)
+                        vs.append(e / (1.0 + e))
+                    else:
+                        vs.append(1.0 / (1.0 + math.exp(t)))
+                v[own] = vs
+                vj = v[own]
+            else:
+                v[own] = vj = _sig_batch(zj, bp)
             np.multiply(vj, eta_scale, out=w[own])
 
     t0 = _pc()
@@ -576,18 +589,11 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
         block = np.array(source.peek_indices(count * s), dtype=np.int64).reshape(count, sb)
         source.advance(count * s)
         if row:
-            # Every rank's rows at once, in the form a rank's rows take;
-            # each round's entries keyed for one scatter into the ranks'
-            # buffers, rank after rank, with each rank's first s-1
-            # batches (its payload head) at the start of its stretch.
-            block_rows = gather_rows(dataset, block, s, s * bp)
-            keys, vals, counts = rank_entries(dataset, block[:, ranked], s * bp)
-            starts = np.zeros(counts.size + 1, dtype=np.int64)
-            np.cumsum(counts, out=starts[1:])
-            bounds = starts[::sb].tolist()
-            stretch = starts[:-1].reshape(count, p, s * bp)
-            heads = np.stack((stretch[..., 0], stretch[..., (s - 1) * bp]), axis=-1).tolist()
-            supports = column_support(dataset, block, block_rows)
+            # One gather of every rank's entries: the rows in the form a
+            # rank's rows take (dense rows from the cache), each round's
+            # support, gradient keys, payload heads and Gram pairs.
+            entries = RowBlock(dataset, block, b, bp, casgd)
+            block_rows = gather_rows(dataset, block, s, s * bp) if dense else entries.rows
             for rk in owners:
                 rk.block_rows = block_rows
         else:
@@ -607,6 +613,8 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
             t0 = timer.lap("sampling", t0)
         for rk in owners:
             charges = charges + gram_lower_blocks(rk.data, block, b, out=rk.grams[:count], rows=rk.block_rows)[1]
+        if round_gram:
+            charges = charges + entries.matches
         if timer and gram:
             t0 = timer.lap("gram", t0)
         done = np.zeros(count + 1, dtype=np.int64)
@@ -664,7 +672,7 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
                     for rk in ranks:
                         batch_scores(rk.data, ids, rk.x, rk.block_rows[r], rk.scores)
                     if row:
-                        rows = block_rows[r]
+                        rows, here = block_rows[r], entries.rounds[r]
                         if dense_rows:
                             # One BLAS product per rank: its bits may depend
                             # on the rows it is handed.
@@ -676,12 +684,17 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
                             # Each rank's rows' values of the first s-1
                             # batches (the Gram's column side), then its
                             # scores for all s batches.
-                            payloads = [np.concatenate((vals[lo:hi], rs[spot])) for (lo, hi), spot in zip(heads[r], spots)]
+                            payloads = [np.concatenate((head, rs[spot])) for head, spot in zip(entries.heads[r], spots)]
                     if K > 1:
                         for rk in owners:
                             rk.gram[...] = rk.grams[r]
                     if timer:
                         t0 = timer.lap("score_matvec", t0)
+                    if round_gram:
+                        # G's strictly lower blocks are zero here.
+                        gram_lower_blocks(dataset, ids, b, out=G, rows=here)
+                        if timer:
+                            t0 = timer.lap("gram", t0)
                     # 3. one collective
                     if not row:
                         summed = cluster.combine(bufs)
@@ -693,6 +706,9 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
                     if timer:
                         t0 = timer.lap("collectives", t0)
                     weigh()
+                    if round_gram:
+                        # Clear what the round's pairs wrote.
+                        G.reshape(-1)[here.targets] = 0.0
                     if timer:
                         t0 = timer.lap("sig", t0)
                     # 5. the update.  Row ranks' gradients go into their
@@ -700,15 +716,19 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
                     # per rank), and the buffers are summed into x once per
                     # round.  Column ranks update their own part of x.
                     if row:
+                        # A round with a support scatters into its own
+                        # columns of the block's buffers.
+                        support = entries.supports[r]
+                        parts = grads if support is None else entries.parts[r]
                         if dense_rows:
                             for spot, g in zip(spots, grads):
                                 add_rows_transpose(dataset, ids[spot], v[spot], g, rows=rows[spot])
                         else:
-                            lo, hi = bounds[r], bounds[r + 1]
-                            np.add.at(flat_grads, keys[lo:hi], vals[lo:hi] * np.repeat(v[ranked], counts[r]))
+                            target = grads if support is None else entries.gradients
+                            np.add.at(target.reshape(-1), here.keys, here.vals * np.repeat(v, entries.counts[r]))
                         if timer:
                             t0 = timer.lap("gradient", t0)
-                        _apply_row_gradient(cluster, grads, supports[r], eta_scale, x)
+                        _apply_row_gradient(cluster, parts, support, eta_scale, x)
                         if timer:
                             t0 = timer.lap("collectives", t0)
                     elif r < j:

@@ -14,12 +14,18 @@ Two kinds of kernels work on sampled rows:
     and update from one form of the round's rows, which ``gather_rows``
     picks: a list of (columns, values) rows (row by row), dense rows or
     CSR rows.  ``gather_rows`` and ``gram_lower_blocks`` also take a block
-    of K rounds at once, and ``column_support`` and ``rank_entries``, which
-    serve the row layout's gradient reduction, take only such blocks.  The
-    Gram takes BLAS products of dense row panels when the matrix keeps a
-    dense cache, and otherwise pairs the block's entries after one sort by
-    (round, column).  A column-partitioned rank runs the kernels on its
-    ``CsrMatrix.column_window``.
+    of K rounds at once.  The Gram takes BLAS products of dense row panels
+    when the matrix keeps a dense cache, and otherwise pairs the entries
+    that share a column with an entry of another batch of their round,
+    after one sort by (round, column).  A column-partitioned rank runs the
+    kernels on its ``CsrMatrix.column_window``.
+  * the row layout's block kernel, ``RowBlock``, gathers a block's stored
+    entries once, in batch order, and sorts them at most once, by (round,
+    column).  Every round then reads that one gather: its rows for the
+    scores (``RoundEntries``, one dot per row over x gathered once, or CSR
+    rows built from them), its support and each entry's key for the
+    gradient scatter, its ranks' payload values, and its Gram pairs, which
+    ``gram_lower_blocks`` adds into the round's Gram.
 
 Pairwise row inner products match entries of the two rows' sorted column
 indices and sum the products in ascending column order, which keeps
@@ -48,11 +54,11 @@ __all__ = [
     "sampled_matvec_transpose",
     "gram_block",
     "gather_rows",
-    "column_support",
     "batch_scores",
     "gram_lower_blocks",
     "add_rows_transpose",
-    "rank_entries",
+    "RowBlock",
+    "RoundEntries",
 ]
 
 # Without a dense row cache, ``gather_rows`` leaves ranks of fewer rows than
@@ -60,13 +66,16 @@ __all__ = [
 # are gathered as CSR rows for scipy products, despite their call overhead.
 _VECTORIZE_MIN_ROWS = 33
 
-# ``column_support`` gives a round's distinct columns when n is at least this
-# many times the round's nonzeros, and None (use all n) otherwise.  One
-# row-layout round at p = 4 (accumulate, reduce, update), over the support
-# against over all n, in us: n = 20000, 20 nonzeros per row, n/nnz = 62: 102
-# vs 167; 31: 167 vs 213; 21: 240 vs 266; 16: 308 vs 318; 10: 430 vs 324.
-# n = 3000, 5 per row, n/nnz = 38: 72 vs 81; 19: 160 vs 142; 12: 136 vs 119.
-_SUPPORT_MIN_RATIO = 24
+# ``RowBlock`` gives a round its distinct columns when n is at least this
+# many times the round's nonzeros, and None (use all n) otherwise.  A whole
+# row-layout SGD round at p = 4 with the support (its share of the block's
+# sort, the scatter into the block's gradient buffers, the reduction and the
+# update of its columns) against over all n, in us, best of 15 on one core:
+# n = 20000, 20 nonzeros per row, n/nnz = 62: 102 vs 157; 21: 222 vs 264;
+# 16: 247 vs 262; 10: 318 vs 323; 8: 444 vs 442.  n = 3000, 5 per row,
+# n/nnz = 75: 34 vs 40; 38: 48 vs 52; 25: 67 vs 66; 19: 82 vs 85; 12: 151
+# vs 141; 9: 180 vs 164.
+_SUPPORT_MIN_RATIO = 16
 
 # Matrices up to this many cells keep a dense row cache so round kernels can
 # run BLAS products on gathered rows; beyond it only the sparse paths apply.
@@ -341,6 +350,38 @@ def _parse_line(line_no: int, tokens: list[str]) -> None:
         prev = idx
 
 
+def _lines(source: str | TextIO | Iterable[str]) -> Iterator[str]:
+    """The source's lines, as ``splitlines`` gives them, a piece at a time.
+
+    Text is cut after a '\n' about every ``_CHUNK_CHARS`` characters and
+    each piece split on its own, so no list of every line is held.  A cut
+    after a '\n' never splits a line separator (``\r\n`` ends in it), so
+    the pieces give the lines of the whole text.  Other iterables yield
+    their lines with a trailing '\n' removed.
+    """
+    if isinstance(source, str):
+        start = 0
+        while start < len(source):
+            cut = source.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(source)
+            yield from source[start:cut].splitlines()
+            start = cut
+    elif hasattr(source, "read"):
+        # Reads end anywhere: the text after a read's last '\n' waits for
+        # the next one.
+        held: list[str] = []
+        while piece := source.read(_CHUNK_CHARS):
+            cut = piece.rfind("\n") + 1
+            if cut:
+                held.append(piece[:cut])
+                yield from "".join(held).splitlines()
+                held = [piece[cut:]]
+            else:
+                held.append(piece)
+        yield from "".join(held).splitlines()
+    else:
+        yield from (ln.rstrip("\n") for ln in source)
+
+
 def _chunks(lines: Iterable[str]) -> Iterator[tuple[list[int], list[str], list[int], list[str]]]:
     """The non-blank lines' tokens, a chunk of about ``_CHUNK_CHARS`` characters
     at a time: (line numbers, label tokens, feature counts, feature tokens)."""
@@ -442,7 +483,8 @@ def parse_libsvm(
     the maximum index seen (files underreport trailing all-zero features).
     The stored matrix is pre-scaled by the mapped labels.
 
-    Lines split into tokens with ``str.split()`` and convert a chunk of
+    Text is split into lines a piece at a time (``_lines``), and lines
+    split into tokens with ``str.split()`` and convert a chunk of
     about ``_CHUNK_CHARS`` characters at a time: the chunk's labels in one
     ``map(float)``, its feature tokens joined and split at ':' and ' ' into
     index and value strings, which one ``map(int)`` and one ``map(float)``
@@ -456,14 +498,7 @@ def parse_libsvm(
     policy come after every line has parsed, and a non-finite feature value
     (quoted as the file wrote it) after those.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    elif hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in source]
-
-    chunks = [_convert(*chunk) for chunk in _chunks(lines)]
+    chunks = [_convert(*chunk) for chunk in _chunks(_lines(source))]
     if not chunks:
         raise LibsvmParseError(0, "no data lines found")
     columns = list(zip(*chunks))
@@ -631,7 +666,7 @@ def gather_rows(dataset: LabeledDataset, row_ids, batches: int, width: int | Non
     if dense is not None and batches > 1:
         return dense[row_ids]
     ids = np.asarray(row_ids, dtype=np.int64)
-    if batches > 1 and (ids.shape[-1] if width is None else width) >= _VECTORIZE_MIN_ROWS:
+    if _vectorized(batches, ids.shape[-1] if width is None else width):
         csr = A.scipy_csr
         return csr[ids] if ids.ndim == 1 else [csr[round_ids] for round_ids in ids]
     if dense is not None:
@@ -645,12 +680,21 @@ def gather_rows(dataset: LabeledDataset, row_ids, batches: int, width: int | Non
     return [rows[i : i + step] for i in range(0, len(rows), step)]
 
 
+def _vectorized(batches: int, width: int) -> bool:
+    """Whether ranks of ``width`` rows of ``batches`` batches take CSR rows
+    (without a dense cache) rather than going row by row."""
+    return batches > 1 and width >= _VECTORIZE_MIN_ROWS
+
+
 def batch_scores(dataset: LabeledDataset, row_ids, x: np.ndarray, rows=None, out=None) -> np.ndarray:
     """Scores of ``row_ids`` against full-length ``x``.
 
-    ``rows`` is ``gather_rows``' form of ``row_ids`` (None: row by row).
-    Scores are written into ``out`` when given.  Their multiply-adds are
-    the rows' stored entries, ``row_nnz``, which the caller counts.
+    ``rows`` is ``gather_rows``' form of ``row_ids`` (None: row by row), or
+    the ``RoundEntries`` of a ``RowBlock`` round, over which x is gathered
+    once and each row takes one dot of slices (a dot's bits do not depend
+    on where its operands start).  Scores are written into ``out`` when
+    given.  Their multiply-adds are the rows' stored entries, ``row_nnz``,
+    which the caller counts.
     """
     if out is None:
         out = np.empty(len(row_ids))
@@ -661,6 +705,11 @@ def batch_scores(dataset: LabeledDataset, row_ids, x: np.ndarray, rows=None, out
             # ndarray.dot is np.dot without its dispatch overhead; a dense
             # row takes x itself, not the view x[:].
             out[k] = vals.dot(x if cols is _ALL else x[cols])
+        return out
+    if isinstance(rows, RoundEntries):
+        xs, vals, bounds = x[rows.cols], rows.vals, rows.bounds
+        for k, lo, hi in zip(range(len(out)), bounds, bounds[1:]):
+            out[k] = vals[lo:hi].dot(xs[lo:hi])
         return out
     out[:] = rows @ x
     return out
@@ -682,7 +731,11 @@ def gram_lower_blocks(
     rows.  Diagonal and upper blocks are left untouched (zero when ``out``
     is freshly allocated; ``out`` must be C-contiguous).  ``rows`` is
     ``gather_rows``' form of ``row_ids``; only dense rows are used (None:
-    gathered here when the matrix keeps a dense cache).  Dense rows
+    gathered here when the matrix keeps a dense cache).  It may also be the
+    ``RoundEntries`` of one ``RowBlock`` round, whose Gram pairs are added
+    into ``out``: its strictly lower blocks must then be zero, and after
+    the round the caller clears the entries the pairs wrote
+    (``out.flat[rows.targets] = 0``), not whole blocks.  Dense rows
     are multiplied in row panels of ``_GRAM_PANEL_ROWS``, each against the
     rows up to its end, so the products above the panels' diagonal squares
     are never formed.  Up to one panel that is one square product; above
@@ -718,14 +771,16 @@ def gram_lower_blocks(
     # Every pair of entries of one round that share a column, the later one
     # in a later batch, adds its product to G[later, earlier].  Pairs come
     # in ascending column order, so each entry sums from +0.0 in that order.
+    if isinstance(rows, RoundEntries):
+        np.add.at(out.reshape(-1), rows.targets, rows.products)
+        return out, np.int64(len(rows.targets))
     for lo in range(b, sb, b):
         out[..., lo : lo + b, :lo] = 0.0
-    vals, pos, first, earlier = _column_runs(A, row_ids, b)
-    later = np.repeat(np.arange(len(vals)), earlier)
-    partner = _ranges(first, earlier)
-    at = pos[later]
-    np.add.at(out.reshape(-1), at * sb + pos[partner] % sb, vals[later] * vals[partner])
-    return out, np.bincount(at // sb, minlength=row_ids.size // sb).reshape(row_ids.shape[:-1])
+    _, cols, vals, row_of = _gather(A, row_ids.reshape(-1))
+    _, entry, new = _sort_by_column(row_of // sb * A.num_cols + cols)
+    later, earlier, products = _shared_column_pairs(new, entry, row_of, vals, b)
+    np.add.at(out.reshape(-1), later * sb + earlier % sb, products)
+    return out, np.bincount(later // sb, minlength=row_ids.size // sb).reshape(row_ids.shape[:-1])
 
 
 def add_rows_transpose(dataset: LabeledDataset, row_ids, w: np.ndarray, x: np.ndarray, rows=None) -> None:
@@ -761,89 +816,189 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
 
 
-def column_support(dataset: LabeledDataset, row_ids, rows=None) -> list[np.ndarray | None]:
-    """Each round's sorted distinct columns, or None for a round whose rows are dense.
-
-    ``row_ids`` holds K rounds, one per row of a (K, s*b) array, and
-    ``rows`` is ``gather_rows``' form of them (None: row by row).  A round's
-    entry is None when its rows were gathered as one dense matrix, whose
-    product writes every column, and when they hold more than
-    n / ``_SUPPORT_MIN_RATIO`` nonzeros, where a pass over all n columns is
-    cheaper than one over the support.  The other rounds' entries come from
-    one sort of (round, column) keys.
-    """
-    A = dataset.a_tilde
-    ids = np.asarray(row_ids, dtype=np.int64)
-    if isinstance(rows, np.ndarray):
-        return [None] * len(ids)
-    n = A.num_cols
-    counts = A.row_nnz[ids]
-    small = (counts.sum(axis=1) * _SUPPORT_MIN_RATIO <= n).tolist()
-    if not any(small):
-        return [None] * len(ids)
-    kept, counts = ids[small].ravel(), counts[small].ravel()
-    keys = A.col_indices[_ranges(A.row_offsets[kept], counts)]
-    keys += np.repeat(np.arange(len(kept)) // ids.shape[-1] * n, counts)
-    keys.sort()
-    keys = keys[_run_starts(keys)]
-    supports = iter(np.split(keys % n, np.searchsorted(keys, np.arange(1, sum(small)) * n)))
-    return [next(supports) if keep else None for keep in small]
-
-
-def rank_entries(dataset: LabeledDataset, row_ids, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The stored entries of rows held by ranks, keyed for one scatter into the ranks' buffers.
-
-    ``row_ids`` holds K rounds, one per row of a (K, s*b) array, each
-    listing its ranks' rows rank after rank, ``width`` rows per rank.
-    Returns, in the order of ``row_ids.ravel()``, each entry's key
-    ``rank * n + column`` and its value, and each row's entry count (the
-    shape of ``row_ids``).  For a round's entries ``np.add.at(buffers.ravel(),
-    keys, values * np.repeat(w, counts))`` adds each rank's rows, weighted
-    by ``w``, into its row of the (ranks, n) ``buffers``.  The scatter is
-    unbuffered and keeps every rank's row order, so each rank's buffer gets
-    the bits of ``add_rows_transpose`` over its own rows.
-    """
-    A = dataset.a_tilde
-    ids = np.asarray(row_ids, dtype=np.int64)
-    counts = A.row_nnz[ids]
-    flat = counts.ravel()
-    entries = _ranges(A.row_offsets[ids.ravel()], flat)
-    keys = A.col_indices[entries] + np.repeat(np.arange(ids.size) % ids.shape[-1] // width * A.num_cols, flat)
-    return keys, A.values[entries], counts
-
-
-def _run_starts(a: np.ndarray) -> np.ndarray:
-    """Mask of the entries of sorted ``a`` that differ from their left neighbour."""
-    starts = np.empty(len(a), dtype=bool)
-    starts[:1] = True
-    np.not_equal(a[1:], a[:-1], out=starts[1:])
-    return starts
-
-
-def _column_runs(A: CsrMatrix, ids: np.ndarray, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The entries of the rounds of ``ids`` (one round, or one per row of a
-    (K, s*b) array), sorted once by (round, column, position in the round).
-
-    Per sorted entry: its value, its row's position in ``ids.ravel()``,
-    where its round's run of its column starts, and how many entries of
-    that run are in earlier batches of ``b`` rows (they lead the run).
-    """
-    sb = ids.shape[-1]
-    flat = ids.ravel()
+def _gather(A: CsrMatrix, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The stored entries of rows ``flat`` in their order: the offset of each
+    row's first entry (and the total), and per entry its column, value and
+    position in ``flat``."""
     counts = A.row_nnz[flat]
-    entries = _ranges(A.row_offsets[flat], counts)
-    nnz = len(entries)
-    index = np.arange(nnz)
-    at = np.repeat(np.arange(len(flat)), counts)
-    # Each round's columns take their own range of keys.
-    keys = (A.col_indices[entries] + at // sb * A.num_cols) * nnz + index
-    keys.sort()
-    cols, order = np.divmod(keys, nnz)
-    pos = at[order]
-    col_starts = _run_starts(cols)
-    first = np.maximum.accumulate(np.where(col_starts, index, 0))
-    batch_first = np.maximum.accumulate(np.where(_run_starts(pos // b) | col_starts, index, 0))
-    return A.values[entries[order]], pos, first, batch_first - first
+    starts = np.zeros(len(flat) + 1, dtype=np.int64)
+    np.cumsum(counts, out=starts[1:])
+    row_of = np.repeat(np.arange(len(flat)), counts)
+    entries = (A.row_offsets[flat] - starts[:-1])[row_of]
+    entries += np.arange(len(entries))
+    return starts, A.col_indices[entries], A.values[entries], row_of
+
+
+def _sort_by_column(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One sort of (round, column) ``keys``, ties in entry order.
+
+    Returns the sorted keys, the entry at each sorted place, and the mask of
+    the places that start a run of equal keys.  The keys carry each entry's
+    index in their low bits, so an unstable sort keeps ties in order.
+    """
+    bits = len(keys).bit_length()
+    packed = (keys << bits) | np.arange(len(keys))
+    packed.sort()
+    by_column = packed >> bits
+    new = np.empty(len(packed), dtype=bool)
+    new[:1] = True
+    np.not_equal(by_column[1:], by_column[:-1], out=new[1:])
+    return by_column, packed & ((1 << bits) - 1), new
+
+
+def _shared_column_pairs(
+    new: np.ndarray, entry: np.ndarray, row_of: np.ndarray, vals: np.ndarray, b: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair of a round's entries that share a column, the later one in
+    a later batch of ``b`` rows, from entries sorted by (round, column, entry).
+
+    ``new`` marks where a (round, column) run starts and ``entry`` is the
+    entry at each sorted place; ``row_of`` and ``vals`` give an entry's row
+    (its position in the rounds' flattened row ids) and value.  Returns per
+    pair the later entry's row, the earlier entry's row and their product,
+    ordered by (round, column, later entry, earlier entry).  Runs of one
+    entry hold no pair and are dropped before any per-pair work.
+    """
+    single = new.copy()
+    single[:-1] &= new[1:]
+    shared = np.flatnonzero(~single)
+    entry, starts = entry[shared], new[shared]
+    rows = row_of[entry]
+    index = np.arange(len(entry))
+    first = np.maximum.accumulate(index * starts)
+    batch = rows // b
+    starts[1:] |= batch[1:] != batch[:-1]
+    # Entries of the run in earlier batches lead it.
+    earlier = np.maximum.accumulate(index * starts)
+    earlier -= first
+    later = np.repeat(index, earlier)
+    ends = np.cumsum(earlier)
+    partner = np.arange(len(later)) + (first - ends + earlier)[later]
+    vals = vals[entry]
+    return rows[later], rows[partner], vals[later] * vals[partner]
+
+
+class RoundEntries(NamedTuple):
+    """One round's rows from ``RowBlock``, as one run of their stored entries.
+
+    Row k's entries are ``cols[bounds[k]:bounds[k + 1]]`` and ``vals[...]``.
+    ``keys`` are the entries' places in the gradient buffers (see
+    ``RowBlock``).  ``targets`` and ``products`` are the round's Gram pairs
+    (None without them): where each adds its product in the round's s*b
+    square, as a flat index, in the order ``gram_lower_blocks`` adds them.
+    """
+
+    cols: np.ndarray
+    vals: np.ndarray
+    keys: np.ndarray
+    bounds: list[int]
+    targets: np.ndarray | None
+    products: np.ndarray | None
+
+
+class RowBlock:
+    """A block of row-layout rounds, read from one gather of their stored entries.
+
+    ``row_ids`` is a (K, s*b) array: per round, s batches of ``b`` rows, and
+    each of the p ranks holds ``width`` consecutive rows of every batch.
+    The block's entries are gathered once, in the order of
+    ``row_ids.ravel()``, and sorted at most once, by (round, column): over
+    every round when there are Gram pairs, else over the rounds with a
+    support, and not at all when neither needs it.  Per round it gives:
+
+      * ``rounds``: its ``RoundEntries``;
+      * ``rows``: its rows in the form ``batch_scores`` takes, the
+        ``RoundEntries`` themselves (one dot per row), or CSR rows built from
+        them when ranks hold ``_VECTORIZE_MIN_ROWS`` rows or more of s > 1
+        batches (as ``gather_rows`` picks).  None under a dense cache, whose
+        rows ``gather_rows`` gives;
+      * ``supports``: its sorted distinct columns, or None when its rows
+        hold more than n / ``_SUPPORT_MIN_RATIO`` entries, or are dense rows
+        (s > 1 under a dense cache), whose products write every column;
+      * ``parts``: for a round with a support, each rank's gradient over it,
+        a (p, len(support)) view of the block's zeroed ``gradients`` (None
+        when no round has a support), in which every round takes its own
+        columns; else None;
+      * with ``payload`` (the s-step allgather): ``heads``, each rank's
+        values of its rows of the first s-1 batches, in row order, and, at
+        s > 1 without a dense cache, its Gram pairs (in ``rounds``), counted
+        by ``matches`` (int64, one per round; else None).
+
+    An entry's key is its place in the flattened gradient buffers of its
+    round's ranks: (p, n) buffers over all columns (``rank * n + column``)
+    for a round without a support, and ``gradients`` otherwise, at its
+    column's place in the sort.  ``np.add.at(buffers, keys, vals *
+    np.repeat(w, counts))``, over a round's keys, values and ``counts`` (each
+    row's stored entries, the shape of ``row_ids``), adds each rank's rows,
+    weighted by ``w``, into its buffer in row order, as
+    ``add_rows_transpose`` over the rank's own rows would.
+    """
+
+    def __init__(self, dataset: LabeledDataset, row_ids, b: int, width: int, payload: bool):
+        A = dataset.a_tilde
+        n = A.num_cols
+        ids = np.asarray(row_ids, dtype=np.int64)
+        K, sb = ids.shape
+        s, p = sb // b, b // width
+        dense = A.dense_cache() is not None
+        starts, cols, vals, row_of = _gather(A, ids.ravel())
+        self.counts = A.row_nnz[ids]
+        edges = starts[::sb]
+        sizes = np.diff(edges)
+        rank = np.repeat(np.arange(ids.size) % b // width, self.counts.ravel())
+
+        with_support = np.zeros(K, dtype=bool) if dense and s > 1 else sizes * _SUPPORT_MIN_RATIO <= n
+        pairs = payload and s > 1 and not dense
+        self.supports: list[np.ndarray | None] = [None] * K
+        self.parts: list[np.ndarray | None] = [None] * K
+        self.gradients = self.matches = None
+        keys = None if with_support.all() else rank * n + cols
+        if pairs or with_support.any():
+            keyed = np.repeat(np.arange(K) * n, sizes) + cols
+            chosen = None if pairs or with_support.all() else np.flatnonzero(np.repeat(with_support, sizes))
+            by_column, entry, new = _sort_by_column(keyed if chosen is None else keyed[chosen])
+            if chosen is not None:
+                entry = chosen[entry]
+            if with_support.any():
+                distinct = by_column[new]
+                first = np.searchsorted(distinct, np.arange(K + 1) * n).tolist()
+                columns = distinct % n
+                self.gradients = np.zeros((p, len(distinct)))
+                place = np.empty(len(cols), dtype=np.int64)
+                place[entry] = np.cumsum(new) - 1
+                place += rank * len(distinct)
+                keys = place if keys is None else np.where(np.repeat(with_support, sizes), place, keys)
+                for k in np.flatnonzero(with_support).tolist():
+                    self.supports[k] = columns[first[k] : first[k + 1]]
+                    self.parts[k] = self.gradients[:, first[k] : first[k + 1]]
+            if pairs:
+                later, earlier, products = _shared_column_pairs(new, entry, row_of, vals, b)
+                targets = later % sb * sb + earlier % sb
+                pair_starts = np.searchsorted(later, np.arange(K + 1) * sb)
+                self.matches = np.diff(pair_starts)
+                pair_starts = pair_starts.tolist()
+
+        # Each round's row bounds, from its first entry.
+        bounds = np.concatenate((starts[:-1].reshape(K, sb) - edges[:-1, None], sizes[:, None]), axis=1)
+        listed, edges = bounds.tolist(), edges.tolist()
+        if payload:
+            # Where each round's last batch starts.
+            heads_end = starts[np.arange(K) * sb + (s - 1) * b].tolist()
+        csr = not dense and _vectorized(s, s * width)
+        self.rounds, self.rows, self.heads = [], None if dense else [], []
+        for k in range(K):
+            lo, hi = edges[k], edges[k + 1]
+            gram = (targets[pair_starts[k] : pair_starts[k + 1]], products[pair_starts[k] : pair_starts[k + 1]]) if pairs else (None, None)
+            entries = RoundEntries(cols[lo:hi], vals[lo:hi], keys[lo:hi], listed[k], *gram)
+            self.rounds.append(entries)
+            if csr:
+                self.rows.append(scipy.sparse.csr_matrix((entries.vals, entries.cols, bounds[k]), shape=(sb, n)))
+            elif not dense:
+                self.rows.append(entries)
+            if payload:
+                # Each rank's entries of the first s-1 batches, in row order.
+                end = heads_end[k]
+                self.heads.append([vals[lo:end][rank[lo:end] == r] for r in range(p)])
 
 
 def _lower_block_matches(A: CsrMatrix, ids: np.ndarray, b: int) -> np.ndarray:

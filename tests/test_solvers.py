@@ -24,8 +24,9 @@ from casgd import (
 from casgd.datagen import synthetic_dataset
 from casgd.sampling import BatchStream
 from casgd.solvers import _apply_row_gradient, _sig_batch, epoch_schedule, iterations_per_epoch
-from casgd.sparse import _SUPPORT_MIN_RATIO, add_rows_transpose, column_support, gather_rows, rank_entries
+from casgd.sparse import _SUPPORT_MIN_RATIO, RowBlock, add_rows_transpose, gather_rows
 
+import row_oracles
 from conftest import ragged_libsvm_dataset
 
 
@@ -332,26 +333,38 @@ class TestRoundBlocks:
     def _run_by_block_size(monkeypatch, d, cfg, solver=run_casgd, **kwargs):
         """The run at K = 1, after checking that K = 3 and the default K give
         the same bits, traces and counters; and, for each K, the block sizes
-        of its Gram calls and how many stream reads it made."""
+        of its block-wide Gram calls, how many stream reads it made, the
+        block sizes of its ``RowBlock``s and how many one-round Gram calls
+        it made (the row layout without a dense cache)."""
         default = casgd.solvers._rounds_per_block
         real = casgd.solvers.gram_lower_blocks
+        real_block = casgd.solvers.RowBlock
         peek = BatchStream.peek_indices
-        base, sizes, reads = None, [], []
+        base, sizes, reads, row_blocks, round_grams = None, [], [], [], []
         for K in (1, 3, None):
             monkeypatch.setattr(casgd.solvers, "_rounds_per_block", default if K is None else lambda *args, K=K: K)
-            blocks, calls = [], []
+            blocks, calls, gathered, rounds = [], [], [], []
 
             def spy(data, row_ids, *args, **kwargs):
-                # Every Gram call takes a block of rounds.
-                assert np.ndim(row_ids) == 2
-                blocks.append(len(row_ids))
+                # A Gram call takes a block of rounds, or one round's pairs.
+                if np.ndim(row_ids) == 1:
+                    assert isinstance(kwargs["rows"], casgd.sparse.RoundEntries)
+                    rounds.append(len(row_ids))
+                else:
+                    assert np.ndim(row_ids) == 2
+                    blocks.append(len(row_ids))
                 return real(data, row_ids, *args, **kwargs)
+
+            def gather(data, row_ids, *args):
+                gathered.append(len(row_ids))
+                return real_block(data, row_ids, *args)
 
             def counted(stream, count):
                 calls.append(count)
                 return peek(stream, count)
 
             monkeypatch.setattr(casgd.solvers, "gram_lower_blocks", spy)
+            monkeypatch.setattr(casgd.solvers, "RowBlock", gather)
             monkeypatch.setattr(BatchStream, "peek_indices", counted)
             run = solver(d, cfg, partition(d, cfg.layout, cfg.p), **kwargs)
             if base is None:
@@ -361,7 +374,9 @@ class TestRoundBlocks:
                 assert run.trace == base.trace and run.counters == base.counters
             sizes.append(blocks)
             reads.append(len(calls))
-        return base, sizes, reads
+            row_blocks.append(gathered)
+            round_grams.append(rounds)
+        return base, sizes, reads, row_blocks, round_grams
 
     @pytest.mark.parametrize("s", [2, 8])
     @pytest.mark.parametrize("b", [1, 3])
@@ -373,7 +388,7 @@ class TestRoundBlocks:
         assert d.a_tilde.dense_cache() is not None
         cfg = SolverConfig(eta0=1.0, b=b, s=s, total_iterations=11 * s, p=p, seed=7)
         schedule = [(1, 1), (2, 3 * s + 1), (3, 7 * s - 1), (4, 11 * s)]
-        run, sizes, reads = self._run_by_block_size(monkeypatch, d, cfg, schedule=schedule)
+        run, sizes, reads, _, _ = self._run_by_block_size(monkeypatch, d, cfg, schedule=schedule)
         # Every rank forms its Gram blocks once per block.
         assert sizes == [[1] * 11 * p, [3] * 3 * p + [2] * p, [11] * p]
         assert reads == [11, 4, 1]
@@ -395,18 +410,24 @@ class TestRoundBlocks:
     )
     def test_blocks_without_dense_cache_and_in_row_layout(self, monkeypatch, layout, p, b, m, n, s):
         # The same for column rounds without a dense cache (the Gram sorts
-        # every round's entries at once) and for row rounds, whose one
-        # replicated Gram is formed per block.  Column trace points fall
-        # inside rounds; row layouts materialize x at round ends.
+        # every round's entries at once) and for row rounds, whose entries
+        # are gathered once per block (``RowBlock``).  Their one replicated
+        # Gram is formed per block from dense rows, and without a dense
+        # cache round by round from the block's pairs.  Column trace points
+        # fall inside rounds; row layouts materialize x at round ends.
         d = ragged_libsvm_dataset(m, n, seed=m + p + b + s)
-        assert (d.a_tilde.dense_cache() is None) == (n == 3000)
+        dense = d.a_tilde.dense_cache() is not None
+        assert dense == (n == 40)
         cfg = SolverConfig(eta0=1.0, b=b, s=s, total_iterations=11 * s, layout=layout, p=p, seed=7)
         row = layout == BLOCK_ROW
         schedule = [(1, s), (2, 4 * s), (3, 7 * s), (4, 11 * s)] if row else [(1, 1), (2, 3 * s + 1), (3, 7 * s - 1), (4, 11 * s)]
-        run, sizes, _ = self._run_by_block_size(monkeypatch, d, cfg, schedule=schedule)
-        owners = 1 if row else p
-        default = casgd.solvers._rounds_per_block(s * b, n, n == 40, owners, d.nnz / m if row else 0)
-        assert sizes == [[min(K, 11 - start) for start in range(0, 11, K) for _ in range(owners)] for K in (1, 3, default)]
+        run, sizes, _, row_blocks, round_grams = self._run_by_block_size(monkeypatch, d, cfg, schedule=schedule)
+        owners = (1 if dense else 0) if row else p
+        default = casgd.solvers._rounds_per_block(s * b, n, dense, owners, d.nnz / m if row else 0)
+        per_block = [[min(K, 11 - start) for start in range(0, 11, K)] for K in (1, 3, default)]
+        assert sizes == [[size for size in blocks for _ in range(owners)] for blocks in per_block]
+        assert row_blocks == (per_block if row else [[], [], []])
+        assert round_grams == [[s * b] * 11 if row and not dense else []] * 3
         assert len(run.epoch_solutions) == 5
 
     def test_forced_batches_in_blocks(self, monkeypatch):
@@ -415,7 +436,7 @@ class TestRoundBlocks:
         batches = [RowBlockSelector(rng.choice(150, size=3, replace=False)) for _ in range(40)]
         batches[1] = batches[0]
         cfg = SolverConfig(eta0=1.0, b=3, s=8, total_iterations=40, p=3)
-        _, sizes, _ = self._run_by_block_size(monkeypatch, d, cfg, batches=batches)
+        _, sizes, _, _, _ = self._run_by_block_size(monkeypatch, d, cfg, batches=batches)
         assert sizes == [[1] * 15, [3, 3, 3, 2, 2, 2], [5] * 3]
 
     @pytest.mark.parametrize("layout,p,b", [(BLOCK_COLUMN, 1, 1), (BLOCK_COLUMN, 3, 2), (BLOCK_ROW, 2, 4)])
@@ -427,7 +448,7 @@ class TestRoundBlocks:
         assert casgd.solvers._rounds_per_block(b, 3000, False, 0, d.nnz / 800 if layout == BLOCK_ROW else 0) > 40
         cfg = SolverConfig(eta0=1.0, b=b, total_iterations=40, layout=layout, p=p, seed=7)
         schedule = [(1, 5), (2, 17), (3, 40)]
-        run, sizes, reads = self._run_by_block_size(monkeypatch, d, cfg, solver=run_sgd, schedule=schedule)
+        run, sizes, reads, _, _ = self._run_by_block_size(monkeypatch, d, cfg, solver=run_sgd, schedule=schedule)
         assert sizes == [[], [], []]
         assert reads == [40, 14, 1]
         assert len(run.epoch_solutions) == 4
@@ -576,23 +597,33 @@ def test_trace_points_inside_dense_rounds_keep_the_bits(s):
 
 
 def _scatter(d, block, width, w, buffers):
-    """Every round's rows of ``block`` into ``buffers`` (one (p, n) array per
-    round), as the row layout adds them: one ``np.add.at`` per round."""
-    keys, vals, counts = rank_entries(d, block, width)
-    starts = np.concatenate(([0], np.cumsum(counts)))[:: block.shape[1]]
+    """Every round's rows of ``block`` (one batch each) into ``buffers``, as
+    the row layout adds them: one ``np.add.at`` per round over the keys of
+    one ``RowBlock``.  A round without a support adds into its (p, n) buffer;
+    one with a support (every round at ``_SUPPORT_MIN_RATIO`` 0, and a
+    round of empty rows at any ratio) into the block's ``gradients``, whose
+    view over the round's columns then fills the buffer's, which must be
+    zero there."""
+    entries = RowBlock(d, block, block.shape[1], width, False)
     for k, buf in enumerate(buffers):
-        lo, hi = starts[k], starts[k + 1]
-        np.add.at(buf.reshape(-1), keys[lo:hi], vals[lo:hi] * np.repeat(w[k], counts[k]))
+        here, support = entries.rounds[k], entries.supports[k]
+        weighted = here.vals * np.repeat(w[k], entries.counts[k])
+        if support is None:
+            np.add.at(buf.reshape(-1), here.keys, weighted)
+        else:
+            np.add.at(entries.gradients.reshape(-1), here.keys, weighted)
+            assert not buf[:, support].any()
+            buf[:, support] = entries.parts[k]
 
 
 class TestRowGradientReduction:
     @pytest.mark.parametrize("p", [1, 3])
     @pytest.mark.parametrize("rows_per_rank", [1, 4, 40])
     def test_support_matches_dense_reduction(self, monkeypatch, p, rows_per_rank):
-        # The reduction over the round's columns gives the same bits and
-        # counters as the length-n reduction of fresh per-rank buffers, at
-        # every round size (the ratio that picks the path is lifted).
-        monkeypatch.setattr(casgd.sparse, "_SUPPORT_MIN_RATIO", 0)
+        # The reduction over the round's columns, of the per-rank gradients
+        # over them, gives the same bits and counters as the length-n
+        # reduction of fresh per-rank buffers, at every round size (the
+        # ratio that picks the path is forced each way).
         d = synthetic_dataset(700, 3000, 5, seed=8)
         rng = np.random.default_rng(10 * p + rows_per_rank)
         parts = [rng.choice(700, size=rows_per_rank, replace=False) for _ in range(p)]
@@ -609,32 +640,42 @@ class TestRowGradientReduction:
         g = reference.combine(gs)
         want = x0 + g * eta
 
-        [support] = column_support(d, ids[None])
-        np.testing.assert_array_equal(support, np.unique(np.concatenate([d.a_tilde.row(i)[0] for i in ids])))
-        for cols in (support, None):
-            cluster = _row_cluster(d, p)
+        for ratio in (0, 10**9):
+            monkeypatch.setattr(casgd.sparse, "_SUPPORT_MIN_RATIO", ratio)
+            entries = RowBlock(d, ids[None], len(ids), rows_per_rank, False)
+            support = entries.supports[0]
+            if ratio:
+                assert support is None
+            else:
+                np.testing.assert_array_equal(support, np.unique(np.concatenate([d.a_tilde.row(i)[0] for i in ids])))
+            here = entries.rounds[0]
             grads = np.zeros((p, 3000))
-            _scatter(d, ids[None], rows_per_rank, np.concatenate(weights)[None], [grads])
+            target = grads if support is None else entries.gradients
+            np.add.at(target.reshape(-1), here.keys, here.vals * np.repeat(np.concatenate(weights), entries.counts[0]))
+            cluster = _row_cluster(d, p)
             x = x0.copy()
-            _apply_row_gradient(cluster, grads, cols, eta, x)
+            _apply_row_gradient(cluster, grads if support is None else entries.parts[0], support, eta, x)
             assert x.tobytes() == want.tobytes()
             assert not grads.any()
             assert cluster.counters == reference.counters
             assert cluster.counters.words_moved == 3000
 
+    @pytest.mark.parametrize("support", [False, True])
     @pytest.mark.parametrize("p", [1, 3])
     @pytest.mark.parametrize(
         "n,width,batches", [(3000, 1, 1), (3000, 4, 1), (3000, 4, 2), (3000, 40, 1), (3000, 40, 2), (40, 1, 1), (40, 40, 1)]
     )
-    def test_one_scatter_matches_per_rank_updates(self, p, n, width, batches):
-        # One scatter over a block of rounds, each round's rows rank after
-        # rank, gives every rank's buffer the bits of ``add_rows_transpose``
-        # over that rank's rows, in the form the solver gathers them:
-        # (columns, values) lists (dense rows under a dense cache) and, from
-        # 33 rows of two batches on, CSR rows.  Dense ndarray rows take a
-        # BLAS product per rank instead, so they are not compared.  The rows
-        # include the empty row 0, row 1 of stored zeros only, and a row
-        # held by two ranks; buffers start from nonzero values.
+    def test_one_scatter_matches_per_rank_updates(self, monkeypatch, p, n, width, batches, support):
+        # One scatter per round of a block, its rows rank after rank, gives
+        # every rank's buffer the bits of ``add_rows_transpose`` over that
+        # rank's rows, in the form the solver gathers them: (columns, values)
+        # lists (dense rows under a dense cache) and, from 33 rows of two
+        # batches on, CSR rows.  Dense ndarray rows take a BLAS product per
+        # rank instead, so they are not compared.  The rows include the
+        # empty row 0, row 1 of stored zeros only, and a row held by two
+        # ranks.  Buffers over all n start from nonzero values; those over
+        # a round's support (every round, with ``support``) from zero.
+        monkeypatch.setattr(casgd.sparse, "_SUPPORT_MIN_RATIO", 0 if support else 10**9)
         d = ragged_libsvm_dataset(800, n, seed=width + p)
         assert (d.a_tilde.dense_cache() is not None) == (n == 40)
         rng = np.random.default_rng(width * p + batches)
@@ -644,7 +685,7 @@ class TestRowGradientReduction:
         if p > 1:
             block[2, width] = block[2, 0]
         w = rng.standard_normal((K, sb))
-        start = rng.standard_normal((K, p, n))
+        start = np.zeros((K, p, n)) if support else rng.standard_normal((K, p, n))
         got = start.copy()
         _scatter(d, block, width, w, got)
         want = start.copy()
@@ -659,15 +700,16 @@ class TestRowGradientReduction:
         assert got.tobytes() == want.tobytes()
 
     def test_block_support_matches_each_round(self, monkeypatch):
-        # One call over a block of ragged rounds, some above and some below
+        # One block of ragged rounds, some above and some below
         # n / _SUPPORT_MIN_RATIO nonzeros, gives each round its own sorted
-        # distinct columns, or None for the dense ones; with the ratio
-        # lifted, every round its columns.
+        # distinct columns, or None for the dense ones, as the per-round
+        # support kernel it replaced does; with the ratio lifted, every
+        # round its columns.
         d = ragged_libsvm_dataset(800, 3000, seed=4)
         A = d.a_tilde
         rng = np.random.default_rng(4)
         by_size = np.argsort(A.row_nnz, kind="stable")
-        sb = 16
+        sb = 24
         block = np.stack(
             [
                 by_size[:sb],  # the fewest entries, empty rows included
@@ -685,20 +727,23 @@ class TestRowGradientReduction:
             if lifted:
                 monkeypatch.setattr(casgd.sparse, "_SUPPORT_MIN_RATIO", 0)
                 dense = [False] * len(block)
-            supports = column_support(d, block)
-            assert len(supports) == len(block)
-            for ids, got, over in zip(block, supports, dense):
-                if over:
-                    assert got is None
-                else:
-                    want = np.unique(np.concatenate([A.row(i)[0] for i in ids]))
-                    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            for payload in (False, True):
+                supports = RowBlock(d, block, 6, 2, payload).supports
+                oracle = row_oracles.column_support(d, block, ratio=casgd.sparse._SUPPORT_MIN_RATIO)
+                assert len(supports) == len(block)
+                for ids, got, over, old in zip(block, supports, dense, oracle):
+                    if over:
+                        assert got is None and old is None
+                    else:
+                        want = np.unique(np.concatenate([A.row(i)[0] for i in ids]))
+                        assert got.dtype == want.dtype and got.tobytes() == want.tobytes() == old.tobytes()
 
     @pytest.mark.parametrize("s,dense_cache", [(1, True), (4, True), (4, False)])
     def test_support_only_with_sparse_row_forms(self, monkeypatch, s, dense_cache):
         # Rounds of one nonzero per row over 600 columns are sparse enough
         # for a support, but dense rows (s > 1 with a dense cache) write
-        # every column of the buffers, so those rounds reduce all n.
+        # every column of the buffers, so those rounds reduce all n; the
+        # others reduce their columns of the block's gradient buffers.
         if not dense_cache:
             monkeypatch.setattr(casgd.sparse, "_DENSE_CACHE_MAX_CELLS", 0)
         d = synthetic_dataset(30, 600, 1, seed=9)
@@ -706,24 +751,31 @@ class TestRowGradientReduction:
         seen = []
         real = casgd.solvers._apply_row_gradient
 
-        def spy(cluster, grads, support, eta_scale, x):
+        def spy(cluster, parts, support, eta_scale, x):
             seen.append(support is None)
-            real(cluster, grads, support, eta_scale, x)
+            assert parts.shape == (2, 600 if support is None else len(support))
+            real(cluster, parts, support, eta_scale, x)
 
         monkeypatch.setattr(casgd.solvers, "_apply_row_gradient", spy)
         cfg = SolverConfig(eta0=1.0, b=2, s=s, total_iterations=8, layout=BLOCK_ROW, p=2, seed=1)
         run_casgd(d, cfg, _row_cluster(d, 2))
         assert seen == [s > 1 and dense_cache] * (8 // s)
 
-    def test_support_only_for_sparse_rounds(self):
+    def test_support_only_for_sparse_rounds(self, monkeypatch):
         d = synthetic_dataset(700, 3000, 5, seed=8)
         most = 3000 // (5 * _SUPPORT_MIN_RATIO)
         few, many = np.arange(most), np.arange(most + 1)
-        assert column_support(d, few[None])[0] is not None
-        assert column_support(d, many[None])[0] is None
-        assert len(column_support(d, np.empty((1, 0), dtype=np.int64))[0]) == 0
-        # Dense rows write every column of the buffers.
-        assert column_support(d, few[None], rows=d.a_tilde.to_dense()[few][None]) == [None]
+        assert RowBlock(d, few[None], most, most, False).supports[0] is not None
+        assert RowBlock(d, many[None], most + 1, most + 1, False).supports[0] is None
+        # A round of one empty row has an empty support.
+        empty = RowBlock(ragged_libsvm_dataset(800, 3000, seed=4), np.zeros((1, 1), dtype=np.int64), 1, 1, False)
+        assert len(empty.supports[0]) == 0 and empty.gradients.shape == (1, 0)
+        # Dense rows (s > 1 under a dense cache) write every column of the
+        # buffers; one batch of dense-cache rows scatters its stored entries.
+        cached = synthetic_dataset(30, 600, 5, seed=8)
+        assert cached.a_tilde.dense_cache() is not None
+        assert RowBlock(cached, np.arange(4)[None], 2, 1, False).supports == [None]
+        assert RowBlock(cached, np.arange(4)[None], 4, 2, False).supports[0] is not None
 
 
 @pytest.mark.parametrize("width", [1, 3, 8, 9, 12, 36])

@@ -298,14 +298,17 @@ _BAD_TOKENS = [
 ]
 _BAD_LABELS = ["abc", "1:2", "nan", "inf", "-1e999", "0x1"]
 _SEPARATORS = [" ", "  ", "\t", " \t ", "\xa0", "\u3000"]
+# Every kind of line end ``str.splitlines`` knows, '\r\n' among them.
+_LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028", "\u2029"]
 
 
 @st.composite
 def _libsvm_text(draw):
-    """LIBSVM text with ragged whitespace, mixed line ends, blank and
-    label-only lines, stored zeros, unusual index spellings and 17-digit
-    values; half the inputs then take one to three flaws: a malformed label,
-    a malformed or non-finite feature token, or a swapped or repeated one."""
+    """LIBSVM text with ragged whitespace, mixed line ends (the last line
+    may have none), blank and label-only lines, stored zeros, unusual index
+    spellings and 17-digit values; half the inputs then take one to three
+    flaws: a malformed label, a malformed or non-finite feature token, or a
+    swapped or repeated one."""
     label_set = draw(st.sampled_from(_LABEL_SETS))
     rows = []
     for _ in range(draw(st.integers(0, 14))):
@@ -331,7 +334,9 @@ def _libsvm_text(draw):
         line = draw(st.sampled_from(["", " ", "\t"]))
         for token in tokens:
             line += token + draw(st.sampled_from(_SEPARATORS))
-        lines.append(line + draw(st.sampled_from(["\n", "\r\n", "\r"])))
+        lines.append(line + draw(st.sampled_from(_LINE_ENDS)))
+    if lines and draw(st.booleans()):
+        lines[-1] = lines[-1].rstrip("".join(_LINE_ENDS))
     return "".join(lines)
 
 
@@ -362,7 +367,8 @@ _SOURCES = {
 )
 def test_parse_matches_token_by_token_reference(text, source, policy, num_features, chunk_chars):
     """Byte-identical arrays, or the same error, as the token-by-token
-    parser, in every source kind; small chunks put errors in later chunks."""
+    parser, in every source kind; small chunks put errors in later chunks,
+    and cut text and reads into pieces next to every kind of line end."""
     expected = _parse_outcome(_reference_parse, _SOURCES[source](text), policy, num_features)
     with mock.patch.object(casgd.sparse, "_CHUNK_CHARS", chunk_chars):
         got = _parse_outcome(parse_libsvm, _SOURCES[source](text), policy, num_features)
