@@ -350,20 +350,20 @@ def _parse_line(line_no: int, tokens: list[str]) -> None:
         prev = idx
 
 
-def _lines(source: str | TextIO | Iterable[str]) -> Iterator[str]:
+def _pieces(source: str | TextIO | Iterable[str]) -> Iterator[list[str]]:
     """The source's lines, as ``splitlines`` gives them, a piece at a time.
 
     Text is cut after a '\n' about every ``_CHUNK_CHARS`` characters and
     each piece split on its own, so no list of every line is held.  A cut
     after a '\n' never splits a line separator (``\r\n`` ends in it), so
-    the pieces give the lines of the whole text.  Other iterables yield
-    their lines with a trailing '\n' removed.
+    the pieces give the lines of the whole text.  Other iterables give
+    their lines, with a trailing '\n' removed, as one piece.
     """
     if isinstance(source, str):
         start = 0
         while start < len(source):
             cut = source.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(source)
-            yield from source[start:cut].splitlines()
+            yield source[start:cut].splitlines()
             start = cut
     elif hasattr(source, "read"):
         # Reads end anywhere: the text after a read's last '\n' waits for
@@ -373,33 +373,36 @@ def _lines(source: str | TextIO | Iterable[str]) -> Iterator[str]:
             cut = piece.rfind("\n") + 1
             if cut:
                 held.append(piece[:cut])
-                yield from "".join(held).splitlines()
+                yield "".join(held).splitlines()
                 held = [piece[cut:]]
             else:
                 held.append(piece)
-        yield from "".join(held).splitlines()
+        yield "".join(held).splitlines()
     else:
-        yield from (ln.rstrip("\n") for ln in source)
+        yield [ln.rstrip("\n") for ln in source]
 
 
-def _chunks(lines: Iterable[str]) -> Iterator[tuple[list[int], list[str], list[int], list[str]]]:
+def _chunks(pieces: Iterable[list[str]]) -> Iterator[tuple[list[int], list[str], list[int], list[str]]]:
     """The non-blank lines' tokens, a chunk of about ``_CHUNK_CHARS`` characters
     at a time: (line numbers, label tokens, feature counts, feature tokens)."""
     chunk: tuple[list[int], list[str], list[int], list[str]] = ([], [], [], [])
     size = 0
-    for line_no, raw in enumerate(lines, start=1):
-        tokens = raw.split()
-        if not tokens:
-            continue
-        line_nos, labels, counts, features = chunk
-        line_nos.append(line_no)
-        labels.append(tokens[0])
-        counts.append(len(tokens) - 1)
-        features += tokens[1:]
-        size += len(raw)
-        if size >= _CHUNK_CHARS:
-            yield chunk
-            chunk, size = ([], [], [], []), 0
+    first = 1
+    for lines in pieces:
+        for line_no, raw in enumerate(lines, start=first):
+            tokens = raw.split()
+            if not tokens:
+                continue
+            line_nos, labels, counts, features = chunk
+            line_nos.append(line_no)
+            labels.append(tokens[0])
+            counts.append(len(tokens) - 1)
+            features += tokens[1:]
+            size += len(raw)
+            if size >= _CHUNK_CHARS:
+                yield chunk
+                chunk, size = ([], [], [], []), 0
+        first += len(lines)
     if chunk[0]:
         yield chunk
 
@@ -483,7 +486,7 @@ def parse_libsvm(
     the maximum index seen (files underreport trailing all-zero features).
     The stored matrix is pre-scaled by the mapped labels.
 
-    Text is split into lines a piece at a time (``_lines``), and lines
+    Text is split into lines a piece at a time (``_pieces``), and lines
     split into tokens with ``str.split()`` and convert a chunk of
     about ``_CHUNK_CHARS`` characters at a time: the chunk's labels in one
     ``map(float)``, its feature tokens joined and split at ':' and ' ' into
@@ -498,7 +501,7 @@ def parse_libsvm(
     policy come after every line has parsed, and a non-finite feature value
     (quoted as the file wrote it) after those.
     """
-    chunks = [_convert(*chunk) for chunk in _chunks(_lines(source))]
+    chunks = [_convert(*chunk) for chunk in _chunks(_pieces(source))]
     if not chunks:
         raise LibsvmParseError(0, "no data lines found")
     columns = list(zip(*chunks))
