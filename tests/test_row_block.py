@@ -71,10 +71,11 @@ def test_matches_the_kernels_it_replaced(monkeypatch, p, K, s, n, payload):
     ranked = _ranked(s, b, width)
     keys, vals, counts = row_oracles.rank_entries(d, block[:, ranked.ravel()], s * width)
     keys, vals = _per_row(keys, counts.ravel()), _per_row(vals, counts.ravel())
-    rank_of = np.argsort(ranked.ravel()) // (s * width)
+    # Each round position's place in the oracle's rank-after-rank order, and its rank.
+    rows = np.argsort(ranked.ravel())
+    rank_of = rows // (s * width)
     for k, (here, support, old) in enumerate(zip(entries.rounds, entries.supports, supports)):
         # Each row's entries in batch order, as the oracle keyed them rank after rank.
-        rows = np.argsort(ranked.ravel())
         old_keys = [keys[k * sb + at] for at in rows]
         old_vals = [vals[k * sb + at] for at in rows]
         assert np.concatenate(old_vals).tobytes() == here.vals.tobytes()
