@@ -33,8 +33,8 @@ entries and at most one sort (``RowBlock``): the rows in the form their
 scores take, each round's support and gradient keys, its ranks' payload
 values and, without a dense cache, its Gram pairs and their match counts.
 Each such round adds its pairs straight into G and clears the entries they
-wrote once the recurrence has read them, so G's strictly lower blocks are
-zero between rounds.  K is set by what a block holds
+wrote once the recurrence has read them (``RowBlock.add_gram`` and
+``clear_gram``), so G's strictly lower blocks are zero between rounds.  K is set by what a block holds
 (``_rounds_per_block``): its draws, dense rows only under a dense cache,
 Gram buffers only for owners that form a block's Gram at once, and gathered
 entries only in the row layout, so SGD rounds and rounds without a dense
@@ -72,9 +72,8 @@ The payload is set by the entry point that ran:
 Column ranks work on their own column slices of the matrix and update
 their part of x with no further communication; row ranks accumulate
 gradients over their own rows, each in its own buffer.  A round whose rows
-touch few columns scatters into buffers over just those columns (its own
-columns of its block's buffers, which need no zeroing), and reduces and
-updates only those; the allreduce still counts n words.
+touch few columns scatters into fresh buffers over just those columns, and
+reduces and updates only those; the allreduce still counts n words.
 Collectives go through ``VirtualCluster.combine``, which at p = 1 only
 counts them; one column rank counts a segment's at once.  The recurrence
 reproduces plain SGD's iterates in exact arithmetic; in floating point the
@@ -136,10 +135,13 @@ _SCALAR_SIG_MAX = 8
 # lists), their dense rows under a dense cache, one s*b square Gram buffer
 # per Gram owner that forms a block's Gram at once, and in the row layout 24
 # bytes per stored entry of its rows (a column, a value and a gradient key,
-# at the mean row's entries).  Over 112 columns with a dense cache and one
-# column rank that is 273 rounds at s * b = 1, 134 at 2, 32 at 8, 2 at 64
-# and 1 from 128 on.  Row-layout SGD at b = 16 over rows of 20 entries and
-# no dense cache takes 30 rounds.
+# at the mean row's entries), what its ``RowBlock`` keeps for its rounds.
+# Not counted: the int64 scratch, several arrays per entry, that building a
+# ``RowBlock`` frees before its first round, and the payload values and Gram
+# pairs that s > 1 row rounds also keep.  Over 112 columns with a dense cache
+# and one column rank that is 273 rounds at s * b = 1, 134 at 2, 32 at 8, 2
+# at 64 and 1 from 128 on.  Row-layout SGD at b = 16 over rows of 20 entries
+# and no dense cache takes 30 rounds.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -526,7 +528,6 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
     round_gram = row and gram and not dense
     w = np.empty(sb)
     v = np.empty(sb) if row else None
-    scalar_sig = row and bp <= _SCALAR_SIG_MAX
     # Row ranks' gradient buffers over all n columns, zero between rounds.
     grads = np.zeros((p, n)) if row else None
     # Per iteration: batch offset, its scores, its Gram rows left of the
@@ -560,22 +561,11 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
             return
         for lo, r_j, g_j, w_head, own in recurrence:
             zj = r_j + g_j @ w_head if lo else r_j
-            if not row:
-                vj = _sig_batch(zj)
-            elif scalar_sig:
-                # Each row rank evaluates its own b/p scores, one at a time;
-                # sig as ``_sig_scalar`` evaluates it, inline.
-                vs = []
-                for t in zj.tolist():
-                    if t >= 0.0:
-                        e = math.exp(-t)
-                        vs.append(e / (1.0 + e))
-                    else:
-                        vs.append(1.0 / (1.0 + math.exp(t)))
-                v[own] = vs
-                vj = v[own]
-            else:
+            if row:
+                # Each row rank evaluates its own b/p scores.
                 v[own] = vj = _sig_batch(zj, bp)
+            else:
+                vj = _sig_batch(zj)
             np.multiply(vj, eta_scale, out=w[own])
 
     t0 = _pc()
@@ -691,8 +681,7 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
                     if timer:
                         t0 = timer.lap("score_matvec", t0)
                     if round_gram:
-                        # G's strictly lower blocks are zero here.
-                        gram_lower_blocks(dataset, ids, b, out=G, rows=here)
+                        entries.add_gram(r, G)
                         if timer:
                             t0 = timer.lap("gram", t0)
                     # 3. one collective
@@ -707,8 +696,7 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
                         t0 = timer.lap("collectives", t0)
                     weigh()
                     if round_gram:
-                        # Clear what the round's pairs wrote.
-                        G.reshape(-1)[here.targets] = 0.0
+                        entries.clear_gram(r, G)
                     if timer:
                         t0 = timer.lap("sig", t0)
                     # 5. the update.  Row ranks' gradients go into their
@@ -716,16 +704,15 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
                     # per rank), and the buffers are summed into x once per
                     # round.  Column ranks update their own part of x.
                     if row:
-                        # A round with a support scatters into its own
-                        # columns of the block's buffers.
+                        # A round with a support scatters into fresh
+                        # buffers over it.
                         support = entries.supports[r]
-                        parts = grads if support is None else entries.parts[r]
+                        parts = grads if support is None else np.zeros((p, len(support)))
                         if dense_rows:
-                            for spot, g in zip(spots, grads):
+                            for spot, g in zip(spots, parts):
                                 add_rows_transpose(dataset, ids[spot], v[spot], g, rows=rows[spot])
                         else:
-                            target = grads if support is None else entries.gradients
-                            np.add.at(target.reshape(-1), here.keys, here.vals * np.repeat(v, entries.counts[r]))
+                            np.add.at(parts.reshape(-1), here.keys, here.vals * np.repeat(v, entries.counts[r]))
                         if timer:
                             t0 = timer.lap("gradient", t0)
                         _apply_row_gradient(cluster, parts, support, eta_scale, x)

@@ -25,7 +25,8 @@ Two kinds of kernels work on sampled rows:
     scores (``RoundEntries``, one dot per row over x gathered once, or CSR
     rows built from them), its support and each entry's key for the
     gradient scatter, its ranks' payload values, and its Gram pairs, which
-    ``gram_lower_blocks`` adds into the round's Gram.
+    ``RowBlock.add_gram`` adds into the round's Gram and
+    ``RowBlock.clear_gram`` clears from it.
 
 Pairwise row inner products match entries of the two rows' sorted column
 indices and sum the products in ascending column order, which keeps
@@ -69,13 +70,15 @@ _VECTORIZE_MIN_ROWS = 33
 # ``RowBlock`` gives a round its distinct columns when n is at least this
 # many times the round's nonzeros, and None (use all n) otherwise.  A whole
 # row-layout SGD round at p = 4 with the support (its share of the block's
-# sort, the scatter into the block's gradient buffers, the reduction and the
-# update of its columns) against over all n, in us, best of 15 on one core:
-# n = 20000, 20 nonzeros per row, n/nnz = 62: 102 vs 157; 21: 222 vs 264;
-# 16: 247 vs 262; 10: 318 vs 323; 8: 444 vs 442.  n = 3000, 5 per row,
-# n/nnz = 75: 34 vs 40; 38: 48 vs 52; 25: 67 vs 66; 19: 82 vs 85; 12: 151
-# vs 141; 9: 180 vs 164.
-_SUPPORT_MIN_RATIO = 16
+# sort, the scatter into gradient buffers over the support, the reduction
+# and the update of its columns) against over all n, in us, best of 15 on
+# one core: n = 20000, 20 nonzeros per row, n/nnz = 62: 102 vs 157; 21: 222
+# vs 264; 16: 247 vs 262; 10: 318 vs 323; 8: 444 vs 442.  n = 3000, 5 per
+# row, n/nnz = 75: 34 vs 40; 38: 48 vs 52; 25: 67 vs 66; 19: 82 vs 85; 12:
+# 151 vs 141; 9: 180 vs 164.  The support wins down to about 16 at n =
+# 20000 but only breaks even from 25 down to 19 at n = 3000, and no
+# benchmark round falls between 16 and 24, so the threshold stays at 24.
+_SUPPORT_MIN_RATIO = 24
 
 # Matrices up to this many cells keep a dense row cache so round kernels can
 # run BLAS products on gathered rows; beyond it only the sparse paths apply.
@@ -734,11 +737,7 @@ def gram_lower_blocks(
     rows.  Diagonal and upper blocks are left untouched (zero when ``out``
     is freshly allocated; ``out`` must be C-contiguous).  ``rows`` is
     ``gather_rows``' form of ``row_ids``; only dense rows are used (None:
-    gathered here when the matrix keeps a dense cache).  It may also be the
-    ``RoundEntries`` of one ``RowBlock`` round, whose Gram pairs are added
-    into ``out``: its strictly lower blocks must then be zero, and after
-    the round the caller clears the entries the pairs wrote
-    (``out.flat[rows.targets] = 0``), not whole blocks.  Dense rows
+    gathered here when the matrix keeps a dense cache).  Dense rows
     are multiplied in row panels of ``_GRAM_PANEL_ROWS``, each against the
     rows up to its end, so the products above the panels' diagonal squares
     are never formed.  Up to one panel that is one square product; above
@@ -774,9 +773,6 @@ def gram_lower_blocks(
     # Every pair of entries of one round that share a column, the later one
     # in a later batch, adds its product to G[later, earlier].  Pairs come
     # in ascending column order, so each entry sums from +0.0 in that order.
-    if isinstance(rows, RoundEntries):
-        np.add.at(out.reshape(-1), rows.targets, rows.products)
-        return out, np.int64(len(rows.targets))
     for lo in range(b, sb, b):
         out[..., lo : lo + b, :lo] = 0.0
     _, cols, vals, row_of = _gather(A, row_ids.reshape(-1))
@@ -888,7 +884,8 @@ class RoundEntries(NamedTuple):
     ``keys`` are the entries' places in the gradient buffers (see
     ``RowBlock``).  ``targets`` and ``products`` are the round's Gram pairs
     (None without them): where each adds its product in the round's s*b
-    square, as a flat index, in the order ``gram_lower_blocks`` adds them.
+    square, as a flat index, in the order ``gram_lower_blocks`` adds them
+    (``RowBlock.add_gram``).
     """
 
     cols: np.ndarray
@@ -918,23 +915,21 @@ class RowBlock:
       * ``supports``: its sorted distinct columns, or None when its rows
         hold more than n / ``_SUPPORT_MIN_RATIO`` entries, or are dense rows
         (s > 1 under a dense cache), whose products write every column;
-      * ``parts``: for a round with a support, each rank's gradient over it,
-        a (p, len(support)) view of the block's zeroed ``gradients`` (None
-        when no round has a support), in which every round takes its own
-        columns; else None;
       * with ``payload`` (the s-step allgather): ``heads``, each rank's
         values of its rows of the first s-1 batches, in row order, and, at
-        s > 1 without a dense cache, its Gram pairs (in ``rounds``), counted
-        by ``matches`` (int64, one per round; else None).
+        s > 1 without a dense cache, its Gram pairs (in ``rounds``, added
+        by ``add_gram``), counted by ``matches`` (int64, one per round;
+        else None).
 
     An entry's key is its place in the flattened gradient buffers of its
     round's ranks: (p, n) buffers over all columns (``rank * n + column``)
-    for a round without a support, and ``gradients`` otherwise, at its
-    column's place in the sort.  ``np.add.at(buffers, keys, vals *
-    np.repeat(w, counts))``, over a round's keys, values and ``counts`` (each
-    row's stored entries, the shape of ``row_ids``), adds each rank's rows,
-    weighted by ``w``, into its buffer in row order, as
-    ``add_rows_transpose`` over the rank's own rows would.
+    for a round without a support, and otherwise (p, len(support)) buffers
+    over its support (``rank * len(support)`` + its column's slot).
+    ``np.add.at(buffers, keys, vals * np.repeat(w, counts))``, over a
+    round's keys, values and ``counts`` (each row's stored entries, the
+    shape of ``row_ids``), adds each rank's rows, weighted by ``w``, into
+    its buffer in row order, as ``add_rows_transpose`` over the rank's own
+    rows would.
     """
 
     def __init__(self, dataset: LabeledDataset, row_ids, b: int, width: int, payload: bool):
@@ -953,8 +948,7 @@ class RowBlock:
         with_support = np.zeros(K, dtype=bool) if dense and s > 1 else sizes * _SUPPORT_MIN_RATIO <= n
         pairs = payload and s > 1 and not dense
         self.supports: list[np.ndarray | None] = [None] * K
-        self.parts: list[np.ndarray | None] = [None] * K
-        self.gradients = self.matches = None
+        self.matches = None
         keys = None if with_support.all() else rank * n + cols
         if pairs or with_support.any():
             keyed = np.repeat(np.arange(K) * n, sizes) + cols
@@ -964,16 +958,17 @@ class RowBlock:
                 entry = chosen[entry]
             if with_support.any():
                 distinct = by_column[new]
-                first = np.searchsorted(distinct, np.arange(K + 1) * n).tolist()
+                first = np.searchsorted(distinct, np.arange(K + 1) * n)
                 columns = distinct % n
-                self.gradients = np.zeros((p, len(distinct)))
+                # Each entry's column's place among the sorted distinct
+                # (round, column), made its slot in its round's support.
                 place = np.empty(len(cols), dtype=np.int64)
                 place[entry] = np.cumsum(new) - 1
-                place += rank * len(distinct)
+                place += rank * np.repeat(np.diff(first), sizes) - np.repeat(first[:-1], sizes)
                 keys = place if keys is None else np.where(np.repeat(with_support, sizes), place, keys)
+                first = first.tolist()
                 for k in np.flatnonzero(with_support).tolist():
                     self.supports[k] = columns[first[k] : first[k + 1]]
-                    self.parts[k] = self.gradients[:, first[k] : first[k + 1]]
             if pairs:
                 later, earlier, products = _shared_column_pairs(new, entry, row_of, vals, b)
                 targets = later % sb * sb + earlier % sb
@@ -1002,6 +997,20 @@ class RowBlock:
                 # Each rank's entries of the first s-1 batches, in row order.
                 end = heads_end[k]
                 self.heads.append([vals[lo:end][rank[lo:end] == r] for r in range(p)])
+
+    def add_gram(self, k: int, G: np.ndarray) -> None:
+        """Adds round ``k``'s Gram pairs into ``G``, its C-contiguous s*b square.
+
+        ``G``'s strictly lower blocks must be zero; they then hold what
+        ``gram_lower_blocks`` gives for the round, until ``clear_gram``.
+        """
+        here = self.rounds[k]
+        np.add.at(G.reshape(-1), here.targets, here.products)
+
+    def clear_gram(self, k: int, G: np.ndarray) -> None:
+        """Zeroes the entries of ``G`` that round ``k``'s pairs wrote, so its
+        strictly lower blocks are zero again without a pass over them."""
+        G.reshape(-1)[self.rounds[k].targets] = 0.0
 
 
 def _lower_block_matches(A: CsrMatrix, ids: np.ndarray, b: int) -> np.ndarray:

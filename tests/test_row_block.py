@@ -59,7 +59,7 @@ def test_matches_the_kernels_it_replaced(monkeypatch, p, K, s, n, payload):
     # A ratio between the short rounds' entries and the long ones'.
     monkeypatch.setattr(casgd.sparse, "_SUPPORT_MIN_RATIO", max(1, round(n / (6 * sb))))
     entries = RowBlock(d, block, b, width, payload)
-    assert len(entries.rounds) == len(entries.supports) == len(entries.parts) == K
+    assert len(entries.rounds) == len(entries.supports) == K
 
     dense_rows = dense and s > 1
     supports = row_oracles.column_support(
@@ -84,22 +84,18 @@ def test_matches_the_kernels_it_replaced(monkeypatch, p, K, s, n, payload):
         assert entries.counts[k].tobytes() == A.row_nnz[block[k]].tobytes()
         rank = np.repeat(rank_of, entries.counts[k])
         if old is None:
-            assert support is None and entries.parts[k] is None
+            assert support is None
             assert np.concatenate(old_keys).tobytes() == here.keys.tobytes()
             continue
         assert support.tobytes() == old.tobytes()
-        # A support round's keys: rank * U + the column's place in the
-        # block's sort, the round's places consecutive from its first.
-        U = entries.gradients.shape[1]
-        assert entries.gradients.shape == (p, U) and not entries.gradients.any()
-        place = here.keys % U
-        slots = place - (place.min() if len(place) else 0)
-        assert (here.keys // U).tobytes() == rank.tobytes()
-        assert slots.tobytes() == np.searchsorted(old, here.cols).tobytes()
-        view = entries.parts[k]
-        assert view.base is entries.gradients and view.shape == (p, len(support))
-        if len(here.keys):
-            assert np.shares_memory(view, entries.gradients[:, place.min()])
+        # A support round's keys: rank * len(support) + the column's slot in
+        # the support.
+        if len(support):
+            ranks, slots = np.divmod(here.keys, len(support))
+            assert ranks.tobytes() == rank.tobytes()
+            assert slots.tobytes() == np.searchsorted(old, here.cols).tobytes()
+        else:
+            assert len(here.keys) == 0
 
     # Score forms: CSR rows as ``gather_rows`` builds them, else one dot per
     # row, with the bits of the row-by-row list.
@@ -133,9 +129,10 @@ def test_matches_the_kernels_it_replaced(monkeypatch, p, K, s, n, payload):
     assert entries.matches.dtype == np.int64 and entries.matches.tobytes() == matches.tobytes()
     G = np.zeros((sb, sb))
     for k, here in enumerate(entries.rounds):
-        out, count = gram_lower_blocks(d, block[k], b, out=G, rows=here)
-        assert out is G and G.tobytes() == want[k].tobytes() and count == matches[k]
-        G.reshape(-1)[here.targets] = 0.0
+        assert len(here.targets) == matches[k]
+        entries.add_gram(k, G)
+        assert G.tobytes() == want[k].tobytes()
+        entries.clear_gram(k, G)
         assert not G.any()
     out, count = gram_lower_blocks(d, block, b)
     assert out.tobytes() == want.tobytes() and count.tobytes() == matches.tobytes()
@@ -168,28 +165,29 @@ def test_row_gram_is_clear_at_every_round(monkeypatch, p, s):
     # before every round.
     d = ragged_libsvm_dataset(800, 3000, seed=p + s)
     assert d.a_tilde.dense_cache() is None
-    real = casgd.solvers.gram_lower_blocks
+    real = RowBlock.add_gram
+    b = 2 * p
     buffers = []
 
-    def spy(data, row_ids, block_size, out=None, rows=None):
-        assert isinstance(rows, RoundEntries) and out.shape == (len(row_ids),) * 2
-        blocks = np.arange(len(row_ids)) // block_size
-        assert not out[blocks[:, None] > blocks[None, :]].any()
-        buffers.append(out)
-        return real(data, row_ids, block_size, out=out, rows=rows)
+    def spy(entries, k, G):
+        assert G.shape == (s * b,) * 2
+        blocks = np.arange(s * b) // b
+        assert not G[blocks[:, None] > blocks[None, :]].any()
+        buffers.append(G)
+        real(entries, k, G)
 
-    cfg = SolverConfig(eta0=1.0, b=2 * p, s=s, total_iterations=12 * s, layout=BLOCK_ROW, p=p, seed=3)
+    cfg = SolverConfig(eta0=1.0, b=b, s=s, total_iterations=12 * s, layout=BLOCK_ROW, p=p, seed=3)
     want = run_casgd(d, cfg, partition(d, BLOCK_ROW, p))
-    monkeypatch.setattr(casgd.solvers, "gram_lower_blocks", spy)
+    monkeypatch.setattr(RowBlock, "add_gram", spy)
     got = run_casgd(d, cfg, partition(d, BLOCK_ROW, p))
     assert len(buffers) == 12 and all(G is buffers[0] for G in buffers)
     assert not buffers[0].any()
     assert got.final_x.tobytes() == want.final_x.tobytes() and got.counters == want.counters
 
-    def zeroed(data, row_ids, block_size, out=None, rows=None):
-        out[...] = 0.0
-        return real(data, row_ids, block_size, out=out, rows=rows)
+    def zeroed(entries, k, G):
+        G[...] = 0.0
+        real(entries, k, G)
 
-    monkeypatch.setattr(casgd.solvers, "gram_lower_blocks", zeroed)
+    monkeypatch.setattr(RowBlock, "add_gram", zeroed)
     fresh = run_casgd(d, cfg, partition(d, BLOCK_ROW, p))
     assert fresh.final_x.tobytes() == got.final_x.tobytes() and fresh.trace == got.trace

@@ -334,11 +334,13 @@ class TestRoundBlocks:
         """The run at K = 1, after checking that K = 3 and the default K give
         the same bits, traces and counters; and, for each K, the block sizes
         of its block-wide Gram calls, how many stream reads it made, the
-        block sizes of its ``RowBlock``s and how many one-round Gram calls
-        it made (the row layout without a dense cache)."""
+        block sizes of its ``RowBlock``s and the sizes of the Grams their
+        rounds' pairs were added into (the row layout without a dense
+        cache)."""
         default = casgd.solvers._rounds_per_block
         real = casgd.solvers.gram_lower_blocks
         real_block = casgd.solvers.RowBlock
+        add_gram = RowBlock.add_gram
         peek = BatchStream.peek_indices
         base, sizes, reads, row_blocks, round_grams = None, [], [], [], []
         for K in (1, 3, None):
@@ -346,18 +348,18 @@ class TestRoundBlocks:
             blocks, calls, gathered, rounds = [], [], [], []
 
             def spy(data, row_ids, *args, **kwargs):
-                # A Gram call takes a block of rounds, or one round's pairs.
-                if np.ndim(row_ids) == 1:
-                    assert isinstance(kwargs["rows"], casgd.sparse.RoundEntries)
-                    rounds.append(len(row_ids))
-                else:
-                    assert np.ndim(row_ids) == 2
-                    blocks.append(len(row_ids))
+                # A Gram call takes a block of rounds.
+                assert np.ndim(row_ids) == 2
+                blocks.append(len(row_ids))
                 return real(data, row_ids, *args, **kwargs)
 
             def gather(data, row_ids, *args):
                 gathered.append(len(row_ids))
                 return real_block(data, row_ids, *args)
+
+            def paired(entries, k, G):
+                rounds.append(len(G))
+                add_gram(entries, k, G)
 
             def counted(stream, count):
                 calls.append(count)
@@ -365,6 +367,7 @@ class TestRoundBlocks:
 
             monkeypatch.setattr(casgd.solvers, "gram_lower_blocks", spy)
             monkeypatch.setattr(casgd.solvers, "RowBlock", gather)
+            monkeypatch.setattr(RowBlock, "add_gram", paired)
             monkeypatch.setattr(BatchStream, "peek_indices", counted)
             run = solver(d, cfg, partition(d, cfg.layout, cfg.p), **kwargs)
             if base is None:
@@ -601,9 +604,9 @@ def _scatter(d, block, width, w, buffers):
     the row layout adds them: one ``np.add.at`` per round over the keys of
     one ``RowBlock``.  A round without a support adds into its (p, n) buffer;
     one with a support (every round at ``_SUPPORT_MIN_RATIO`` 0, and a
-    round of empty rows at any ratio) into the block's ``gradients``, whose
-    view over the round's columns then fills the buffer's, which must be
-    zero there."""
+    round of empty rows at any ratio) into fresh (p, len(support)) buffers,
+    which then fill the buffer's columns of the support, which must be zero
+    there."""
     entries = RowBlock(d, block, block.shape[1], width, False)
     for k, buf in enumerate(buffers):
         here, support = entries.rounds[k], entries.supports[k]
@@ -611,9 +614,10 @@ def _scatter(d, block, width, w, buffers):
         if support is None:
             np.add.at(buf.reshape(-1), here.keys, weighted)
         else:
-            np.add.at(entries.gradients.reshape(-1), here.keys, weighted)
+            parts = np.zeros((buf.shape[0], len(support)))
+            np.add.at(parts.reshape(-1), here.keys, weighted)
             assert not buf[:, support].any()
-            buf[:, support] = entries.parts[k]
+            buf[:, support] = parts
 
 
 class TestRowGradientReduction:
@@ -650,11 +654,11 @@ class TestRowGradientReduction:
                 np.testing.assert_array_equal(support, np.unique(np.concatenate([d.a_tilde.row(i)[0] for i in ids])))
             here = entries.rounds[0]
             grads = np.zeros((p, 3000))
-            target = grads if support is None else entries.gradients
-            np.add.at(target.reshape(-1), here.keys, here.vals * np.repeat(np.concatenate(weights), entries.counts[0]))
+            parts = grads if support is None else np.zeros((p, len(support)))
+            np.add.at(parts.reshape(-1), here.keys, here.vals * np.repeat(np.concatenate(weights), entries.counts[0]))
             cluster = _row_cluster(d, p)
             x = x0.copy()
-            _apply_row_gradient(cluster, grads if support is None else entries.parts[0], support, eta, x)
+            _apply_row_gradient(cluster, parts, support, eta, x)
             assert x.tobytes() == want.tobytes()
             assert not grads.any()
             assert cluster.counters == reference.counters
@@ -743,7 +747,7 @@ class TestRowGradientReduction:
         # Rounds of one nonzero per row over 600 columns are sparse enough
         # for a support, but dense rows (s > 1 with a dense cache) write
         # every column of the buffers, so those rounds reduce all n; the
-        # others reduce their columns of the block's gradient buffers.
+        # others reduce fresh gradient buffers over their columns.
         if not dense_cache:
             monkeypatch.setattr(casgd.sparse, "_DENSE_CACHE_MAX_CELLS", 0)
         d = synthetic_dataset(30, 600, 1, seed=9)
@@ -769,7 +773,7 @@ class TestRowGradientReduction:
         assert RowBlock(d, many[None], most + 1, most + 1, False).supports[0] is None
         # A round of one empty row has an empty support.
         empty = RowBlock(ragged_libsvm_dataset(800, 3000, seed=4), np.zeros((1, 1), dtype=np.int64), 1, 1, False)
-        assert len(empty.supports[0]) == 0 and empty.gradients.shape == (1, 0)
+        assert len(empty.supports[0]) == 0 and len(empty.rounds[0].keys) == 0
         # Dense rows (s > 1 under a dense cache) write every column of the
         # buffers; one batch of dense-cache rows scatters its stored entries.
         cached = synthetic_dataset(30, 600, 5, seed=8)
