@@ -1,16 +1,15 @@
-"""Command-line frontend: train, compare, costs, bench.
+"""Command-line frontend: train, compare, costs.
 
     casgd train   --data d.svm --algo sgd --epochs 100 --eta 1 --trace out.csv
     casgd compare --data d.svm --s-list 2,8,64 --epochs 100 --eta 1 --trace cmp.csv
     casgd costs   --m 8124 --n 112 --f 0.19 --p 64 --b 1 --s 16 --epochs 100
-    casgd bench   --data d.svm --algo casgd --s-step 8 --epochs 2 --repeats 5 --trace b.csv
 
 Exit codes: 0 success, 1 parse/configuration error (including non-finite
-feature values, a non-finite or negative --eta, a non-finite or negative
---tolerance and a --repeats below 1), 2 bad flags, 3 comparison failed
-(tolerance exceeded, a non-finite error, or fewer than epochs+1 epochs
-compared).  CSV files are written to a temp file and renamed into place,
-so no partial output survives an error.  All floats are serialized with
+feature values, a non-finite or negative --eta and a non-finite or
+negative --tolerance), 2 bad flags, 3 comparison failed (tolerance
+exceeded, a non-finite error, or fewer than epochs+1 epochs compared).
+CSV files are written to a temp file and renamed into place, so no
+partial output survives an error.  All floats are serialized with
 17 significant digits (round-trip exact), and every run is fully
 determined by its flags, so repeated invocations produce byte-identical
 traces.
@@ -22,10 +21,8 @@ import argparse
 import gzip
 import math
 import os
-import statistics
 import sys
 import tempfile
-import time
 
 import numpy as np
 
@@ -33,7 +30,6 @@ from .cluster import BLOCK_COLUMN, BLOCK_ROW, partition
 from .costs import CostParams, MachineModel, crossover_s, modeled_time, theoretical_cost
 from .solvers import (
     ConfigError,
-    PhaseTimer,
     SolverConfig,
     epoch_schedule,
     iterations_per_epoch,
@@ -93,7 +89,7 @@ def _solver_flags(sub):
 
 
 def _config(dataset, args) -> SolverConfig:
-    """Solver settings of ``train`` and ``bench`` (``gd`` is SGD with one batch of every row)."""
+    """Solver settings of ``train`` (``gd`` is SGD with one batch of every row)."""
     return SolverConfig(
         eta0=args.eta,
         b=dataset.num_points if args.algo == "gd" else args.batch,
@@ -105,18 +101,15 @@ def _config(dataset, args) -> SolverConfig:
     )
 
 
-def _solve(dataset, cfg: SolverConfig, algo: str, timer=None):
-    cluster = partition(dataset, cfg.layout, cfg.p)
-    return (run_casgd if algo == "casgd" else run_sgd)(dataset, cfg, cluster, timer=timer)
-
-
 # ---------------------------------------------------------------------------
 # train
 
 
 def cmd_train(args) -> int:
     dataset = _load_dataset(args)
-    run = _solve(dataset, _config(dataset, args), args.algo)
+    cfg = _config(dataset, args)
+    cluster = partition(dataset, cfg.layout, cfg.p)
+    run = (run_casgd if args.algo == "casgd" else run_sgd)(dataset, cfg, cluster)
     rows = [
         ",".join(
             [str(t.epoch), _fmt(t.loss), _fmt(t.accuracy), str(t.flops), str(t.words), str(t.messages), str(t.collectives)]
@@ -226,36 +219,6 @@ def cmd_costs(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench
-
-
-def cmd_bench(args) -> int:
-    if args.repeats < 1:
-        raise ConfigError(f"--repeats must be at least 1, got {args.repeats}")
-    dataset = _load_dataset(args)
-    cfg = _config(dataset, args)
-    samples: dict[str, list[float]] = {phase: [] for phase in PhaseTimer.PHASES}
-    totals = []
-    for _ in range(args.repeats):
-        timer = PhaseTimer()
-        t0 = time.perf_counter()
-        _solve(dataset, cfg, args.algo, timer)
-        totals.append(time.perf_counter() - t0)
-        for phase in PhaseTimer.PHASES:
-            samples[phase].append(timer.totals[phase])
-    rows = []
-    for phase in PhaseTimer.PHASES:
-        vals = samples[phase]
-        dev = statistics.stdev(vals) if len(vals) > 1 else 0.0
-        rows.append(f"{phase},{_fmt(statistics.mean(vals))},{_fmt(dev)}")
-    dev = statistics.stdev(totals) if len(totals) > 1 else 0.0
-    rows.append(f"total,{_fmt(statistics.mean(totals))},{_fmt(dev)}")
-    _write_csv(args.trace, "phase,mean_seconds,stddev_seconds", rows)
-    print(f"wall-clock of the simulation itself over {args.repeats} repeat(s); not cluster timings")
-    return 0
-
-
-# ---------------------------------------------------------------------------
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,15 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     costs.add_argument("--gamma", type=float, default=1e-11, help="seconds per flop")
     costs.add_argument("--omega", type=float, default=5.0, help="flops per nonlinearity evaluation")
     costs.set_defaults(func=cmd_costs)
-
-    bench = subs.add_parser("bench", help="wall-clock phase breakdown of the simulation (not cluster timings)")
-    _data_flags(bench)
-    bench.add_argument("--algo", choices=["sgd", "casgd", "gd"], default="sgd")
-    bench.add_argument("--s-step", type=int, default=1)
-    _solver_flags(bench)
-    bench.add_argument("--repeats", type=int, default=1)
-    bench.add_argument("--trace", required=True, help="output CSV path")
-    bench.set_defaults(func=cmd_bench)
 
     return parser
 

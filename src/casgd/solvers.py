@@ -34,12 +34,12 @@ scores take, each round's support and gradient keys, its ranks' payload
 values and, without a dense cache, its Gram pairs and their match counts.
 Each such round adds its pairs straight into G and clears the entries they
 wrote once the recurrence has read them (``RowBlock.add_gram`` and
-``clear_gram``), so G's strictly lower blocks are zero between rounds.  K is set by what a block holds
-(``_rounds_per_block``): its draws, dense rows only under a dense cache,
-Gram buffers only for owners that form a block's Gram at once, and gathered
-entries only in the row layout, so SGD rounds and rounds without a dense
-cache also come many to a block.  Each round still forms its own scores,
-collective, recurrence and update.
+``clear_gram``), so G's strictly lower blocks are zero between rounds.  K
+is set by what a block holds (``_rounds_per_block``): its draws, dense rows
+only under a dense cache, Gram buffers only for owners that form a block's
+Gram at once, and gathered entries only in the row layout, so SGD rounds
+and rounds without a dense cache also come many to a block.  Each round
+still forms its own scores, collective, recurrence and update.
 
 Rounds run in segments: a block's rounds up to the next trace point.
 Counters advance once per segment, in closed form, before the point is
@@ -91,7 +91,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from time import perf_counter as _pc
 from typing import Sequence
 
 import numpy as np
@@ -115,7 +114,6 @@ __all__ = [
     "SolverConfig",
     "TraceRecord",
     "SolverRun",
-    "PhaseTimer",
     "iterations_per_epoch",
     "epoch_schedule",
     "run_sgd",
@@ -202,21 +200,6 @@ class SolverRun:
     trace: list[TraceRecord]
     counters: CostCounters
     epoch_solutions: list[np.ndarray]
-
-
-class PhaseTimer:
-    """Wall-clock seconds per solver phase (bench instrumentation only)."""
-
-    PHASES = ("sampling", "score_matvec", "gram", "sig", "gradient", "update", "collectives")
-
-    def __init__(self):
-        self.totals = dict.fromkeys(self.PHASES, 0.0)
-
-    def lap(self, phase: str, since: float) -> float:
-        """Charge the time from ``since`` to now to ``phase``; returns now."""
-        now = _pc()
-        self.totals[phase] += now - since
-        return now
 
 
 def iterations_per_epoch(m: int, b: int) -> int:
@@ -383,13 +366,12 @@ def run_sgd(
     cluster: VirtualCluster,
     *,
     batches: Sequence[RowBlockSelector] | None = None,
-    timer: PhaseTimer | None = None,
     schedule: Sequence[tuple[int, int]] | None = None,
 ) -> SolverRun:
     """One-communication-per-iteration SGD over the cluster (requires s = 1)."""
     if cfg.s != 1:
         raise ConfigError("run_sgd requires s == 1")
-    return _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd=False)
+    return _run_rounds(dataset, cfg, cluster, batches, schedule, casgd=False)
 
 
 def run_casgd(
@@ -398,7 +380,6 @@ def run_casgd(
     cluster: VirtualCluster,
     *,
     batches: Sequence[RowBlockSelector] | None = None,
-    timer: PhaseTimer | None = None,
     schedule: Sequence[tuple[int, int]] | None = None,
 ) -> SolverRun:
     """s-step SGD: one communication round per s logical iterations.
@@ -408,7 +389,7 @@ def run_casgd(
     runs align them up to round boundaries, where the solution is first
     materialized.
     """
-    return _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd=True)
+    return _run_rounds(dataset, cfg, cluster, batches, schedule, casgd=True)
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +441,7 @@ class _Rank:
         self.block_rows = None
 
 
-def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
+def _run_rounds(dataset, cfg, cluster, batches, schedule, casgd):
     """The round loop of both solvers; ``casgd`` selects the s-step payload."""
     _check_cluster(cfg, cluster, dataset)
     m, n = dataset.num_points, dataset.num_features
@@ -568,7 +549,6 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
                 vj = _sig_batch(zj)
             np.multiply(vj, eta_scale, out=w[own])
 
-    t0 = _pc()
     t = 0
     while t < iterations:
         # 1. draw a block of s-batch rounds, read once with the block's
@@ -599,14 +579,10 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
         # matches; its whole update adds its rows' nonzeros and
         # ``update_flops``.  ``done`` sums both over the block's rounds.
         charges = sums[:, -1]
-        if timer:
-            t0 = timer.lap("sampling", t0)
         for rk in owners:
             charges = charges + gram_lower_blocks(rk.data, block, b, out=rk.grams[:count], rows=rk.block_rows)[1]
         if round_gram:
             charges = charges + entries.matches
-        if timer and gram:
-            t0 = timer.lap("gram", t0)
         done = np.zeros(count + 1, dtype=np.int64)
         np.cumsum(charges + sums[:, -1] + update_flops, out=done[1:])
         charges, nnz, done = charges.tolist(), sums.tolist(), done.tolist()
@@ -624,17 +600,11 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
                 # One row per round: a dot, the sig and an axpy.
                 for ((cols, a),) in block_rows[k:j]:
                     z = a.dot(x if dense else x[cols])
-                    if timer:
-                        t0 = timer.lap("score_matvec", t0)
                     wk = _sig_scalar(z) * eta_scale
-                    if timer:
-                        t0 = timer.lap("sig", t0)
                     if dense:
                         x += wk * a
                     else:
                         x[cols] += wk * a
-                    if timer:
-                        t0 = timer.lap("update", t0)
             elif local:
                 for r, rows in enumerate(block_rows[k : j + split], k):
                     if dense_rows:
@@ -643,18 +613,12 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
                         batch_scores(dataset, block[r], x, rows, rs)
                     if grams is not None:
                         G[...] = grams[r]
-                    if timer:
-                        t0 = timer.lap("score_matvec", t0)
                     weigh()
-                    if timer:
-                        t0 = timer.lap("sig", t0)
                     if r < j:
                         if dense_rows:
                             x += rows.T @ w
                         else:
                             add_rows_transpose(dataset, block[r], w, x, rows)
-                        if timer:
-                            t0 = timer.lap("update", t0)
             else:
                 for r in range(k, j + split):
                     # 2. each rank forms its payload
@@ -678,12 +642,8 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
                     if K > 1:
                         for rk in owners:
                             rk.gram[...] = rk.grams[r]
-                    if timer:
-                        t0 = timer.lap("score_matvec", t0)
                     if round_gram:
                         entries.add_gram(r, G)
-                        if timer:
-                            t0 = timer.lap("gram", t0)
                     # 3. one collective
                     if not row:
                         summed = cluster.combine(bufs)
@@ -692,13 +652,9 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
                     elif casgd:
                         # Every rank receives what ``rs`` already holds.
                         cluster.combine(payloads, gather=True)
-                    if timer:
-                        t0 = timer.lap("collectives", t0)
                     weigh()
                     if round_gram:
                         entries.clear_gram(r, G)
-                    if timer:
-                        t0 = timer.lap("sig", t0)
                     # 5. the update.  Row ranks' gradients go into their
                     # buffers in one scatter (dense rows: one BLAS product
                     # per rank), and the buffers are summed into x once per
@@ -713,16 +669,10 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
                                 add_rows_transpose(dataset, ids[spot], v[spot], g, rows=rows[spot])
                         else:
                             np.add.at(parts.reshape(-1), here.keys, here.vals * np.repeat(v, entries.counts[r]))
-                        if timer:
-                            t0 = timer.lap("gradient", t0)
                         _apply_row_gradient(cluster, parts, support, eta_scale, x)
-                        if timer:
-                            t0 = timer.lap("collectives", t0)
                     elif r < j:
                         for rk in ranks:
                             add_rows_transpose(rk.data, ids, w, rk.x, rk.block_rows[r])
-                        if timer:
-                            t0 = timer.lap("update", t0)
             # Counters advance in closed form per segment: whole rounds,
             # their sig evaluations and, at one rank, their collectives
             # (nothing moves, so they are only counted); a split round's
@@ -736,7 +686,6 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
                 if next_it <= t + j * s:
                     rec.visit(t + j * s, x)
                     next_it = rec.next_iteration
-                    t0 = _pc()
                 k = j
                 continue
             # Spans of whole iterations of round j, split where trace points
@@ -752,12 +701,9 @@ def _run_rounds(dataset, cfg, cluster, batches, timer, schedule, casgd):
                 c.flops += nnz_j[hi] - nnz_j[lo] + n * (stop - at) + b * b * (stop * (stop - 1) - at * (at - 1)) // 2
                 c.sig_evals += hi - lo
                 at = stop
-                if timer:
-                    t0 = timer.lap("update", t0)
                 if next_it <= start + at:
                     rec.visit(start + at, x)
                     next_it = rec.next_iteration
-                    t0 = _pc()
             k = j + 1
         t += count * s
 

@@ -89,6 +89,7 @@ class TestExitCodes:
     def test_bad_flags_exit_2(self, data_file, tmp_path, capsys):
         assert main(["train", "--data", data_file, "--algo", "newton", "--trace", str(tmp_path / "t.csv")]) == 2
         assert main(["train"]) == 2
+        assert main(["bench", "--data", data_file, "--trace", str(tmp_path / "b.csv")]) == 2
         capsys.readouterr()
 
     def test_parse_error_exit_1_with_line(self, tmp_path, capsys):
@@ -106,10 +107,10 @@ class TestExitCodes:
         assert code == 1
         assert "divide" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["train", "compare", "bench"])
+    @pytest.mark.parametrize("command", ["train", "compare"])
     @pytest.mark.parametrize("eta", ["nan", "inf", "-1"])
     def test_bad_eta_exit_1(self, data_file, tmp_path, capsys, command, eta):
-        extra = {"train": [], "compare": ["--s-list", "2"], "bench": []}[command]
+        extra = {"train": [], "compare": ["--s-list", "2"]}[command]
         out = tmp_path / "out.csv"
         code = main([command, "--data", data_file, "--epochs", "1", f"--eta={eta}", "--trace", str(out), *extra])
         assert code == 1
@@ -319,57 +320,6 @@ class TestRunThenReport:
         line = next(l for l in table.splitlines() if l.startswith("casgd") and "block_column" in l)
         predicted = line.split()
         assert measured == [int(predicted[2]), int(predicted[3]), int(predicted[4]), int(predicted[5])]
-
-
-class TestBench:
-    def test_single_repeat(self, data_file, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        code = main(["bench", "--data", data_file, "--algo", "casgd", "--s-step", "4",
-                     "--epochs", "2", "--repeats", "1", "--trace", str(out)])
-        assert code == 0
-        header, rows = _read_rows(out)
-        assert header == "phase,mean_seconds,stddev_seconds"
-        phases = [r[0] for r in rows]
-        assert phases == ["sampling", "score_matvec", "gram", "sig", "gradient", "update",
-                          "collectives", "total"]
-        assert all(float(r[2]) == 0.0 for r in rows)
-        capsys.readouterr()
-
-    def test_repeats_populate_stddev_and_phase_sum(self, data_file, tmp_path, capsys):
-        out = tmp_path / "bench.csv"
-        code = main(["bench", "--data", data_file, "--algo", "sgd", "--epochs", "2",
-                     "--repeats", "3", "--trace", str(out)])
-        assert code == 0
-        _, rows = _read_rows(out)
-        by_phase = {r[0]: (float(r[1]), float(r[2])) for r in rows}
-        phase_sum = sum(mean for name, (mean, _) in by_phase.items() if name != "total")
-        assert phase_sum <= by_phase["total"][0] * 1.05
-        capsys.readouterr()
-
-    @pytest.mark.parametrize(
-        "algo,layout,gram",
-        [("casgd", "row", True), ("casgd", "col", True), ("sgd", "col", False), ("sgd", "row", False)],
-    )
-    def test_gram_phase_only_with_a_gram(self, data_file, tmp_path, capsys, algo, layout, gram):
-        # The Gram is formed once per block of rounds, in either layout, and
-        # its time lands in ``gram``; SGD forms none.
-        out = tmp_path / "bench.csv"
-        code = main(["bench", "--data", data_file, "--algo", algo, "--s-step", "4" if gram else "1",
-                     "--layout", layout, "--procs", "2", "--batch", "2", "--epochs", "2",
-                     "--repeats", "1", "--trace", str(out)])
-        assert code == 0
-        _, rows = _read_rows(out)
-        seconds = {r[0]: float(r[1]) for r in rows}
-        assert (seconds["gram"] > 0) == gram
-        capsys.readouterr()
-
-    @pytest.mark.parametrize("repeats", ["0", "-2"])
-    def test_repeats_below_one_exit_1(self, data_file, tmp_path, capsys, repeats):
-        out = tmp_path / "bench.csv"
-        code = main(["bench", "--data", data_file, "--epochs", "1", f"--repeats={repeats}", "--trace", str(out)])
-        assert code == 1
-        assert "--repeats" in capsys.readouterr().err
-        assert not out.exists()
 
 
 def test_console_entry_point(data_file, tmp_path):

@@ -551,38 +551,47 @@ def test_one_column_rank_counters_at_every_trace_point(monkeypatch, m, n, solver
         assert {key: value for key, value in run.counters.as_dict().items() if key != "flops"} == law[-1]
 
 
-def _every_iteration_run(m, n, solver, s):
-    """A run at one column rank under its default (epoch) schedule, and the
-    same run with a trace point at every iteration."""
+def _every_iteration_run(m, n, solver, s, layout=BLOCK_COLUMN, p=1, b=1):
+    """A run under its default (epoch) schedule, the same run with a trace
+    point at every iteration (in the row layout, which materializes x only
+    at round ends, at every round end), and the default schedule's
+    iterations."""
     d = ragged_libsvm_dataset(m, n, seed=6)
     assert (d.a_tilde.dense_cache() is None) == (n == 3000)
-    cfg = SolverConfig(eta0=1.0, b=1, s=s, epochs=2, seed=3)
-    iterations = s * -(-2 * m // s)
-    default = solver(d, cfg, partition(d, BLOCK_COLUMN, 1))
-    every = solver(d, cfg, partition(d, BLOCK_COLUMN, 1), schedule=[(it, it) for it in range(1, iterations + 1)])
-    assert len(every.trace) == iterations + 1
-    return default, every
+    cfg = SolverConfig(eta0=1.0, b=b, s=s, epochs=2, layout=layout, p=p, seed=3)
+    H = 2 * iterations_per_epoch(m, b)
+    iterations = s * -(-H // s)
+    step = s if layout == BLOCK_ROW else 1
+    default = solver(d, cfg, partition(d, layout, p))
+    every = solver(d, cfg, partition(d, layout, p), schedule=[(it, it) for it in range(step, iterations + 1, step)])
+    assert len(every.trace) == iterations // step + 1
+    points = [it for _, it in epoch_schedule(m, b, H, s=s, align_to_rounds=layout == BLOCK_ROW)]
+    return default, every, points
 
 
+@pytest.mark.parametrize("layout,p,b", [(BLOCK_COLUMN, 1, 1), (BLOCK_COLUMN, 3, 1), (BLOCK_COLUMN, 3, 3), (BLOCK_ROW, 2, 2)])
 @pytest.mark.parametrize("solver,s", [(run_sgd, 1), (run_casgd, 2), (run_casgd, 8)])
 @pytest.mark.parametrize("m,n", [(150, 40), (800, 3000)])
-def test_trace_point_at_every_iteration_leaves_the_run_unchanged(m, n, solver, s):
+def test_trace_point_at_every_iteration_leaves_the_run_unchanged(m, n, solver, s, layout, p, b):
     # A trace point at every iteration cuts every segment after one round
-    # and splits every round at s > 1.  The counters must read as under the
-    # default schedule, at the end and at each epoch end.  So must the bits
-    # where a round's update goes row by row, as a split round's spans do:
-    # SGD, and s > 1 without a dense cache.  A whole round over a dense
-    # cache takes one BLAS product instead, so there the split runs stay
-    # within the s > 1 contract (see the xfail below).
-    default, every = _every_iteration_run(m, n, solver, s)
+    # and, in the column layout, splits every round at s > 1 (at p > 1 the
+    # split spans go through every rank's update).  The counters must read
+    # as under the default schedule, at the end and at each epoch end.  So
+    # must the bits where a round's update goes row by row, as a split
+    # round's spans do: SGD, s > 1 without a dense cache, and the row
+    # layout, whose rounds are never split.  A whole column round over a
+    # dense cache takes one BLAS product instead, so there the split runs
+    # stay within the s > 1 contract (see the xfail below).
+    default, every, points = _every_iteration_run(m, n, solver, s, layout, p, b)
     counters = lambda t: (t.flops, t.words, t.messages, t.collectives)
     assert every.counters == default.counters
-    same_bits = s == 1 or n == 3000
+    same_bits = s == 1 or n == 3000 or layout == BLOCK_ROW
+    at = {record.epoch: (record, x) for record, x in zip(every.trace, every.epoch_solutions)}
     pairs = [(default.final_x, every.final_x)]
-    for record, x_at in zip(default.trace[1:], default.epoch_solutions[1:]):
-        it = record.epoch * m
-        assert counters(every.trace[it]) == counters(record)
-        pairs.append((x_at, every.epoch_solutions[it]))
+    for record, x_at, it in zip(default.trace[1:], default.epoch_solutions[1:], points):
+        assert counters(at[it][0]) == counters(record)
+        pairs.append((x_at, at[it][1]))
+    assert len(pairs) == 3
     for x_ref, x in pairs:
         if same_bits:
             assert x.tobytes() == x_ref.tobytes()
@@ -595,7 +604,7 @@ def test_trace_point_at_every_iteration_leaves_the_run_unchanged(m, n, solver, s
 def test_trace_points_inside_dense_rounds_keep_the_bits(s):
     # Where trace points fall should not change the trajectory's bits.
     # Over a dense cache at s > 1 it does (by about 1e-16).
-    default, every = _every_iteration_run(150, 40, run_casgd, s)
+    default, every, _ = _every_iteration_run(150, 40, run_casgd, s)
     assert every.final_x.tobytes() == default.final_x.tobytes()
 
 
