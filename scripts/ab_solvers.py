@@ -10,7 +10,8 @@ perfbench workload (generated as ``perfbench/workloads.py`` writes it; that
 directory is only read) and set up and run its configs as a benchmark pass
 does.  Set-up is reading and parsing the file, partitioning it for every
 config and warming the matrix caches.  The configs are plain SGD up to the
-last trace point of any s, then CA-SGD at each s.  The set-up and every
+last trace point of any s, then CA-SGD at each s.  The set-up, the parse
+(``parse_libsvm`` on the text already read, inside the set-up) and every
 solve are timed on their own, alternating which tree runs first,
 ``--repeats`` times after one untimed warm-up per side.  The script exits 1
 unless both trees parse the input to the same bytes (CSR arrays, labels and
@@ -19,10 +20,11 @@ column count) and each config gives the same outputs on both sides: the
 accuracy and counters, the floats compared bit for bit) and the bytes of
 every epoch solution.
 
-Prints the set-up's and each config's best time on each side and their
-ratio, then the sums of the solves.  Next to them it prints the median and
-the range of the repeats' own base/head ratios (each repeat runs both sides
-back to back), which show how far the host's noise moves a config.
+Prints the set-up's, the parse's and each config's best time on each side
+and their ratio, then the sums of the solves.  Next to them it prints the
+median and the range of the repeats' own base/head ratios (each repeat runs
+both sides back to back), which show how far the host's noise moves a
+config.
 """
 
 from __future__ import annotations
@@ -88,14 +90,16 @@ class Side:
         self.lib, self.w, self.path, self.seed = lib, w, path, seed
         self.set_up()
 
-    def set_up(self) -> float:
+    def set_up(self) -> tuple[float, float]:
         """Read, parse, partition and warm the lazy matrix caches, as a
-        benchmark pass's set-up does; returns its seconds."""
+        benchmark pass's set-up does; returns its seconds and the parse's."""
         lib, w = self.lib, self.w
         gc.collect()
         t0 = perf_counter()
         text = self.path.read_text()
+        t_parse = perf_counter()
         dataset = lib.parse_libsvm(text)
+        parse_seconds = perf_counter() - t_parse
         del text
         solves = {
             label: (solver, cfg, lib.partition(dataset, w.layout, w.p), schedule)
@@ -105,7 +109,7 @@ class Side:
         A.row_slices, A.dense_cache(), A.scipy_csr
         seconds = perf_counter() - t0
         self.dataset, self.solves = dataset, solves
-        return seconds
+        return seconds, parse_seconds
 
     def parsed(self) -> dict[str, bytes | int]:
         """The parsed input's arrays as bytes, and its column count."""
@@ -153,10 +157,12 @@ def main(argv=None) -> int:
         write_input(w, args.seed, str(path))
         sides = {"base": Side(base_lib, w, path, args.seed), "head": Side(casgd, w, path, args.seed)}
         # Seconds per label, side and repeat.
-        times = {"set-up": {name: [] for name in sides}}
+        times = {label: {name: [] for name in sides} for label in ("set-up", "parse")}
         for rep in range(args.repeats):
             for name in ("base", "head") if rep % 2 == 0 else ("head", "base"):
-                times["set-up"][name].append(sides[name].set_up())
+                setup_seconds, parse_seconds = sides[name].set_up()
+                times["set-up"][name].append(setup_seconds)
+                times["parse"][name].append(parse_seconds)
 
     parsed = {name: side.parsed() for name, side in sides.items()}
     mismatched = []

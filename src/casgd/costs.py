@@ -70,8 +70,19 @@ class MachineModel:
             raise ValueError("machine parameters must be non-negative")
 
 
+# How far, in units in the last place, a counter's float may lie from its
+# exact value.  f carries one rounding (a typed decimal, or nnz / (m n)),
+# which f*f doubles, and each counter takes at most 7 more roundings of
+# products and sums of non-negative terms, so its relative error is below
+# 9 * 2**-53 and under 9 ulps; 16 leaves a margin.
+_ROUNDING_ULPS = 16
+
+
 def _intish(value: float):
-    return int(value) if float(value).is_integer() else value
+    """``value`` as an int when it lies within rounding error of one, so a
+    counter that is integral in exact arithmetic is an int."""
+    nearest = round(value)
+    return int(nearest) if abs(value - nearest) <= _ROUNDING_ULPS * math.ulp(value) else value
 
 
 def theoretical_cost(params: CostParams, algorithm: str, layout: str) -> CostCounters:

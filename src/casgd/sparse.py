@@ -101,6 +101,10 @@ _CHUNK_CHARS = 32 * 1024
 # The largest feature index: a 1-based index is stored in int64.
 _MAX_INDEX = 2**63 - 1
 
+# The most digits a plain decimal string may have to convert in bulk: the
+# most whose numbers all fit in int64 (10**18 - 1 < 2**63 - 1 < 10**19 - 1).
+_MAX_DIGITS = 18
+
 # The columns of a dense row in ``gather_rows``' row-by-row form: all n.
 _ALL = slice(None)
 
@@ -428,13 +432,25 @@ def _convert(line_nos: list[int], label_tokens: list[str], counts: list[int], fe
     nnz = len(features)
     joined = " ".join(features)
     try:
-        if nnz and not _one_colon_each(joined, nnz):
-            raise ValueError("a feature token without exactly one ':'")
-        # Index and value strings alternate.
-        parts = joined.replace(":", " ").split(" ") if nnz else []
         labels = np.fromiter(map(float, label_tokens), np.float64, len(label_tokens))
-        indices = np.fromiter(map(int, parts[0::2]), np.int64, nnz)
-        values = np.fromiter(map(float, parts[1::2]), np.float64, nnz)
+        indices = values = None
+        if nnz:
+            raw = np.frombuffer(joined.encode(), dtype=np.uint8)
+            ends = _token_ends(raw, nnz)
+            if ends is None:
+                raise ValueError("a feature token without exactly one ':'")
+            # Index and value tokens alternate, each ending at a ':' or ' '.
+            starts = np.concatenate(([0], ends[:-1] + 1))
+            digits = raw - np.uint8(ord("0"))
+            indices = _plain_decimals(digits, starts[0::2], ends[0::2])
+            values = _plain_decimals(digits, starts[1::2], ends[1::2])
+        parts = joined.replace(":", " ").split(" ") if nnz and (indices is None or values is None) else []
+        if indices is None:
+            indices = np.fromiter(map(int, parts[0::2]), np.int64, nnz)
+        if values is None:
+            values = np.fromiter(map(float, parts[1::2]), np.float64, nnz)
+        else:
+            values = values.astype(np.float64)
     except (ValueError, OverflowError):
         _replay(line_nos, label_tokens, counts, features)
     row_nnz = np.array(counts, dtype=np.int64)
@@ -455,16 +471,47 @@ def _convert(line_nos: list[int], label_tokens: list[str], counts: list[int], fe
     return _Rows(np.array(line_nos, dtype=np.int64), labels, row_nnz, indices, values, non_finite)
 
 
-def _one_colon_each(joined: str, count: int) -> bool:
-    """Whether each of ``count`` (at least one) space-joined tokens holds exactly one ':'.
+def _token_ends(raw: np.ndarray, count: int) -> np.ndarray | None:
+    """The end offsets of the index and value strings in ``raw``, the UTF-8
+    bytes of ``count`` (at least one) space-joined tokens, in token order; or
+    None unless each token holds exactly one ':'.
 
     Tokens hold no whitespace, and in UTF-8 no other character encodes to a
     ':' or ' ' byte.  The count - 1 spaces and the ':' bytes alternate, from
     a ':' to a ':', exactly when every token holds one ':'.
     """
-    raw = np.frombuffer(joined.encode(), dtype=np.uint8)
-    seps = raw[(raw == ord(":")) | (raw == ord(" "))]
-    return len(seps) == 2 * count - 1 and bool((seps[0::2] == ord(":")).all())
+    seps = np.flatnonzero((raw == ord(":")) | (raw == ord(" ")))
+    if len(seps) != 2 * count - 1 or not (raw[seps[0::2]] == ord(":")).all():
+        return None
+    return np.append(seps, len(raw))
+
+
+def _plain_decimals(digits: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray | None:
+    """The strings ``digits[starts[k]:ends[k]]`` as int64 numbers, or None
+    unless every one is 1 to ``_MAX_DIGITS`` ASCII digits.
+
+    ``digits`` are the bytes less ord('0') in uint8, so only '0'-'9' read
+    0-9: a sign, '_', '.', an exponent or a non-ASCII digit reads above 9.
+    The numbers are exact in int64, so each equals ``int`` of its string,
+    and its float64 cast equals ``float`` of it: both round the same
+    integer to nearest even.
+    """
+    lengths = ends - starts
+    width = int(lengths.max())
+    if width > _MAX_DIGITS or lengths.min() < 1:
+        return None
+    numbers = np.zeros(len(ends), dtype=np.int64)
+    # Horner's rule over each string's last ``width`` bytes, where those
+    # before its start read 0.  Their offsets can fall below 0, but not
+    # below 1 - width >= -len(digits).
+    for back in range(width, 0, -1):
+        digit = digits[ends - back]
+        digit *= lengths >= back
+        if (digit > 9).any():
+            return None
+        numbers *= 10
+        numbers += digit
+    return numbers
 
 
 def _replay(line_nos: list[int], label_tokens: list[str], counts: list[int], features: list[str]) -> NoReturn:
@@ -492,12 +539,20 @@ def parse_libsvm(
     Text is split into lines a piece at a time (``_pieces``), and lines
     split into tokens with ``str.split()`` and convert a chunk of
     about ``_CHUNK_CHARS`` characters at a time: the chunk's labels in one
-    ``map(float)``, its feature tokens joined and split at ':' and ' ' into
-    index and value strings, which one ``map(int)`` and one ``map(float)``
-    convert, and array comparisons check that indices are >= 1 and strictly
-    increasing within each row.  These are the ``int`` and ``float`` calls a
-    token-by-token loop makes, so the accepted inputs and the values are
-    the same.  A chunk that fails a check is replayed one token at a time
+    ``map(float)``, and its feature tokens joined, their bytes checked for
+    one ':' each, and their index and value strings located from the ':'
+    and ' ' bytes.  When every index string of the chunk is 1 to 18 ASCII
+    digits (no sign, '_', '.', exponent or other digit), the indices are
+    their digits' weighted sums in int64, exact since 10**18 < 2**63, so
+    each equals ``int`` of its string; the same holds for the values, whose
+    float64 cast equals ``float`` of the string, as both round the one
+    integer to nearest even.  A class of strings that is not all plain
+    decimals (as 17-digit values are) is split out at ':' and ' ' and
+    converted by one ``map(int)`` or ``map(float)``.  Array comparisons
+    then check that indices are >= 1 and strictly increasing within each
+    row.  Every value is what the ``int`` and ``float`` calls of a
+    token-by-token loop give, and the accepted inputs are the same.  A
+    chunk that fails a check is replayed one token at a time
     by ``_parse_line``, which raises the first error in line order with its
     line number: a malformed token, an index outside [1, 2**63 - 1] or not
     increasing, or a non-finite label.  Errors in the labels against the

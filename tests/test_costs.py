@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -24,6 +25,30 @@ def _params(**kw):
     base = dict(m=1000, n=100, p=4, b=1, s=16, H=100, f=0.1)
     base.update(kw)
     return CostParams(**base)
+
+
+def _exact_flops_and_words(params: CostParams, f: Fraction, algorithm: str, layout: str) -> tuple[Fraction, Fraction]:
+    """The module docstring's flop and word laws in rational arithmetic, at the exact f."""
+    n, b, s, H = params.n, params.b, params.s, params.H
+    if algorithm == "sgd":
+        return H * (2 * f * b * n + n), Fraction(H * (b if layout == BLOCK_COLUMN else n))
+    rounds, pairs = -(-H // s), s * (s - 1) // 2
+    shared = 2 * s * f * b * n + pairs * b * b * f * f * n + pairs * b * b
+    if layout == BLOCK_COLUMN:
+        return rounds * (shared + s * n), Fraction(rounds * (s * s * b * b + s * b))
+    return rounds * (shared + n), rounds * ((s - 1) * f * b * n + s * b + n)
+
+
+def _assert_counters_follow_exact_laws(params: CostParams, f: Fraction, algorithm: str, layout: str) -> None:
+    """Each counter that is integral in exact arithmetic is that int; any other is its nearest float."""
+    got = theoretical_cost(params, algorithm, layout)
+    for value, exact in zip((got.flops, got.words_moved), _exact_flops_and_words(params, f, algorithm, layout)):
+        if exact.denominator == 1:
+            assert type(value) is int and value == exact, (algorithm, layout, value, exact)
+        else:
+            assert type(value) is float and value == pytest.approx(float(exact), rel=1e-14), (algorithm, layout)
+    for value in (got.messages, got.collectives, got.sig_evals):
+        assert type(value) is int
 
 
 class TestTheoreticalCost:
@@ -57,6 +82,35 @@ class TestTheoreticalCost:
         cost = theoretical_cost(_params(H=12, s=4, b=2, n=50, f=0.25), "casgd", BLOCK_ROW)
         per_round = 3 * 0.25 * 2 * 50 + 8 + 50
         assert cost.words_moved == 3 * per_round
+
+    @pytest.mark.parametrize("algorithm", ["sgd", "casgd"])
+    @pytest.mark.parametrize("layout", [BLOCK_COLUMN, BLOCK_ROW])
+    def test_integral_counters_are_ints_at_a_typed_f(self, algorithm, layout):
+        """``casgd costs --m 200 --n 30 --f 0.2 --s 8 --epochs 5``: in floats the
+        row layout's CA-SGD flops come to 23450.000000000004."""
+        params = CostParams(m=200, n=30, p=1, b=1, s=8, H=1000, f=0.2)
+        _assert_counters_follow_exact_laws(params, Fraction(1, 5), algorithm, layout)
+        if (algorithm, layout) == ("casgd", BLOCK_ROW):
+            assert theoretical_cost(params, algorithm, layout).flops == 23450
+
+    # The benchmark's shapes: (m, n, nonzeros per row, layout, p, b, s list, epochs).
+    @pytest.mark.parametrize(
+        "m,n,nnz_per_row,layout,p,b,s_list,epochs",
+        [
+            (8124, 112, 21, BLOCK_COLUMN, 1, 1, (1, 2, 8, 64, 512), 2),
+            (2000, 100, 10, BLOCK_COLUMN, 4, 1, (8, 64), 1),
+            (20000, 20000, 20, BLOCK_ROW, 4, 16, (16, 64), 1),
+        ],
+    )
+    def test_counters_at_the_benchmark_shapes(self, m, n, nnz_per_row, layout, p, b, s_list, epochs):
+        """At f as a dataset's density gives it, nnz / (m n), as the benchmark's counter checks use it."""
+        f = Fraction(nnz_per_row, n)
+        H = epochs * -(-m // b)
+        density = (nnz_per_row * m) / (m * n)
+        _assert_counters_follow_exact_laws(CostParams(m=m, n=n, p=p, b=b, s=1, H=H, f=density), f, "sgd", layout)
+        for s in s_list:
+            params = CostParams(m=m, n=n, p=p, b=b, s=s, H=H, f=density)
+            _assert_counters_follow_exact_laws(params, f, "casgd", layout)
 
     def test_unknown_algorithm_or_layout(self):
         with pytest.raises(ValueError):

@@ -390,13 +390,81 @@ def test_each_malformed_kind_in_a_later_chunk(source, flaw):
         assert _parse_outcome(parse_libsvm, _SOURCES[source](text), "auto", None) == expected
 
 
+def _bulk_results(parse, *args):
+    """``parse(*args)``'s outcome, and whether each ``_plain_decimals`` call
+    converted its token class in bulk, in call order (index, value, ...)."""
+    real, bulk = casgd.sparse._plain_decimals, []
+
+    def spy(*spy_args):
+        numbers = real(*spy_args)
+        bulk.append(numbers is not None)
+        return numbers
+
+    with mock.patch.object(casgd.sparse, "_plain_decimals", spy):
+        return _parse_outcome(parse, *args), bulk
+
+
 def test_reference_agrees_on_the_perfbench_shapes():
     """The benchmark inputs' two kinds of values, binary and 17-digit
-    gaussian, over many chunks."""
+    gaussian, over many chunks.  Every chunk converts its indices in bulk,
+    and its values too when they are binary."""
     for values in ("binary", "gaussian"):
         text = serialize_libsvm(synthetic_dataset(300, 500, 21, seed=3, feature_values=values))
         with mock.patch.object(casgd.sparse, "_CHUNK_CHARS", 2048):
-            assert _parse_outcome(parse_libsvm, text, "auto", None) == _parse_outcome(_reference_parse, text, "auto", None)
+            got, bulk = _bulk_results(parse_libsvm, text, "auto", None)
+        assert got == _parse_outcome(_reference_parse, text, "auto", None)
+        assert len(bulk) > 2 and bulk == [True, values == "binary"] * (len(bulk) // 2)
+
+
+# Inputs at the bounds of the bulk conversion: one token class of a chunk
+# converts in bulk only when every token of it is 1 to 18 ASCII digits.
+_PLAIN_BOUNDS = {
+    "1 digit": "+1 1:1 2:0 9:9\n-1 3:7",
+    "15 digits": "+1 100000000000000:999999999999999 100000000000007:123456789012345\n-1 999999999999999:100000000000000",
+    # 2**53 + 1 and 2**53 + 3 are ties that round to even.
+    "16 digits": "+1 1000000000000000:9007199254740993 1000000000000001:9007199254740995\n-1 9999999999999999:9999999999999999",
+    # The most the bulk path takes; 123456789012345672 is a tie.
+    "18 digits": "+1 100000000000000000:999999999999999999 100000000000000001:123456789012345672\n-1 999999999999999999:900719925474099267",
+    # One more than the bulk path takes; the first value and the last index's
+    # value exceed int64.
+    "19 digits": "+1 1000000000000000000:9999999999999999999 9223372036854775807:9223372036854775809\n-1 1000000000000000001:1000000000000000001",
+    "leading zeros, 19 characters": "+1 0000000000000000007:0000000000000000007 8:0 9:00\n-1 007:000000000000000001",
+    "leading zeros, 18 characters": "+1 000000000000000007:000000000000000007 8:0 9:00\n-1 007:00",
+    "index 0": "+1 1:1\n-1 0:1",
+    "index 00": "+1 1:1\n-1 00:1",
+    "signed tokens": "+1 +3:-4 5:+6\n-1 2:-0",
+    "signs inside tokens": "+1 3:1+2",
+    "sign inside an index": "+1 3:1 5-1:2",
+}
+
+
+@pytest.mark.parametrize("chunk_chars", [12, 40, casgd.sparse._CHUNK_CHARS])
+@pytest.mark.parametrize("source", sorted(_SOURCES))
+@pytest.mark.parametrize("name", sorted(_PLAIN_BOUNDS))
+def test_plain_decimals_at_their_bounds(name, source, chunk_chars):
+    text = _PLAIN_BOUNDS[name]
+    expected = _parse_outcome(_reference_parse, _SOURCES[source](text), "auto", None)
+    with mock.patch.object(casgd.sparse, "_CHUNK_CHARS", chunk_chars):
+        got, bulk = _bulk_results(parse_libsvm, _SOURCES[source](text), "auto", None)
+    assert got == expected
+    if name in ("1 digit", "15 digits", "16 digits", "18 digits", "leading zeros, 18 characters"):
+        assert bulk and all(bulk)
+
+
+@pytest.mark.parametrize("chunk_chars", [12, 40])
+@pytest.mark.parametrize("source", sorted(_SOURCES))
+def test_bulk_and_token_by_token_chunks_alternate(source, chunk_chars):
+    """Runs of four lines cycle through plain tokens, decimal values and
+    signed indices, so small chunks take the bulk and the token-by-token
+    path in turn."""
+    kinds = ["{label} {i}:{i}7 {j}:1", "{label} {i}:-{i}.5 {j}:1e-3", "{label} +{i}:3 {j}:{i}"]
+    lines = [kinds[k // 4 % 3].format(label="+1" if k % 2 else "-1", i=k + 1, j=k + 40) for k in range(30)]
+    text = "\n".join(lines)
+    expected = _parse_outcome(_reference_parse, _SOURCES[source](text), "auto", None)
+    with mock.patch.object(casgd.sparse, "_CHUNK_CHARS", chunk_chars):
+        got, bulk = _bulk_results(parse_libsvm, _SOURCES[source](text), "auto", None)
+    assert got == expected
+    assert True in bulk and False in bulk
 
 
 class TestCsrMatrix:
