@@ -8,8 +8,10 @@ groups s iterations per round.  Each round:
   1. draws s batches;
   2. each rank forms its payload.  Column ranks score the round's rows
      over their own columns, one kernel call each.  In the row layout one
-     kernel call scores every rank's rows, in the form a rank's rows take
-     (under a dense cache at s > 1, one BLAS product per rank);
+     kernel call scores every rank's rows: without a dense cache, one
+     ``np.vecdot`` per entry count over the round's ``RowBlock`` entries
+     (one in all when its rows hold equally many), and under a dense cache
+     in the form a rank's rows take (at s > 1, one BLAS product per rank);
   3. one collective combines the payloads;
   4. the scalar recurrence gives every batch's weights; with r_j the
      scores of batch j against the round's starting point, G[j, i] the
@@ -17,8 +19,10 @@ groups s iterations per round.  Each round:
      w_i = (eta0/m) * v_i:  v_j = sig(r_j + sum_{i<j} G[j, i] w_i);
   5. the update x += a_tilde^T I_j^T w_j, split where a trace point
      falls inside the round.  Column ranks update their own part of x.
-     In the row layout one scatter adds every rank's gradient into its own
-     buffer, which the ranks keep only for the simulated reduction.
+     In the row layout one ``np.bincount`` adds every rank's gradient into
+     its own fresh buffer (dense rows: one BLAS product per rank into
+     zeroed buffers), which the ranks keep only for the simulated
+     reduction.
 
 Only the scores, the recurrence and the update depend on x.  So steps 1, 2
 and 5 run their x-independent part once per block of K rounds, in either
@@ -71,8 +75,8 @@ The payload is set by the entry point that ran:
 
 Column ranks work on their own column slices of the matrix and update
 their part of x with no further communication; row ranks accumulate
-gradients over their own rows, each in its own buffer.  A round whose rows
-touch few columns scatters into fresh buffers over just those columns, and
+gradients over their own rows, each in its own fresh buffer.  A round whose
+rows touch few columns scatters into buffers over just those columns, and
 reduces and updates only those; the allreduce still counts n words.
 Collectives go through ``VirtualCluster.combine``, which at p = 1 only
 counts them; one column rank counts a segment's at once.  The recurrence
@@ -135,11 +139,13 @@ _SCALAR_SIG_MAX = 8
 # bytes per stored entry of its rows (a column, a value and a gradient key,
 # at the mean row's entries), what its ``RowBlock`` keeps for its rounds.
 # Not counted: the int64 scratch, several arrays per entry, that building a
-# ``RowBlock`` frees before its first round, and the payload values and Gram
-# pairs that s > 1 row rounds also keep.  Over 112 columns with a dense cache
-# and one column rank that is 273 rounds at s * b = 1, 134 at 2, 32 at 8, 2
-# at 64 and 1 from 128 on.  Row-layout SGD at b = 16 over rows of 20 entries
-# and no dense cache takes 30 rounds.
+# ``RowBlock`` frees before its first round, the payload values and Gram
+# pairs that s > 1 row rounds also keep, and the copies of their columns and
+# values, grouped by entry count, that row rounds keep in a block of rows of
+# unequal counts.  Over 112 columns with a dense cache and one column rank
+# that is 273 rounds at s * b = 1, 134 at 2, 32 at 8, 2 at 64 and 1 from 128
+# on.  Row-layout SGD at b = 16 over rows of 20 entries and no dense cache
+# takes 30 rounds.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -402,15 +408,14 @@ def _apply_row_gradient(cluster: VirtualCluster, parts: np.ndarray, support, eta
     ``parts`` holds one gradient per rank, over the round's ``support`` (the
     sorted distinct columns of its rows, off which every gradient is zero),
     or with None over all n columns.  Only the support's entries are then
-    reduced and updated; the (p, n) buffers are zeroed for the next round.
-    Both give the same bits: off the support the update adds +0.0, which
-    changes no entry of x (x starts at +0.0, and a sum is -0.0 only if both
-    terms are).  The collective counts n words either way.
+    reduced and updated.  Both give the same bits: off the support the
+    update adds +0.0, which changes no entry of x (x starts at +0.0, and a
+    sum is -0.0 only if both terms are).  The collective counts n words
+    either way.
     """
     g = cluster.combine(list(parts), words=len(x))
     if support is None:
         x += g * eta_scale
-        parts[...] = 0.0
     else:
         x[support] += g * eta_scale
 
@@ -509,8 +514,6 @@ def _run_rounds(dataset, cfg, cluster, batches, schedule, casgd):
     round_gram = row and gram and not dense
     w = np.empty(sb)
     v = np.empty(sb) if row else None
-    # Row ranks' gradient buffers over all n columns, zero between rounds.
-    grads = np.zeros((p, n)) if row else None
     # Per iteration: batch offset, its scores, its Gram rows left of the
     # diagonal block, the weights they multiply, and its own weights;
     # views, built once, stay valid as the buffers are rewritten in place.
@@ -559,11 +562,11 @@ def _run_rounds(dataset, cfg, cluster, batches, schedule, casgd):
         block = np.array(source.peek_indices(count * s), dtype=np.int64).reshape(count, sb)
         source.advance(count * s)
         if row:
-            # One gather of every rank's entries: the rows in the form a
-            # rank's rows take (dense rows from the cache), each round's
-            # support, gradient keys, payload heads and Gram pairs.
+            # One gather of every rank's entries: each round's rows for the
+            # scores (dense-cache rows from ``gather_rows``), support,
+            # gradient keys, payload heads and Gram pairs.
             entries = RowBlock(dataset, block, b, bp, casgd)
-            block_rows = gather_rows(dataset, block, s, s * bp) if dense else entries.rows
+            block_rows = gather_rows(dataset, block, s, s * bp) if dense else entries.rounds
             for rk in owners:
                 rk.block_rows = block_rows
         else:
@@ -626,7 +629,7 @@ def _run_rounds(dataset, cfg, cluster, batches, schedule, casgd):
                     for rk in ranks:
                         batch_scores(rk.data, ids, rk.x, rk.block_rows[r], rk.scores)
                     if row:
-                        rows, here = block_rows[r], entries.rounds[r]
+                        rows = block_rows[r]
                         if dense_rows:
                             # One BLAS product per rank: its bits may depend
                             # on the rows it is handed.
@@ -655,21 +658,19 @@ def _run_rounds(dataset, cfg, cluster, batches, schedule, casgd):
                     weigh()
                     if round_gram:
                         entries.clear_gram(r, G)
-                    # 5. the update.  Row ranks' gradients go into their
-                    # buffers in one scatter (dense rows: one BLAS product
-                    # per rank), and the buffers are summed into x once per
+                    # 5. the update.  Row ranks' gradients go into fresh
+                    # buffers in one scatter, over the round's support when
+                    # it has one (dense rows: one BLAS product per rank, over
+                    # all n), and the buffers are summed into x once per
                     # round.  Column ranks update their own part of x.
                     if row:
-                        # A round with a support scatters into fresh
-                        # buffers over it.
-                        support = entries.supports[r]
-                        parts = grads if support is None else np.zeros((p, len(support)))
                         if dense_rows:
+                            parts = np.zeros((p, n))
                             for spot, g in zip(spots, parts):
                                 add_rows_transpose(dataset, ids[spot], v[spot], g, rows=rows[spot])
                         else:
-                            np.add.at(parts.reshape(-1), here.keys, here.vals * np.repeat(v, entries.counts[r]))
-                        _apply_row_gradient(cluster, parts, support, eta_scale, x)
+                            parts = entries.gradients(r, v)
+                        _apply_row_gradient(cluster, parts, entries.supports[r], eta_scale, x)
                     elif r < j:
                         for rk in ranks:
                             add_rows_transpose(rk.data, ids, w, rk.x, rk.block_rows[r])

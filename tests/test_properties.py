@@ -62,20 +62,30 @@ def _runs(d, layout, p, b, s, epochs, seed):
 
 
 @PROPERTY_SETTINGS
-@given(grid=grids(), density=st.sampled_from([0.05, 0.3, 1.0]), dense=st.booleans(), seed=st.integers(0, 2**32))
-def test_round_loop_matches_sgd(grid, density, dense, seed):
+@given(
+    grid=grids(),
+    density=st.sampled_from([0.05, 0.3, 1.0]),
+    dense=st.booleans(),
+    support_ratio=st.sampled_from([0, casgd.sparse._SUPPORT_MIN_RATIO]),
+    seed=st.integers(0, 2**32),
+)
+def test_round_loop_matches_sgd(grid, density, dense, support_ratio, seed):
+    # A support ratio of 0 gives every sparse row round a support, so rounds
+    # with entries reach the scatter over a support (at n <= 10 the default
+    # ratio gives one only to rounds of empty rows).
     layout, m, n, p, b, s, epochs = grid
     rng = np.random.default_rng(seed)
     d = random_dataset(rng, m, n, density)
     if not dense:
         with mock.patch.object(casgd.sparse, "_DENSE_CACHE_MAX_CELLS", 0):
             assert d.a_tilde.dense_cache() is None
-    sgd, ca = _runs(d, layout, p, b, s, epochs, seed)
+    with mock.patch.object(casgd.sparse, "_SUPPORT_MIN_RATIO", support_ratio):
+        sgd, ca = _runs(d, layout, p, b, s, epochs, seed)
+        # s = 1 is plain SGD, bit for bit.
+        sgd1, ca1 = _runs(d, layout, p, b, 1, epochs, seed)
     assert len(ca.epoch_solutions) == len(sgd.epoch_solutions) == epochs + 1
     for x_sgd, x_ca in zip(sgd.epoch_solutions, ca.epoch_solutions):
         assert relative_solution_error(x_sgd, x_ca) <= 1e-10
-    # s = 1 is plain SGD, bit for bit.
-    sgd1, ca1 = _runs(d, layout, p, b, 1, epochs, seed)
     for x_sgd, x_ca in zip(sgd1.epoch_solutions, ca1.epoch_solutions):
         assert x_sgd.tobytes() == x_ca.tobytes()
 

@@ -1,6 +1,7 @@
 """``RowBlock``, the row layout's one gather per block, against the per-block
 kernels it replaced (``row_oracles``): keys, supports, slots, payload heads,
-Gram blocks and match counts must match them byte for byte."""
+Gram blocks and match counts must match them byte for byte, and each
+round's scores one ``ndarray.dot`` per row."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import casgd.solvers
 import casgd.sparse
 import row_oracles
 from casgd import BLOCK_ROW, SolverConfig, partition, run_casgd
-from casgd.sparse import RoundEntries, RowBlock, batch_scores, gather_rows, gram_lower_blocks
+from casgd.datagen import synthetic_dataset
+from casgd.sparse import RowBlock, batch_scores, gram_lower_blocks
 from conftest import ragged_libsvm_dataset
 
 
@@ -37,6 +39,34 @@ def _ranked(s: int, b: int, width: int) -> np.ndarray:
 
 def _per_row(arr, counts):
     return np.split(arr, np.cumsum(counts)[:-1])
+
+
+def _row_dots(d, ids, x) -> np.ndarray:
+    """One ``ndarray.dot`` per row, plus 0.0: a -0.0 dot reads +0.0, as in
+    ``np.vecdot``."""
+    return np.array([vals.dot(x[cols]) for cols, vals in (d.a_tilde.row(i) for i in ids)]) + 0.0
+
+
+def _assert_groups(d, ids, here):
+    """A round's ``groups`` cover each of its rows once, with the row's own
+    columns and values, in ascending entry count; a group of all its rows
+    (``slice(None)``) is a view of its entries."""
+    A = d.a_tilde
+    counts = A.row_nnz[ids]
+    seen = []
+    for at, cols, vals in here.groups:
+        spots = np.arange(len(ids))[at]
+        assert cols.shape == vals.shape == (len(spots), counts[spots[0]])
+        for spot, row_cols, row_vals in zip(spots, cols, vals):
+            want_cols, want_vals = A.row(ids[spot])
+            assert row_cols.tobytes() == want_cols.tobytes() and row_vals.tobytes() == want_vals.tobytes()
+        seen.extend(spots.tolist())
+        if isinstance(at, slice):
+            assert at == slice(None)
+            assert not cols.size or (np.shares_memory(cols, here.cols) and np.shares_memory(vals, here.vals))
+    assert sorted(seen) == list(range(len(ids)))
+    lengths = [cols.shape[1] for _, cols, _ in here.groups]
+    assert lengths == sorted(set(lengths))
 
 
 @pytest.mark.parametrize("payload", [False, True])
@@ -80,7 +110,10 @@ def test_matches_the_kernels_it_replaced(monkeypatch, p, K, s, n, payload):
         old_vals = [vals[k * sb + at] for at in rows]
         assert np.concatenate(old_vals).tobytes() == here.vals.tobytes()
         assert np.concatenate([A.row(i)[0] for i in block[k]]).tobytes() == here.cols.tobytes()
-        assert here.bounds == np.concatenate(([0], np.cumsum(A.row_nnz[block[k]]))).tolist()
+        if dense:
+            assert here.groups is None
+        else:
+            _assert_groups(d, block[k], here)
         assert entries.counts[k].tobytes() == A.row_nnz[block[k]].tobytes()
         rank = np.repeat(rank_of, entries.counts[k])
         if old is None:
@@ -97,19 +130,10 @@ def test_matches_the_kernels_it_replaced(monkeypatch, p, K, s, n, payload):
         else:
             assert len(here.keys) == 0
 
-    # Score forms: CSR rows as ``gather_rows`` builds them, else one dot per
-    # row, with the bits of the row-by-row list.
+    # Without a dense cache a round's scores have the bits of one dot per row.
     x = np.random.default_rng(5).standard_normal(n)
-    if dense:
-        assert entries.rows is None
     for k in range(K if not dense else 0):
-        one = gather_rows(d, block[k], s, s * width)
-        rows = entries.rows[k]
-        if isinstance(rows, RoundEntries):
-            assert isinstance(one, list)
-        else:
-            assert (rows != one).nnz == 0 and rows.indptr.tobytes() == one.indptr.astype(rows.indptr.dtype).tobytes()
-        assert batch_scores(d, block[k], x, rows).tobytes() == batch_scores(d, block[k], x, one).tobytes()
+        assert batch_scores(d, block[k], x, entries.rounds[k]).tobytes() == _row_dots(d, block[k], x).tobytes()
 
     if not payload:
         return
@@ -137,6 +161,55 @@ def test_matches_the_kernels_it_replaced(monkeypatch, p, K, s, n, payload):
     out, count = gram_lower_blocks(d, block, b)
     assert out.tobytes() == want.tobytes() and count.tobytes() == matches.tobytes()
     assert matches.sum() > 0
+
+
+@pytest.mark.parametrize("x_kind", ["gaussian", "negative zero"])
+@pytest.mark.parametrize(
+    "rows,p,width,s",
+    [
+        ("uniform", 4, 4, 4),
+        ("uniform", 4, 9, 4),
+        ("one entry", 2, 3, 2),
+        ("one entry", 1, 40, 2),
+        ("empty", 2, 2, 3),
+        ("ragged", 4, 4, 4),
+        ("ragged", 4, 9, 4),
+        ("ragged", 1, 40, 2),
+        ("ragged", 2, 1, 1),
+    ],
+)
+def test_scores_match_one_dot_per_row(rows, p, width, s, x_kind):
+    # Every round's ``batch_scores`` over its ``RoundEntries`` equal one
+    # ``ndarray.dot`` per row, byte for byte after + 0.0: blocks of rows of
+    # equal counts (one ``np.vecdot`` over views per round), of one entry
+    # per row and of empty rows only, and ragged rounds, with the empty row
+    # 0 and row 1 of stored zeros.  Ranks hold up to 40 rows of two to four
+    # batches (from 33 on, ``gather_rows`` gives such ranks CSR rows).  x of
+    # -0.0 makes every product a signed zero.
+    d = {
+        "uniform": lambda: synthetic_dataset(700, 3000, 5, seed=p + width),
+        "one entry": lambda: synthetic_dataset(700, 3000, 1, seed=p + width),
+    }.get(rows, lambda: ragged_libsvm_dataset(800, 3000, seed=p + width))()
+    A = d.a_tilde
+    assert A.dense_cache() is None
+    b = p * width
+    sb = s * b
+    block = np.zeros((3, sb), dtype=np.int64) if rows == "empty" else _block(d, 3, sb, seed=sb)
+    if rows != "ragged":
+        assert (A.row_nnz[block] == A.row_nnz[block[0, 0]]).all()
+    x = np.random.default_rng(sb).standard_normal(3000) if x_kind == "gaussian" else np.full(3000, -0.0)
+    entries = RowBlock(d, block, b, width, True)
+    for ids, here in zip(block, entries.rounds):
+        _assert_groups(d, ids, here)
+        want = _row_dots(d, ids, x)
+        out = np.full(sb, np.nan)
+        assert batch_scores(d, ids, x, here, out) is out
+        assert out.tobytes() == want.tobytes()
+    if rows == "ragged":
+        assert any(len(here.groups) > 1 for here in entries.rounds)
+    else:
+        # Rows of one count throughout the block: each round is one group of views.
+        assert all(len(here.groups) == 1 and here.groups[0][0] == slice(None) for here in entries.rounds)
 
 
 def test_pairs_skip_single_entries_and_keep_triples(monkeypatch):

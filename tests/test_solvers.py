@@ -608,25 +608,25 @@ def test_trace_points_inside_dense_rounds_keep_the_bits(s):
     assert every.final_x.tobytes() == default.final_x.tobytes()
 
 
-def _scatter(d, block, width, w, buffers):
-    """Every round's rows of ``block`` (one batch each) into ``buffers``, as
-    the row layout adds them: one ``np.add.at`` per round over the keys of
-    one ``RowBlock``.  A round without a support adds into its (p, n) buffer;
-    one with a support (every round at ``_SUPPORT_MIN_RATIO`` 0, and a
-    round of empty rows at any ratio) into fresh (p, len(support)) buffers,
-    which then fill the buffer's columns of the support, which must be zero
-    there."""
+def _scatter(d, block, width, w):
+    """Every round's rows of ``block`` (one batch each), weighted by ``w``,
+    as (K, p, n) gradients, as the row layout adds them: one
+    ``RowBlock.gradients`` per round.  A round without a support gives its
+    (p, n) buffers; one with a support (every round at
+    ``_SUPPORT_MIN_RATIO`` 0, and a round of empty rows at any ratio) gives
+    (p, len(support)) buffers, which fill the support's columns."""
     entries = RowBlock(d, block, block.shape[1], width, False)
-    for k, buf in enumerate(buffers):
-        here, support = entries.rounds[k], entries.supports[k]
-        weighted = here.vals * np.repeat(w[k], entries.counts[k])
+    K, n = len(block), d.num_features
+    out = np.zeros((K, block.shape[1] // width, n))
+    for k in range(K):
+        parts, support = entries.gradients(k, w[k]), entries.supports[k]
+        assert parts.dtype == np.float64
         if support is None:
-            np.add.at(buf.reshape(-1), here.keys, weighted)
+            out[k] = parts
         else:
-            parts = np.zeros((buf.shape[0], len(support)))
-            np.add.at(parts.reshape(-1), here.keys, weighted)
-            assert not buf[:, support].any()
-            buf[:, support] = parts
+            assert parts.shape == (out.shape[1], len(support))
+            out[k][:, support] = parts
+    return out
 
 
 class TestRowGradientReduction:
@@ -636,7 +636,8 @@ class TestRowGradientReduction:
         # The reduction over the round's columns, of the per-rank gradients
         # over them, gives the same bits and counters as the length-n
         # reduction of fresh per-rank buffers, at every round size (the
-        # ratio that picks the path is forced each way).
+        # ratio that picks the path is forced each way).  Each round's
+        # buffers are fresh: applying them leaves the next call's alone.
         d = synthetic_dataset(700, 3000, 5, seed=8)
         rng = np.random.default_rng(10 * p + rows_per_rank)
         parts = [rng.choice(700, size=rows_per_rank, replace=False) for _ in range(p)]
@@ -661,15 +662,15 @@ class TestRowGradientReduction:
                 assert support is None
             else:
                 np.testing.assert_array_equal(support, np.unique(np.concatenate([d.a_tilde.row(i)[0] for i in ids])))
-            here = entries.rounds[0]
-            grads = np.zeros((p, 3000))
-            parts = grads if support is None else np.zeros((p, len(support)))
-            np.add.at(parts.reshape(-1), here.keys, here.vals * np.repeat(np.concatenate(weights), entries.counts[0]))
+            parts = entries.gradients(0, np.concatenate(weights))
+            assert parts.shape == (p, 3000 if support is None else len(support))
+            kept = parts.copy()
             cluster = _row_cluster(d, p)
             x = x0.copy()
             _apply_row_gradient(cluster, parts, support, eta, x)
             assert x.tobytes() == want.tobytes()
-            assert not grads.any()
+            again = entries.gradients(0, np.concatenate(weights))
+            assert not np.shares_memory(again, parts) and again.tobytes() == kept.tobytes()
             assert cluster.counters == reference.counters
             assert cluster.counters.words_moved == 3000
 
@@ -681,13 +682,14 @@ class TestRowGradientReduction:
     def test_one_scatter_matches_per_rank_updates(self, monkeypatch, p, n, width, batches, support):
         # One scatter per round of a block, its rows rank after rank, gives
         # every rank's buffer the bits of ``add_rows_transpose`` over that
-        # rank's rows, in the form the solver gathers them: (columns, values)
-        # lists (dense rows under a dense cache) and, from 33 rows of two
-        # batches on, CSR rows.  Dense ndarray rows take a BLAS product per
-        # rank instead, so they are not compared.  The rows include the
-        # empty row 0, row 1 of stored zeros only, and a row held by two
-        # ranks.  Buffers over all n start from nonzero values; those over
-        # a round's support (every round, with ``support``) from zero.
+        # rank's rows into a zeroed buffer, in the form ``gather_rows``
+        # gives them: (columns, values) lists (dense rows under a dense
+        # cache) and, from 33 rows of two batches on, CSR rows.  Dense
+        # ndarray rows take a BLAS product per rank instead, so they are not
+        # compared.  The rows include the empty row 0, row 1 of stored zeros
+        # only, and a row held by two ranks.  Buffers are fresh each round,
+        # over all n or over the round's support (every round, with
+        # ``support``).
         monkeypatch.setattr(casgd.sparse, "_SUPPORT_MIN_RATIO", 0 if support else 10**9)
         d = ragged_libsvm_dataset(800, n, seed=width + p)
         assert (d.a_tilde.dense_cache() is not None) == (n == 40)
@@ -698,10 +700,8 @@ class TestRowGradientReduction:
         if p > 1:
             block[2, width] = block[2, 0]
         w = rng.standard_normal((K, sb))
-        start = np.zeros((K, p, n)) if support else rng.standard_normal((K, p, n))
-        got = start.copy()
-        _scatter(d, block, width, w, got)
-        want = start.copy()
+        got = _scatter(d, block, width, w)
+        want = np.zeros((K, p, n))
         forms = set()
         for k in range(K):
             for r in range(p):
