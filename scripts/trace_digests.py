@@ -78,8 +78,9 @@ GRID = [
     ("ragged800x3000", BLOCK_ROW, 4, 4, (0, 8, 64), 2),
 ] + [
     # The row benchmark's shape: four rows per rank of every batch, ranks
-    # interleaved from s = 2 on; each round's rows of one entry count score
-    # in one np.vecdot at every s.
+    # interleaved from s = 2 on.  Rounds of equal-length rows score in one
+    # np.vecdot at every s; ragged rounds row by row up to s = 4, CSR rows at
+    # s = 16.
     (name, BLOCK_ROW, 4, 16, (0, 1, 4, 16), 2)
     for name in ("wide700x3000", "ragged800x3000")
 ] + [("ragged600x200", BLOCK_COLUMN, p, b, (0, 2, 8, 64), 2) for p in (1, 3) for b in (1, 3)]

@@ -8,10 +8,9 @@ groups s iterations per round.  Each round:
   1. draws s batches;
   2. each rank forms its payload.  Column ranks score the round's rows
      over their own columns, one kernel call each.  In the row layout one
-     kernel call scores every rank's rows: without a dense cache, one
-     ``np.vecdot`` per entry count over the round's ``RowBlock`` entries
-     (one in all when its rows hold equally many), and under a dense cache
-     in the form a rank's rows take (at s > 1, one BLAS product per rank);
+     kernel call scores every rank's rows, in the form a rank's rows take
+     (one ``np.vecdot`` when they hold equally many entries and there is
+     no dense cache; under one at s > 1, one BLAS product per rank);
   3. one collective combines the payloads;
   4. the scalar recurrence gives every batch's weights; with r_j the
      scores of batch j against the round's starting point, G[j, i] the
@@ -139,13 +138,11 @@ _SCALAR_SIG_MAX = 8
 # bytes per stored entry of its rows (a column, a value and a gradient key,
 # at the mean row's entries), what its ``RowBlock`` keeps for its rounds.
 # Not counted: the int64 scratch, several arrays per entry, that building a
-# ``RowBlock`` frees before its first round, the payload values and Gram
-# pairs that s > 1 row rounds also keep, and the copies of their columns and
-# values, grouped by entry count, that row rounds keep in a block of rows of
-# unequal counts.  Over 112 columns with a dense cache and one column rank
-# that is 273 rounds at s * b = 1, 134 at 2, 32 at 8, 2 at 64 and 1 from 128
-# on.  Row-layout SGD at b = 16 over rows of 20 entries and no dense cache
-# takes 30 rounds.
+# ``RowBlock`` frees before its first round, and the payload values and Gram
+# pairs that s > 1 row rounds also keep.  Over 112 columns with a dense cache
+# and one column rank that is 273 rounds at s * b = 1, 134 at 2, 32 at 8, 2
+# at 64 and 1 from 128 on.  Row-layout SGD at b = 16 over rows of 20 entries
+# and no dense cache takes 30 rounds.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -566,7 +563,7 @@ def _run_rounds(dataset, cfg, cluster, batches, schedule, casgd):
             # scores (dense-cache rows from ``gather_rows``), support,
             # gradient keys, payload heads and Gram pairs.
             entries = RowBlock(dataset, block, b, bp, casgd)
-            block_rows = gather_rows(dataset, block, s, s * bp) if dense else entries.rounds
+            block_rows = gather_rows(dataset, block, s, s * bp) if dense else entries.rows
             for rk in owners:
                 rk.block_rows = block_rows
         else:

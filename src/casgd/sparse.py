@@ -22,9 +22,10 @@ Two kinds of kernels work on sampled rows:
   * the row layout's block kernel, ``RowBlock``, gathers a block's stored
     entries once, in batch order, and sorts them at most once, by (round,
     column).  Every round then reads that one gather: its rows for the
-    scores (``RoundEntries``, grouped by entry count, each group one
-    ``np.vecdot`` over x gathered once), its support and each entry's key
-    for the gradient scatter (one ``np.bincount`` into fresh buffers,
+    scores (``RoundEntries``: one ``np.vecdot`` over a round whose rows hold
+    equally many entries, else one dot per row over x gathered once, or CSR
+    rows built from them), its support and each entry's key for the
+    gradient scatter (one ``np.bincount`` into fresh buffers,
     ``RowBlock.gradients``), its ranks' payload values, and its Gram pairs,
     which ``RowBlock.add_gram`` adds into the round's Gram and
     ``RowBlock.clear_gram`` clears from it.
@@ -63,11 +64,11 @@ __all__ = [
     "RoundEntries",
 ]
 
-# Without a dense row cache, ``gather_rows`` leaves column ranks of fewer
-# rows than this to go row by row (per-row dots and per-row updates); from it
-# on rows are gathered as CSR rows for scipy products, despite their call
-# overhead.  The row layout's ``RowBlock`` rounds score with ``np.vecdot`` at
-# every size, and do not read it.
+# Without a dense row cache, ``gather_rows`` leaves ranks of fewer rows than
+# this to go row by row (per-row dots and per-row updates); from it on rows
+# are gathered as CSR rows for scipy products, despite their call overhead.
+# ``RowBlock`` picks the same for a round whose rows hold unequal numbers of
+# entries; a round of equal counts scores in one ``np.vecdot`` at every size.
 _VECTORIZE_MIN_ROWS = 33
 
 # ``RowBlock`` gives a round its distinct columns when n is at least this
@@ -724,15 +725,14 @@ def gather_rows(dataset: LabeledDataset, row_ids, batches: int, width: int | Non
     result by round gives each round's form.  Dense rows are gathered in
     one call, as a (K, s*b, n) array, row lists in one pass split by round,
     and CSR rows round by round.  The row layout gathers rows here only
-    under a dense cache; otherwise its rounds score ``RowBlock``'s
-    ``RoundEntries``, so CSR rows serve the column layout alone.
+    under a dense cache; otherwise ``RowBlock`` gives its rounds' rows.
     """
     A = dataset.a_tilde
     dense = A.dense_cache()
     if dense is not None and batches > 1:
         return dense[row_ids]
     ids = np.asarray(row_ids, dtype=np.int64)
-    if batches > 1 and (ids.shape[-1] if width is None else width) >= _VECTORIZE_MIN_ROWS:
+    if _vectorized(batches, ids.shape[-1] if width is None else width):
         csr = A.scipy_csr
         return csr[ids] if ids.ndim == 1 else [csr[round_ids] for round_ids in ids]
     if dense is not None:
@@ -746,18 +746,25 @@ def gather_rows(dataset: LabeledDataset, row_ids, batches: int, width: int | Non
     return [rows[i : i + step] for i in range(0, len(rows), step)]
 
 
+def _vectorized(batches: int, width: int) -> bool:
+    """Whether ranks of ``width`` rows of ``batches`` batches take CSR rows
+    (without a dense cache) rather than going row by row."""
+    return batches > 1 and width >= _VECTORIZE_MIN_ROWS
+
+
 def batch_scores(dataset: LabeledDataset, row_ids, x: np.ndarray, rows=None, out=None) -> np.ndarray:
     """Scores of ``row_ids`` against full-length ``x``.
 
     ``rows`` is ``gather_rows``' form of ``row_ids`` (None: row by row), or
-    the ``RoundEntries`` of a ``RowBlock`` round, whose rows of each entry
-    count take one ``np.vecdot`` over x gathered at their columns (one call
-    for a round of equal counts).  numpy's vecdot sums each row as ``0.0 +``
-    the BLAS dot that ``ndarray.dot`` returns, so a score has the bits of a
-    row-by-row dot, except that a -0.0 dot comes back as +0.0, which neither
-    sig nor the recurrence can tell apart.  Scores are written into ``out``
-    when given.  Their multiply-adds are the rows' stored entries,
-    ``row_nnz``, which the caller counts.
+    the ``RoundEntries`` of a ``RowBlock`` round, over which x is gathered
+    once.  Rows of equal entry counts then take one ``np.vecdot`` over the
+    round's entries reshaped, and other rounds one dot of slices per row (a
+    dot's bits do not depend on where its operands start).  numpy's vecdot
+    sums each row as ``0.0 +`` the BLAS dot that ``ndarray.dot`` returns, so
+    a score has the bits of a row-by-row dot, except that a -0.0 dot comes
+    back as +0.0, which neither sig nor the recurrence can tell apart.
+    Scores are written into ``out`` when given.  Their multiply-adds are the
+    rows' stored entries, ``row_nnz``, which the caller counts.
     """
     if out is None:
         out = np.empty(len(row_ids))
@@ -770,8 +777,12 @@ def batch_scores(dataset: LabeledDataset, row_ids, x: np.ndarray, rows=None, out
             out[k] = vals.dot(x if cols is _ALL else x[cols])
         return out
     if isinstance(rows, RoundEntries):
-        for at, cols, vals in rows.groups:
-            out[at] = np.vecdot(vals, x[cols])
+        xs, vals, bounds = x[rows.cols], rows.vals, rows.bounds
+        if bounds is None:
+            out[:] = np.vecdot(vals.reshape(len(out), -1), xs.reshape(len(out), -1))
+            return out
+        for k, lo, hi in zip(range(len(out)), bounds, bounds[1:]):
+            out[k] = vals[lo:hi].dot(xs[lo:hi])
         return out
     out[:] = rows @ x
     return out
@@ -887,22 +898,18 @@ def _gather(A: CsrMatrix, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
 def _sort_by_column(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One sort of (round, column) ``keys``, ties in entry order.
 
-    Returns the sorted keys, the entry at each sorted place (both int64),
-    and the mask of the places that start a run of equal keys.  The keys
-    carry each entry's index in their low bits, so an unstable sort keeps
-    ties in order.  Packed keys that fit in 31 bits are packed and sorted
-    as int32, which sorts in about half the time of int64.
+    Returns the sorted keys, the entry at each sorted place, and the mask of
+    the places that start a run of equal keys.  The keys carry each entry's
+    index in their low bits, so an unstable sort keeps ties in order.
     """
     bits = len(keys).bit_length()
-    narrow = bits < 31 and (not len(keys) or int(keys.max()) < 1 << (31 - bits))
-    dtype = np.int32 if narrow else np.int64
-    packed = (keys.astype(dtype, copy=False) << bits) | np.arange(len(keys), dtype=dtype)
+    packed = (keys << bits) | np.arange(len(keys))
     packed.sort()
-    by_column = (packed >> bits).astype(np.int64, copy=False)
+    by_column = packed >> bits
     new = np.empty(len(packed), dtype=bool)
     new[:1] = True
     np.not_equal(by_column[1:], by_column[:-1], out=new[1:])
-    return by_column, (packed & ((1 << bits) - 1)).astype(np.int64, copy=False), new
+    return by_column, packed & ((1 << bits) - 1), new
 
 
 def _shared_column_pairs(
@@ -940,23 +947,20 @@ def _shared_column_pairs(
 class RoundEntries(NamedTuple):
     """One round's rows from ``RowBlock``, as one run of their stored entries.
 
-    ``cols`` and ``vals`` are the entries in row order.  ``keys`` are their
-    places in the gradient buffers (see ``RowBlock``).  ``groups`` are the
-    rows by entry count, for ``batch_scores`` (None under a dense cache):
-    per group the rows' places in the round (``slice(None)`` for all of
-    them) and their columns and values as (rows, count) arrays, in
-    ascending count.  In a block whose rows all hold equally many entries a
-    round is one group of views of ``cols`` and ``vals``; other blocks'
-    groups copy their entries.  ``targets`` and ``products`` are the round's
-    Gram pairs (None without them): where each adds its product in the
-    round's s*b square, as a flat index, in the order ``gram_lower_blocks``
-    adds them (``RowBlock.add_gram``).
+    Row k's entries are ``cols[bounds[k]:bounds[k + 1]]`` and ``vals[...]``.
+    ``bounds`` is None when every row holds equally many entries, and
+    ``cols`` and ``vals`` then reshape to (rows, count) arrays.  ``keys``
+    are the entries' places in the gradient buffers (see ``RowBlock``).
+    ``targets`` and ``products`` are the round's Gram pairs (None without
+    them): where each adds its product in the round's s*b square, as a flat
+    index, in the order ``gram_lower_blocks`` adds them
+    (``RowBlock.add_gram``).
     """
 
     cols: np.ndarray
     vals: np.ndarray
     keys: np.ndarray
-    groups: list[tuple[slice | np.ndarray, np.ndarray, np.ndarray]] | None
+    bounds: list[int] | None
     targets: np.ndarray | None
     products: np.ndarray | None
 
@@ -971,9 +975,14 @@ class RowBlock:
     every round when there are Gram pairs, else over the rounds with a
     support, and not at all when neither needs it.  Per round it gives:
 
-      * ``rounds``: its ``RoundEntries``, which ``batch_scores`` takes as the
-        round's rows without a dense cache (under one, ``gather_rows`` gives
-        them);
+      * ``rounds``: its ``RoundEntries``;
+      * ``rows``: its rows in the form ``batch_scores`` takes, the
+        ``RoundEntries`` themselves (one ``np.vecdot`` when its rows hold
+        equally many entries, else one dot per row), or CSR rows built from
+        them when its rows' counts differ and ranks hold
+        ``_VECTORIZE_MIN_ROWS`` rows or more of s > 1 batches (as
+        ``gather_rows`` picks).  None under a dense cache, whose rows
+        ``gather_rows`` gives;
       * ``supports``: its sorted distinct columns, or None when its rows
         hold more than n / ``_SUPPORT_MIN_RATIO`` entries, or are dense rows
         (s > 1 under a dense cache), whose products write every column;
@@ -1037,16 +1046,25 @@ class RowBlock:
                 self.matches = np.diff(pair_starts)
                 pair_starts = pair_starts.tolist()
 
-        groups = [None] * K if dense else _count_groups(self.counts, starts, cols, vals)
-        edges = edges.tolist()
+        # Each round's row bounds, from its first entry; a round of equal
+        # counts needs none.
+        bounds = np.concatenate((starts[:-1].reshape(K, sb) - edges[:-1, None], sizes[:, None]), axis=1)
+        equal = (self.counts == self.counts[:, :1]).all(axis=1).tolist()
+        listed, edges = bounds.tolist(), edges.tolist()
         if payload:
             # Where each round's last batch starts.
             heads_end = starts[np.arange(K) * sb + (s - 1) * b].tolist()
-        self.rounds, self.heads = [], []
+        csr = not dense and _vectorized(s, s * width)
+        self.rounds, self.rows, self.heads = [], None if dense else [], []
         for k in range(K):
             lo, hi = edges[k], edges[k + 1]
             gram = (targets[pair_starts[k] : pair_starts[k + 1]], products[pair_starts[k] : pair_starts[k + 1]]) if pairs else (None, None)
-            self.rounds.append(RoundEntries(cols[lo:hi], vals[lo:hi], keys[lo:hi], groups[k], *gram))
+            entries = RoundEntries(cols[lo:hi], vals[lo:hi], keys[lo:hi], None if equal[k] else listed[k], *gram)
+            self.rounds.append(entries)
+            if csr and not equal[k]:
+                self.rows.append(scipy.sparse.csr_matrix((entries.vals, entries.cols, bounds[k]), shape=(sb, n)))
+            elif not dense:
+                self.rows.append(entries)
             if payload:
                 # Each rank's entries of the first s-1 batches, in row order.
                 end = heads_end[k]
@@ -1081,36 +1099,6 @@ class RowBlock:
         """Zeroes the entries of ``G`` that round ``k``'s pairs wrote, so its
         strictly lower blocks are zero again without a pass over them."""
         G.reshape(-1)[self.rounds[k].targets] = 0.0
-
-
-def _count_groups(counts: np.ndarray, starts: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> list[list]:
-    """``RoundEntries.groups`` of K rounds: ``counts`` is each round's rows'
-    entry counts, a (K, s*b) array, and ``starts``, ``cols`` and ``vals``
-    their gathered entries as ``_gather`` gives them.
-
-    When every row of the block holds equally many entries, each round is
-    one group, a view.  Otherwise the rows are sorted once, stably, by
-    (round, count), and their entries gathered in that order, so each group
-    is a run of it.
-    """
-    K, sb = counts.shape
-    lengths = counts.ravel()
-    if (lengths == lengths[0]).all():
-        shape = (K, sb, int(lengths[0]))
-        return [[(_ALL, c, v)] for c, v in zip(cols.reshape(shape), vals.reshape(shape))]
-    keys = np.arange(K * sb) // sb * (int(lengths.max()) + 1) + lengths
-    flat = np.argsort(keys, kind="stable")
-    lengths, keys = lengths[flat], keys[flat]
-    entries = _ranges(starts[flat], lengths)
-    runs = np.flatnonzero(np.diff(keys, prepend=-1)).tolist() + [len(flat)]
-    ends = np.concatenate(([0], np.cumsum(lengths)))[runs].tolist()
-    group_cols, group_vals = cols[entries], vals[entries]
-    spots, rounds, lengths = flat % sb, (flat // sb).tolist(), lengths.tolist()
-    groups: list[list] = [[] for _ in range(K)]
-    for lo, hi, e_lo, e_hi in zip(runs, runs[1:], ends, ends[1:]):
-        shape = (hi - lo, lengths[lo])
-        groups[rounds[lo]].append((spots[lo:hi], group_cols[e_lo:e_hi].reshape(shape), group_vals[e_lo:e_hi].reshape(shape)))
-    return groups
 
 
 def _lower_block_matches(A: CsrMatrix, ids: np.ndarray, b: int) -> np.ndarray:

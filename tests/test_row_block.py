@@ -11,7 +11,7 @@ import casgd.sparse
 import row_oracles
 from casgd import BLOCK_ROW, SolverConfig, partition, run_casgd
 from casgd.datagen import synthetic_dataset
-from casgd.sparse import RowBlock, batch_scores, gram_lower_blocks
+from casgd.sparse import RoundEntries, RowBlock, batch_scores, gather_rows, gram_lower_blocks
 from conftest import ragged_libsvm_dataset
 
 
@@ -47,26 +47,11 @@ def _row_dots(d, ids, x) -> np.ndarray:
     return np.array([vals.dot(x[cols]) for cols, vals in (d.a_tilde.row(i) for i in ids)]) + 0.0
 
 
-def _assert_groups(d, ids, here):
-    """A round's ``groups`` cover each of its rows once, with the row's own
-    columns and values, in ascending entry count; a group of all its rows
-    (``slice(None)``) is a view of its entries."""
-    A = d.a_tilde
-    counts = A.row_nnz[ids]
-    seen = []
-    for at, cols, vals in here.groups:
-        spots = np.arange(len(ids))[at]
-        assert cols.shape == vals.shape == (len(spots), counts[spots[0]])
-        for spot, row_cols, row_vals in zip(spots, cols, vals):
-            want_cols, want_vals = A.row(ids[spot])
-            assert row_cols.tobytes() == want_cols.tobytes() and row_vals.tobytes() == want_vals.tobytes()
-        seen.extend(spots.tolist())
-        if isinstance(at, slice):
-            assert at == slice(None)
-            assert not cols.size or (np.shares_memory(cols, here.cols) and np.shares_memory(vals, here.vals))
-    assert sorted(seen) == list(range(len(ids)))
-    lengths = [cols.shape[1] for _, cols, _ in here.groups]
-    assert lengths == sorted(set(lengths))
+def _bounds(d, ids):
+    """A round's ``RoundEntries.bounds``: None when its rows hold equally
+    many entries, else each row's first entry and the end."""
+    counts = d.a_tilde.row_nnz[ids]
+    return None if (counts == counts[0]).all() else np.concatenate(([0], np.cumsum(counts))).tolist()
 
 
 @pytest.mark.parametrize("payload", [False, True])
@@ -110,10 +95,7 @@ def test_matches_the_kernels_it_replaced(monkeypatch, p, K, s, n, payload):
         old_vals = [vals[k * sb + at] for at in rows]
         assert np.concatenate(old_vals).tobytes() == here.vals.tobytes()
         assert np.concatenate([A.row(i)[0] for i in block[k]]).tobytes() == here.cols.tobytes()
-        if dense:
-            assert here.groups is None
-        else:
-            _assert_groups(d, block[k], here)
+        assert here.bounds == _bounds(d, block[k])
         assert entries.counts[k].tobytes() == A.row_nnz[block[k]].tobytes()
         rank = np.repeat(rank_of, entries.counts[k])
         if old is None:
@@ -130,10 +112,25 @@ def test_matches_the_kernels_it_replaced(monkeypatch, p, K, s, n, payload):
         else:
             assert len(here.keys) == 0
 
-    # Without a dense cache a round's scores have the bits of one dot per row.
+    # Score forms: a round of equal counts is its ``RoundEntries`` (one
+    # vecdot, with the bits of one dot per row); other rounds take CSR rows
+    # as ``gather_rows`` builds them, else one dot per row, with the bits of
+    # the row-by-row list.
     x = np.random.default_rng(5).standard_normal(n)
+    if dense:
+        assert entries.rows is None
     for k in range(K if not dense else 0):
-        assert batch_scores(d, block[k], x, entries.rounds[k]).tobytes() == _row_dots(d, block[k], x).tobytes()
+        rows = entries.rows[k]
+        if entries.rounds[k].bounds is None:
+            assert rows is entries.rounds[k]
+            assert batch_scores(d, block[k], x, rows).tobytes() == _row_dots(d, block[k], x).tobytes()
+            continue
+        one = gather_rows(d, block[k], s, s * width)
+        if isinstance(rows, RoundEntries):
+            assert isinstance(one, list)
+        else:
+            assert (rows != one).nnz == 0 and rows.indptr.tobytes() == one.indptr.astype(rows.indptr.dtype).tobytes()
+        assert batch_scores(d, block[k], x, rows).tobytes() == batch_scores(d, block[k], x, one).tobytes()
 
     if not payload:
         return
@@ -176,16 +173,20 @@ def test_matches_the_kernels_it_replaced(monkeypatch, p, K, s, n, payload):
         ("ragged", 4, 9, 4),
         ("ragged", 1, 40, 2),
         ("ragged", 2, 1, 1),
+        ("mixed", 4, 9, 4),
+        ("mixed", 2, 1, 1),
     ],
 )
 def test_scores_match_one_dot_per_row(rows, p, width, s, x_kind):
     # Every round's ``batch_scores`` over its ``RoundEntries`` equal one
     # ``ndarray.dot`` per row, byte for byte after + 0.0: blocks of rows of
-    # equal counts (one ``np.vecdot`` over views per round), of one entry
-    # per row and of empty rows only, and ragged rounds, with the empty row
-    # 0 and row 1 of stored zeros.  Ranks hold up to 40 rows of two to four
-    # batches (from 33 on, ``gather_rows`` gives such ranks CSR rows).  x of
-    # -0.0 makes every product a signed zero.
+    # equal counts (one ``np.vecdot`` per round), of one entry per row and
+    # of empty rows only, ragged rounds (one dot per row), with the empty
+    # row 0 and row 1 of stored zeros, and a ragged block whose middle round
+    # holds rows of one count.  Ranks hold up to 40 rows of two to four
+    # batches; from 33 on, a ragged round's rows for the scores are CSR
+    # rows, as ``gather_rows`` gives them.  x of -0.0 makes every product a
+    # signed zero.
     d = {
         "uniform": lambda: synthetic_dataset(700, 3000, 5, seed=p + width),
         "one entry": lambda: synthetic_dataset(700, 3000, 1, seed=p + width),
@@ -195,21 +196,26 @@ def test_scores_match_one_dot_per_row(rows, p, width, s, x_kind):
     b = p * width
     sb = s * b
     block = np.zeros((3, sb), dtype=np.int64) if rows == "empty" else _block(d, 3, sb, seed=sb)
-    if rows != "ragged":
-        assert (A.row_nnz[block] == A.row_nnz[block[0, 0]]).all()
+    if rows == "mixed":
+        block[1] = np.resize(np.flatnonzero(A.row_nnz == 5), sb)
+    equal = [_bounds(d, ids) is None for ids in block]
+    assert equal == {"ragged": [False] * 3, "mixed": [False, True, False]}.get(rows, [True] * 3)
     x = np.random.default_rng(sb).standard_normal(3000) if x_kind == "gaussian" else np.full(3000, -0.0)
     entries = RowBlock(d, block, b, width, True)
-    for ids, here in zip(block, entries.rounds):
-        _assert_groups(d, ids, here)
+    csr = s > 1 and s * width >= casgd.sparse._VECTORIZE_MIN_ROWS
+    for ids, here, rows_k in zip(block, entries.rounds, entries.rows):
+        assert here.bounds == _bounds(d, ids)
+        if here.bounds is None or not csr:
+            assert rows_k is here
+        else:
+            assert not isinstance(rows_k, RoundEntries)
         want = _row_dots(d, ids, x)
         out = np.full(sb, np.nan)
         assert batch_scores(d, ids, x, here, out) is out
-        assert out.tobytes() == want.tobytes()
-    if rows == "ragged":
-        assert any(len(here.groups) > 1 for here in entries.rounds)
-    else:
-        # Rows of one count throughout the block: each round is one group of views.
-        assert all(len(here.groups) == 1 and here.groups[0][0] == slice(None) for here in entries.rounds)
+        assert (out + 0.0).tobytes() == want.tobytes()
+        if here.bounds is None:
+            # One vecdot: +0.0 for a -0.0 dot, with no further rounding.
+            assert out.tobytes() == want.tobytes()
 
 
 def test_pairs_skip_single_entries_and_keep_triples(monkeypatch):

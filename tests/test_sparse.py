@@ -956,22 +956,3 @@ def test_gather_rows_form(cached_and_uncached, name, size, batches, form):
     else:
         got = rows.toarray() if scipy.sparse.issparse(rows) else rows
         np.testing.assert_array_equal(got, d.a_tilde.to_dense()[ids])
-
-
-@pytest.mark.parametrize("count", [0, 1, 2, 5120, 20480])
-@pytest.mark.parametrize("top", ["narrow", "narrow limit", "wide"])
-def test_sort_by_column_matches_a_stable_sort(count, top):
-    # The packed sort gives a stable argsort's order and runs, as int64,
-    # whether its packed keys fit in 31 bits (int32) or not: the largest key
-    # is the last that fits, or the first that does not.
-    rng = np.random.default_rng(count)
-    bits = count.bit_length()
-    limit = 1 << (31 - bits)
-    keys = rng.integers(0, 50, size=count)
-    if count:
-        keys[rng.integers(count)] = {"narrow": 49, "narrow limit": limit - 1, "wide": limit}[top]
-    by_column, entry, new = casgd.sparse._sort_by_column(keys)
-    order = np.argsort(keys, kind="stable")
-    assert by_column.dtype == entry.dtype == np.int64
-    assert by_column.tobytes() == keys[order].tobytes() and entry.tobytes() == order.tobytes()
-    assert new.tolist() == [k == 0 or keys[order[k]] != keys[order[k - 1]] for k in range(count)]
