@@ -5,8 +5,8 @@
     casgd costs   --m 8124 --n 112 --f 0.19 --p 64 --b 1 --s 16 --epochs 100
 
 Exit codes: 0 success, 1 parse/configuration error (including non-finite
-feature values, a non-finite or negative --eta and a non-finite or
-negative --tolerance), 2 bad flags, 3 comparison failed (tolerance
+feature values, a batch size below 1, a non-finite or negative --eta,
+--tolerance, --alpha, --beta, --gamma or --omega), 2 bad flags, 3 comparison failed (tolerance
 exceeded, a non-finite error, or fewer than epochs+1 epochs compared).
 CSV files are written to a temp file and renamed into place, so no
 partial output survives an error.  All floats are serialized with

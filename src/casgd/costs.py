@@ -53,8 +53,8 @@ class CostParams:
                 raise ValueError(f"{name} must be at least 1")
         if not 0.0 < self.f <= 1.0:
             raise ValueError("f must be in (0, 1]")
-        if self.omega < 0:
-            raise ValueError("omega must be non-negative")
+        if not (math.isfinite(self.omega) and self.omega >= 0):
+            raise ValueError(f"omega must be finite and non-negative, got {self.omega!r}")
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,10 @@ class MachineModel:
     gamma: float
 
     def __post_init__(self):
-        if min(self.alpha, self.beta, self.gamma) < 0:
-            raise ValueError("machine parameters must be non-negative")
+        for name in ("alpha", "beta", "gamma"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
 
 
 # How far, in units in the last place, a counter's float may lie from its

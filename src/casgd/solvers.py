@@ -8,9 +8,9 @@ groups s iterations per round.  Each round:
   1. draws s batches;
   2. each rank forms its payload.  Column ranks score the round's rows
      over their own columns, one kernel call each.  In the row layout one
-     kernel call scores every rank's rows, in the form a rank's rows take
-     (one ``np.vecdot`` when they hold equally many entries and there is
-     no dense cache; under one at s > 1, one BLAS product per rank);
+     kernel call scores every rank's rows from their gathered entries
+     (one ``np.vecdot`` when they hold equally many entries, else one
+     ``np.bincount`` by row), with or without a dense cache;
   3. one collective combines the payloads;
   4. the scalar recurrence gives every batch's weights; with r_j the
      scores of batch j against the round's starting point, G[j, i] the
@@ -19,8 +19,7 @@ groups s iterations per round.  Each round:
   5. the update x += a_tilde^T I_j^T w_j, split where a trace point
      falls inside the round.  Column ranks update their own part of x.
      In the row layout one ``np.bincount`` adds every rank's gradient into
-     its own fresh buffer (dense rows: one BLAS product per rank into
-     zeroed buffers), which the ranks keep only for the simulated
+     its own fresh buffer, which the ranks keep only for the simulated
      reduction.
 
 Only the scores, the recurrence and the update depend on x.  So steps 1, 2
@@ -32,17 +31,18 @@ prefix sums (one ``cumsum``) that every flop charge reads, and each Gram
 owner (a column rank, or the row layout's one replicated Gram under a dense
 cache) forms every round's Gram blocks and index-match counts in one kernel
 call.  The row layout reads its block from one gather of the rows' stored
-entries and at most one sort (``RowBlock``): the rows in the form their
-scores take, each round's support and gradient keys, its ranks' payload
-values and, without a dense cache, its Gram pairs and their match counts.
+entries and at most one sort (``RowBlock``): each round's entries for its
+scores, its support and gradient keys, its ranks' payload values and,
+without a dense cache, its Gram pairs and their match counts.
 Each such round adds its pairs straight into G and clears the entries they
 wrote once the recurrence has read them (``RowBlock.add_gram`` and
 ``clear_gram``), so G's strictly lower blocks are zero between rounds.  K
 is set by what a block holds (``_rounds_per_block``): its draws, dense rows
-only under a dense cache, Gram buffers only for owners that form a block's
-Gram at once, and gathered entries only in the row layout, so SGD rounds
-and rounds without a dense cache also come many to a block.  Each round
-still forms its own scores, collective, recurrence and update.
+only where a dense cache's rows are gathered (column ranks, and the row
+layout's Gram owner), Gram buffers only for owners that form a block's
+Gram at once, and gathered entries only where rounds take them, so SGD
+rounds and rounds without a dense cache also come many to a block.  Each
+round still forms its own scores, collective, recurrence and update.
 
 Rounds run in segments: a block's rounds up to the next trace point.
 Counters advance once per segment, in closed form, before the point is
@@ -133,16 +133,19 @@ _SCALAR_SIG_MAX = 8
 # Gram blocks at once.  It holds as many rounds as keep what it stores within
 # this many bytes (at least one round): per round its s*b draws at 64 bytes
 # each (an int64 id, and the id and its row as Python objects in the block's
-# lists), their dense rows under a dense cache, one s*b square Gram buffer
-# per Gram owner that forms a block's Gram at once, and in the row layout 24
-# bytes per stored entry of its rows (a column, a value and a gradient key,
-# at the mean row's entries), what its ``RowBlock`` keeps for its rounds.
-# Not counted: the int64 scratch, several arrays per entry, that building a
-# ``RowBlock`` frees before its first round, and the payload values and Gram
-# pairs that s > 1 row rounds also keep.  Over 112 columns with a dense cache
-# and one column rank that is 273 rounds at s * b = 1, 134 at 2, 32 at 8, 2
-# at 64 and 1 from 128 on.  Row-layout SGD at b = 16 over rows of 20 entries
-# and no dense cache takes 30 rounds.
+# lists), their dense rows where they are gathered (column ranks under a
+# dense cache, and the row layout's Gram owner), one s*b square Gram buffer
+# per Gram owner that forms a block's Gram at once, and 24 bytes per
+# gathered entry of its rows, at the mean row's entries: a column, a value
+# and a row index in the column layout without a dense cache at s > 1, and
+# in the row layout a column, a value and a gradient key, what its
+# ``RowBlock`` keeps for its rounds.  Not counted: the int64 scratch,
+# several arrays per entry, that building a ``RowBlock`` frees before its
+# first round, the row indices of its rounds of unequal rows, and the
+# payload values and Gram pairs that s > 1 row rounds also keep.  Over 112
+# columns with a dense cache and one column rank that is 273 rounds at
+# s * b = 1, 134 at 2, 32 at 8, 2 at 64 and 1 from 128 on.  Row-layout SGD at
+# b = 16 over rows of 20 entries and no dense cache takes 30 rounds.
 _BLOCK_BYTES = 256 * 1024
 
 
@@ -206,6 +209,8 @@ class SolverRun:
 
 
 def iterations_per_epoch(m: int, b: int) -> int:
+    if b < 1:
+        raise ConfigError("batch size must be at least 1")
     return -(-m // b)
 
 
@@ -419,9 +424,9 @@ def _apply_row_gradient(cluster: VirtualCluster, parts: np.ndarray, support, eta
 
 def _rounds_per_block(sb: int, n: int, dense: bool, grams: int, entries: float) -> int:
     """K, the rounds in a block: rounds of ``sb`` rows over ``n`` columns,
-    with (``dense``) or without a dense cache, ``grams`` Gram owners that
-    keep a block of Gram buffers, and ``entries`` stored entries gathered
-    per row (the row layout's ``RowBlock``)."""
+    with (``dense``) or without their dense rows gathered, ``grams`` Gram
+    owners that keep a block of Gram buffers, and ``entries`` stored
+    entries gathered per row."""
     return max(1, int(_BLOCK_BYTES // (8 * sb * (8 + (n if dense else 0) + grams * sb + 3 * entries))))
 
 
@@ -438,8 +443,8 @@ class _Rank:
         self.gram = gram
         # A block's Gram blocks, one per round (Gram owners).
         self.grams = None
-        # The block's rows in their form from ``gather_rows``.  The row
-        # layout's Gram owner takes the rows gathered for all row ranks.
+        # The block's rows in their form from ``gather_rows``; the row
+        # layout's Gram owner takes the dense rows of all row ranks.
         self.block_rows = None
 
 
@@ -501,8 +506,11 @@ def _run_rounds(dataset, cfg, cluster, batches, schedule, casgd):
         ]
         owners = ranks if gram else []
     # A block holds K rounds, and every Gram owner one Gram buffer per round
-    # (its round buffer itself when K = 1).
-    K = _rounds_per_block(sb, n, dense, len(owners), A.nnz / m if row else 0)
+    # (its round buffer itself when K = 1).  Column ranks gather a dense
+    # cache's rows, as does the row layout's Gram owner; row rounds, and
+    # column rounds at s > 1 without a dense cache, gather stored entries.
+    gathered = row or not dense and s > 1
+    K = _rounds_per_block(sb, n, dense and (not row or bool(owners)), len(owners), A.nnz / m if gathered else 0)
     for rk in owners:
         rk.grams = rk.gram[None] if K == 1 else np.zeros((K, sb, sb))
     # One column rank's round copies its Gram blocks into G, which the
@@ -560,12 +568,12 @@ def _run_rounds(dataset, cfg, cluster, batches, schedule, casgd):
         source.advance(count * s)
         if row:
             # One gather of every rank's entries: each round's rows for the
-            # scores (dense-cache rows from ``gather_rows``), support,
-            # gradient keys, payload heads and Gram pairs.
+            # scores, support, gradient keys, payload heads and Gram pairs.
+            # Under a dense cache the Gram owner takes dense rows.
             entries = RowBlock(dataset, block, b, bp, casgd)
-            block_rows = gather_rows(dataset, block, s, s * bp) if dense else entries.rows
+            block_rows = entries.rounds
             for rk in owners:
-                rk.block_rows = block_rows
+                rk.block_rows = gather_rows(dataset, block, s)
         else:
             for rk in ranks:
                 rk.block_rows = gather_rows(rk.data, block, s)
@@ -626,14 +634,7 @@ def _run_rounds(dataset, cfg, cluster, batches, schedule, casgd):
                     for rk in ranks:
                         batch_scores(rk.data, ids, rk.x, rk.block_rows[r], rk.scores)
                     if row:
-                        rows = block_rows[r]
-                        if dense_rows:
-                            # One BLAS product per rank: its bits may depend
-                            # on the rows it is handed.
-                            for spot in spots:
-                                rs[spot] = batch_scores(dataset, ids[spot], x, rows[spot])
-                        else:
-                            batch_scores(dataset, ids, x, rows, rs)
+                        batch_scores(dataset, ids, x, block_rows[r], rs)
                         if casgd:
                             # Each rank's rows' values of the first s-1
                             # batches (the Gram's column side), then its
@@ -657,17 +658,10 @@ def _run_rounds(dataset, cfg, cluster, batches, schedule, casgd):
                         entries.clear_gram(r, G)
                     # 5. the update.  Row ranks' gradients go into fresh
                     # buffers in one scatter, over the round's support when
-                    # it has one (dense rows: one BLAS product per rank, over
-                    # all n), and the buffers are summed into x once per
+                    # it has one, and the buffers are summed into x once per
                     # round.  Column ranks update their own part of x.
                     if row:
-                        if dense_rows:
-                            parts = np.zeros((p, n))
-                            for spot, g in zip(spots, parts):
-                                add_rows_transpose(dataset, ids[spot], v[spot], g, rows=rows[spot])
-                        else:
-                            parts = entries.gradients(r, v)
-                        _apply_row_gradient(cluster, parts, entries.supports[r], eta_scale, x)
+                        _apply_row_gradient(cluster, entries.gradients(r, v), entries.supports[r], eta_scale, x)
                     elif r < j:
                         for rk in ranks:
                             add_rows_transpose(rk.data, ids, w, rk.x, rk.block_rows[r])

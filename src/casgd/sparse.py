@@ -12,23 +12,25 @@ Two kinds of kernels work on sampled rows:
   * round kernels (``batch_scores``, ``gram_lower_blocks``,
     ``add_rows_transpose``) compute a solver round's scores, Gram blocks
     and update from one form of the round's rows, which ``gather_rows``
-    picks: a list of (columns, values) rows (row by row), dense rows or
-    CSR rows.  ``gather_rows`` and ``gram_lower_blocks`` also take a block
-    of K rounds at once.  The Gram takes BLAS products of dense row panels
+    picks: a list of (columns, values) rows (row by row) for one batch,
+    dense rows for more under a dense cache, and otherwise
+    ``RoundEntries``, the rows' stored entries from one gather.  Over
+    entries a round whose rows hold equally many entries scores in one
+    ``np.vecdot``, any other in one ``np.bincount`` by row, and an update
+    is one ``np.add.at``.  ``gather_rows`` and ``gram_lower_blocks`` also
+    take a block of K rounds at once.  The Gram takes BLAS products of dense row panels
     when the matrix keeps a dense cache, and otherwise pairs the entries
     that share a column with an entry of another batch of their round,
     after one sort by (round, column).  A column-partitioned rank runs the
     kernels on its ``CsrMatrix.column_window``.
   * the row layout's block kernel, ``RowBlock``, gathers a block's stored
     entries once, in batch order, and sorts them at most once, by (round,
-    column).  Every round then reads that one gather: its rows for the
-    scores (``RoundEntries``: one ``np.vecdot`` over a round whose rows hold
-    equally many entries, else one dot per row over x gathered once, or CSR
-    rows built from them), its support and each entry's key for the
-    gradient scatter (one ``np.bincount`` into fresh buffers,
-    ``RowBlock.gradients``), its ranks' payload values, and its Gram pairs,
-    which ``RowBlock.add_gram`` adds into the round's Gram and
-    ``RowBlock.clear_gram`` clears from it.
+    column).  Every round then reads that one gather, with or without a
+    dense cache: its ``RoundEntries`` for the scores, its support and each
+    entry's key for the gradient scatter (one ``np.bincount`` into fresh
+    buffers, ``RowBlock.gradients``), its ranks' payload values, and,
+    without a dense cache, its Gram pairs, which ``RowBlock.add_gram`` adds
+    into the round's Gram and ``RowBlock.clear_gram`` clears from it.
 
 Pairwise row inner products match entries of the two rows' sorted column
 indices and sum the products in ascending column order, which keeps
@@ -63,13 +65,6 @@ __all__ = [
     "RowBlock",
     "RoundEntries",
 ]
-
-# Without a dense row cache, ``gather_rows`` leaves ranks of fewer rows than
-# this to go row by row (per-row dots and per-row updates); from it on rows
-# are gathered as CSR rows for scipy products, despite their call overhead.
-# ``RowBlock`` picks the same for a round whose rows hold unequal numbers of
-# entries; a round of equal counts scores in one ``np.vecdot`` at every size.
-_VECTORIZE_MIN_ROWS = 33
 
 # ``RowBlock`` gives a round its distinct columns when n is at least this
 # many times the round's nonzeros, and None (use all n) otherwise.  A whole
@@ -700,41 +695,36 @@ def gram_block(dataset: LabeledDataset, sel_row: RowBlockSelector, sel_col: RowB
 # Round kernels used by the solvers
 
 
-def gather_rows(dataset: LabeledDataset, row_ids, batches: int, width: int | None = None):
+def gather_rows(dataset: LabeledDataset, row_ids, batches: int):
     """A round's rows in the one form its kernels share.
 
     ``row_ids`` are the rows a kernel is handed and ``batches`` how many
-    batches they span.  ``width`` is how many of them one rank holds
-    (default: all); the form is the one a rank's rows take, so a kernel run
-    once over the rows of several ranks gives the bits of one call per rank
-    (not so for dense rows, whose BLAS products may round by the rows they
-    are handed).  The form is:
+    batches they span.  The form is:
 
       * a list of each row's (columns, values) pair, which the kernels take
         row by row, for one batch (s = 1 then mirrors plain SGD operation
-        for operation) and, without a dense cache, for ranks of fewer than
-        ``_VECTORIZE_MIN_ROWS`` rows.  Under a dense cache a row's columns
-        are all n (``slice(None)``) and its values the dense row, so its
-        score is a dense dot and its update a dense-row axpy;
-      * dense rows (an ndarray) when the matrix, or the column window, keeps
-        a dense cache;
-      * CSR rows (a scipy matrix) otherwise.
+        for operation).  Under a dense cache a row's columns are all n
+        (``slice(None)``) and its values the dense row, so its score is a
+        dense dot and its update a dense-row axpy;
+      * dense rows (an ndarray) for more batches when the matrix, or the
+        column window, keeps a dense cache.  They support ``@ x``,
+        ``.T @ w`` and ``@ rows.T``;
+      * else ``RoundEntries``, the rows' stored entries from one gather.
 
-    Dense and CSR rows support ``@ x`` and ``.T @ w``; dense rows ``@ rows.T``.
     ``row_ids`` may also be a (K, s*b) array of K rounds; indexing the
     result by round gives each round's form.  Dense rows are gathered in
     one call, as a (K, s*b, n) array, row lists in one pass split by round,
-    and CSR rows round by round.  The row layout gathers rows here only
-    under a dense cache; otherwise ``RowBlock`` gives its rounds' rows.
+    and entries in one ``_gather`` split by round.
     """
     A = dataset.a_tilde
     dense = A.dense_cache()
     if dense is not None and batches > 1:
         return dense[row_ids]
     ids = np.asarray(row_ids, dtype=np.int64)
-    if _vectorized(batches, ids.shape[-1] if width is None else width):
-        csr = A.scipy_csr
-        return csr[ids] if ids.ndim == 1 else [csr[round_ids] for round_ids in ids]
+    if batches > 1:
+        (_, cols, vals, _), edges, row_ofs = _gather_rounds(A, ids.reshape(-1, ids.shape[-1]))
+        rounds = [RoundEntries(cols[lo:hi], vals[lo:hi], rows) for lo, hi, rows in zip(edges, edges[1:], row_ofs)]
+        return rounds[0] if ids.ndim == 1 else rounds
     if dense is not None:
         rows = [(_ALL, row) for row in dense[ids.ravel()]]
     else:
@@ -746,25 +736,20 @@ def gather_rows(dataset: LabeledDataset, row_ids, batches: int, width: int | Non
     return [rows[i : i + step] for i in range(0, len(rows), step)]
 
 
-def _vectorized(batches: int, width: int) -> bool:
-    """Whether ranks of ``width`` rows of ``batches`` batches take CSR rows
-    (without a dense cache) rather than going row by row."""
-    return batches > 1 and width >= _VECTORIZE_MIN_ROWS
-
-
 def batch_scores(dataset: LabeledDataset, row_ids, x: np.ndarray, rows=None, out=None) -> np.ndarray:
     """Scores of ``row_ids`` against full-length ``x``.
 
     ``rows`` is ``gather_rows``' form of ``row_ids`` (None: row by row), or
-    the ``RoundEntries`` of a ``RowBlock`` round, over which x is gathered
-    once.  Rows of equal entry counts then take one ``np.vecdot`` over the
-    round's entries reshaped, and other rounds one dot of slices per row (a
-    dot's bits do not depend on where its operands start).  numpy's vecdot
-    sums each row as ``0.0 +`` the BLAS dot that ``ndarray.dot`` returns, so
-    a score has the bits of a row-by-row dot, except that a -0.0 dot comes
-    back as +0.0, which neither sig nor the recurrence can tell apart.
-    Scores are written into ``out`` when given.  Their multiply-adds are the
-    rows' stored entries, ``row_nnz``, which the caller counts.
+    a ``RowBlock`` round's ``RoundEntries``.  A list takes one
+    ``ndarray.dot`` per row and dense rows one BLAS product.  Entries
+    gather x once: rows of equal entry counts then take one ``np.vecdot``
+    over the entries reshaped, which sums each row as ``0.0 +`` the BLAS
+    dot that ``ndarray.dot`` returns (a -0.0 dot comes back as +0.0, which
+    neither sig nor the recurrence can tell apart), and other rounds one
+    ``np.bincount`` of the products by row, which sums each row from +0.0
+    in column order, as a CSR product does.  Scores are written into
+    ``out`` when given.  Their multiply-adds are the rows' stored entries,
+    ``row_nnz``, which the caller counts.
     """
     if out is None:
         out = np.empty(len(row_ids))
@@ -775,16 +760,14 @@ def batch_scores(dataset: LabeledDataset, row_ids, x: np.ndarray, rows=None, out
             # ndarray.dot is np.dot without its dispatch overhead; a dense
             # row takes x itself, not the view x[:].
             out[k] = vals.dot(x if cols is _ALL else x[cols])
-        return out
-    if isinstance(rows, RoundEntries):
-        xs, vals, bounds = x[rows.cols], rows.vals, rows.bounds
-        if bounds is None:
+    elif isinstance(rows, RoundEntries):
+        xs, vals = x[rows.cols], rows.vals
+        if rows.row_of is None:
             out[:] = np.vecdot(vals.reshape(len(out), -1), xs.reshape(len(out), -1))
-            return out
-        for k, lo, hi in zip(range(len(out)), bounds, bounds[1:]):
-            out[k] = vals[lo:hi].dot(xs[lo:hi])
-        return out
-    out[:] = rows @ x
+        else:
+            out[:] = np.bincount(rows.row_of, vals * xs, len(out))
+    else:
+        out[:] = rows @ x
     return out
 
 
@@ -853,7 +836,7 @@ def add_rows_transpose(dataset: LabeledDataset, row_ids, w: np.ndarray, x: np.nd
     """``x += A[row_ids]^T w`` in place, for full-length ``x``.
 
     ``rows`` is ``gather_rows``' form of ``row_ids`` (None: row by row).
-    Dense rows take one BLAS product.  CSR rows take one unbuffered
+    Dense rows take one BLAS product.  Entries take one unbuffered
     scatter-add, which gives the bits of adding them row by row.  A
     row-by-row list adds each row in turn: a sparse row to its own columns,
     a dense row to all n.  Off its columns a dense row adds +0.0 or -0.0
@@ -870,10 +853,10 @@ def add_rows_transpose(dataset: LabeledDataset, row_ids, w: np.ndarray, x: np.nd
                 x += w[k] * vals
             else:
                 x[cols] += w[k] * vals
-    elif isinstance(rows, np.ndarray):
-        x += rows.T @ w
+    elif isinstance(rows, RoundEntries):
+        np.add.at(x, rows.cols, rows.weighted(w))
     else:
-        np.add.at(x, rows.indices, rows.data * np.repeat(w, np.diff(rows.indptr)))
+        x += rows.T @ w
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -945,24 +928,42 @@ def _shared_column_pairs(
 
 
 class RoundEntries(NamedTuple):
-    """One round's rows from ``RowBlock``, as one run of their stored entries.
+    """One round's rows as one run of their stored entries, in row order.
 
-    Row k's entries are ``cols[bounds[k]:bounds[k + 1]]`` and ``vals[...]``.
-    ``bounds`` is None when every row holds equally many entries, and
-    ``cols`` and ``vals`` then reshape to (rows, count) arrays.  ``keys``
-    are the entries' places in the gradient buffers (see ``RowBlock``).
-    ``targets`` and ``products`` are the round's Gram pairs (None without
-    them): where each adds its product in the round's s*b square, as a flat
-    index, in the order ``gram_lower_blocks`` adds them
-    (``RowBlock.add_gram``).
+    ``row_of`` is each entry's row in the round, or None when every row
+    holds equally many entries; ``cols`` and ``vals`` then reshape to
+    (rows, count) arrays.  A ``RowBlock`` round also has ``keys``, the
+    entries' places in the gradient buffers (see ``RowBlock``), and, with
+    Gram pairs, ``targets`` and ``products``: where each pair adds its
+    product in the round's s*b square, as a flat index, in the order
+    ``gram_lower_blocks`` adds them (``RowBlock.add_gram``).
     """
 
     cols: np.ndarray
     vals: np.ndarray
-    keys: np.ndarray
-    bounds: list[int] | None
-    targets: np.ndarray | None
-    products: np.ndarray | None
+    row_of: np.ndarray | None
+    keys: np.ndarray | None = None
+    targets: np.ndarray | None = None
+    products: np.ndarray | None = None
+
+    def weighted(self, w: np.ndarray) -> np.ndarray:
+        """Each entry's value times its row's weight in ``w``."""
+        weights = np.repeat(w, len(self.vals) // len(w)) if self.row_of is None else w[self.row_of]
+        return self.vals * weights
+
+
+def _gather_rounds(A: CsrMatrix, ids: np.ndarray) -> tuple[tuple, list[int], list[np.ndarray | None]]:
+    """One ``_gather`` of the stored entries of a (K, s*b) ``ids``: the
+    gather, where each round's entries start (and the total), and each
+    round's ``RoundEntries.row_of``."""
+    sb = ids.shape[1]
+    gathered = starts, _, _, _ = _gather(A, ids.ravel())
+    counts = A.row_nnz[ids]
+    equal = (counts == counts[:, :1]).all(axis=1).tolist()
+    # Integer division over the entries takes a few times a repeat's time.
+    local = None if all(equal) else np.repeat(np.arange(ids.size) % sb, counts.ravel())
+    edges = starts[::sb].tolist()
+    return gathered, edges, [None if same else local[lo:hi] for lo, hi, same in zip(edges, edges[1:], equal)]
 
 
 class RowBlock:
@@ -975,22 +976,15 @@ class RowBlock:
     every round when there are Gram pairs, else over the rounds with a
     support, and not at all when neither needs it.  Per round it gives:
 
-      * ``rounds``: its ``RoundEntries``;
-      * ``rows``: its rows in the form ``batch_scores`` takes, the
-        ``RoundEntries`` themselves (one ``np.vecdot`` when its rows hold
-        equally many entries, else one dot per row), or CSR rows built from
-        them when its rows' counts differ and ranks hold
-        ``_VECTORIZE_MIN_ROWS`` rows or more of s > 1 batches (as
-        ``gather_rows`` picks).  None under a dense cache, whose rows
-        ``gather_rows`` gives;
+      * ``rounds``: its ``RoundEntries``, which its scores, gradients and
+        Gram pairs read;
       * ``supports``: its sorted distinct columns, or None when its rows
-        hold more than n / ``_SUPPORT_MIN_RATIO`` entries, or are dense rows
-        (s > 1 under a dense cache), whose products write every column;
+        hold more than n / ``_SUPPORT_MIN_RATIO`` entries;
       * with ``payload`` (the s-step allgather): ``heads``, each rank's
         values of its rows of the first s-1 batches, in row order, and, at
-        s > 1 without a dense cache, its Gram pairs (in ``rounds``, added
-        by ``add_gram``), counted by ``matches`` (int64, one per round;
-        else None).
+        s > 1 without a dense cache (whose Gram is a BLAS product of dense
+        rows), its Gram pairs (in ``rounds``, added by ``add_gram``),
+        counted by ``matches`` (int64, one per round; else None).
 
     An entry's key is its place in the flattened gradient buffers of its
     round's ranks: (p, n) buffers over all columns (``rank * n + column``)
@@ -1008,15 +1002,12 @@ class RowBlock:
         K, sb = ids.shape
         s, p = sb // b, b // width
         self.p, self.n = p, n
-        dense = A.dense_cache() is not None
-        starts, cols, vals, row_of = _gather(A, ids.ravel())
-        self.counts = A.row_nnz[ids]
-        edges = starts[::sb]
+        (starts, cols, vals, row_of), edges, row_ofs = _gather_rounds(A, ids)
         sizes = np.diff(edges)
-        rank = np.repeat(np.arange(ids.size) % b // width, self.counts.ravel())
+        rank = np.repeat(np.arange(ids.size) % b // width, A.row_nnz[ids.ravel()])
 
-        with_support = np.zeros(K, dtype=bool) if dense and s > 1 else sizes * _SUPPORT_MIN_RATIO <= n
-        pairs = payload and s > 1 and not dense
+        with_support = sizes * _SUPPORT_MIN_RATIO <= n
+        pairs = payload and s > 1 and A.dense_cache() is None
         self.supports: list[np.ndarray | None] = [None] * K
         self.matches = None
         keys = None if with_support.all() else rank * n + cols
@@ -1046,25 +1037,14 @@ class RowBlock:
                 self.matches = np.diff(pair_starts)
                 pair_starts = pair_starts.tolist()
 
-        # Each round's row bounds, from its first entry; a round of equal
-        # counts needs none.
-        bounds = np.concatenate((starts[:-1].reshape(K, sb) - edges[:-1, None], sizes[:, None]), axis=1)
-        equal = (self.counts == self.counts[:, :1]).all(axis=1).tolist()
-        listed, edges = bounds.tolist(), edges.tolist()
         if payload:
             # Where each round's last batch starts.
             heads_end = starts[np.arange(K) * sb + (s - 1) * b].tolist()
-        csr = not dense and _vectorized(s, s * width)
-        self.rounds, self.rows, self.heads = [], None if dense else [], []
-        for k in range(K):
+        self.rounds, self.heads = [], []
+        for k, rows in enumerate(row_ofs):
             lo, hi = edges[k], edges[k + 1]
-            gram = (targets[pair_starts[k] : pair_starts[k + 1]], products[pair_starts[k] : pair_starts[k + 1]]) if pairs else (None, None)
-            entries = RoundEntries(cols[lo:hi], vals[lo:hi], keys[lo:hi], None if equal[k] else listed[k], *gram)
-            self.rounds.append(entries)
-            if csr and not equal[k]:
-                self.rows.append(scipy.sparse.csr_matrix((entries.vals, entries.cols, bounds[k]), shape=(sb, n)))
-            elif not dense:
-                self.rows.append(entries)
+            gram = (targets[pair_starts[k] : pair_starts[k + 1]], products[pair_starts[k] : pair_starts[k + 1]]) if pairs else ()
+            self.rounds.append(RoundEntries(cols[lo:hi], vals[lo:hi], rows, keys[lo:hi], *gram))
             if payload:
                 # Each rank's entries of the first s-1 batches, in row order.
                 end = heads_end[k]
@@ -1082,7 +1062,7 @@ class RowBlock:
         """
         here, support = self.rounds[k], self.supports[k]
         width = self.n if support is None else len(support)
-        sums = np.bincount(here.keys, here.vals * np.repeat(w, self.counts[k]), self.p * width)
+        sums = np.bincount(here.keys, here.weighted(w), self.p * width)
         # Without keys bincount gives int zeros.
         return sums.astype(np.float64, copy=False).reshape(self.p, width)
 

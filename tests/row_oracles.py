@@ -22,13 +22,11 @@ def _run_starts(a: np.ndarray) -> np.ndarray:
     return starts
 
 
-def column_support(dataset: LabeledDataset, row_ids, rows=None, ratio: float = _SUPPORT_MIN_RATIO) -> list[np.ndarray | None]:
-    """Each round's sorted distinct columns, or None for a round whose rows are
-    dense (``rows`` an ndarray) or hold more than n / ``ratio`` nonzeros."""
+def column_support(dataset: LabeledDataset, row_ids, ratio: float = _SUPPORT_MIN_RATIO) -> list[np.ndarray | None]:
+    """Each round's sorted distinct columns, or None for a round whose rows
+    hold more than n / ``ratio`` nonzeros."""
     A = dataset.a_tilde
     ids = np.asarray(row_ids, dtype=np.int64)
-    if isinstance(rows, np.ndarray):
-        return [None] * len(ids)
     n = A.num_cols
     counts = A.row_nnz[ids]
     small = (counts.sum(axis=1) * ratio <= n).tolist()

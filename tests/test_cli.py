@@ -235,6 +235,17 @@ class TestCompare:
         assert "non-finite" in stderr
         assert out.exists()
 
+    @pytest.mark.parametrize("layout", ["col", "row"])
+    def test_zero_batch_exit_1(self, data_file, tmp_path, capsys, layout):
+        out = tmp_path / "cmp.csv"
+        code = main(
+            ["compare", "--data", data_file, "--s-list", "2", "--epochs", "1", "--batch", "0", "--layout", layout,
+             "--trace", str(out)]
+        )
+        assert code == 1
+        assert capsys.readouterr().err == "error: batch size must be at least 1\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-inf"])
     def test_non_finite_tolerance_exit_1(self, data_file, tmp_path, capsys, tolerance):
         out = tmp_path / "cmp.csv"
@@ -297,6 +308,19 @@ class TestCosts:
     def test_invalid_params_exit_1(self, capsys):
         assert main(["costs", "--m", "100", "--n", "10", "--f", "0", "--epochs", "1"]) == 1
         capsys.readouterr()
+
+    @pytest.mark.parametrize("flag", ["--alpha", "--beta", "--gamma", "--omega"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_machine_parameter_exit_1(self, capsys, flag, value):
+        code = main(["costs", "--m", "100", "--n", "10", "--f", "0.5", "--epochs", "1", f"{flag}={value}"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and flag[2:] in err
+        assert "crossover_s" not in out
+
+    def test_zero_batch_exit_1(self, capsys):
+        assert main(["costs", "--m", "100", "--n", "10", "--f", "0.5", "--b", "0", "--epochs", "1"]) == 1
+        assert capsys.readouterr().err == "error: batch size must be at least 1\n"
 
 
 class TestRunThenReport:

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -127,6 +128,17 @@ class TestTheoreticalCost:
             _params(b=0)
         with pytest.raises(ValueError):
             MachineModel(alpha=-1.0, beta=0.0, gamma=0.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "omega"])
+    def test_non_finite_machine_parameters_rejected(self, name, value):
+        # NaN compares false with everything, so a check of "< 0" alone
+        # lets it through.
+        with pytest.raises(ValueError, match=name):
+            if name == "omega":
+                _params(omega=value)
+            else:
+                MachineModel(**{"alpha": 1e-6, "beta": 1e-9, "gamma": 1e-11, name: value})
 
 
 class TestModeledTime:

@@ -6,12 +6,14 @@ several epochs), s larger than the whole iteration budget, and matrices
 with and without a dense row cache.
 """
 
+from collections import Counter
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import casgd.solvers
 import casgd.sparse
 from casgd import (
     BLOCK_COLUMN,
@@ -25,6 +27,7 @@ from casgd import (
     theoretical_cost,
 )
 from casgd.datagen import synthetic_dataset
+from casgd.sparse import RoundEntries, RowBlock, batch_scores
 from casgd.solvers import epoch_schedule, iterations_per_epoch
 from conftest import random_dataset
 
@@ -61,6 +64,45 @@ def _runs(d, layout, p, b, s, epochs, seed):
     return sgd, ca
 
 
+def test_round_loop_matches_sgd():
+    # A support ratio of 0 gives every sparse row round a support, so rounds
+    # with entries reach the scatter over a support (at n <= 10 the default
+    # ratio gives one only to rounds of empty rows).  Spies on the round
+    # kernels count the paths the examples reach, each of which must run.
+    seen = Counter()
+    scores, gradients, add_gram, row_block = batch_scores, RowBlock.gradients, RowBlock.add_gram, RowBlock.__init__
+
+    def scores_spy(dataset, row_ids, x, rows=None, out=None):
+        if isinstance(rows, RoundEntries):
+            seen["vecdot" if rows.row_of is None else "bincount"] += 1
+        return scores(dataset, row_ids, x, rows, out)
+
+    def gradients_spy(entries, k, w):
+        support = entries.supports[k]
+        if support is not None and len(support):
+            seen["support"] += 1
+        return gradients(entries, k, w)
+
+    def add_gram_spy(entries, k, G):
+        if len(entries.rounds[k].targets):
+            seen["gram pairs"] += 1
+        add_gram(entries, k, G)
+
+    def row_block_spy(entries, dataset, *args):
+        if dataset.a_tilde.dense_cache() is not None:
+            seen["row, dense cache"] += 1
+        row_block(entries, dataset, *args)
+
+    with (
+        mock.patch.object(casgd.solvers, "batch_scores", scores_spy),
+        mock.patch.object(RowBlock, "gradients", gradients_spy),
+        mock.patch.object(RowBlock, "add_gram", add_gram_spy),
+        mock.patch.object(RowBlock, "__init__", row_block_spy),
+    ):
+        _round_loop_matches_sgd()
+    assert set(seen) == {"vecdot", "bincount", "support", "gram pairs", "row, dense cache"}, seen
+
+
 @PROPERTY_SETTINGS
 @given(
     grid=grids(),
@@ -69,10 +111,7 @@ def _runs(d, layout, p, b, s, epochs, seed):
     support_ratio=st.sampled_from([0, casgd.sparse._SUPPORT_MIN_RATIO]),
     seed=st.integers(0, 2**32),
 )
-def test_round_loop_matches_sgd(grid, density, dense, support_ratio, seed):
-    # A support ratio of 0 gives every sparse row round a support, so rounds
-    # with entries reach the scatter over a support (at n <= 10 the default
-    # ratio gives one only to rounds of empty rows).
+def _round_loop_matches_sgd(grid, density, dense, support_ratio, seed):
     layout, m, n, p, b, s, epochs = grid
     rng = np.random.default_rng(seed)
     d = random_dataset(rng, m, n, density)

@@ -1,7 +1,8 @@
 """``RowBlock``, the row layout's one gather per block, against the per-block
 kernels it replaced (``row_oracles``): keys, supports, slots, payload heads,
 Gram blocks and match counts must match them byte for byte, and each
-round's scores one ``ndarray.dot`` per row."""
+round's scores one ``ndarray.dot`` per row (rows of equal counts) or the
+CSR product (others)."""
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ import casgd.sparse
 import row_oracles
 from casgd import BLOCK_ROW, SolverConfig, partition, run_casgd
 from casgd.datagen import synthetic_dataset
-from casgd.sparse import RoundEntries, RowBlock, batch_scores, gather_rows, gram_lower_blocks
+from casgd.sparse import RowBlock, add_rows_transpose, batch_scores, gather_rows, gram_lower_blocks
 from conftest import ragged_libsvm_dataset
 
 
@@ -47,11 +48,20 @@ def _row_dots(d, ids, x) -> np.ndarray:
     return np.array([vals.dot(x[cols]) for cols, vals in (d.a_tilde.row(i) for i in ids)]) + 0.0
 
 
-def _bounds(d, ids):
-    """A round's ``RoundEntries.bounds``: None when its rows hold equally
-    many entries, else each row's first entry and the end."""
+def _csr_scores(d, ids, x) -> np.ndarray:
+    """scipy's CSR product of the rows: each row summed from +0.0 in column order."""
+    return d.a_tilde.scipy_csr[ids] @ x
+
+
+def _row_of(d, ids):
+    """A round's ``RoundEntries.row_of``: None when its rows hold equally
+    many entries, else each entry's row."""
     counts = d.a_tilde.row_nnz[ids]
-    return None if (counts == counts[0]).all() else np.concatenate(([0], np.cumsum(counts))).tolist()
+    return None if (counts == counts[0]).all() else np.repeat(np.arange(len(ids)), counts)
+
+
+def _same_row_of(got, want) -> bool:
+    return got is None and want is None or got is not None and want is not None and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("payload", [False, True])
@@ -69,18 +79,17 @@ def test_matches_the_kernels_it_replaced(monkeypatch, p, K, s, n, payload):
     sb = s * b
     if K is None:
         owners = 1 if payload and s > 1 and dense else 0
-        K = casgd.solvers._rounds_per_block(sb, n, dense, owners, A.nnz / d.num_points)
+        # As the solver sizes a row block: dense rows only for a Gram owner.
+        K = casgd.solvers._rounds_per_block(sb, n, bool(owners), owners, A.nnz / d.num_points)
     block = _block(d, K, sb, seed=K + s)
     # A ratio between the short rounds' entries and the long ones'.
-    monkeypatch.setattr(casgd.sparse, "_SUPPORT_MIN_RATIO", max(1, round(n / (6 * sb))))
+    monkeypatch.setattr(casgd.sparse, "_SUPPORT_MIN_RATIO", n / (6 * sb))
     entries = RowBlock(d, block, b, width, payload)
     assert len(entries.rounds) == len(entries.supports) == K
 
-    dense_rows = dense and s > 1
-    supports = row_oracles.column_support(
-        d, block, rows=A.dense_cache()[block] if dense_rows else None, ratio=casgd.sparse._SUPPORT_MIN_RATIO
-    )
-    if not dense_rows and K > 1:
+    # With or without a dense cache, rounds take a support by the ratio.
+    supports = row_oracles.column_support(d, block, ratio=casgd.sparse._SUPPORT_MIN_RATIO)
+    if K > 1:
         # Rounds on both sides of the ratio.
         assert {support is None for support in supports} == {True, False}
     ranked = _ranked(s, b, width)
@@ -95,9 +104,8 @@ def test_matches_the_kernels_it_replaced(monkeypatch, p, K, s, n, payload):
         old_vals = [vals[k * sb + at] for at in rows]
         assert np.concatenate(old_vals).tobytes() == here.vals.tobytes()
         assert np.concatenate([A.row(i)[0] for i in block[k]]).tobytes() == here.cols.tobytes()
-        assert here.bounds == _bounds(d, block[k])
-        assert entries.counts[k].tobytes() == A.row_nnz[block[k]].tobytes()
-        rank = np.repeat(rank_of, entries.counts[k])
+        assert _same_row_of(here.row_of, _row_of(d, block[k]))
+        rank = np.repeat(rank_of, A.row_nnz[block[k]])
         if old is None:
             assert support is None
             assert np.concatenate(old_keys).tobytes() == here.keys.tobytes()
@@ -112,25 +120,24 @@ def test_matches_the_kernels_it_replaced(monkeypatch, p, K, s, n, payload):
         else:
             assert len(here.keys) == 0
 
-    # Score forms: a round of equal counts is its ``RoundEntries`` (one
-    # vecdot, with the bits of one dot per row); other rounds take CSR rows
-    # as ``gather_rows`` builds them, else one dot per row, with the bits of
-    # the row-by-row list.
+    # Scores and updates over each round's entries, with or without a dense
+    # cache: a round of equal counts takes one vecdot, with the bits of one
+    # dot per row, any other the bits of the CSR product; an update the bits
+    # of the row-by-row list.  Without a dense cache ``gather_rows`` gives a
+    # column rank the same entries at s > 1.
     x = np.random.default_rng(5).standard_normal(n)
-    if dense:
-        assert entries.rows is None
-    for k in range(K if not dense else 0):
-        rows = entries.rows[k]
-        if entries.rounds[k].bounds is None:
-            assert rows is entries.rounds[k]
-            assert batch_scores(d, block[k], x, rows).tobytes() == _row_dots(d, block[k], x).tobytes()
-            continue
-        one = gather_rows(d, block[k], s, s * width)
-        if isinstance(rows, RoundEntries):
-            assert isinstance(one, list)
-        else:
-            assert (rows != one).nnz == 0 and rows.indptr.tobytes() == one.indptr.astype(rows.indptr.dtype).tobytes()
-        assert batch_scores(d, block[k], x, rows).tobytes() == batch_scores(d, block[k], x, one).tobytes()
+    w = np.random.default_rng(6).standard_normal(sb)
+    for k, here in enumerate(entries.rounds):
+        want = _row_dots(d, block[k], x) if here.row_of is None else _csr_scores(d, block[k], x)
+        assert batch_scores(d, block[k], x, here).tobytes() == want.tobytes()
+        got, want = x.copy(), x.copy()
+        add_rows_transpose(d, block[k], w, got, here)
+        add_rows_transpose(d, block[k], w, want, [A.row(i) for i in block[k]])
+        assert got.tobytes() == want.tobytes()
+        if s > 1 and not dense:
+            one = gather_rows(d, block[k], s)
+            assert one.cols.tobytes() == here.cols.tobytes() and one.vals.tobytes() == here.vals.tobytes()
+            assert _same_row_of(one.row_of, here.row_of)
 
     if not payload:
         return
@@ -177,15 +184,14 @@ def test_matches_the_kernels_it_replaced(monkeypatch, p, K, s, n, payload):
         ("mixed", 2, 1, 1),
     ],
 )
-def test_scores_match_one_dot_per_row(rows, p, width, s, x_kind):
-    # Every round's ``batch_scores`` over its ``RoundEntries`` equal one
-    # ``ndarray.dot`` per row, byte for byte after + 0.0: blocks of rows of
-    # equal counts (one ``np.vecdot`` per round), of one entry per row and
-    # of empty rows only, ragged rounds (one dot per row), with the empty
-    # row 0 and row 1 of stored zeros, and a ragged block whose middle round
-    # holds rows of one count.  Ranks hold up to 40 rows of two to four
-    # batches; from 33 on, a ragged round's rows for the scores are CSR
-    # rows, as ``gather_rows`` gives them.  x of -0.0 makes every product a
+def test_scores_match_row_dots_or_the_csr_product(rows, p, width, s, x_kind):
+    # Every round's ``batch_scores`` over its ``RoundEntries``: blocks of
+    # rows of equal counts (one ``np.vecdot`` per round) equal one
+    # ``ndarray.dot`` per row, byte for byte after + 0.0, as do blocks of
+    # one entry per row and of empty rows only; ragged rounds (one
+    # ``np.bincount`` by row) equal scipy's CSR product byte for byte, with
+    # the empty row 0 and row 1 of stored zeros; and a ragged block's middle
+    # round holds rows of one count.  x of -0.0 makes every product a
     # signed zero.
     d = {
         "uniform": lambda: synthetic_dataset(700, 3000, 5, seed=p + width),
@@ -198,24 +204,19 @@ def test_scores_match_one_dot_per_row(rows, p, width, s, x_kind):
     block = np.zeros((3, sb), dtype=np.int64) if rows == "empty" else _block(d, 3, sb, seed=sb)
     if rows == "mixed":
         block[1] = np.resize(np.flatnonzero(A.row_nnz == 5), sb)
-    equal = [_bounds(d, ids) is None for ids in block]
+    equal = [_row_of(d, ids) is None for ids in block]
     assert equal == {"ragged": [False] * 3, "mixed": [False, True, False]}.get(rows, [True] * 3)
     x = np.random.default_rng(sb).standard_normal(3000) if x_kind == "gaussian" else np.full(3000, -0.0)
     entries = RowBlock(d, block, b, width, True)
-    csr = s > 1 and s * width >= casgd.sparse._VECTORIZE_MIN_ROWS
-    for ids, here, rows_k in zip(block, entries.rounds, entries.rows):
-        assert here.bounds == _bounds(d, ids)
-        if here.bounds is None or not csr:
-            assert rows_k is here
-        else:
-            assert not isinstance(rows_k, RoundEntries)
-        want = _row_dots(d, ids, x)
+    for ids, here, same in zip(block, entries.rounds, equal):
+        assert _same_row_of(here.row_of, _row_of(d, ids))
         out = np.full(sb, np.nan)
         assert batch_scores(d, ids, x, here, out) is out
-        assert (out + 0.0).tobytes() == want.tobytes()
-        if here.bounds is None:
+        if same:
             # One vecdot: +0.0 for a -0.0 dot, with no further rounding.
-            assert out.tobytes() == want.tobytes()
+            assert out.tobytes() == _row_dots(d, ids, x).tobytes()
+        else:
+            assert out.tobytes() == _csr_scores(d, ids, x).tobytes()
 
 
 def test_pairs_skip_single_entries_and_keep_triples(monkeypatch):

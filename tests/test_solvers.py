@@ -153,7 +153,8 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("b,s", [(1, 1), (2, 3), (1, 40)])
     def test_column_single_rank_without_dense_cache(self, b, s):
-        # m*n above the dense-cache bound: rounds gather CSR rows instead.
+        # m*n above the dense-cache bound: rounds of more than one batch
+        # gather their stored entries instead of dense rows.
         d = synthetic_dataset(700, 3000, 5, seed=2)
         assert d.a_tilde.dense_cache() is None
         sgd = run_sgd(d, SolverConfig(eta0=1.0, b=b, epochs=2, seed=4), _col_cluster(d))
@@ -683,10 +684,10 @@ class TestRowGradientReduction:
         # One scatter per round of a block, its rows rank after rank, gives
         # every rank's buffer the bits of ``add_rows_transpose`` over that
         # rank's rows into a zeroed buffer, in the form ``gather_rows``
-        # gives them: (columns, values) lists (dense rows under a dense
-        # cache) and, from 33 rows of two batches on, CSR rows.  Dense
-        # ndarray rows take a BLAS product per rank instead, so they are not
-        # compared.  The rows include the empty row 0, row 1 of stored zeros
+        # gives them: (columns, values) lists for one batch (dense rows
+        # under a dense cache) and entries for two.  Dense ndarray rows (two
+        # batches under a dense cache) take a BLAS product instead, so they
+        # are not compared.  The rows include the empty row 0, row 1 of stored zeros
         # only, and a row held by two ranks.  Buffers are fresh each round,
         # over all n or over the round's support (every round, with
         # ``support``).
@@ -709,7 +710,7 @@ class TestRowGradientReduction:
                 rows = gather_rows(d, ids, batches)
                 forms.add(type(rows).__name__)
                 add_rows_transpose(d, ids, w[k, r * width : (r + 1) * width], want[k, r], rows=rows)
-        assert forms == ({"csr_matrix"} if width == 40 and batches == 2 else {"list"})
+        assert forms == ({"RoundEntries"} if batches == 2 else {"list"})
         assert got.tobytes() == want.tobytes()
 
     def test_block_support_matches_each_round(self, monkeypatch):
@@ -754,9 +755,9 @@ class TestRowGradientReduction:
     @pytest.mark.parametrize("s,dense_cache", [(1, True), (4, True), (4, False)])
     def test_support_only_with_sparse_row_forms(self, monkeypatch, s, dense_cache):
         # Rounds of one nonzero per row over 600 columns are sparse enough
-        # for a support, but dense rows (s > 1 with a dense cache) write
-        # every column of the buffers, so those rounds reduce all n; the
-        # others reduce fresh gradient buffers over their columns.
+        # for a support.  Row rounds scatter their stored entries with or
+        # without a dense cache, so every round reduces fresh gradient
+        # buffers over its columns.
         if not dense_cache:
             monkeypatch.setattr(casgd.sparse, "_DENSE_CACHE_MAX_CELLS", 0)
         d = synthetic_dataset(30, 600, 1, seed=9)
@@ -772,7 +773,7 @@ class TestRowGradientReduction:
         monkeypatch.setattr(casgd.solvers, "_apply_row_gradient", spy)
         cfg = SolverConfig(eta0=1.0, b=2, s=s, total_iterations=8, layout=BLOCK_ROW, p=2, seed=1)
         run_casgd(d, cfg, _row_cluster(d, 2))
-        assert seen == [s > 1 and dense_cache] * (8 // s)
+        assert seen == [False] * (8 // s)
 
     def test_support_only_for_sparse_rounds(self, monkeypatch):
         d = synthetic_dataset(700, 3000, 5, seed=8)
@@ -783,12 +784,13 @@ class TestRowGradientReduction:
         # A round of one empty row has an empty support.
         empty = RowBlock(ragged_libsvm_dataset(800, 3000, seed=4), np.zeros((1, 1), dtype=np.int64), 1, 1, False)
         assert len(empty.supports[0]) == 0 and len(empty.rounds[0].keys) == 0
-        # Dense rows (s > 1 under a dense cache) write every column of the
-        # buffers; one batch of dense-cache rows scatters its stored entries.
+        # Under a dense cache rounds of one or more batches scatter their
+        # stored entries, over a support by the same ratio.
         cached = synthetic_dataset(30, 600, 5, seed=8)
         assert cached.a_tilde.dense_cache() is not None
-        assert RowBlock(cached, np.arange(4)[None], 2, 1, False).supports == [None]
-        assert RowBlock(cached, np.arange(4)[None], 4, 2, False).supports[0] is not None
+        for b, width in ((2, 1), (4, 2)):
+            assert RowBlock(cached, np.arange(4)[None], b, width, False).supports[0] is not None
+        assert RowBlock(cached, np.arange(6)[None], 2, 1, False).supports == [None]
 
 
 @pytest.mark.parametrize("width", [1, 3, 8, 9, 12, 36])

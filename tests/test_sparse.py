@@ -4,7 +4,6 @@ from unittest import mock
 
 import numpy as np
 import pytest
-import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,17 +20,28 @@ from casgd import (
 )
 from casgd.datagen import synthetic_dataset
 import casgd.sparse
-from casgd.sparse import _lower_block_matches, add_rows_transpose, batch_scores, gather_rows, gram_lower_blocks
+from casgd.sparse import RoundEntries, _lower_block_matches, add_rows_transpose, batch_scores, gather_rows, gram_lower_blocks
 
 from conftest import assert_datasets_equal, dataset_from_scaled, ragged_libsvm_dataset, random_dataset
 
 
 def _form_bytes(rows):
     """``gather_rows``' form of some rows as comparable bytes: a list's
-    (columns, values) pairs row by row, or the gathered matrix."""
+    (columns, values) pairs row by row, the entries' columns, values and
+    rows, or the dense rows."""
     if isinstance(rows, list):
         return [(repr(cols) if isinstance(cols, slice) else cols.tobytes(), vals.tobytes()) for cols, vals in rows]
-    return (rows.toarray() if scipy.sparse.issparse(rows) else rows).tobytes()
+    if isinstance(rows, RoundEntries):
+        return rows.cols.tobytes(), rows.vals.tobytes(), None if rows.row_of is None else rows.row_of.tobytes()
+    return rows.tobytes()
+
+
+def _entries_dense(rows, size, n):
+    """``RoundEntries`` of ``size`` rows as a dense (size, n) array."""
+    out = np.zeros((size, n))
+    row_of = np.repeat(np.arange(size), len(rows.cols) // size) if rows.row_of is None else rows.row_of
+    out[row_of, rows.cols] = rows.vals
+    return out
 
 
 def _row_pairs(d, ids):
@@ -809,14 +819,14 @@ class TestRoundKernels:
     @pytest.mark.parametrize("batches", [None, 1, 40])
     def test_round_kernels_without_dense_cache(self, batches):
         # Updates go row by row (no rows, or one batch's list of ids), or
-        # through gathered CSR rows in one scatter.
+        # through the gathered entries in one scatter, with the same bits.
         rng = np.random.default_rng(int(batches == 40))
         d = synthetic_dataset(700, 3000, 5, seed=6)
         assert d.a_tilde.dense_cache() is None
         ids = rng.choice(700, size=40, replace=False)
         ids[1] = ids[0]  # a row drawn twice adds twice
         rows = None if batches is None else gather_rows(d, ids, batches)
-        assert rows is None or (scipy.sparse.issparse(rows) if batches > 1 else _form_bytes(rows) == _form_bytes(_row_pairs(d, ids)))
+        assert rows is None or (isinstance(rows, RoundEntries) if batches > 1 else _form_bytes(rows) == _form_bytes(_row_pairs(d, ids)))
         x = rng.standard_normal(3000)
         got = batch_scores(d, ids, x, rows=rows)
         want = [np.dot(d.a_tilde.row(i)[1], x[d.a_tilde.row(i)[0]]) for i in ids]
@@ -827,7 +837,7 @@ class TestRoundKernels:
             cols, vals = d.a_tilde.row(i)
             want[cols] += w[k] * vals
         add_rows_transpose(d, ids, w, x, rows=rows)
-        np.testing.assert_array_equal(x, want)
+        assert x.tobytes() == want.tobytes()
 
     def test_add_rows_transpose_dense_rows(self):
         rng = np.random.default_rng(5)
@@ -932,14 +942,16 @@ def cached_and_uncached():
     return {"cached": cached, "uncached": uncached, "window": window}
 
 
-# (dataset, rows, batches, form): gather_rows' rule at each boundary.
+# (dataset, rows, batches, form): gather_rows' rule.  One batch gives a
+# list; more give dense rows under a dense cache and entries without one.
 GATHER_CASES = [
     ("cached", 1, 1, list),
     ("uncached", 1, 1, list),
     ("cached", 40, 1, list),
     ("uncached", 40, 1, list),
-    ("uncached", 32, 2, list),
-    ("uncached", 33, 3, scipy.sparse.csr_matrix),
+    ("uncached", 1, 2, RoundEntries),
+    ("uncached", 2, 2, RoundEntries),
+    ("uncached", 40, 3, RoundEntries),
     ("cached", 2, 2, np.ndarray),
     ("window", 8, 2, np.ndarray),
 ]
@@ -954,5 +966,5 @@ def test_gather_rows_form(cached_and_uncached, name, size, batches, form):
     if form is list:
         assert _form_bytes(rows) == _form_bytes(_row_pairs(d, ids))
     else:
-        got = rows.toarray() if scipy.sparse.issparse(rows) else rows
-        np.testing.assert_array_equal(got, d.a_tilde.to_dense()[ids])
+        got = _entries_dense(rows, size, d.num_features) if form is RoundEntries else rows
+        assert got.tobytes() == d.a_tilde.to_dense()[ids].tobytes()
