@@ -139,10 +139,12 @@ _SCALAR_SIG_MAX = 8
 # gathered entry of its rows, at the mean row's entries: a column, a value
 # and a row index in the column layout without a dense cache at s > 1, and
 # in the row layout a column, a value and a gradient key, what its
-# ``RowBlock`` keeps for its rounds.  Not counted: the int64 scratch,
-# several arrays per entry, that building a ``RowBlock`` frees before its
-# first round, the row indices of its rounds of unequal rows, and the
-# payload values and Gram pairs that s > 1 row rounds also keep.  Over 112
+# ``RowBlock`` keeps for its rounds.  Not counted: the int64 scratch that
+# building a ``RowBlock`` frees before its first round (each entry's row,
+# rank and sort key, and over ragged rows also the gather's index of every
+# entry; rows of one width are read by whole rows), the row indices of
+# its rounds of unequal rows, and the payload values and Gram pairs that
+# s > 1 row rounds also keep.  Over 112
 # columns with a dense cache and one column rank that is 273 rounds at
 # s * b = 1, 134 at 2, 32 at 8, 2 at 64 and 1 from 128 on.  Row-layout SGD at
 # b = 16 over rows of 20 entries and no dense cache takes 30 rounds.

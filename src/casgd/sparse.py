@@ -14,14 +14,19 @@ Two kinds of kernels work on sampled rows:
     and update from one form of the round's rows, which ``gather_rows``
     picks: a list of (columns, values) rows (row by row) for one batch,
     dense rows for more under a dense cache, and otherwise
-    ``RoundEntries``, the rows' stored entries from one gather.  Over
-    entries a round whose rows hold equally many entries scores in one
-    ``np.vecdot``, any other in one ``np.bincount`` by row, and an update
-    is one ``np.add.at``.  ``gather_rows`` and ``gram_lower_blocks`` also
-    take a block of K rounds at once.  The Gram takes BLAS products of dense row panels
-    when the matrix keeps a dense cache, and otherwise pairs the entries
-    that share a column with an entry of another batch of their round,
-    after one sort by (round, column).  A column-partitioned rank runs the
+    ``RoundEntries``, the rows' stored entries from one gather.  A gather
+    reads a matrix whose rows all hold ``CsrMatrix.width`` entries with one
+    ``take`` of whole rows per CSR array, viewed as (rows, width), and
+    other matrices (most column windows among them) through an index of
+    every entry, with the same bytes.  Over entries a round whose rows
+    hold equally many entries scores in one ``np.vecdot``, any other in
+    one ``np.bincount`` by row, and an update is one ``np.add.at``.
+    ``gather_rows`` and ``gram_lower_blocks`` also take a block of K
+    rounds at once.  The Gram takes BLAS products of dense row panels when
+    the matrix keeps a dense cache, and otherwise pairs the entries that
+    share a column with an entry of another batch of their round, after
+    one sort by (round, column), reading the block's gather from
+    ``gather_rows`` when given it.  A column-partitioned rank runs the
     kernels on its ``CsrMatrix.column_window``.
   * the row layout's block kernel, ``RowBlock``, gathers a block's stored
     entries once, in batch order, and sorts them at most once, by (round,
@@ -196,6 +201,15 @@ class CsrMatrix:
         counts = np.diff(self.row_offsets)
         counts.setflags(write=False)
         return counts
+
+    @cached_property
+    def width(self) -> int | None:
+        """The stored entries of every row when all rows hold equally many,
+        else None (also for a matrix of no rows)."""
+        counts = self.row_nnz
+        if not len(counts) or (counts != counts[0]).any():
+            return None
+        return int(counts[0])
 
     @cached_property
     def row_slices(self) -> Sequence[tuple[np.ndarray, np.ndarray]]:
@@ -714,7 +728,8 @@ def gather_rows(dataset: LabeledDataset, row_ids, batches: int):
     ``row_ids`` may also be a (K, s*b) array of K rounds; indexing the
     result by round gives each round's form.  Dense rows are gathered in
     one call, as a (K, s*b, n) array, row lists in one pass split by round,
-    and entries in one ``_gather`` split by round.
+    and entries in one ``_gather`` split by round, which the list of rounds
+    keeps for ``gram_lower_blocks``.
     """
     A = dataset.a_tilde
     dense = A.dense_cache()
@@ -722,8 +737,10 @@ def gather_rows(dataset: LabeledDataset, row_ids, batches: int):
         return dense[row_ids]
     ids = np.asarray(row_ids, dtype=np.int64)
     if batches > 1:
-        (_, cols, vals, _), edges, row_ofs = _gather_rounds(A, ids.reshape(-1, ids.shape[-1]))
-        rounds = [RoundEntries(cols[lo:hi], vals[lo:hi], rows) for lo, hi, rows in zip(edges, edges[1:], row_ofs)]
+        gathered, edges, row_ofs = _gather_rounds(A, ids.reshape(-1, ids.shape[-1]))
+        _, cols, vals, _ = gathered
+        rounds = _Rounds(RoundEntries(cols[lo:hi], vals[lo:hi], rows) for lo, hi, rows in zip(edges, edges[1:], row_ofs))
+        rounds.gathered = gathered
         return rounds[0] if ids.ndim == 1 else rounds
     if dense is not None:
         rows = [(_ALL, row) for row in dense[ids.ravel()]]
@@ -786,8 +803,9 @@ def gram_lower_blocks(
     i < j is filled with inner products between batch j rows and batch i
     rows.  Diagonal and upper blocks are left untouched (zero when ``out``
     is freshly allocated; ``out`` must be C-contiguous).  ``rows`` is
-    ``gather_rows``' form of ``row_ids``; only dense rows are used (None:
-    gathered here when the matrix keeps a dense cache).  Dense rows
+    ``gather_rows``' form of ``row_ids`` (None: gathered here).  Dense rows
+    give the BLAS products, and the entries of K rounds the gather that the
+    pairing reads; other forms are gathered again.  Dense rows
     are multiplied in row panels of ``_GRAM_PANEL_ROWS``, each against the
     rows up to its end, so the products above the panels' diagonal squares
     are never formed.  Up to one panel that is one square product; above
@@ -825,7 +843,7 @@ def gram_lower_blocks(
     # in ascending column order, so each entry sums from +0.0 in that order.
     for lo in range(b, sb, b):
         out[..., lo : lo + b, :lo] = 0.0
-    _, cols, vals, row_of = _gather(A, row_ids.reshape(-1))
+    _, cols, vals, row_of = rows.gathered if isinstance(rows, _Rounds) else _gather(A, row_ids.reshape(-1))
     _, entry, new = _sort_by_column(row_of // sb * A.num_cols + cols)
     later, earlier, products = _shared_column_pairs(new, entry, row_of, vals, b)
     np.add.at(out.reshape(-1), later * sb + earlier % sb, products)
@@ -859,16 +877,22 @@ def add_rows_transpose(dataset: LabeledDataset, row_ids, w: np.ndarray, x: np.nd
         x += rows.T @ w
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """``arange(start, start + count)`` for each pair, concatenated in order."""
-    ends = np.cumsum(counts)
-    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
-
-
 def _gather(A: CsrMatrix, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The stored entries of rows ``flat`` in their order: the offset of each
     row's first entry (and the total), and per entry its column, value and
-    position in ``flat``."""
+    position in ``flat``.
+
+    When every row holds ``A.width`` entries, each CSR array is read with one
+    ``take`` of whole rows from its (rows, width) view.  Otherwise each
+    entry's offset is built from its row's start and read on its own.  Both
+    give the same arrays.
+    """
+    width = A.width
+    if width is not None:
+        shape = (A.num_rows, width)
+        cols = A.col_indices.reshape(shape).take(flat, axis=0).ravel()
+        vals = A.values.reshape(shape).take(flat, axis=0).ravel()
+        return np.arange(len(flat) + 1) * width, cols, vals, np.repeat(np.arange(len(flat)), width)
     counts = A.row_nnz[flat]
     starts = np.zeros(len(flat) + 1, dtype=np.int64)
     np.cumsum(counts, out=starts[1:])
@@ -952,17 +976,26 @@ class RoundEntries(NamedTuple):
         return self.vals * weights
 
 
+class _Rounds(list):
+    """``gather_rows``' ``RoundEntries`` of K rounds, with the one ``_gather``
+    they slice, ``gathered``, which ``gram_lower_blocks`` pairs."""
+
+    gathered: tuple
+
+
 def _gather_rounds(A: CsrMatrix, ids: np.ndarray) -> tuple[tuple, list[int], list[np.ndarray | None]]:
     """One ``_gather`` of the stored entries of a (K, s*b) ``ids``: the
     gather, where each round's entries start (and the total), and each
     round's ``RoundEntries.row_of``."""
     sb = ids.shape[1]
     gathered = starts, _, _, _ = _gather(A, ids.ravel())
+    edges = starts[::sb].tolist()
+    if A.width is not None:
+        return gathered, edges, [None] * len(ids)
     counts = A.row_nnz[ids]
     equal = (counts == counts[:, :1]).all(axis=1).tolist()
     # Integer division over the entries takes a few times a repeat's time.
     local = None if all(equal) else np.repeat(np.arange(ids.size) % sb, counts.ravel())
-    edges = starts[::sb].tolist()
     return gathered, edges, [None if same else local[lo:hi] for lo, hi, same in zip(edges, edges[1:], equal)]
 
 
@@ -1004,7 +1037,7 @@ class RowBlock:
         self.p, self.n = p, n
         (starts, cols, vals, row_of), edges, row_ofs = _gather_rounds(A, ids)
         sizes = np.diff(edges)
-        rank = np.repeat(np.arange(ids.size) % b // width, A.row_nnz[ids.ravel()])
+        rank = np.repeat(np.arange(ids.size) % b // width, A.row_nnz[ids.ravel()] if A.width is None else A.width)
 
         with_support = sizes * _SUPPORT_MIN_RATIO <= n
         pairs = payload and s > 1 and A.dense_cache() is None
@@ -1095,17 +1128,16 @@ def _lower_block_matches(A: CsrMatrix, ids: np.ndarray, b: int) -> np.ndarray:
     The pattern is the CSR one, so stored zeros match.  Exact integer
     arithmetic throughout.
     """
-    n = A.num_cols
-    counts = A.row_nnz[ids]
-    cols = A.col_indices[_ranges(A.row_offsets[ids].ravel(), counts.ravel())]
+    n, sb = A.num_cols, ids.shape[-1]
+    starts, cols, _, _ = _gather(A, ids.ravel())
     # A batch of one row holds each of its columns once: at b = 1 every T
     # is 0 or 1, sum_c sum_j T^2 is the round's nonzeros, and the keys need
     # no batch (s times fewer bins).
-    group = ids.shape[-1] if b == 1 else b
-    keys = np.repeat(np.arange(ids.size) // group * n, counts.ravel()) + cols
-    T = np.bincount(keys, minlength=ids.size // group * n).reshape(ids.shape[:-1] + (ids.shape[-1] // group, n))
+    group = sb if b == 1 else b
+    keys = np.repeat(np.arange(ids.size) // group * n, np.diff(starts)) + cols
+    T = np.bincount(keys, minlength=ids.size // group * n).reshape(ids.shape[:-1] + (sb // group, n))
     per_column = T.sum(axis=-2)
-    within = counts.sum(axis=-1) if b == 1 else np.einsum("...jc,...jc", T, T)
+    within = np.diff(starts[::sb]).reshape(ids.shape[:-1]) if b == 1 else np.einsum("...jc,...jc", T, T)
     return (np.einsum("...c,...c", per_column, per_column) - within) // 2
 
 

@@ -4,14 +4,30 @@
 after rank, ``column_support`` sorted each round's distinct columns, and
 ``gram_pairs`` is the sparse Gram's pairing over ``_column_runs``, which
 paired every entry, singletons included, after one sort by (round, column).
-Each gathered and sorted the block's entries on its own.
+Each gathered and sorted the block's entries on its own, through
+``_ranges``, an index of every entry; ``entry_gather`` reads rows that way.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from casgd.sparse import _SUPPORT_MIN_RATIO, CsrMatrix, LabeledDataset, _ranges
+from casgd.sparse import _SUPPORT_MIN_RATIO, CsrMatrix, LabeledDataset
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """``arange(start, start + count)`` for each pair, concatenated in order."""
+    ends = np.cumsum(counts)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + counts, counts)
+
+
+def entry_gather(A: CsrMatrix, flat: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``_gather``'s arrays for rows ``flat``, each entry read through its own
+    offset: where each row's entries start, their columns, values and rows."""
+    counts = A.row_nnz[flat]
+    starts = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    entries = _ranges(A.row_offsets[flat], counts)
+    return starts, A.col_indices[entries], A.values[entries], np.repeat(np.arange(len(flat)), counts)
 
 
 def _run_starts(a: np.ndarray) -> np.ndarray:

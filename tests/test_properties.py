@@ -68,9 +68,16 @@ def test_round_loop_matches_sgd():
     # A support ratio of 0 gives every sparse row round a support, so rounds
     # with entries reach the scatter over a support (at n <= 10 the default
     # ratio gives one only to rounds of empty rows).  Spies on the round
-    # kernels count the paths the examples reach, each of which must run.
+    # kernels count the paths the examples reach, each of which must run:
+    # among them the gathers of whole rows (a matrix or window of one
+    # width) and of each entry (ragged rows).
     seen = Counter()
     scores, gradients, add_gram, row_block = batch_scores, RowBlock.gradients, RowBlock.add_gram, RowBlock.__init__
+    gather = casgd.sparse._gather
+
+    def gather_spy(A, flat):
+        seen["whole rows" if A.width is not None else "each entry"] += 1
+        return gather(A, flat)
 
     def scores_spy(dataset, row_ids, x, rows=None, out=None):
         if isinstance(rows, RoundEntries):
@@ -98,9 +105,10 @@ def test_round_loop_matches_sgd():
         mock.patch.object(RowBlock, "gradients", gradients_spy),
         mock.patch.object(RowBlock, "add_gram", add_gram_spy),
         mock.patch.object(RowBlock, "__init__", row_block_spy),
+        mock.patch.object(casgd.sparse, "_gather", gather_spy),
     ):
         _round_loop_matches_sgd()
-    assert set(seen) == {"vecdot", "bincount", "support", "gram pairs", "row, dense cache"}, seen
+    assert set(seen) == {"vecdot", "bincount", "support", "gram pairs", "row, dense cache", "whole rows", "each entry"}, seen
 
 
 @PROPERTY_SETTINGS

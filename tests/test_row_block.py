@@ -2,7 +2,8 @@
 kernels it replaced (``row_oracles``): keys, supports, slots, payload heads,
 Gram blocks and match counts must match them byte for byte, and each
 round's scores one ``ndarray.dot`` per row (rows of equal counts) or the
-CSR product (others)."""
+CSR product (others).  The gathers they read match a gather through an
+index of every entry, by whole rows or not."""
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ import pytest
 import casgd.solvers
 import casgd.sparse
 import row_oracles
-from casgd import BLOCK_ROW, SolverConfig, partition, run_casgd
+from casgd import BLOCK_ROW, CsrMatrix, SolverConfig, partition, run_casgd
 from casgd.datagen import synthetic_dataset
 from casgd.sparse import RowBlock, add_rows_transpose, batch_scores, gather_rows, gram_lower_blocks
 from conftest import ragged_libsvm_dataset
@@ -271,3 +272,63 @@ def test_row_gram_is_clear_at_every_round(monkeypatch, p, s):
     monkeypatch.setattr(RowBlock, "add_gram", zeroed)
     fresh = run_casgd(d, cfg, partition(d, BLOCK_ROW, p))
     assert fresh.final_x.tobytes() == got.final_x.tobytes() and fresh.trace == got.trace
+
+
+def _one_width(m: int, n: int, width: int, seed: int, short: int | None = None) -> CsrMatrix:
+    """m rows of ``width`` entries over n columns, with stored +0.0 and -0.0
+    among the values; row ``short`` (when given) loses its last entry."""
+    rng = np.random.default_rng(seed)
+    cols = [np.sort(rng.choice(n, width, replace=False)) for _ in range(m)]
+    if short is not None:
+        cols[short] = cols[short][:-1]
+    counts = [len(c) for c in cols]
+    vals = rng.standard_normal(sum(counts))
+    vals[rng.random(len(vals)) < 0.2] = 0.0
+    vals[::7] = -0.0
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    return CsrMatrix(m, n, offsets, np.concatenate(cols), vals)
+
+
+def _lower_matches(A: CsrMatrix, ids: np.ndarray, b: int) -> np.ndarray:
+    """Each round's shared columns over pairs of rows in different batches."""
+    supports = [[set(A.row(i)[0].tolist()) for i in r] for r in ids]
+    return np.array(
+        [sum(len(sup[j] & sup[q]) for j in range(len(sup)) for q in range(j) if j // b > q // b) for sup in supports],
+        dtype=np.int64,
+    )
+
+
+@pytest.mark.parametrize(
+    "m,n,width,short",
+    [(5, 4, 0, None), (6, 4, 1, None), (30, 50, 20, None), (1, 9, 3, None), (8, 6, 6, None), (30, 50, 20, 13)],
+    ids=["width 0", "width 1", "width 20", "one row", "every column", "one row short"],
+)
+def test_gathers_match_the_entry_index(m, n, width, short):
+    # ``_gather``, ``_gather_rounds`` and ``_lower_block_matches`` give the
+    # bytes of a gather through an index of every entry: by whole-row takes
+    # on a matrix of one width (stored zeros, -0.0 and repeated ids
+    # included), and by the index on a matrix with one row short of the
+    # rest.  Column windows give them too: all of them are of one width
+    # when every row holds every column, and the narrower ones are ragged
+    # otherwise.
+    A = _one_width(m, n, width, seed=m + width, short=short)
+    assert A.width == (width if short is None else None)
+    rng = np.random.default_rng(m)
+    ids = rng.integers(0, m, size=(3, 4))
+    ids[0, 1] = ids[0, 0]
+    ids[2] = ids[0]
+    if short is not None:
+        ids[1, 2] = short
+    cuts = [0, n // 3, n]
+    for W in [A] + [A.column_window(lo, hi) for lo, hi in zip(cuts, cuts[1:])]:
+        want = row_oracles.entry_gather(W, ids.ravel())
+        assert [a.tobytes() for a in casgd.sparse._gather(W, ids.ravel())] == [a.tobytes() for a in want]
+        (starts, cols, vals, row_of), edges, row_ofs = casgd.sparse._gather_rounds(W, ids)
+        assert [a.tobytes() for a in (starts, cols, vals, row_of)] == [a.tobytes() for a in want]
+        assert edges == want[0][::4].tolist()
+        for r, local in zip(ids, row_ofs):
+            counts = W.row_nnz[r]
+            assert _same_row_of(local, None if (counts == counts[0]).all() else np.repeat(np.arange(4), counts))
+        for b in (1, 2):
+            assert casgd.sparse._lower_block_matches(W, ids, b).tobytes() == _lower_matches(W, ids, b).tobytes()
+            assert casgd.sparse._lower_block_matches(W, ids[0], b) == _lower_matches(W, ids[:1], b)[0]
