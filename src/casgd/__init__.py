@@ -11,7 +11,7 @@ from .cluster import (
 )
 from .costs import CostParams, MachineModel, crossover_s, modeled_time, theoretical_cost
 from .datagen import synthetic_dataset
-from .model import accuracy, finite_difference_gradient, full_gradient, loss, sig
+from .model import accuracy, loss, sig
 from .sampling import BatchStream
 from .solvers import (
     ConfigError,
@@ -20,18 +20,13 @@ from .solvers import (
     TraceRecord,
     relative_solution_error,
     run_casgd,
-    run_reference,
     run_sgd,
 )
 from .sparse import (
     CsrMatrix,
     LabeledDataset,
     LibsvmParseError,
-    RowBlockSelector,
-    gram_block,
     parse_libsvm,
-    sampled_matvec,
-    sampled_matvec_transpose,
     serialize_libsvm,
 )
 

@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .sparse import CsrMatrix, LabeledDataset
+from .sparse import LabeledDataset
 
 __all__ = [
     "BLOCK_COLUMN",
@@ -116,9 +116,6 @@ class VirtualCluster:
     def p(self) -> int:
         return self.layout.p
 
-    def rank_range(self, rank: int) -> tuple[int, int]:
-        return self.layout.boundaries[rank]
-
     def _count(self, words: int) -> None:
         c = self.counters
         c.words_moved += words
@@ -205,59 +202,6 @@ class VirtualCluster:
             return (self.dataset,)
         A, labels = self.dataset.a_tilde, self.dataset.labels
         return tuple(LabeledDataset.build(A.column_window(start, stop), labels) for start, stop in self.layout.boundaries)
-
-    # -- diagnostic views -------------------------------------------------
-
-    def rank_view(self, rank: int) -> CsrMatrix:
-        """The rank's slice of the scaled matrix, locally indexed (tests/diagnostics)."""
-        if self.layout.kind == BLOCK_COLUMN:
-            return self.column_slices[rank].a_tilde
-        A = self.dataset.a_tilde
-        start, stop = self.rank_range(rank)
-        offsets = A.row_offsets[start : stop + 1]
-        lo, hi = offsets[0], offsets[-1]
-        return CsrMatrix(stop - start, A.num_cols, offsets - lo, A.col_indices[lo:hi], A.values[lo:hi])
-
-    def reassemble(self) -> CsrMatrix:
-        """Rebuild the full matrix from rank views; must equal the original exactly."""
-        views = [self.rank_view(r) for r in range(self.p)]
-        A = self.dataset.a_tilde
-        if self.layout.kind == BLOCK_ROW:
-            offsets = [0]
-            cols = []
-            vals = []
-            for view in views:
-                for i in range(view.num_rows):
-                    c, v = view.row(i)
-                    cols.append(c)
-                    vals.append(v)
-                    offsets.append(offsets[-1] + len(c))
-            return CsrMatrix(
-                A.num_rows,
-                A.num_cols,
-                np.array(offsets),
-                np.concatenate(cols) if cols else np.empty(0, dtype=np.int64),
-                np.concatenate(vals) if vals else np.empty(0),
-            )
-        offsets = [0]
-        cols = []
-        vals = []
-        for i in range(A.num_rows):
-            row_len = 0
-            for rank, view in enumerate(views):
-                start, _ = self.rank_range(rank)
-                c, v = view.row(i)
-                cols.append(c + start)
-                vals.append(v)
-                row_len += len(c)
-            offsets.append(offsets[-1] + row_len)
-        return CsrMatrix(
-            A.num_rows,
-            A.num_cols,
-            np.array(offsets),
-            np.concatenate(cols) if cols else np.empty(0, dtype=np.int64),
-            np.concatenate(vals) if vals else np.empty(0),
-        )
 
 
 def partition(dataset: LabeledDataset, kind: str, p: int) -> VirtualCluster:

@@ -1,4 +1,4 @@
-"""Logistic loss, its score nonlinearity, gradient, and test oracles.
+"""Logistic loss, its score nonlinearity, and accuracy.
 
 The score nonlinearity used throughout is ``sig(t) = 1 / (1 + exp(t))``
 (note the plus sign: this equals the standard logistic applied to ``-t``).
@@ -16,7 +16,7 @@ import numpy as np
 
 from .sparse import LabeledDataset
 
-__all__ = ["sig", "loss", "full_gradient", "accuracy", "finite_difference_gradient"]
+__all__ = ["sig", "loss", "accuracy"]
 
 # exp(-36) < 2^-52: beyond this softplus(t) is t (or exp(t)) to full precision.
 _SOFTPLUS_CUT = 36.0
@@ -57,12 +57,6 @@ def loss(dataset: LabeledDataset, x: np.ndarray) -> float:
     return float(np.mean(_softplus(-_scores(dataset, x))))
 
 
-def full_gradient(dataset: LabeledDataset, x: np.ndarray) -> np.ndarray:
-    """Analytic gradient ``-(1/m) a_tilde^T sig(a_tilde x)``."""
-    v = sig(_scores(dataset, x))
-    return (-1.0 / dataset.num_points) * dataset.a_tilde.scipy_csr.T.dot(v)
-
-
 def accuracy(dataset: LabeledDataset, x: np.ndarray) -> float:
     """Fraction of points whose raw score sign matches the label.
 
@@ -73,18 +67,3 @@ def accuracy(dataset: LabeledDataset, x: np.ndarray) -> float:
     st = _scores(dataset, x)
     correct = (st > 0.0) | ((st == 0.0) & (dataset.labels > 0.0))
     return float(correct.mean())
-
-
-def finite_difference_gradient(dataset: LabeledDataset, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
-    """Central-difference gradient of ``loss``; oracle for ``full_gradient``."""
-    if h <= 0:
-        raise ValueError("h must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    for i in range(len(x)):
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += h
-        xm[i] -= h
-        out[i] = (loss(dataset, xp) - loss(dataset, xm)) / (2.0 * h)
-    return out

@@ -32,9 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .sparse import RowBlockSelector
-
-__all__ = ["BatchStream", "RowBlockSelector"]
+__all__ = ["BatchStream"]
 
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -119,7 +117,7 @@ def _walk_columns(slots: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BatchStream:
-    """Stream of row-batch selectors, fully determined by (seed, cursor, m, b, mode)."""
+    """Stream of row batches, fully determined by (seed, cursor, m, b, mode)."""
 
     seed: int
     m: int
@@ -171,30 +169,22 @@ class BatchStream:
             ]
         )
 
-    def next_batch(self) -> RowBlockSelector:
-        sel = RowBlockSelector(self._rows(self.cursor, 1)[0].copy())
-        self.cursor += 1
-        return sel
-
-    def peek_batches(self, s: int) -> list[RowBlockSelector]:
-        """The next ``s`` selectors, without advancing the cursor."""
-        return [RowBlockSelector(ids.copy()) for ids in self._rows(self.cursor, s)]
-
     def advance(self, s: int) -> None:
         self.cursor += s
 
-    # Plain-int variants of next_batch/peek_batches for solver hot loops;
-    # same draws, minus selector construction and re-validation
-    # (Fisher-Yates already guarantees distinct in-range indices).  The
-    # solvers call peek_indices once per block of rounds, so its list
-    # conversion is paid per block.  It stays list-valued: observers that
-    # wrap the method, such as the benchmark's tracer, test the result's
-    # truth value, which an ndarray does not have.
+    # Batches come as plain lists of ints, unchecked: Fisher-Yates already
+    # guarantees distinct in-range indices.  The solvers call peek_indices
+    # once per block of rounds, so its list conversion is paid per block.
+    # It stays list-valued: observers that wrap the method, such as the
+    # benchmark's tracer, test the result's truth value, which an ndarray
+    # does not have.
 
     def next_indices(self) -> list[int]:
+        """The batch at the cursor, advancing it by one."""
         ids = self._rows(self.cursor, 1)[0].tolist()
         self.cursor += 1
         return ids
 
     def peek_indices(self, s: int) -> list[list[int]]:
+        """The next ``s`` batches, without advancing the cursor."""
         return self._rows(self.cursor, s).tolist()

@@ -100,7 +100,7 @@ import numpy as np
 
 from .cluster import BLOCK_COLUMN, BLOCK_ROW, CostCounters, VirtualCluster
 from .model import accuracy, loss, sig
-from .sampling import BatchStream, RowBlockSelector
+from .sampling import BatchStream
 from .sparse import (
     LabeledDataset,
     RowBlock,
@@ -108,8 +108,6 @@ from .sparse import (
     batch_scores,
     gather_rows,
     gram_lower_blocks,
-    sampled_matvec,
-    sampled_matvec_transpose,
 )
 
 __all__ = [
@@ -121,7 +119,6 @@ __all__ = [
     "epoch_schedule",
     "run_sgd",
     "run_casgd",
-    "run_reference",
     "relative_solution_error",
 ]
 
@@ -289,35 +286,6 @@ def _sig_batch(z: np.ndarray, width: int | None = None) -> np.ndarray:
     return np.concatenate([sig(z[k : k + width]) for k in range(0, z.shape[0], width)])
 
 
-class _ForcedBatches:
-    """Stream facade over an explicit selector sequence."""
-
-    def __init__(self, selectors: Sequence[RowBlockSelector]):
-        self._ids = [[int(v) for v in sel.indices] for sel in selectors]
-        self._pos = 0
-
-    def peek_indices(self, s: int) -> list[list[int]]:
-        return self._ids[self._pos : self._pos + s]
-
-    def advance(self, s: int) -> None:
-        self._pos += s
-
-
-def _source(cfg, cluster, dataset, batches, need):
-    if batches is not None:
-        if len(batches) < need:
-            raise ConfigError(f"forced batch sequence has {len(batches)} selectors, need {need}")
-        for sel in batches:
-            if len(sel.indices) != cfg.b:
-                raise ConfigError("forced batch size differs from config batch size")
-            if len(sel.indices) and int(sel.indices.max()) >= dataset.num_points:
-                raise ConfigError("forced batch index out of range")
-        return _ForcedBatches(batches)
-    # Row ranks draw their own rows of every batch.
-    ranges = cluster.layout.boundaries if cfg.layout == BLOCK_ROW else None
-    return BatchStream(cfg.seed, dataset.num_points, cfg.b, mode="per_rank" if ranges else "global", rank_ranges=ranges)
-
-
 def _check_cluster(cfg: SolverConfig, cluster: VirtualCluster, dataset: LabeledDataset) -> None:
     if cluster.layout.kind != cfg.layout:
         raise ConfigError(f"cluster layout {cluster.layout.kind} != config layout {cfg.layout}")
@@ -375,13 +343,12 @@ def run_sgd(
     cfg: SolverConfig,
     cluster: VirtualCluster,
     *,
-    batches: Sequence[RowBlockSelector] | None = None,
     schedule: Sequence[tuple[int, int]] | None = None,
 ) -> SolverRun:
     """One-communication-per-iteration SGD over the cluster (requires s = 1)."""
     if cfg.s != 1:
         raise ConfigError("run_sgd requires s == 1")
-    return _run_rounds(dataset, cfg, cluster, batches, schedule, casgd=False)
+    return _run_rounds(dataset, cfg, cluster, schedule, casgd=False)
 
 
 def run_casgd(
@@ -389,7 +356,6 @@ def run_casgd(
     cfg: SolverConfig,
     cluster: VirtualCluster,
     *,
-    batches: Sequence[RowBlockSelector] | None = None,
     schedule: Sequence[tuple[int, int]] | None = None,
 ) -> SolverRun:
     """s-step SGD: one communication round per s logical iterations.
@@ -399,7 +365,7 @@ def run_casgd(
     runs align them up to round boundaries, where the solution is first
     materialized.
     """
-    return _run_rounds(dataset, cfg, cluster, batches, schedule, casgd=True)
+    return _run_rounds(dataset, cfg, cluster, schedule, casgd=True)
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +416,7 @@ class _Rank:
         self.block_rows = None
 
 
-def _run_rounds(dataset, cfg, cluster, batches, schedule, casgd):
+def _run_rounds(dataset, cfg, cluster, schedule, casgd):
     """The round loop of both solvers; ``casgd`` selects the s-step payload."""
     _check_cluster(cfg, cluster, dataset)
     m, n = dataset.num_points, dataset.num_features
@@ -463,7 +429,9 @@ def _run_rounds(dataset, cfg, cluster, batches, schedule, casgd):
     iterations = s * -(-H // s)
     if schedule is None:
         schedule = epoch_schedule(m, b, H, s=s, align_to_rounds=row)
-    source = _source(cfg, cluster, dataset, batches, iterations)
+    # Row ranks draw their own rows of every batch.
+    ranges = cluster.layout.boundaries if row else None
+    source = BatchStream(cfg.seed, m, b, mode="per_rank" if row else "global", rank_ranges=ranges)
     eta_scale = cfg.eta0 / m
     A = dataset.a_tilde
     dense = A.dense_cache() is not None
@@ -640,8 +608,11 @@ def _run_rounds(dataset, cfg, cluster, batches, schedule, casgd):
                         if casgd:
                             # Each rank's rows' values of the first s-1
                             # batches (the Gram's column side), then its
-                            # scores for all s batches.
-                            payloads = [np.concatenate((head, rs[spot])) for head, spot in zip(entries.heads[r], spots)]
+                            # scores for all s batches.  At s = 1 there
+                            # are no such values.
+                            payloads = [rs[spot] for spot in spots]
+                            if s > 1:
+                                payloads = [np.concatenate(pair) for pair in zip(entries.heads[r], payloads)]
                     if K > 1:
                         for rk in owners:
                             rk.gram[...] = rk.grams[r]
@@ -702,33 +673,3 @@ def _run_rounds(dataset, cfg, cluster, batches, schedule, casgd):
         t += count * s
 
     return SolverRun(x.copy(), rec.trace, c.snapshot(), rec.solutions)
-
-
-# ---------------------------------------------------------------------------
-# sequential oracle
-
-
-def run_reference(
-    dataset: LabeledDataset,
-    cfg: SolverConfig,
-    forced_batches: Sequence[RowBlockSelector],
-) -> SolverRun:
-    """Single-rank textbook SGD loop over an explicit batch sequence.
-
-    Uses the public kernels directly and touches no cluster, so it serves
-    as an independent oracle for the simulated runs.
-    """
-    m, n = dataset.num_points, dataset.num_features
-    eta_scale = cfg.eta0 / m
-    H = len(forced_batches)
-    counters = CostCounters()
-    x = np.zeros(n)
-    rec = _Recorder(dataset, counters, epoch_schedule(m, cfg.b, H))
-    rec.record(0, x)
-    for t, sel in enumerate(forced_batches, start=1):
-        z = sampled_matvec(dataset, sel, x)
-        v = sig(z)
-        x = x + sampled_matvec_transpose(dataset, sel, eta_scale * v)
-        if rec.next_iteration <= t:
-            rec.visit(t, x)
-    return SolverRun(x.copy(), rec.trace, counters, rec.solutions)

@@ -4,11 +4,9 @@ The data matrix is stored label-scaled: row i of ``a_tilde`` is the i-th
 input row multiplied by its label in {-1, +1}.  Column indices are 0-based
 internally; the 1-based LIBSVM indices are shifted on ingest.
 
-Two kinds of kernels work on sampled rows:
+Two kinds of kernels work on sampled rows (``tests/oracles.py`` holds
+the row-by-row kernels they are tested against):
 
-  * reference kernels (``sampled_matvec``, ``sampled_matvec_transpose``,
-    ``gram_block``) take a ``RowBlockSelector`` and go row by row; the
-    sequential oracle and the tests use them.
   * round kernels (``batch_scores``, ``gram_lower_blocks``,
     ``add_rows_transpose``) compute a solver round's scores, Gram blocks
     and update from one form of the round's rows, which ``gather_rows``
@@ -37,10 +35,9 @@ Two kinds of kernels work on sampled rows:
     without a dense cache, its Gram pairs, which ``RowBlock.add_gram`` adds
     into the round's Gram and ``RowBlock.clear_gram`` clears from it.
 
-Pairwise row inner products match entries of the two rows' sorted column
-indices and sum the products in ascending column order, which keeps
-results reproducible and makes ``gram_block(s1, s2)`` exactly the
-transpose of ``gram_block(s2, s1)``.
+The sparse Gram sums each inner product of two rows over the columns
+they share, in ascending column order from +0.0, as scipy's CSR product
+does, which keeps results reproducible.
 """
 
 from __future__ import annotations
@@ -56,13 +53,9 @@ import scipy.sparse
 __all__ = [
     "CsrMatrix",
     "LabeledDataset",
-    "RowBlockSelector",
     "LibsvmParseError",
     "parse_libsvm",
     "serialize_libsvm",
-    "sampled_matvec",
-    "sampled_matvec_transpose",
-    "gram_block",
     "gather_rows",
     "batch_scores",
     "gram_lower_blocks",
@@ -262,19 +255,6 @@ class CsrMatrix:
         out[np.repeat(np.arange(self.num_rows), self.row_nnz), self.col_indices] = self.values
         return out
 
-    @classmethod
-    def from_dense(cls, dense) -> "CsrMatrix":
-        dense = np.asarray(dense, dtype=np.float64)
-        offsets = [0]
-        cols: list[int] = []
-        vals: list[float] = []
-        for i in range(dense.shape[0]):
-            nz = np.nonzero(dense[i])[0]
-            cols.extend(int(j) for j in nz)
-            vals.extend(float(v) for v in dense[i, nz])
-            offsets.append(len(vals))
-        return cls(dense.shape[0], dense.shape[1], np.array(offsets), np.array(cols), np.array(vals))
-
 
 @dataclass(frozen=True)
 class LabeledDataset:
@@ -299,27 +279,6 @@ class LabeledDataset:
         nnz = a_tilde.nnz
         density = nnz / (m * n) if m and n else 0.0
         return cls(a_tilde, y, m, n, nnz, density)
-
-
-@dataclass(frozen=True)
-class RowBlockSelector:
-    """Sampled row ids defining an implicit b-by-m row-selection matrix."""
-
-    indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.ascontiguousarray(self.indices, dtype=np.int64)
-        object.__setattr__(self, "indices", idx)
-        if idx.ndim != 1:
-            raise ValueError("selector indices must be one-dimensional")
-        if len(idx) and idx.min() < 0:
-            raise ValueError("selector indices must be non-negative")
-        if len(np.unique(idx)) != len(idx):
-            raise ValueError("selector indices must be pairwise distinct")
-        idx.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.indices)
 
 
 # ---------------------------------------------------------------------------
@@ -622,87 +581,6 @@ def serialize_libsvm(dataset: LabeledDataset) -> str:
         parts.extend(f"{c + 1}:{format(v * y, '.17g')}" for c, v in zip(cols, vals))
         out.append(" ".join(parts))
     return "\n".join(out) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Sampled-row kernels
-
-
-def _check_selector(sel: RowBlockSelector, num_rows: int) -> np.ndarray:
-    idx = sel.indices
-    if len(idx) and idx.max() >= num_rows:
-        raise IndexError(f"selector index {int(idx.max())} out of range for {num_rows} rows")
-    return idx
-
-
-def sampled_matvec(dataset: LabeledDataset, sel: RowBlockSelector, x: np.ndarray) -> np.ndarray:
-    """Scores of the sampled rows against ``x``."""
-    A = dataset.a_tilde
-    idx = _check_selector(sel, A.num_rows)
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (A.num_cols,):
-        raise ValueError(f"x must have length {A.num_cols}")
-    out = np.empty(len(idx))
-    for k, i in enumerate(idx):
-        cols, vals = A.row(i)
-        out[k] = np.dot(vals, x[cols])
-    return out
-
-
-def sampled_matvec_transpose(dataset: LabeledDataset, sel: RowBlockSelector, v: np.ndarray) -> np.ndarray:
-    """Weighted sum of the sampled rows: sum_k v[k] * row(sel[k]).
-
-    Returns a dense vector of length ``num_features``.  Rows are
-    accumulated in selector order.
-    """
-    A = dataset.a_tilde
-    idx = _check_selector(sel, A.num_rows)
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (len(idx),):
-        raise ValueError(f"v must have length {len(idx)}")
-    out = np.zeros(A.num_cols)
-    for k, i in enumerate(idx):
-        cols, vals = A.row(i)
-        out[cols] += v[k] * vals
-    return out
-
-
-def _matched_dot(
-    cols_a: np.ndarray,
-    vals_a: np.ndarray,
-    cols_b: np.ndarray,
-    vals_b: np.ndarray,
-) -> float:
-    """Merge of two sorted index lists; product sum in ascending column order."""
-    if not len(cols_a) or not len(cols_b):
-        return 0.0
-    pos = np.searchsorted(cols_a, cols_b)
-    ok = pos < len(cols_a)
-    ok[ok] = cols_a[pos[ok]] == cols_b[ok]
-    # One addition at a time from +0.0, as a CSR product sums (np.dot's
-    # BLAS may split the sum).
-    total = 0.0
-    for product in (vals_a[pos[ok]] * vals_b[ok]).tolist():
-        total += product
-    return total
-
-
-def gram_block(dataset: LabeledDataset, sel_row: RowBlockSelector, sel_col: RowBlockSelector) -> np.ndarray:
-    """Pairwise inner products between two sampled row batches.
-
-    ``out[k, l]`` is the inner product of row ``sel_row[k]`` and row
-    ``sel_col[l]``, computed as a sparse merge of the two rows' sorted
-    column indices.
-    """
-    A = dataset.a_tilde
-    rows = _check_selector(sel_row, A.num_rows)
-    cols_sel = _check_selector(sel_col, A.num_rows)
-    out = np.empty((len(rows), len(cols_sel)))
-    for k, i in enumerate(rows):
-        ci, vi = A.row(i)
-        for l, j in enumerate(cols_sel):
-            out[k, l] = _matched_dot(ci, vi, *A.row(j))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1013,11 +891,12 @@ class RowBlock:
         Gram pairs read;
       * ``supports``: its sorted distinct columns, or None when its rows
         hold more than n / ``_SUPPORT_MIN_RATIO`` entries;
-      * with ``payload`` (the s-step allgather): ``heads``, each rank's
-        values of its rows of the first s-1 batches, in row order, and, at
-        s > 1 without a dense cache (whose Gram is a BLAS product of dense
-        rows), its Gram pairs (in ``rounds``, added by ``add_gram``),
-        counted by ``matches`` (int64, one per round; else None).
+      * with ``payload`` (the s-step allgather) at s > 1: ``heads``, each
+        rank's values of its rows of the first s-1 batches, in row order
+        (``heads`` is empty at s = 1 or without ``payload``), and, without
+        a dense cache (whose Gram is a BLAS product of dense rows), its
+        Gram pairs (in ``rounds``, added by ``add_gram``), counted by
+        ``matches`` (int64, one per round; else None).
 
     An entry's key is its place in the flattened gradient buffers of its
     round's ranks: (p, n) buffers over all columns (``rank * n + column``)
@@ -1070,7 +949,9 @@ class RowBlock:
                 self.matches = np.diff(pair_starts)
                 pair_starts = pair_starts.tolist()
 
-        if payload:
+        # At s = 1 no batch precedes the last, so there are no heads.
+        heads = payload and s > 1
+        if heads:
             # Where each round's last batch starts.
             heads_end = starts[np.arange(K) * sb + (s - 1) * b].tolist()
         self.rounds, self.heads = [], []
@@ -1078,7 +959,7 @@ class RowBlock:
             lo, hi = edges[k], edges[k + 1]
             gram = (targets[pair_starts[k] : pair_starts[k + 1]], products[pair_starts[k] : pair_starts[k + 1]]) if pairs else ()
             self.rounds.append(RoundEntries(cols[lo:hi], vals[lo:hi], rows, keys[lo:hi], *gram))
-            if payload:
+            if heads:
                 # Each rank's entries of the first s-1 batches, in row order.
                 end = heads_end[k]
                 self.heads.append([vals[lo:end][rank[lo:end] == r] for r in range(p)])

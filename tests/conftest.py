@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from casgd import CsrMatrix, LabeledDataset, parse_libsvm
+from casgd import LabeledDataset, parse_libsvm
+from oracles import csr_from_dense
 
 
 def dataset_from_scaled(dense_scaled, labels) -> LabeledDataset:
     """Dataset whose stored (label-scaled) matrix equals the given dense array."""
     return LabeledDataset.build(
-        CsrMatrix.from_dense(np.asarray(dense_scaled, dtype=np.float64)),
+        csr_from_dense(np.asarray(dense_scaled, dtype=np.float64)),
         np.asarray(labels, dtype=np.float64),
     )
 

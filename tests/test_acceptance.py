@@ -18,8 +18,6 @@ from casgd import (
     MachineModel,
     SolverConfig,
     crossover_s,
-    finite_difference_gradient,
-    full_gradient,
     modeled_time,
     parse_libsvm,
     partition,
@@ -33,6 +31,7 @@ from casgd.cli import main
 from casgd.datagen import synthetic_dataset
 
 from conftest import random_dataset
+from oracles import finite_difference_gradient, full_gradient
 
 S_VALUES = (2, 8, 64, 512)
 EPOCHS = 100

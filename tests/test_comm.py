@@ -5,6 +5,7 @@ from casgd import BLOCK_COLUMN, BLOCK_ROW, LayoutDescriptor, VirtualCluster, par
 from casgd.cluster import tree_message_count
 
 from conftest import random_dataset
+from oracles import rank_range, rank_view, reassemble
 
 
 class TestLayout:
@@ -214,7 +215,7 @@ class TestReconstruction:
     def test_reassemble_identity(self, kind, p):
         d = random_dataset(np.random.default_rng(2), 17, 9)
         cluster = partition(d, kind, p)
-        rebuilt = cluster.reassemble()
+        rebuilt = reassemble(cluster)
         np.testing.assert_array_equal(rebuilt.row_offsets, d.a_tilde.row_offsets)
         np.testing.assert_array_equal(rebuilt.col_indices, d.a_tilde.col_indices)
         np.testing.assert_array_equal(rebuilt.values, d.a_tilde.values)
@@ -223,8 +224,8 @@ class TestReconstruction:
         d = random_dataset(np.random.default_rng(4), 23, 11)
         cluster = partition(d, BLOCK_COLUMN, 3)
         for rank in range(3):
-            start, stop = cluster.rank_range(rank)
-            rows = cluster.rank_view(rank).row_slices
+            start, stop = rank_range(cluster, rank)
+            rows = rank_view(cluster, rank).row_slices
             assert not isinstance(rows, tuple) and len(rows) == 23
             for i in range(23):
                 cols, vals = d.a_tilde.row(i)
@@ -235,5 +236,5 @@ class TestReconstruction:
     def test_single_rank_view_is_whole_matrix(self):
         d = random_dataset(np.random.default_rng(3), 8, 5)
         cluster = partition(d, BLOCK_COLUMN, 1)
-        view = cluster.rank_view(0)
+        view = rank_view(cluster, 0)
         np.testing.assert_array_equal(view.to_dense(), d.a_tilde.to_dense())

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from casgd import accuracy, finite_difference_gradient, full_gradient, loss, sig
+from casgd import accuracy, loss, sig
 
 from conftest import dataset_from_scaled, random_dataset
+from oracles import finite_difference_gradient, full_gradient
 
 
 class TestSig:

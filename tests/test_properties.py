@@ -67,13 +67,19 @@ def _runs(d, layout, p, b, s, epochs, seed):
 def test_round_loop_matches_sgd():
     # A support ratio of 0 gives every sparse row round a support, so rounds
     # with entries reach the scatter over a support (at n <= 10 the default
-    # ratio gives one only to rounds of empty rows).  Spies on the round
-    # kernels count the paths the examples reach, each of which must run:
-    # among them the gathers of whole rows (a matrix or window of one
-    # width) and of each entry (ragged rows).
+    # ratio gives one only to rounds of empty rows).  Gram panels of 2 rows
+    # split dense Grams of small s*b into panels, and a block budget of 1
+    # byte gives every block one round.  Spies on the round kernels count
+    # the paths the examples reach, each of which must run: among them the
+    # gathers of whole rows (a matrix or window of one width) and of each
+    # entry (ragged rows), dense Grams of more rows than a panel, and
+    # blocks of one round and of several.
     seen = Counter()
     scores, gradients, add_gram, row_block = batch_scores, RowBlock.gradients, RowBlock.add_gram, RowBlock.__init__
-    gather = casgd.sparse._gather
+    gather, gather_rows, gram = casgd.sparse._gather, casgd.solvers.gather_rows, casgd.solvers.gram_lower_blocks
+
+    def block_seen(row_ids):
+        seen["one-round blocks" if len(row_ids) == 1 else "multi-round blocks"] += 1
 
     def gather_spy(A, flat):
         seen["whole rows" if A.width is not None else "each entry"] += 1
@@ -95,10 +101,20 @@ def test_round_loop_matches_sgd():
             seen["gram pairs"] += 1
         add_gram(entries, k, G)
 
-    def row_block_spy(entries, dataset, *args):
+    def row_block_spy(entries, dataset, row_ids, *args):
         if dataset.a_tilde.dense_cache() is not None:
             seen["row, dense cache"] += 1
-        row_block(entries, dataset, *args)
+        block_seen(row_ids)
+        row_block(entries, dataset, row_ids, *args)
+
+    def gather_rows_spy(dataset, row_ids, batches):
+        block_seen(row_ids)
+        return gather_rows(dataset, row_ids, batches)
+
+    def gram_spy(dataset, row_ids, *args, **kwargs):
+        if dataset.a_tilde.dense_cache() is not None and np.shape(row_ids)[-1] > casgd.sparse._GRAM_PANEL_ROWS:
+            seen["dense gram in panels"] += 1
+        return gram(dataset, row_ids, *args, **kwargs)
 
     with (
         mock.patch.object(casgd.solvers, "batch_scores", scores_spy),
@@ -106,9 +122,22 @@ def test_round_loop_matches_sgd():
         mock.patch.object(RowBlock, "add_gram", add_gram_spy),
         mock.patch.object(RowBlock, "__init__", row_block_spy),
         mock.patch.object(casgd.sparse, "_gather", gather_spy),
+        mock.patch.object(casgd.solvers, "gather_rows", gather_rows_spy),
+        mock.patch.object(casgd.solvers, "gram_lower_blocks", gram_spy),
     ):
         _round_loop_matches_sgd()
-    assert set(seen) == {"vecdot", "bincount", "support", "gram pairs", "row, dense cache", "whole rows", "each entry"}, seen
+    assert set(seen) == {
+        "vecdot",
+        "bincount",
+        "support",
+        "gram pairs",
+        "row, dense cache",
+        "whole rows",
+        "each entry",
+        "dense gram in panels",
+        "one-round blocks",
+        "multi-round blocks",
+    }, seen
 
 
 @PROPERTY_SETTINGS
@@ -117,16 +146,22 @@ def test_round_loop_matches_sgd():
     density=st.sampled_from([0.05, 0.3, 1.0]),
     dense=st.booleans(),
     support_ratio=st.sampled_from([0, casgd.sparse._SUPPORT_MIN_RATIO]),
+    panel_rows=st.sampled_from([casgd.sparse._GRAM_PANEL_ROWS, 2]),
+    block_bytes=st.sampled_from([casgd.solvers._BLOCK_BYTES, 1]),
     seed=st.integers(0, 2**32),
 )
-def _round_loop_matches_sgd(grid, density, dense, support_ratio, seed):
+def _round_loop_matches_sgd(grid, density, dense, support_ratio, panel_rows, block_bytes, seed):
     layout, m, n, p, b, s, epochs = grid
     rng = np.random.default_rng(seed)
     d = random_dataset(rng, m, n, density)
     if not dense:
         with mock.patch.object(casgd.sparse, "_DENSE_CACHE_MAX_CELLS", 0):
             assert d.a_tilde.dense_cache() is None
-    with mock.patch.object(casgd.sparse, "_SUPPORT_MIN_RATIO", support_ratio):
+    with (
+        mock.patch.object(casgd.sparse, "_SUPPORT_MIN_RATIO", support_ratio),
+        mock.patch.object(casgd.sparse, "_GRAM_PANEL_ROWS", panel_rows),
+        mock.patch.object(casgd.solvers, "_BLOCK_BYTES", block_bytes),
+    ):
         sgd, ca = _runs(d, layout, p, b, s, epochs, seed)
         # s = 1 is plain SGD, bit for bit.
         sgd1, ca1 = _runs(d, layout, p, b, 1, epochs, seed)

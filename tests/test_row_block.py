@@ -1,5 +1,5 @@
 """``RowBlock``, the row layout's one gather per block, against the per-block
-kernels it replaced (``row_oracles``): keys, supports, slots, payload heads,
+kernels it replaced (``oracles``): keys, supports, slots, payload heads,
 Gram blocks and match counts must match them byte for byte, and each
 round's scores one ``ndarray.dot`` per row (rows of equal counts) or the
 CSR product (others).  The gathers they read match a gather through an
@@ -10,7 +10,7 @@ import pytest
 
 import casgd.solvers
 import casgd.sparse
-import row_oracles
+import oracles
 from casgd import BLOCK_ROW, CsrMatrix, SolverConfig, partition, run_casgd
 from casgd.datagen import synthetic_dataset
 from casgd.sparse import RowBlock, add_rows_transpose, batch_scores, gather_rows, gram_lower_blocks
@@ -89,12 +89,12 @@ def test_matches_the_kernels_it_replaced(monkeypatch, p, K, s, n, payload):
     assert len(entries.rounds) == len(entries.supports) == K
 
     # With or without a dense cache, rounds take a support by the ratio.
-    supports = row_oracles.column_support(d, block, ratio=casgd.sparse._SUPPORT_MIN_RATIO)
+    supports = oracles.column_support(d, block, ratio=casgd.sparse._SUPPORT_MIN_RATIO)
     if K > 1:
         # Rounds on both sides of the ratio.
         assert {support is None for support in supports} == {True, False}
     ranked = _ranked(s, b, width)
-    keys, vals, counts = row_oracles.rank_entries(d, block[:, ranked.ravel()], s * width)
+    keys, vals, counts = oracles.rank_entries(d, block[:, ranked.ravel()], s * width)
     keys, vals = _per_row(keys, counts.ravel()), _per_row(vals, counts.ravel())
     # Each round position's place in the oracle's rank-after-rank order, and its rank.
     rows = np.argsort(ranked.ravel())
@@ -140,10 +140,11 @@ def test_matches_the_kernels_it_replaced(monkeypatch, p, K, s, n, payload):
             assert one.cols.tobytes() == here.cols.tobytes() and one.vals.tobytes() == here.vals.tobytes()
             assert _same_row_of(one.row_of, here.row_of)
 
+    # Payload heads: each rank's values of its first s-1 batches, as the
+    # oracle's ranked values held them; none at s = 1 or without a payload.
+    assert len(entries.heads) == (K if payload and s > 1 else 0)
     if not payload:
         return
-    # Payload heads: each rank's values of its first s-1 batches, as the
-    # oracle's ranked values held them.
     for k, heads in enumerate(entries.heads):
         for r, head in enumerate(heads):
             stretch = k * sb + r * s * width
@@ -154,7 +155,7 @@ def test_matches_the_kernels_it_replaced(monkeypatch, p, K, s, n, payload):
         return
     # Gram blocks and matches, round by round from the block's pairs, and
     # for the block at once, equal the oracle's pairing of every entry.
-    want, matches = row_oracles.gram_pairs(d, block, b)
+    want, matches = oracles.gram_pairs(d, block, b)
     assert entries.matches.dtype == np.int64 and entries.matches.tobytes() == matches.tobytes()
     G = np.zeros((sb, sb))
     for k, here in enumerate(entries.rounds):
@@ -321,7 +322,7 @@ def test_gathers_match_the_entry_index(m, n, width, short):
         ids[1, 2] = short
     cuts = [0, n // 3, n]
     for W in [A] + [A.column_window(lo, hi) for lo, hi in zip(cuts, cuts[1:])]:
-        want = row_oracles.entry_gather(W, ids.ravel())
+        want = oracles.entry_gather(W, ids.ravel())
         assert [a.tobytes() for a in casgd.sparse._gather(W, ids.ravel())] == [a.tobytes() for a in want]
         (starts, cols, vals, row_of), edges, row_ofs = casgd.sparse._gather_rounds(W, ids)
         assert [a.tobytes() for a in (starts, cols, vals, row_of)] == [a.tobytes() for a in want]

@@ -16,39 +16,37 @@ class TestDeterminism:
         a = BatchStream(seed, m, b)
         c = BatchStream(seed, m, b)
         for _ in range(5):
-            np.testing.assert_array_equal(a.next_batch().indices, c.next_batch().indices)
+            assert a.next_indices() == c.next_indices()
 
     def test_same_cursor_same_selector(self):
         stream = BatchStream(42, 10, 3)
-        first = stream.peek_batches(1)[0]
-        again = stream.peek_batches(1)[0]
-        np.testing.assert_array_equal(first.indices, again.indices)
+        assert stream.peek_indices(1) == stream.peek_indices(1)
 
     def test_known_sequence_frozen(self):
         # Counter-based draws are platform independent; freeze one sequence.
         stream = BatchStream(7, 6, 2)
-        got = [stream.next_batch().indices.tolist() for _ in range(3)]
+        got = [stream.next_indices() for _ in range(3)]
         assert got == [[3, 5], [0, 4], [4, 1]]
 
-    def test_next_indices_matches_next_batch(self):
-        a = BatchStream(5, 20, 4)
-        b = BatchStream(5, 20, 4)
-        for _ in range(10):
-            assert a.next_indices() == b.next_batch().indices.tolist()
+    def test_batches_are_lists_of_ints(self):
+        # Observers that wrap the stream test a batch's truth value, which an
+        # ndarray does not have; each batch is a list of Python ints.
+        stream = BatchStream(5, 20, 4, mode="per_rank", rank_ranges=[(0, 10), (10, 20)])
+        for batch in [*stream.peek_indices(3), stream.next_indices()]:
+            assert type(batch) is list and len(batch) == 4
+            assert all(type(i) is int for i in batch)
 
 
 class TestWithoutReplacement:
     def test_full_batch_is_permutation(self):
         for seed in range(20):
-            sel = BatchStream(seed, 4, 4).next_batch()
-            assert sorted(sel.indices.tolist()) == [0, 1, 2, 3]
+            assert sorted(BatchStream(seed, 4, 4).next_indices()) == [0, 1, 2, 3]
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=2, max_value=30))
     def test_batch_distinct_in_range(self, seed, m):
         b = max(1, m // 2)
-        sel = BatchStream(seed, m, b).next_batch()
-        ids = sel.indices.tolist()
+        ids = BatchStream(seed, m, b).next_indices()
         assert len(set(ids)) == b
         assert all(0 <= i < m for i in ids)
 
@@ -57,7 +55,7 @@ class TestPerRank:
     def test_stratified_batch(self):
         stream = BatchStream(3, 4, 2, mode="per_rank", rank_ranges=[(0, 2), (2, 4)])
         for _ in range(10):
-            ids = stream.next_batch().indices
+            ids = stream.next_indices()
             assert 0 <= ids[0] < 2
             assert 2 <= ids[1] < 4
 
@@ -78,22 +76,22 @@ class TestPeek:
     def test_peek_one_equals_next(self):
         a = BatchStream(11, 12, 3)
         b = BatchStream(11, 12, 3)
-        np.testing.assert_array_equal(a.peek_batches(1)[0].indices, b.next_batch().indices)
+        assert a.peek_indices(1)[0] == b.next_indices()
 
     def test_peek_then_step_matches(self):
         stream = BatchStream(13, 15, 2)
-        ahead = [sel.indices.tolist() for sel in stream.peek_batches(4)]
-        stepped = [stream.next_batch().indices.tolist() for _ in range(4)]
+        ahead = stream.peek_indices(4)
+        stepped = [stream.next_indices() for _ in range(4)]
         assert ahead == stepped
 
     def test_advance_skips(self):
         a = BatchStream(17, 9, 2)
         b = BatchStream(17, 9, 2)
-        a.peek_batches(3)
+        a.peek_indices(3)
         a.advance(3)
         for _ in range(3):
-            b.next_batch()
-        np.testing.assert_array_equal(a.next_batch().indices, b.next_batch().indices)
+            b.next_indices()
+        assert a.next_indices() == b.next_indices()
 
 
 class TestUniformity:
@@ -196,9 +194,8 @@ class TestBlockSamplerMatchesScalarOracle:
 
     def test_selector_views_match_oracle_from_a_jumped_cursor(self):
         stream = BatchStream(99, self.M, 7, cursor=10_000)
-        sels = stream.peek_batches(3)
-        assert [sel.indices.tolist() for sel in sels] == [_oracle(99, self.M, 7, 10_000 + t) for t in range(3)]
-        assert stream.next_batch().indices.tolist() == _oracle(99, self.M, 7, 10_000)
+        assert stream.peek_indices(3) == [_oracle(99, self.M, 7, 10_000 + t) for t in range(3)]
+        assert stream.next_indices() == _oracle(99, self.M, 7, 10_000)
 
 
 @pytest.mark.parametrize("count", range(2, 17))

@@ -3,21 +3,22 @@ import math
 import numpy as np
 import pytest
 
+import casgd
+import casgd.cluster
+import casgd.model
+import casgd.sampling
 import casgd.solvers
 import casgd.sparse
 from casgd import (
     BLOCK_COLUMN,
     BLOCK_ROW,
     ConfigError,
-    RowBlockSelector,
     SolverConfig,
     VirtualCluster,
-    full_gradient,
     parse_libsvm,
     partition,
     relative_solution_error,
     run_casgd,
-    run_reference,
     run_sgd,
     serialize_libsvm,
 )
@@ -26,8 +27,8 @@ from casgd.sampling import BatchStream
 from casgd.solvers import _apply_row_gradient, _sig_batch, epoch_schedule, iterations_per_epoch
 from casgd.sparse import _SUPPORT_MIN_RATIO, RowBlock, add_rows_transpose, gather_rows
 
-import row_oracles
 from conftest import ragged_libsvm_dataset
+from oracles import RowBlockSelector, column_support, full_gradient, run_reference
 
 
 def _col_cluster(d, p=1):
@@ -38,16 +39,19 @@ def _row_cluster(d, p=1):
     return partition(d, BLOCK_ROW, p)
 
 
-def _full_batch(m):
-    return RowBlockSelector(np.arange(m))
+def _drawn(d, cfg, count):
+    """The first ``count`` batches of a column-layout run's stream, as selectors."""
+    return [RowBlockSelector(np.array(ids)) for ids in BatchStream(cfg.seed, d.num_points, cfg.b).peek_indices(count)]
 
 
 class TestRunSgd:
     def test_one_full_batch_step(self, tiny):
         cfg = SolverConfig(eta0=1.0, b=2, total_iterations=1)
-        run = run_sgd(tiny, cfg, _col_cluster(tiny), batches=[_full_batch(2)])
+        drawn = _drawn(tiny, cfg, 1)
+        assert sorted(drawn[0].indices.tolist()) == [0, 1]
+        run = run_sgd(tiny, cfg, _col_cluster(tiny))
         np.testing.assert_allclose(run.final_x, [0.25, -0.5], rtol=0, atol=1e-15)
-        ref = run_reference(tiny, cfg, [_full_batch(2)])
+        ref = run_reference(tiny, cfg, drawn)
         np.testing.assert_allclose(run.final_x, ref.final_x, rtol=0, atol=1e-15)
 
     def test_zero_learning_rate(self, tiny):
@@ -122,18 +126,47 @@ class TestCasgdDegenerate:
             _assert_same_bits(run_sgd(d, cfg, _row_cluster(d, p)), run_casgd(d, cfg, _row_cluster(d, p)))
 
     def test_worked_example_forced_batches(self, tiny):
-        sels = [RowBlockSelector(np.array([0])), RowBlockSelector(np.array([1]))]
-        cfg = SolverConfig(eta0=1.0, b=1, s=2, total_iterations=2)
-        ca = run_casgd(tiny, cfg, _col_cluster(tiny), batches=sels)
+        # Seed 6 draws row 0, then row 1.
+        sgd_cfg = SolverConfig(eta0=1.0, b=1, total_iterations=2, seed=6)
+        assert [sel.indices.tolist() for sel in _drawn(tiny, sgd_cfg, 2)] == [[0], [1]]
+        ca = run_casgd(tiny, SolverConfig(eta0=1.0, b=1, s=2, total_iterations=2, seed=6), _col_cluster(tiny))
         # v1 = sig(0) = 0.5, G[2,1] = 0, v2 = 0.5, x2 = 0.5*(0.5*a0 + 0.5*a1)
         np.testing.assert_allclose(ca.final_x, [0.25, -0.5], rtol=0, atol=1e-15)
-        sgd = run_sgd(tiny, SolverConfig(eta0=1.0, b=1, total_iterations=2), _col_cluster(tiny), batches=sels)
+        sgd = run_sgd(tiny, sgd_cfg, _col_cluster(tiny))
         np.testing.assert_allclose(ca.final_x, sgd.final_x, rtol=0, atol=1e-15)
 
-    def test_forced_batches_insufficient(self, tiny):
-        cfg = SolverConfig(eta0=1.0, b=1, s=2, total_iterations=4)
-        with pytest.raises(ConfigError, match="forced"):
-            run_casgd(tiny, cfg, _col_cluster(tiny), batches=[RowBlockSelector(np.array([0]))])
+    @pytest.mark.parametrize("solver", [run_sgd, run_casgd])
+    def test_batches_come_only_from_the_stream(self, tiny, solver):
+        # The solvers take no batches of the caller's; every run draws from
+        # its seed's stream.
+        cfg = SolverConfig(eta0=1.0, b=1, s=2, total_iterations=2)
+        with pytest.raises(TypeError, match="batches"):
+            solver(tiny, cfg, _col_cluster(tiny), batches=[RowBlockSelector(np.array([0]))] * 2)
+
+
+_ORACLE_NAMES = (
+    "RowBlockSelector",
+    "csr_from_dense",
+    "finite_difference_gradient",
+    "full_gradient",
+    "gram_block",
+    "rank_range",
+    "rank_view",
+    "reassemble",
+    "run_reference",
+    "sampled_matvec",
+    "sampled_matvec_transpose",
+)
+
+
+def test_package_exports_no_test_oracles():
+    # The reference kernels live with the tests, not in the library.
+    modules = [casgd, casgd.cluster, casgd.model, casgd.sampling, casgd.solvers, casgd.sparse]
+    for module in modules:
+        assert not set(_ORACLE_NAMES) & set(vars(module)), module.__name__
+        assert not set(_ORACLE_NAMES) & set(getattr(module, "__all__", ())), module.__name__
+    assert not hasattr(casgd.CsrMatrix, "from_dense")
+    assert not {"rank_range", "rank_view", "reassemble"} & set(dir(casgd.VirtualCluster))
 
 
 class TestEquivalence:
@@ -433,15 +466,6 @@ class TestRoundBlocks:
         assert row_blocks == (per_block if row else [[], [], []])
         assert round_grams == [[s * b] * 11 if row and not dense else []] * 3
         assert len(run.epoch_solutions) == 5
-
-    def test_forced_batches_in_blocks(self, monkeypatch):
-        d = ragged_libsvm_dataset(150, 40, seed=5)
-        rng = np.random.default_rng(5)
-        batches = [RowBlockSelector(rng.choice(150, size=3, replace=False)) for _ in range(40)]
-        batches[1] = batches[0]
-        cfg = SolverConfig(eta0=1.0, b=3, s=8, total_iterations=40, p=3)
-        _, sizes, _, _, _ = self._run_by_block_size(monkeypatch, d, cfg, batches=batches)
-        assert sizes == [[1] * 15, [3, 3, 3, 2, 2, 2], [5] * 3]
 
     @pytest.mark.parametrize("layout,p,b", [(BLOCK_COLUMN, 1, 1), (BLOCK_COLUMN, 3, 2), (BLOCK_ROW, 2, 4)])
     def test_sgd_rounds_in_blocks_without_dense_cache(self, monkeypatch, layout, p, b):
@@ -743,7 +767,7 @@ class TestRowGradientReduction:
                 dense = [False] * len(block)
             for payload in (False, True):
                 supports = RowBlock(d, block, 6, 2, payload).supports
-                oracle = row_oracles.column_support(d, block, ratio=casgd.sparse._SUPPORT_MIN_RATIO)
+                oracle = column_support(d, block, ratio=casgd.sparse._SUPPORT_MIN_RATIO)
                 assert len(supports) == len(block)
                 for ids, got, over, old in zip(block, supports, dense, oracle):
                     if over:
