@@ -24,7 +24,9 @@ Prints the set-up's, the parse's and each config's best time on each side
 and their ratio, then the sums of the solves.  Next to them it prints the
 median and the range of the repeats' own base/head ratios (each repeat runs
 both sides back to back), which show how far the host's noise moves a
-config.
+config.  Between them it prints the base side's interquartile range as a
+share of its median time ("-" below 4 repeats), and marks a row ``noise``
+when the median ratio lies within that share of 1.
 """
 
 from __future__ import annotations
@@ -185,12 +187,18 @@ def main(argv=None) -> int:
     times["sum"] = {name: [sum(values) for values in zip(*(times[label][name] for label in labels))] for name in sides}
 
     print(f"{args.workload} seed={args.seed} base={args.base} best of {args.repeats}; base/head ratios per repeat")
-    print(f"  {'config':<12} {'base ms':>9} {'head ms':>9} {'base/head':>9} {'median':>7}  range")
+    print(f"  {'config':<12} {'base ms':>9} {'head ms':>9} {'base/head':>9} {'median':>7} {'base IQR':>8}  range")
     for label, runs in times.items():
         b, h = min(runs["base"]), min(runs["head"])
         ratios = [x / y for x, y in zip(runs["base"], runs["head"])]
+        median = statistics.median(ratios)
         spread = f"{min(ratios):.3f}-{max(ratios):.3f}"
-        print(f"  {label:<12} {b * 1e3:9.2f} {h * 1e3:9.2f} {b / h:9.3f} {statistics.median(ratios):7.3f}  {spread}")
+        iqr, noise = "-", ""
+        if args.repeats >= 4:
+            q1, _, q3 = statistics.quantiles(runs["base"], n=4)
+            share = (q3 - q1) / statistics.median(runs["base"])
+            iqr, noise = f"{share:.3f}", "  noise" if abs(median - 1) <= share else ""
+        print(f"  {label:<12} {b * 1e3:9.2f} {h * 1e3:9.2f} {b / h:9.3f} {median:7.3f} {iqr:>8}  {spread}{noise}")
     for label, differ in mismatched:
         print(f"MISMATCH {label}: {', '.join(differ)} differ between base and head", file=sys.stderr)
     return 1 if mismatched else 0

@@ -3,6 +3,9 @@
 The data matrix is stored label-scaled: row i of ``a_tilde`` is the i-th
 input row multiplied by its label in {-1, +1}.  Column indices are 0-based
 internally; the 1-based LIBSVM indices are shifted on ingest.
+``parse_libsvm`` reads LIBSVM text given as one ``str``, a chunk of whole
+lines at a time, and maps the labels from the set, {-1, +1} or {0, 1},
+that the file's first label other than +1 chooses.
 
 Two kinds of kernels work on sampled rows (``tests/oracles.py`` holds
 the row-by-row kernels they are tested against):
@@ -45,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator, NamedTuple, NoReturn, Sequence, TextIO
+from typing import Iterator, NamedTuple, NoReturn, Sequence
 
 import numpy as np
 import scipy.sparse
@@ -88,11 +91,12 @@ _DENSE_CACHE_MAX_CELLS = 2_000_000
 # no faster, 256-row ones 0.84 ms.
 _GRAM_PANEL_ROWS = 128
 
-# ``parse_libsvm`` converts lines a chunk at a time, a chunk closing once its
-# lines hold this many characters, so only one chunk's tokens are ever held
-# as Python strings.  On the 8124-line, 0.9 MB benchmark input, chunks of
-# 256K characters raised the parse's peak RSS by 5 MiB over this size and
-# were no faster; chunks of 16K to 128K took the same time.
+# ``parse_libsvm`` converts lines a chunk at a time, a chunk holding the
+# text up to the first '\n' that makes it this many characters long, so only
+# one chunk's tokens are ever held as Python strings.  On the 8124-line,
+# 0.9 MB benchmark input, chunks of 256K characters raised the parse's peak
+# RSS by 5 MiB over this size and were no faster; chunks of 16K to 128K took
+# the same time.
 _CHUNK_CHARS = 32 * 1024
 
 # The largest feature index: a 1-based index is stored in int64.
@@ -285,18 +289,21 @@ class LabeledDataset:
 # LIBSVM text format
 
 
-def _resolve_policy(policy: str, labels: np.ndarray) -> str:
-    if policy in ("plus_minus", "zero_one"):
-        return policy
-    if policy != "auto":
-        raise ValueError(f"unknown label policy {policy!r}")
-    seen = set(np.unique(labels).tolist())
-    if seen <= {-1.0, 1.0}:
-        return "plus_minus"
-    if seen <= {0.0, 1.0}:
-        return "zero_one"
-    bad = sorted(seen - {-1.0, 0.0, 1.0})
-    raise ValueError(f"cannot infer label policy: labels {bad or sorted(seen)} present")
+def _map_labels(line_nos: np.ndarray, raw: np.ndarray) -> np.ndarray:
+    """The labels in {-1, +1}, under the convention of the first label that
+    is not +1: a -1 selects {-1, +1}, a 0 selects {0, 1} (0 maps to -1).
+    Raises at the first label that fits no convention or not the file's."""
+    others = np.flatnonzero(raw != 1.0)
+    if len(others):
+        low = float(raw[others[0]])
+        if low not in (-1.0, 0.0):
+            raise LibsvmParseError(int(line_nos[others[0]]), f"label {low} fits neither {{-1, +1}} nor {{0, 1}}")
+        misfits = raw[others] != low
+        if misfits.any():
+            row = others[np.argmax(misfits)]
+            allowed = "{-1, +1}" if low == -1.0 else "{0, 1}"
+            raise LibsvmParseError(int(line_nos[row]), f"label {float(raw[row])} not in {allowed}")
+    return np.where(raw == 1.0, 1.0, -1.0)
 
 
 def _parse_line(line_no: int, tokens: list[str]) -> None:
@@ -329,61 +336,34 @@ def _parse_line(line_no: int, tokens: list[str]) -> None:
         prev = idx
 
 
-def _pieces(source: str | TextIO | Iterable[str]) -> Iterator[list[str]]:
-    """The source's lines, as ``splitlines`` gives them, a piece at a time.
+def _chunks(text: str) -> Iterator[tuple[list[int], list[str], list[int], list[str]]]:
+    r"""The non-blank lines' tokens, a chunk at a time: (line numbers, label
+    tokens, feature counts, feature tokens).
 
-    Text is cut after a '\n' about every ``_CHUNK_CHARS`` characters and
-    each piece split on its own, so no list of every line is held.  A cut
-    after a '\n' never splits a line separator (``\r\n`` ends in it), so
-    the pieces give the lines of the whole text.  Other iterables give
-    their lines, with a trailing '\n' removed, as one piece.
+    Each chunk is the text up to the first '\n' that makes it at least
+    ``_CHUNK_CHARS`` characters long, or, where no '\n' follows, the first
+    '\r' (or the text's end), split into lines on its own, so no list of
+    every line is held.  A cut after a '\n' never splits a line separator
+    (``\r\n`` ends in it), nor does one after a '\r' with no '\n' after
+    it, so the chunks hold the lines ``text.splitlines()`` gives.
     """
-    if isinstance(source, str):
-        start = 0
-        while start < len(source):
-            cut = source.find("\n", start + _CHUNK_CHARS - 1) + 1 or len(source)
-            yield source[start:cut].splitlines()
-            start = cut
-    elif hasattr(source, "read"):
-        # Reads end anywhere: the text after a read's last '\n' waits for
-        # the next one.
-        held: list[str] = []
-        while piece := source.read(_CHUNK_CHARS):
-            cut = piece.rfind("\n") + 1
-            if cut:
-                held.append(piece[:cut])
-                yield "".join(held).splitlines()
-                held = [piece[cut:]]
-            else:
-                held.append(piece)
-        yield "".join(held).splitlines()
-    else:
-        yield [ln.rstrip("\n") for ln in source]
-
-
-def _chunks(pieces: Iterable[list[str]]) -> Iterator[tuple[list[int], list[str], list[int], list[str]]]:
-    """The non-blank lines' tokens, a chunk of about ``_CHUNK_CHARS`` characters
-    at a time: (line numbers, label tokens, feature counts, feature tokens)."""
-    chunk: tuple[list[int], list[str], list[int], list[str]] = ([], [], [], [])
-    size = 0
-    first = 1
-    for lines in pieces:
+    start, first = 0, 1
+    while start < len(text):
+        at = start + _CHUNK_CHARS - 1
+        cut = text.find("\n", at) + 1 or text.find("\r", at) + 1 or len(text)
+        lines = text[start:cut].splitlines()
+        chunk: tuple[list[int], list[str], list[int], list[str]] = ([], [], [], [])
+        line_nos, labels, counts, features = chunk
         for line_no, raw in enumerate(lines, start=first):
             tokens = raw.split()
-            if not tokens:
-                continue
-            line_nos, labels, counts, features = chunk
-            line_nos.append(line_no)
-            labels.append(tokens[0])
-            counts.append(len(tokens) - 1)
-            features += tokens[1:]
-            size += len(raw)
-            if size >= _CHUNK_CHARS:
-                yield chunk
-                chunk, size = ([], [], [], []), 0
-        first += len(lines)
-    if chunk[0]:
-        yield chunk
+            if tokens:
+                line_nos.append(line_no)
+                labels.append(tokens[0])
+                counts.append(len(tokens) - 1)
+                features += tokens[1:]
+        if line_nos:
+            yield chunk
+        start, first = cut, first + len(lines)
 
 
 class _Rows(NamedTuple):
@@ -495,22 +475,18 @@ def _replay(line_nos: list[int], label_tokens: list[str], counts: list[int], fea
     raise AssertionError("a chunk failed a batched check that none of its lines fails")
 
 
-def parse_libsvm(
-    source: str | TextIO | Iterable[str],
-    label_policy: str = "auto",
-    num_features: int | None = None,
-) -> LabeledDataset:
+def parse_libsvm(text: str, num_features: int | None = None) -> LabeledDataset:
     """Parse LIBSVM text (``<label> <idx>:<val> ...``, 1-based indices).
 
-    ``label_policy`` is ``"plus_minus"`` (labels already in {-1,+1}),
-    ``"zero_one"`` (0 maps to -1, 1 to +1) or ``"auto"`` to pick whichever
-    fits the file.  ``num_features`` may force a column count larger than
-    the maximum index seen (files underreport trailing all-zero features).
-    The stored matrix is pre-scaled by the mapped labels.
+    Labels are {-1, +1} or {0, 1} (0 maps to -1), whichever the first label
+    that is not +1 selects: a -1 or a 0.  ``num_features`` may force a
+    column count larger than the maximum index seen (files underreport
+    trailing all-zero features).  The stored matrix is pre-scaled by the
+    mapped labels.
 
-    Text is split into lines a piece at a time (``_pieces``), and lines
-    split into tokens with ``str.split()`` and convert a chunk of
-    about ``_CHUNK_CHARS`` characters at a time: the chunk's labels in one
+    The text is cut into chunks of about ``_CHUNK_CHARS`` characters of
+    whole lines (``_chunks``), whose lines split into tokens with
+    ``str.split()``.  Each chunk converts on its own: its labels in one
     ``map(float)``, and its feature tokens joined, their bytes checked for
     one ':' each, and their index and value strings located from the ':'
     and ' ' bytes.  When every index string of the chunk is 1 to 18 ASCII
@@ -527,25 +503,16 @@ def parse_libsvm(
     chunk that fails a check is replayed one token at a time
     by ``_parse_line``, which raises the first error in line order with its
     line number: a malformed token, an index outside [1, 2**63 - 1] or not
-    increasing, or a non-finite label.  Errors in the labels against the
-    policy come after every line has parsed, and a non-finite feature value
-    (quoted as the file wrote it) after those.
+    increasing, or a non-finite label.  A label outside the file's
+    convention raises with its line once every line has parsed, and a
+    non-finite feature value (quoted as the file wrote it) after that.
     """
-    chunks = [_convert(*chunk) for chunk in _chunks(_pieces(source))]
+    chunks = [_convert(*chunk) for chunk in _chunks(text)]
     if not chunks:
         raise LibsvmParseError(0, "no data lines found")
     columns = list(zip(*chunks))
     line_nos, raw_labels, counts, indices, values = map(np.concatenate, columns[:5])
-
-    if _resolve_policy(label_policy, raw_labels) == "plus_minus":
-        allowed, labels = "{-1, +1}", raw_labels
-        fits = np.abs(raw_labels) == 1.0
-    else:
-        allowed, labels = "{0, 1}", np.where(raw_labels == 1.0, 1.0, -1.0)
-        fits = (raw_labels == 0.0) | (raw_labels == 1.0)
-    if not fits.all():
-        row = int(np.argmin(fits))
-        raise LibsvmParseError(int(line_nos[row]), f"label {float(raw_labels[row])} not in {allowed}")
+    labels = _map_labels(line_nos, raw_labels)
 
     max_col = int(indices.max()) if len(indices) else 0
     n = max_col

@@ -75,6 +75,20 @@ class TestTrain:
         assert main(["train", "--data", str(gz), "--gzip", "--epochs", "1", "--trace", str(explicit)]) == 0
         assert out.read_bytes() == explicit.read_bytes()
 
+    def test_zero_one_labels_train_as_minus_one(self, data_file, tmp_path):
+        """A {0, 1} copy of a {-1, +1} file, gzipped, gives the same CSV."""
+        text = open(data_file).read()
+        zero_one = "".join(("0" + line[2:] if line.startswith("-1 ") else line) for line in text.splitlines(True))
+        assert zero_one != text
+        gz = tmp_path / "zero-one.svm.gz"
+        with gzip.open(gz, "wt") as fh:
+            fh.write(zero_one)
+        paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for data, path in zip([data_file, str(gz)], paths):
+            code = main(["train", "--data", data, "--algo", "casgd", "--s-step", "4", "--epochs", "2", "--trace", str(path)])
+            assert code == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
     def test_num_features_flag(self, tmp_path):
         data = tmp_path / "d.svm"
         data.write_text("+1 1:1.0\n-1 2:1.0\n")
@@ -130,6 +144,9 @@ class TestExitCodes:
             ("+1 1:1.0\n-1 99999999999999999999:1\n", "line 2: feature index 99999999999999999999 must be <="),
             ("1 1:1.0\n2 1:1.0\nnan 2:1.0\n3 1:1.0\n", "line 3: non-finite label 'nan'"),
             ("+1 1:1.0\n-1 1:1e999\n", "line 2: non-finite feature value '1e999'"),
+            ("1 1:1.0\n2 1:1.0\n-1 2:1.0\n", "line 2: label 2.0 fits neither {-1, +1} nor {0, 1}"),
+            ("1 1:1.0\n-1 1:1.0\n2 2:1.0\n", "line 3: label 2.0 not in {-1, +1}"),
+            ("1 1:1.0\n0 1:1.0\n-1 2:1.0\n", "line 3: label -1.0 not in {0, 1}"),
         ],
     )
     def test_escaping_parse_errors_exit_1_with_line(self, tmp_path, capsys, text, message):

@@ -173,14 +173,28 @@ def _round_loop_matches_sgd(grid, density, dense, support_ratio, panel_rows, blo
 
 
 @PROPERTY_SETTINGS
-@given(grid=grids(), nnz=st.integers(1, 10), seed=st.integers(0, 2**32))
-def test_counters_match_closed_forms_on_uniform_rows(grid, nnz, seed):
+@given(
+    grid=grids(),
+    nnz=st.integers(1, 10),
+    support_ratio=st.sampled_from([0, casgd.sparse._SUPPORT_MIN_RATIO]),
+    panel_rows=st.sampled_from([casgd.sparse._GRAM_PANEL_ROWS, 2]),
+    block_bytes=st.sampled_from([casgd.solvers._BLOCK_BYTES, 1]),
+    seed=st.integers(0, 2**32),
+)
+def test_counters_match_closed_forms_on_uniform_rows(grid, nnz, support_ratio, panel_rows, block_bytes, seed):
+    # The kernel settings are drawn as in ``_round_loop_matches_sgd``: the
+    # counters must not depend on the round's support, Gram panels or blocks.
     layout, m, n, p, b, s, epochs = grid
     d = synthetic_dataset(m, n, min(nnz, n), seed=seed)
     H = epochs * iterations_per_epoch(m, b)
     for algorithm, run, steps in (("sgd", run_sgd, 1), ("casgd", run_casgd, s)):
         cfg = SolverConfig(eta0=1.0, b=b, s=steps, total_iterations=H, layout=layout, p=p, seed=seed)
-        got = run(d, cfg, partition(d, layout, p)).counters.as_dict()
+        with (
+            mock.patch.object(casgd.sparse, "_SUPPORT_MIN_RATIO", support_ratio),
+            mock.patch.object(casgd.sparse, "_GRAM_PANEL_ROWS", panel_rows),
+            mock.patch.object(casgd.solvers, "_BLOCK_BYTES", block_bytes),
+        ):
+            got = run(d, cfg, partition(d, layout, p)).counters.as_dict()
         want = theoretical_cost(CostParams(m=m, n=n, p=p, b=b, s=steps, H=H, f=d.density), algorithm, layout)
         want = want.as_dict()
         for name in ("words", "messages", "collectives", "sig_evals"):

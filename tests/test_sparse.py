@@ -1,4 +1,3 @@
-import io
 import math
 from unittest import mock
 
@@ -64,17 +63,37 @@ class TestParseLibsvm:
         np.testing.assert_array_equal(vals, [-1.0])
 
     def test_zero_one_policy(self):
-        d = parse_libsvm("0 1:1.0", label_policy="zero_one")
+        d = parse_libsvm("0 1:1.0")
         assert d.labels[0] == -1.0
         assert d.a_tilde.row(0)[1][0] == -1.0
 
     def test_auto_policy_detects_zero_one(self):
-        d = parse_libsvm("0 1:1.0\n1 1:2.0")
-        np.testing.assert_array_equal(d.labels, [-1.0, 1.0])
+        d = parse_libsvm("1 1:1.0\n0 1:2.0\n1 1:3.0\n-0 1:4.0")
+        np.testing.assert_array_equal(d.labels, [1.0, -1.0, 1.0, -1.0])
 
     def test_auto_policy_rejects_mixed(self):
-        with pytest.raises(ValueError, match="cannot infer"):
-            parse_libsvm("2 1:1.0")
+        with pytest.raises(LibsvmParseError) as info:
+            parse_libsvm("1 1:1.0\n2 1:1.0")
+        assert str(info.value) == "line 2: label 2.0 fits neither {-1, +1} nor {0, 1}"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("2 1:1\n-1 1:1\n1 1:1", "line 1: label 2.0 fits neither {-1, +1} nor {0, 1}"),
+            ("1 1:1\n-1 1:1\n2 1:1", "line 3: label 2.0 not in {-1, +1}"),
+            ("0 1:1\n1 1:1\n\n2 1:1", "line 4: label 2.0 not in {0, 1}"),
+            ("1 1:1\n-1 1:1\n0 1:1\n-1 1:1", "line 3: label 0.0 not in {-1, +1}"),
+            ("1 1:1\n0 1:1\n-1 1:1\n0 1:1", "line 3: label -1.0 not in {0, 1}"),
+            ("1 1:1\n-0 1:1\n-1 1:1", "line 3: label -1.0 not in {0, 1}"),
+        ],
+    )
+    def test_first_label_not_plus_one_sets_the_convention(self, text, message):
+        """A -1 selects {-1, +1} and a 0 selects {0, 1}; the first label
+        outside the file's convention raises with its line."""
+        with pytest.raises(LibsvmParseError) as info:
+            parse_libsvm(text)
+        assert str(info.value) == message
+        assert _parse_outcome(_reference_parse, text, None) == _parse_outcome(parse_libsvm, text, None)
 
     def test_malformed_pair_reports_line(self):
         with pytest.raises(LibsvmParseError) as err:
@@ -122,11 +141,13 @@ class TestParseLibsvm:
             parse_libsvm(f"+1 1:1.0\n-1 2:{token}")
         assert str(info.value) == f"line 2: non-finite feature value {token!r}"
 
-    @pytest.mark.parametrize("policy", ["auto", "plus_minus", "zero_one"])
+    @pytest.mark.parametrize("later", ["2", "-1", "0"])
     @pytest.mark.parametrize("token", ["nan", "-inf", "1e999"])
-    def test_non_finite_label_rejected_with_line(self, policy, token):
+    def test_non_finite_label_rejected_with_line(self, token, later):
+        """Raised at its line before any label convention is chosen, whether
+        a later label would choose {-1, +1}, {0, 1} or neither."""
         with pytest.raises(LibsvmParseError) as info:
-            parse_libsvm(f"1 1:1.0\n\n{token} 2:1.0\n2 1:1.0", label_policy=policy)
+            parse_libsvm(f"1 1:1.0\n\n{token} 2:1.0\n{later} 1:1.0")
         assert info.value.line == 3
         assert str(info.value) == f"line 3: non-finite label {token!r}"
 
@@ -140,8 +161,9 @@ class TestParseLibsvm:
         assert d.num_features == 2**63 - 1 and d.a_tilde.col_indices[-1] == 2**63 - 2
 
     def test_unknown_label_under_policy(self):
-        with pytest.raises(LibsvmParseError, match="label"):
-            parse_libsvm("0 1:1.0", label_policy="plus_minus")
+        with pytest.raises(LibsvmParseError) as info:
+            parse_libsvm("-1 1:1.0\n0 1:1.0")
+        assert str(info.value) == "line 2: label 0.0 not in {-1, +1}"
 
     def test_blank_lines_skipped(self):
         d = parse_libsvm("\n+1 1:1.0\n\n-1 2:1.0\n")
@@ -171,19 +193,15 @@ class TestParseLibsvm:
         assert serialize_libsvm(d2) == text
 
 
-def _reference_parse(source, label_policy="auto", num_features=None) -> LabeledDataset:
+def _reference_parse(text, num_features=None) -> LabeledDataset:
     """The token-by-token parser ``parse_libsvm`` replaced, kept as its oracle.
 
-    It differs from the replaced loop in three checks only: a non-finite
-    label and an index above int64 are line-numbered errors, and a
-    non-finite value is quoted as the file wrote it.
+    It differs from the replaced loop in four checks only: a non-finite
+    label and an index above int64 are line-numbered errors, a non-finite
+    value is quoted as the file wrote it, and the first label that is not
+    +1 chooses the label convention.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-    elif hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in source]
+    lines = text.splitlines()
 
     raw_labels: list[tuple[int, float]] = []
     row_cols: list[np.ndarray] = []
@@ -238,28 +256,19 @@ def _reference_parse(source, label_policy="auto", num_features=None) -> LabeledD
     if not raw_labels:
         raise LibsvmParseError(0, "no data lines found")
 
-    policy = label_policy
-    if policy not in ("plus_minus", "zero_one"):
-        if policy != "auto":
-            raise ValueError(f"unknown label policy {policy!r}")
-        seen = {lab for _, lab in raw_labels}
-        if seen <= {-1.0, 1.0}:
-            policy = "plus_minus"
-        elif seen <= {0.0, 1.0}:
-            policy = "zero_one"
-        else:
-            bad = sorted(seen - {-1.0, 0.0, 1.0})
-            raise ValueError(f"cannot infer label policy: labels {bad or sorted(seen)} present")
+    # The first label that is not +1 chooses the convention: a -1 {-1, +1},
+    # a 0 {0, 1}.  Either maps +1 to +1 and its other label to -1.
+    low = None
     labels = np.empty(len(raw_labels))
     for i, (line_no, lab) in enumerate(raw_labels):
-        if policy == "plus_minus":
-            if lab not in (-1.0, 1.0):
-                raise LibsvmParseError(line_no, f"label {lab} not in {{-1, +1}}")
-            labels[i] = lab
-        else:
-            if lab not in (0.0, 1.0):
-                raise LibsvmParseError(line_no, f"label {lab} not in {{0, 1}}")
-            labels[i] = 1.0 if lab == 1.0 else -1.0
+        if lab != 1.0 and low is None:
+            if lab not in (-1.0, 0.0):
+                raise LibsvmParseError(line_no, f"label {lab} fits neither {{-1, +1}} nor {{0, 1}}")
+            low = lab
+        if lab != 1.0 and lab != low:
+            allowed = "{-1, +1}" if low == -1.0 else "{0, 1}"
+            raise LibsvmParseError(line_no, f"label {lab} not in {allowed}")
+        labels[i] = 1.0 if lab == 1.0 else -1.0
 
     n = max_col
     if num_features is not None:
@@ -290,7 +299,7 @@ _VALUES = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False).map(lambda v: format(v, ".17g")),
     st.sampled_from(["0", "-0", "1", "-1.5", ".5", "5.", "+1e-320", "1_0.5", "1E3", "\u0662.5"]),
 )
-_LABEL_SETS = [("+1", "-1"), ("0", "1"), ("1", "-1.0", "+1e0"), ("-0", "1.0"), ("1", "2", "-1")]
+_LABEL_SETS = [("+1", "-1"), ("0", "1"), ("1", "-1.0", "+1e0"), ("-0", "1.0"), ("1", "2", "-1"), ("1", "0", "-1")]
 # Each kind of malformed feature token, with an index above any row's
 # (they go at a row's end), and of malformed label.
 _BAD_TOKENS = [
@@ -341,54 +350,46 @@ def _libsvm_text(draw):
     return "".join(lines)
 
 
-def _parse_outcome(parse, source, policy, num_features):
+def _parse_outcome(parse, text, num_features):
     """The arrays a parse gives, or its exception's type, message and line."""
     try:
-        d = parse(source, label_policy=policy, num_features=num_features)
+        d = parse(text, num_features=num_features)
     except ValueError as exc:
         return type(exc), str(exc), getattr(exc, "line", None)
     A = d.a_tilde
     return d.num_features, *(arr.tobytes() for arr in (A.row_offsets, A.col_indices, A.values, d.labels))
 
 
-_SOURCES = {
-    "str": lambda text: text,
-    "text_io": io.StringIO,
-    "lines": lambda text: (line for line in text.splitlines(keepends=True)),
-}
-
-
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(
     text=_libsvm_text(),
-    source=st.sampled_from(sorted(_SOURCES)),
-    policy=st.sampled_from(["auto", "auto", "plus_minus", "zero_one"]),
     num_features=st.sampled_from([None, None, 60, 2]),
     chunk_chars=st.sampled_from([1, 12, 40, casgd.sparse._CHUNK_CHARS]),
 )
-def test_parse_matches_token_by_token_reference(text, source, policy, num_features, chunk_chars):
+def test_parse_matches_token_by_token_reference(text, num_features, chunk_chars):
     """Byte-identical arrays, or the same error, as the token-by-token
-    parser, in every source kind; small chunks put errors in later chunks,
-    and cut text and reads into pieces next to every kind of line end."""
-    expected = _parse_outcome(_reference_parse, _SOURCES[source](text), policy, num_features)
+    parser; small chunks put errors in later chunks, and cut the text next
+    to every kind of line end."""
+    expected = _parse_outcome(_reference_parse, text, num_features)
     with mock.patch.object(casgd.sparse, "_CHUNK_CHARS", chunk_chars):
-        got = _parse_outcome(parse_libsvm, _SOURCES[source](text), policy, num_features)
+        got = _parse_outcome(parse_libsvm, text, num_features)
     assert got == expected
 
 
-@pytest.mark.parametrize("source", sorted(_SOURCES))
+@pytest.mark.parametrize("line_end", ["\r\n", "\n", "\r"], ids=["crlf", "lf", "cr"])
 @pytest.mark.parametrize("flaw", [f"+1 {t}" for t in _BAD_TOKENS] + [f"{t} 3:1" for t in _BAD_LABELS])
-def test_each_malformed_kind_in_a_later_chunk(source, flaw):
+def test_each_malformed_kind_in_a_later_chunk(flaw, line_end):
     """Each kind of flaw on line 26 of 30, in a late chunk, after a non-finite
-    value on line 20 (an error raised only once every line has parsed)."""
+    value on line 20 (an error raised only once every line has parsed), with
+    each line end the chunks are cut at."""
     lines = [f"{'+1' if i % 2 else '-1'} 2:0.5 {3 + i % 5}:1.25e-3 40:7" for i in range(30)]
     lines[19] = "-1 2:inf"
     lines[25] = flaw
-    text = "\r\n".join(lines)
-    expected = _parse_outcome(_reference_parse, _SOURCES[source](text), "auto", None)
+    text = line_end.join(lines)
+    expected = _parse_outcome(_reference_parse, text, None)
     assert isinstance(expected[0], type) and expected[2] in (20, 26)
     with mock.patch.object(casgd.sparse, "_CHUNK_CHARS", 64):
-        assert _parse_outcome(parse_libsvm, _SOURCES[source](text), "auto", None) == expected
+        assert _parse_outcome(parse_libsvm, text, None) == expected
 
 
 def _bulk_results(parse, *args):
@@ -412,8 +413,8 @@ def test_reference_agrees_on_the_perfbench_shapes():
     for values in ("binary", "gaussian"):
         text = serialize_libsvm(synthetic_dataset(300, 500, 21, seed=3, feature_values=values))
         with mock.patch.object(casgd.sparse, "_CHUNK_CHARS", 2048):
-            got, bulk = _bulk_results(parse_libsvm, text, "auto", None)
-        assert got == _parse_outcome(_reference_parse, text, "auto", None)
+            got, bulk = _bulk_results(parse_libsvm, text, None)
+        assert got == _parse_outcome(_reference_parse, text, None)
         assert len(bulk) > 2 and bulk == [True, values == "binary"] * (len(bulk) // 2)
 
 
@@ -439,31 +440,31 @@ _PLAIN_BOUNDS = {
 }
 
 
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 @pytest.mark.parametrize("chunk_chars", [12, 40, casgd.sparse._CHUNK_CHARS])
-@pytest.mark.parametrize("source", sorted(_SOURCES))
 @pytest.mark.parametrize("name", sorted(_PLAIN_BOUNDS))
-def test_plain_decimals_at_their_bounds(name, source, chunk_chars):
-    text = _PLAIN_BOUNDS[name]
-    expected = _parse_outcome(_reference_parse, _SOURCES[source](text), "auto", None)
+def test_plain_decimals_at_their_bounds(name, chunk_chars, line_end):
+    text = _PLAIN_BOUNDS[name].replace("\n", line_end)
+    expected = _parse_outcome(_reference_parse, text, None)
     with mock.patch.object(casgd.sparse, "_CHUNK_CHARS", chunk_chars):
-        got, bulk = _bulk_results(parse_libsvm, _SOURCES[source](text), "auto", None)
+        got, bulk = _bulk_results(parse_libsvm, text, None)
     assert got == expected
     if name in ("1 digit", "15 digits", "16 digits", "18 digits", "leading zeros, 18 characters"):
         assert bulk and all(bulk)
 
 
+@pytest.mark.parametrize("line_end", ["\n", "\r", "\r\n"], ids=["lf", "cr", "crlf"])
 @pytest.mark.parametrize("chunk_chars", [12, 40])
-@pytest.mark.parametrize("source", sorted(_SOURCES))
-def test_bulk_and_token_by_token_chunks_alternate(source, chunk_chars):
+def test_bulk_and_token_by_token_chunks_alternate(chunk_chars, line_end):
     """Runs of four lines cycle through plain tokens, decimal values and
     signed indices, so small chunks take the bulk and the token-by-token
-    path in turn."""
+    path in turn; lines that end in '\r' alone or in '\r\n' are chunked too."""
     kinds = ["{label} {i}:{i}7 {j}:1", "{label} {i}:-{i}.5 {j}:1e-3", "{label} +{i}:3 {j}:{i}"]
     lines = [kinds[k // 4 % 3].format(label="+1" if k % 2 else "-1", i=k + 1, j=k + 40) for k in range(30)]
-    text = "\n".join(lines)
-    expected = _parse_outcome(_reference_parse, _SOURCES[source](text), "auto", None)
+    text = line_end.join(lines)
+    expected = _parse_outcome(_reference_parse, text, None)
     with mock.patch.object(casgd.sparse, "_CHUNK_CHARS", chunk_chars):
-        got, bulk = _bulk_results(parse_libsvm, _SOURCES[source](text), "auto", None)
+        got, bulk = _bulk_results(parse_libsvm, text, None)
     assert got == expected
     assert True in bulk and False in bulk
 
