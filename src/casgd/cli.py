@@ -6,8 +6,10 @@
 
 Exit codes: 0 success, 1 parse/configuration error (including non-finite
 feature values, a batch size below 1, a non-finite or negative --eta,
---tolerance, --alpha, --beta, --gamma or --omega), 2 bad flags, 3 comparison failed (tolerance
-exceeded, a non-finite error, or fewer than epochs+1 epochs compared).
+--tolerance, --alpha, --beta, --gamma or --omega, and a train --s-step
+other than 1 without --algo casgd), 2 bad flags, 3 comparison failed
+(tolerance exceeded, a non-finite error, or fewer than epochs+1 epochs
+compared).
 CSV files are written to a temp file and renamed into place, so no
 partial output survives an error.  All floats are serialized with
 17 significant digits (round-trip exact), and every run is fully
@@ -93,7 +95,7 @@ def _config(dataset, args) -> SolverConfig:
     return SolverConfig(
         eta0=args.eta,
         b=dataset.num_points if args.algo == "gd" else args.batch,
-        s=args.s_step if args.algo == "casgd" else 1,
+        s=args.s_step,
         epochs=args.epochs,
         layout=_LAYOUTS[args.layout],
         p=args.procs,
@@ -106,6 +108,8 @@ def _config(dataset, args) -> SolverConfig:
 
 
 def cmd_train(args) -> int:
+    if args.s_step != 1 and args.algo != "casgd":
+        raise ConfigError(f"--s-step {args.s_step} applies only to --algo casgd")
     dataset = _load_dataset(args)
     cfg = _config(dataset, args)
     cluster = partition(dataset, cfg.layout, cfg.p)

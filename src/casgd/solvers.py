@@ -25,15 +25,17 @@ groups s iterations per round.  Each round:
 Only the scores, the recurrence and the update depend on x.  So steps 1, 2
 and 5 run their x-independent part once per block of K rounds, in either
 layout and with or without a dense cache: the draws come from one read of
-the stream, the block's rows are gathered at once (by every column rank, or
-once for all row ranks), the rows' nonzeros are summed into per-round
-prefix sums (one ``cumsum``) that every flop charge reads, and each Gram
-owner (a column rank, or the row layout's one replicated Gram under a dense
-cache) forms every round's Gram blocks and index-match counts in one kernel
-call.  The row layout reads its block from one gather of the rows' stored
-entries and at most one sort (``RowBlock``): each round's entries for its
-scores, its support and gradient keys, its ranks' payload values and,
-without a dense cache, its Gram pairs and their match counts.
+the stream, flattened into one int64 array, the block's rows are gathered
+at once (by every column rank, or once for all row ranks), the rows'
+nonzeros are summed into per-round prefix sums (one ``cumsum``) that every
+flop charge reads, and each Gram owner (a column rank, or the row layout's
+one replicated Gram under a dense cache) forms every round's Gram blocks
+and index-match counts in one kernel call; under a dense cache the counts
+come from the rows of the matrix's CSR pattern.  The row layout reads its
+block from one gather of the rows' stored entries and at most one sort
+(``RowBlock``): each round's entries for its scores, its support and
+gradient keys, its ranks' payload values and, without a dense cache, its
+Gram pairs and their match counts.
 Each such round adds its pairs straight into G and clears the entries they
 wrote once the recurrence has read them (``RowBlock.add_gram`` and
 ``clear_gram``), so G's strictly lower blocks are zero between rounds.  K
@@ -50,16 +52,19 @@ recorded: its flops and sig evaluations and, at one column rank, its
 collectives, which move nothing and are only counted
 (``VirtualCluster.count_local``).  A column round that a trace point falls
 inside ends its segment, and its update is applied in spans of whole
-iterations, each counted as it is applied; the row layout materializes x
-only at round ends, so a point ends its segment with the round that holds
-it.  So every trace point reads what iteration-by-iteration accounting
-would give.  One column rank runs a segment's rounds in one inner loop,
-with its kernels bound by the rows' form once per block: a one-row round
-(s = b = 1) is a dot, the sig and an axpy (over all of x for a dense
-cache's row), dense rows at s > 1 take a BLAS product for the scores and
-``x += R.T @ w`` for the update, and other forms the round kernels.  More
-column ranks and the row layout run each round through every rank's
-kernels and a collective.
+iterations, each counted as it is applied; over dense rows the spans update
+a copy of x, which the points inside the round read, and x takes the whole
+round's product, so where points fall never changes the bits.  The row
+layout materializes x only at round ends, so a point ends its segment with
+the round that holds it.  So every trace point reads what
+iteration-by-iteration accounting would give.  One column rank runs a
+segment's rounds in one inner loop, with its kernels bound by the rows'
+form once per block: a one-row round (s = b = 1) is a dot, the sig and an
+axpy (under a dense cache over all of x, each round reading its row in
+place from one gather of the block's rows), dense rows at s > 1 take a BLAS
+product for the scores and ``x += R.T @ w`` for the update, and other forms
+the round kernels.  More column ranks and the row layout run each round
+through every rank's kernels and a collective.
 
 The payload is set by the entry point that ran:
 
@@ -92,6 +97,7 @@ per logical iteration regardless of how many ranks replicate it.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -140,8 +146,10 @@ _SCALAR_SIG_MAX = 8
 # building a ``RowBlock`` frees before its first round (each entry's row,
 # rank and sort key, and over ragged rows also the gather's index of every
 # entry; rows of one width are read by whole rows), the row indices of
-# its rounds of unequal rows, and the payload values and Gram pairs that
-# s > 1 row rounds also keep.  Over 112
+# its rounds of unequal rows, the payload values and Gram pairs that
+# s > 1 row rounds also keep, and the pattern rows that a dense Gram
+# gathers for its match counts, one byte per cell, 1/8 the size of the
+# dense rows they accompany.  Over 112
 # columns with a dense cache and one column rank that is 273 rounds at
 # s * b = 1, 134 at 2, 32 at 8, 2 at 64 and 1 from 128 on.  Row-layout SGD at
 # b = 16 over rows of 20 entries and no dense cache takes 30 rounds.
@@ -534,7 +542,8 @@ def _run_rounds(dataset, cfg, cluster, schedule, casgd):
         # sums per round, which every flop charge reads) and every Gram
         # owner's blocks.
         count = min(K, (iterations - t) // s)
-        block = np.array(source.peek_indices(count * s), dtype=np.int64).reshape(count, sb)
+        block = np.fromiter(itertools.chain.from_iterable(source.peek_indices(count * s)), np.int64, count * sb)
+        block = block.reshape(count, sb)
         source.advance(count * s)
         if row:
             # One gather of every rank's entries: each round's rows for the
@@ -544,6 +553,9 @@ def _run_rounds(dataset, cfg, cluster, schedule, casgd):
             block_rows = entries.rounds
             for rk in owners:
                 rk.block_rows = gather_rows(dataset, block, s)
+        elif local and sb == 1 and dense:
+            # One-row rounds read the rows of one gather of the dense cache.
+            block_rows = A.dense_cache()[block[:, 0]]
         else:
             for rk in ranks:
                 rk.block_rows = gather_rows(rk.data, block, s)
@@ -574,15 +586,15 @@ def _run_rounds(dataset, cfg, cluster, schedule, casgd):
             ahead = min(next_it, t + count * s) - t
             j = max(k, -(-ahead // s) if row else ahead // s)
             split = j * s < ahead
-            if local and sb == 1:
-                # One row per round: a dot, the sig and an axpy.
+            if local and sb == 1 and dense:
+                # One row per round: a dot, the sig and an axpy over all of x.
+                for a in block_rows[k:j]:
+                    wk = _sig_scalar(a.dot(x)) * eta_scale
+                    x += wk * a
+            elif local and sb == 1:
                 for ((cols, a),) in block_rows[k:j]:
-                    z = a.dot(x if dense else x[cols])
-                    wk = _sig_scalar(z) * eta_scale
-                    if dense:
-                        x += wk * a
-                    else:
-                        x[cols] += wk * a
+                    wk = _sig_scalar(a.dot(x[cols])) * eta_scale
+                    x[cols] += wk * a
             elif local:
                 for r, rows in enumerate(block_rows[k : j + split], k):
                     if dense_rows:
@@ -655,19 +667,27 @@ def _run_rounds(dataset, cfg, cluster, schedule, casgd):
                 continue
             # Spans of whole iterations of round j, split where trace points
             # fall: its rows' nonzeros, n per iteration and i*b*b recurrence
-            # flops for iteration i.
+            # flops for iteration i.  Over dense rows the spans update a copy
+            # of x, which the points inside the round read, and x takes the
+            # whole round's product, as an unsplit round does; so where the
+            # points fall does not change the bits.
             c.flops += charges[j]
             start, nnz_j, at = t + j * s, nnz[j], 0
+            spans = x.copy() if dense_rows else x
             while at < s:
                 stop = s if next_it >= start + s else max(next_it - start, at + 1)
                 lo, hi = at * b, stop * b
-                for rk in ranks:
-                    add_rows_transpose(rk.data, block[j, lo:hi], w[lo:hi], rk.x)
+                if stop < s or not dense_rows:
+                    for rk, (first, last) in zip(ranks, cluster.layout.boundaries):
+                        add_rows_transpose(rk.data, block[j, lo:hi], w[lo:hi], spans[first:last])
+                else:
+                    for rk in ranks:
+                        add_rows_transpose(rk.data, block[j], w, rk.x, rk.block_rows[j])
                 c.flops += nnz_j[hi] - nnz_j[lo] + n * (stop - at) + b * b * (stop * (stop - 1) - at * (at - 1)) // 2
                 c.sig_evals += hi - lo
                 at = stop
                 if next_it <= start + at:
-                    rec.visit(start + at, x)
+                    rec.visit(start + at, spans if at < s else x)
                     next_it = rec.next_iteration
             k = j + 1
         t += count * s

@@ -161,18 +161,20 @@ def run_reference(
     dataset: LabeledDataset,
     cfg: SolverConfig,
     forced_batches: Sequence[RowBlockSelector],
+    schedule: Sequence[tuple[int, int]] | None = None,
 ) -> SolverRun:
     """Single-rank textbook SGD loop over an explicit batch sequence.
 
     Uses the sampled-row kernels directly and touches no cluster, so it
-    serves as an independent oracle for the simulated runs.
+    serves as an independent oracle for the simulated runs.  Trace points
+    default to epoch ends.
     """
     m, n = dataset.num_points, dataset.num_features
     eta_scale = cfg.eta0 / m
     H = len(forced_batches)
     counters = CostCounters()
     x = np.zeros(n)
-    rec = _Recorder(dataset, counters, epoch_schedule(m, cfg.b, H))
+    rec = _Recorder(dataset, counters, epoch_schedule(m, cfg.b, H) if schedule is None else schedule)
     rec.record(0, x)
     for t, sel in enumerate(forced_batches, start=1):
         z = sampled_matvec(dataset, sel, x)

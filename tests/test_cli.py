@@ -121,6 +121,14 @@ class TestExitCodes:
         assert code == 1
         assert "divide" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("algo,s_step", [("sgd", "8"), ("gd", "0"), ("gd", "2")])
+    def test_s_step_without_casgd_exit_1(self, data_file, tmp_path, capsys, algo, s_step):
+        out = tmp_path / "t.csv"
+        code = main(["train", "--data", data_file, "--algo", algo, "--s-step", s_step, "--epochs", "1", "--trace", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: --s-step {s_step} applies only to --algo casgd\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "compare"])
     @pytest.mark.parametrize("eta", ["nan", "inf", "-1"])
     def test_bad_eta_exit_1(self, data_file, tmp_path, capsys, command, eta):

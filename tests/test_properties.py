@@ -10,7 +10,7 @@ from collections import Counter
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import casgd.solvers
@@ -27,9 +27,11 @@ from casgd import (
     theoretical_cost,
 )
 from casgd.datagen import synthetic_dataset
+from casgd.sampling import BatchStream
 from casgd.sparse import RoundEntries, RowBlock, batch_scores
 from casgd.solvers import epoch_schedule, iterations_per_epoch
 from conftest import random_dataset
+from oracles import RowBlockSelector, run_reference
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -51,17 +53,26 @@ def grids(draw):
     return layout, m, n, p, b, s, epochs
 
 
-def _runs(d, layout, p, b, s, epochs, seed):
-    """SGD and CA-SGD at s, traced at the same (round-aligned in rows) points."""
+def _runs(d, layout, p, b, s, epochs, seed, oracle=False):
+    """SGD and CA-SGD at s, traced at the same (round-aligned in rows)
+    points, and with ``oracle`` the textbook loop over the batches the runs
+    draw, traced there too (else None)."""
     m = d.num_points
     H = epochs * iterations_per_epoch(m, b)
     sched = epoch_schedule(m, b, H, s=s, align_to_rounds=layout == BLOCK_ROW)
     iterations = sched[-1][1] if layout == BLOCK_ROW else H
     sgd_cfg = SolverConfig(eta0=1.0, b=b, total_iterations=iterations, layout=layout, p=p, seed=seed)
     ca_cfg = SolverConfig(eta0=1.0, b=b, s=s, epochs=epochs, layout=layout, p=p, seed=seed)
-    sgd = run_sgd(d, sgd_cfg, partition(d, layout, p), schedule=sched)
+    cluster = partition(d, layout, p)
+    sgd = run_sgd(d, sgd_cfg, cluster, schedule=sched)
     ca = run_casgd(d, ca_cfg, partition(d, layout, p), schedule=sched)
-    return sgd, ca
+    if not oracle:
+        return sgd, ca, None
+    # Row ranks draw their own rows of every batch, as the solvers' stream does.
+    row = layout == BLOCK_ROW
+    stream = BatchStream(seed, m, b, mode="per_rank" if row else "global", rank_ranges=cluster.layout.boundaries if row else None)
+    batches = [RowBlockSelector(np.array(ids)) for ids in stream.peek_indices(iterations)]
+    return sgd, ca, run_reference(d, sgd_cfg, batches, sched)
 
 
 def test_round_loop_matches_sgd():
@@ -72,11 +83,20 @@ def test_round_loop_matches_sgd():
     # byte gives every block one round.  Spies on the round kernels count
     # the paths the examples reach, each of which must run: among them the
     # gathers of whole rows (a matrix or window of one width) and of each
-    # entry (ragged rows), dense Grams of more rows than a panel, and
-    # blocks of one round and of several.
+    # entry (ragged rows), dense Grams of more rows than a panel, blocks of
+    # one round and of several, and one column rank's one-row rounds over a
+    # dense cache, which read the rows of one gather in place.  SGD must
+    # stay within the bound of a textbook loop over the batches the run
+    # draws, which shares none of the solvers' kernels.
     seen = Counter()
     scores, gradients, add_gram, row_block = batch_scores, RowBlock.gradients, RowBlock.add_gram, RowBlock.__init__
     gather, gather_rows, gram = casgd.sparse._gather, casgd.solvers.gather_rows, casgd.solvers.gram_lower_blocks
+    run_rounds = casgd.solvers._run_rounds
+
+    def run_rounds_spy(dataset, cfg, *args, **kwargs):
+        if (cfg.layout, cfg.p, cfg.s * cfg.b) == (BLOCK_COLUMN, 1, 1) and dataset.a_tilde.dense_cache() is not None:
+            seen["one-row rounds, dense cache"] += 1
+        return run_rounds(dataset, cfg, *args, **kwargs)
 
     def block_seen(row_ids):
         seen["one-round blocks" if len(row_ids) == 1 else "multi-round blocks"] += 1
@@ -124,6 +144,7 @@ def test_round_loop_matches_sgd():
         mock.patch.object(casgd.sparse, "_gather", gather_spy),
         mock.patch.object(casgd.solvers, "gather_rows", gather_rows_spy),
         mock.patch.object(casgd.solvers, "gram_lower_blocks", gram_spy),
+        mock.patch.object(casgd.solvers, "_run_rounds", run_rounds_spy),
     ):
         _round_loop_matches_sgd()
     assert set(seen) == {
@@ -137,10 +158,21 @@ def test_round_loop_matches_sgd():
         "dense gram in panels",
         "one-round blocks",
         "multi-round blocks",
+        "one-row rounds, dense cache",
     }, seen
 
 
 @PROPERTY_SETTINGS
+# The drawn examples miss one column rank at b = 1 over a dense cache.
+@example(
+    grid=(BLOCK_COLUMN, 25, 6, 1, 1, 3, 2),
+    density=0.3,
+    dense=True,
+    support_ratio=casgd.sparse._SUPPORT_MIN_RATIO,
+    panel_rows=casgd.sparse._GRAM_PANEL_ROWS,
+    block_bytes=casgd.solvers._BLOCK_BYTES,
+    seed=5,
+)
 @given(
     grid=grids(),
     density=st.sampled_from([0.05, 0.3, 1.0]),
@@ -162,11 +194,13 @@ def _round_loop_matches_sgd(grid, density, dense, support_ratio, panel_rows, blo
         mock.patch.object(casgd.sparse, "_GRAM_PANEL_ROWS", panel_rows),
         mock.patch.object(casgd.solvers, "_BLOCK_BYTES", block_bytes),
     ):
-        sgd, ca = _runs(d, layout, p, b, s, epochs, seed)
+        sgd, ca, reference = _runs(d, layout, p, b, s, epochs, seed, oracle=True)
         # s = 1 is plain SGD, bit for bit.
-        sgd1, ca1 = _runs(d, layout, p, b, 1, epochs, seed)
-    assert len(ca.epoch_solutions) == len(sgd.epoch_solutions) == epochs + 1
-    for x_sgd, x_ca in zip(sgd.epoch_solutions, ca.epoch_solutions):
+        sgd1, ca1, _ = _runs(d, layout, p, b, 1, epochs, seed)
+    assert len(ca.epoch_solutions) == len(sgd.epoch_solutions) == len(reference.epoch_solutions) == epochs + 1
+    # SGD against a loop that shares none of its kernels, CA-SGD against SGD.
+    for x_ref, x_sgd, x_ca in zip(reference.epoch_solutions, sgd.epoch_solutions, ca.epoch_solutions):
+        assert relative_solution_error(x_ref, x_sgd) <= 1e-10
         assert relative_solution_error(x_sgd, x_ca) <= 1e-10
     for x_sgd, x_ca in zip(sgd1.epoch_solutions, ca1.epoch_solutions):
         assert x_sgd.tobytes() == x_ca.tobytes()

@@ -11,7 +11,7 @@ import pytest
 import casgd.solvers
 import casgd.sparse
 import oracles
-from casgd import BLOCK_ROW, CsrMatrix, SolverConfig, partition, run_casgd
+from casgd import BLOCK_ROW, CsrMatrix, LabeledDataset, SolverConfig, partition, run_casgd
 from casgd.datagen import synthetic_dataset
 from casgd.sparse import RowBlock, add_rows_transpose, batch_scores, gather_rows, gram_lower_blocks
 from conftest import ragged_libsvm_dataset
@@ -305,14 +305,17 @@ def _lower_matches(A: CsrMatrix, ids: np.ndarray, b: int) -> np.ndarray:
     ids=["width 0", "width 1", "width 20", "one row", "every column", "one row short"],
 )
 def test_gathers_match_the_entry_index(m, n, width, short):
-    # ``_gather``, ``_gather_rounds`` and ``_lower_block_matches`` give the
-    # bytes of a gather through an index of every entry: by whole-row takes
-    # on a matrix of one width (stored zeros, -0.0 and repeated ids
-    # included), and by the index on a matrix with one row short of the
-    # rest.  Column windows give them too: all of them are of one width
-    # when every row holds every column, and the narrower ones are ragged
-    # otherwise.
+    # ``_gather`` and ``_gather_rounds`` give the bytes of a gather through
+    # an index of every entry: by whole-row takes on a matrix of one width
+    # (stored zeros, -0.0 and repeated ids included), and by the index on a
+    # matrix with one row short of the rest.  Column windows give them too:
+    # all of them are of one width when every row holds every column, and
+    # the narrower ones are ragged otherwise.  The dense Gram's match counts,
+    # from the CSR pattern, count the same shared columns on all of them;
+    # the pattern is built on first use (here, the first window), not with
+    # the dense cache, and a window's is a view of its parent's.
     A = _one_width(m, n, width, seed=m + width, short=short)
+    assert A.dense_cache() is not None and "_pattern" not in vars(A)
     assert A.width == (width if short is None else None)
     rng = np.random.default_rng(m)
     ids = rng.integers(0, m, size=(3, 4))
@@ -330,6 +333,9 @@ def test_gathers_match_the_entry_index(m, n, width, short):
         for r, local in zip(ids, row_ofs):
             counts = W.row_nnz[r]
             assert _same_row_of(local, None if (counts == counts[0]).all() else np.repeat(np.arange(4), counts))
+        d = LabeledDataset.build(W, np.ones(m))
         for b in (1, 2):
-            assert casgd.sparse._lower_block_matches(W, ids, b).tobytes() == _lower_matches(W, ids, b).tobytes()
-            assert casgd.sparse._lower_block_matches(W, ids[0], b) == _lower_matches(W, ids[:1], b)[0]
+            assert gram_lower_blocks(d, ids, b)[1].tobytes() == _lower_matches(W, ids, b).tobytes()
+            assert gram_lower_blocks(d, ids[0], b)[1] == _lower_matches(W, ids[:1], b)[0]
+        if W is not A:
+            assert np.shares_memory(W._pattern, A._pattern)

@@ -601,16 +601,13 @@ def test_trace_point_at_every_iteration_leaves_the_run_unchanged(m, n, solver, s
     # A trace point at every iteration cuts every segment after one round
     # and, in the column layout, splits every round at s > 1 (at p > 1 the
     # split spans go through every rank's update).  The counters must read
-    # as under the default schedule, at the end and at each epoch end.  So
-    # must the bits where a round's update goes row by row, as a split
-    # round's spans do: SGD, s > 1 without a dense cache, and the row
-    # layout, whose rounds are never split.  A whole column round over a
-    # dense cache takes one BLAS product instead, so there the split runs
-    # stay within the s > 1 contract (see the xfail below).
+    # as under the default schedule, at the end and at each epoch end, and
+    # so must the bits.  A split column round over a dense cache updates a
+    # copy of x span by span for the points inside it, and x by the whole
+    # round's product, as an unsplit round does.
     default, every, points = _every_iteration_run(m, n, solver, s, layout, p, b)
     counters = lambda t: (t.flops, t.words, t.messages, t.collectives)
     assert every.counters == default.counters
-    same_bits = s == 1 or n == 3000 or layout == BLOCK_ROW
     at = {record.epoch: (record, x) for record, x in zip(every.trace, every.epoch_solutions)}
     pairs = [(default.final_x, every.final_x)]
     for record, x_at, it in zip(default.trace[1:], default.epoch_solutions[1:], points):
@@ -618,17 +615,14 @@ def test_trace_point_at_every_iteration_leaves_the_run_unchanged(m, n, solver, s
         pairs.append((x_at, at[it][1]))
     assert len(pairs) == 3
     for x_ref, x in pairs:
-        if same_bits:
-            assert x.tobytes() == x_ref.tobytes()
-        else:
-            assert relative_solution_error(x_ref, x) <= 1e-10
+        assert x.tobytes() == x_ref.tobytes()
 
 
-@pytest.mark.xfail(strict=True, reason="a split round over a dense cache updates row by row, a whole one by one BLAS product")
 @pytest.mark.parametrize("s", [2, 8])
 def test_trace_points_inside_dense_rounds_keep_the_bits(s):
-    # Where trace points fall should not change the trajectory's bits.
-    # Over a dense cache at s > 1 it does (by about 1e-16).
+    # Where trace points fall does not change the trajectory's bits, also
+    # over a dense cache at s > 1, where a whole round's update is one BLAS
+    # product and a split round's points read a copy of x updated row by row.
     default, every, _ = _every_iteration_run(150, 40, run_casgd, s)
     assert every.final_x.tobytes() == default.final_x.tobytes()
 

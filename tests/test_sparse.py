@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from casgd import CsrMatrix, LabeledDataset, LibsvmParseError, parse_libsvm, serialize_libsvm
 from casgd.datagen import synthetic_dataset
 import casgd.sparse
-from casgd.sparse import RoundEntries, _lower_block_matches, add_rows_transpose, batch_scores, gather_rows, gram_lower_blocks
+from casgd.sparse import RoundEntries, add_rows_transpose, batch_scores, gather_rows, gram_lower_blocks
 
 from conftest import assert_datasets_equal, dataset_from_scaled, ragged_libsvm_dataset, random_dataset
 from oracles import RowBlockSelector, csr_from_dense, gram_block, sampled_matvec, sampled_matvec_transpose
@@ -630,6 +630,14 @@ def _brute_lower_matches(dataset, ids, b):
     return total
 
 
+def _pattern_matches(d, ids, b):
+    """``gram_lower_blocks``' match counts from the CSR pattern, which its
+    dense path reads: ``d``'s dense cache is kept at any size."""
+    with mock.patch.object(casgd.sparse, "_DENSE_CACHE_MAX_CELLS", math.inf):
+        assert d.a_tilde.dense_cache() is not None
+    return gram_lower_blocks(d, ids, b)[1]
+
+
 class TestRoundKernels:
     @pytest.mark.parametrize("sb,b", [(2, 1), (3, 1), (8, 1), (12, 4), (40, 1), (36, 6)])
     def test_gram_lower_blocks_matches_gram_block(self, sb, b):
@@ -668,16 +676,17 @@ class TestRoundKernels:
     def test_lower_block_matches_with_repeated_rows(self):
         d = synthetic_dataset(30, 15, 4, seed=3)
         ids = np.array([4, 9, 4, 2, 9, 4])  # repeats across batches of size 2
-        assert _lower_block_matches(d.a_tilde, ids, 2) == _brute_lower_matches(d, ids, 2)
+        assert _pattern_matches(d, ids, 2) == _brute_lower_matches(d, ids, 2)
 
     @pytest.mark.parametrize("b", [1, 2, 5])
     @pytest.mark.parametrize("s", [1, 2, 7])
     @pytest.mark.parametrize("n", [3, 12, 400, 100_000])
-    def test_lower_block_matches_by_sort_and_bincount(self, n, s, b):
-        # One bincount over (batch, column) keys, or column keys alone at
-        # b = 1.  n = 3 is far below the round's nonzeros, 100000 far above;
-        # empty rows and rows drawn twice, within a batch and across
-        # batches, are in every round.
+    def test_lower_block_matches_from_the_pattern(self, n, s, b):
+        # Column counts of the pattern rows per round and per batch, or the
+        # rows' stored entries in place of the latter at b = 1; without a
+        # dense cache the pairs count them.  n = 3 is far below the round's
+        # nonzeros, 100000 far above; empty rows and rows drawn twice,
+        # within a batch and across batches, are in every round.
         rng = np.random.default_rng(n + 10 * s + b)
         dense = rng.standard_normal((30, n)) * (rng.random((30, n)) < min(1.0, 6 / n))
         dense[:4] = 0.0
@@ -688,7 +697,12 @@ class TestRoundKernels:
         ids[0] = 0  # an empty row
         if s * b > 2:
             ids[-1] = ids[-2]
-        assert _lower_block_matches(d.a_tilde, ids, b) == _brute_lower_matches(d, ids, b)
+        want = _brute_lower_matches(d, ids, b)
+        assert _pattern_matches(d, ids, b) == want
+        with mock.patch.object(casgd.sparse, "_DENSE_CACHE_MAX_CELLS", 0):
+            sparse = dataset_from_scaled(dense, np.ones(30))
+            assert sparse.a_tilde.dense_cache() is None
+        assert gram_lower_blocks(sparse, ids, b)[1] == want
 
     @pytest.mark.parametrize("sb,b", [(2, 1), (6, 1), (6, 3), (32, 1), (32, 16), (40, 1), (256, 1), (256, 16)])
     def test_csr_gram_scatter_leaves_only_lower_blocks(self, ragged_libsvm, sb, b):
