@@ -4,7 +4,10 @@ Collectives follow a binomial-tree model: every collective adds
 ``ceil(log2 p)`` messages and one collective to the counters, and moves
 its payload length in words (allreduce: the buffer length; allgather:
 the total concatenated length).  Payload accounting is p-independent so
-the counter laws hold uniformly down to p = 1.
+the counter laws hold uniformly down to p = 1.  Every collective is
+counted through ``VirtualCluster.count``, which a caller may also call
+alone: for a collective whose result every rank already holds, or for
+many rounds' collectives at once.
 
 Reductions sum rank buffers in a fixed ascending-rank tree (pairs at
 distance 1, then 2, 4, ...), making every run bit-reproducible.  Ranks
@@ -116,23 +119,15 @@ class VirtualCluster:
     def p(self) -> int:
         return self.layout.p
 
-    def _count(self, words: int) -> None:
-        c = self.counters
-        c.words_moved += words
-        c.messages += tree_message_count(self.layout.p)
-        c.collectives += 1
+    def count(self, words: int, collectives: int = 1) -> None:
+        """Count ``collectives`` collectives of ``words`` words each.
 
-    def count_local(self, words: int, collectives: int = 1) -> None:
-        """Count ``collectives`` collectives of ``words`` words each on one rank.
-
-        Nothing moves between ranks, so they add no messages.  ``combine``
-        counts its one-rank collectives here, and a caller that runs many
-        rounds between counter reads may count them all at once.
+        Each adds ``ceil(log2 p)`` messages, so none at p = 1, where
+        nothing moves between ranks.
         """
-        if self.layout.p != 1:
-            raise ValueError(f"local collectives need one rank, not {self.layout.p}")
         c = self.counters
         c.words_moved += collectives * words
+        c.messages += collectives * tree_message_count(self.layout.p)
         c.collectives += collectives
 
     def allreduce_sum(self, buffers: list[np.ndarray], words: int | None = None) -> np.ndarray:
@@ -154,7 +149,7 @@ class VirtualCluster:
         for buf in buffers[1:]:
             if len(buf) != length:
                 raise ValueError("allreduce buffers must have equal length")
-        self._count(length if words is None else words)
+        self.count(length if words is None else words)
         if p == 1:
             return buffers[0]
         work = list(buffers)
@@ -172,21 +167,20 @@ class VirtualCluster:
         p = self.p
         if len(buffers) != p:
             raise ValueError(f"expected {p} rank buffers, got {len(buffers)}")
-        self._count(sum(len(buf) for buf in buffers))
+        self.count(sum(len(buf) for buf in buffers))
         return np.concatenate(buffers)
 
-    def combine(self, buffers: list[np.ndarray], gather: bool = False, words: int | None = None) -> np.ndarray:
-        """The solvers' collective: ``allgather`` if ``gather``, else ``allreduce_sum``.
+    def combine(self, buffers: list[np.ndarray], words: int | None = None) -> np.ndarray:
+        """The solvers' reduction: ``allreduce_sum``, which ``words`` is passed on to.
 
-        With one rank nothing moves: the collective is only counted (the
+        With one rank nothing moves: the reduction is only counted (the
         buffer's length in words, or ``words``, and no messages) and the
-        rank's own buffer is returned, without a call to either collective.
-        ``words`` is passed on to ``allreduce_sum``.
+        rank's own buffer is returned, without a call to ``allreduce_sum``.
         """
         if self.layout.p == 1:
-            self.count_local(len(buffers[0]) if words is None else words)
+            self.count(len(buffers[0]) if words is None else words)
             return buffers[0]
-        return self.allgather(buffers) if gather else self.allreduce_sum(buffers, words)
+        return self.allreduce_sum(buffers, words)
 
     @cached_property
     def column_slices(self) -> tuple[LabeledDataset, ...]:

@@ -34,8 +34,8 @@ and index-match counts in one kernel call; under a dense cache the counts
 come from the rows of the matrix's CSR pattern.  The row layout reads its
 block from one gather of the rows' stored entries and at most one sort
 (``RowBlock``): each round's entries for its scores, its support and
-gradient keys, its ranks' payload values and, without a dense cache, its
-Gram pairs and their match counts.
+gradient keys, its allgather's words and, without a dense cache, its Gram
+pairs and their match counts.
 Each such round adds its pairs straight into G and clears the entries they
 wrote once the recurrence has read them (``RowBlock.add_gram`` and
 ``clear_gram``), so G's strictly lower blocks are zero between rounds.  K
@@ -50,7 +50,7 @@ Rounds run in segments: a block's rounds up to the next trace point.
 Counters advance once per segment, in closed form, before the point is
 recorded: its flops and sig evaluations and, at one column rank, its
 collectives, which move nothing and are only counted
-(``VirtualCluster.count_local``).  A column round that a trace point falls
+(``VirtualCluster.count``).  A column round that a trace point falls
 inside ends its segment, and its update is applied in spans of whole
 iterations, each counted as it is applied; over dense rows the spans update
 a copy of x, which the points inside the round read, and x takes the whole
@@ -73,16 +73,18 @@ The payload is set by the entry point that ran:
     (s^2 b^2 + s b words), even at s = 1.
   SGD, row: nothing; ranks score their own b/p rows, and the length-n
     gradient allreduce is the round's only collective.
-  s-step, row: one allgather of the first s-1 batches' row values (only
-    those appear on the Gram's column side) plus all s*b scores, then
-    the gradient allreduce.
+  s-step, row: one allgather of the stored entries of the first s-1
+    batches' rows (only those appear on the Gram's column side) plus all
+    s*b scores, then the gradient allreduce.  The allgather is counted
+    (``VirtualCluster.count``), not built: every rank already holds the
+    scores, and the replicated Gram is formed from the dataset.
 
 Column ranks work on their own column slices of the matrix and update
 their part of x with no further communication; row ranks accumulate
 gradients over their own rows, each in its own fresh buffer.  A round whose
 rows touch few columns scatters into buffers over just those columns, and
 reduces and updates only those; the allreduce still counts n words.
-Collectives go through ``VirtualCluster.combine``, which at p = 1 only
+Reductions go through ``VirtualCluster.combine``, which at p = 1 only
 counts them; one column rank counts a segment's at once.  The recurrence
 reproduces plain SGD's iterates in exact arithmetic; in floating point the
 trajectories agree to ~1e-10 relative over hundreds of epochs, and at
@@ -146,11 +148,10 @@ _SCALAR_SIG_MAX = 8
 # building a ``RowBlock`` frees before its first round (each entry's row,
 # rank and sort key, and over ragged rows also the gather's index of every
 # entry; rows of one width are read by whole rows), the row indices of
-# its rounds of unequal rows, the payload values and Gram pairs that
-# s > 1 row rounds also keep, and the pattern rows that a dense Gram
-# gathers for its match counts, one byte per cell, 1/8 the size of the
-# dense rows they accompany.  Over 112
-# columns with a dense cache and one column rank that is 273 rounds at
+# its rounds of unequal rows, the Gram pairs that s > 1 row rounds also
+# keep, and the pattern rows that a dense Gram gathers for its match counts,
+# one byte per cell, 1/8 the size of the dense rows they accompany.  Over
+# 112 columns with a dense cache and one column rank that is 273 rounds at
 # s * b = 1, 134 at 2, 32 at 8, 2 at 64 and 1 from 128 on.  Row-layout SGD at
 # b = 16 over rows of 20 entries and no dense cache takes 30 rounds.
 _BLOCK_BYTES = 256 * 1024
@@ -461,15 +462,10 @@ def _run_rounds(dataset, cfg, cluster, schedule, casgd):
     rs = total[:sb]
     G = total[sb:].reshape(sb, sb) if casgd else None
     if row:
-        # Row ranks hold b/p rows of every batch, contiguous within it: rank
-        # r's rows sit at spots[r] of the round's s*b rows.  The round's
-        # kernels run once over all its rows; ranks keep their own buffers
-        # only for the simulated reduction.
+        # Row ranks hold b/p rows of every batch, contiguous within it.  The
+        # round's kernels run once over all its rows; ranks keep their own
+        # buffers only for the simulated reduction.
         bp = b // p
-        spots = [
-            slice(r * bp, (r + 1) * bp) if s == 1 else (np.arange(0, sb, b)[:, None] + np.arange(r * bp, (r + 1) * bp)).ravel()
-            for r in range(p)
-        ]
         ranks = []
         # The replicated Gram is formed (and counted) once: a block at a
         # time from dense rows, or else round by round from the block's
@@ -547,7 +543,7 @@ def _run_rounds(dataset, cfg, cluster, schedule, casgd):
         source.advance(count * s)
         if row:
             # One gather of every rank's entries: each round's rows for the
-            # scores, support, gradient keys, payload heads and Gram pairs.
+            # scores, support, gradient keys, allgather words and Gram pairs.
             # Under a dense cache the Gram owner takes dense rows.
             entries = RowBlock(dataset, block, b, bp, casgd)
             block_rows = entries.rounds
@@ -617,14 +613,6 @@ def _run_rounds(dataset, cfg, cluster, schedule, casgd):
                         batch_scores(rk.data, ids, rk.x, rk.block_rows[r], rk.scores)
                     if row:
                         batch_scores(dataset, ids, x, block_rows[r], rs)
-                        if casgd:
-                            # Each rank's rows' values of the first s-1
-                            # batches (the Gram's column side), then its
-                            # scores for all s batches.  At s = 1 there
-                            # are no such values.
-                            payloads = [rs[spot] for spot in spots]
-                            if s > 1:
-                                payloads = [np.concatenate(pair) for pair in zip(entries.heads[r], payloads)]
                     if K > 1:
                         for rk in owners:
                             rk.gram[...] = rk.grams[r]
@@ -636,8 +624,11 @@ def _run_rounds(dataset, cfg, cluster, schedule, casgd):
                         if summed is not total:
                             total[:] = summed
                     elif casgd:
-                        # Every rank receives what ``rs`` already holds.
-                        cluster.combine(payloads, gather=True)
+                        # The allgather of every rank's scores and its rows'
+                        # entries of the first s-1 batches is only counted:
+                        # every rank already holds the scores in ``rs``, and
+                        # the Gram is formed from the dataset.
+                        cluster.count(sb + entries.head_words[r])
                     weigh()
                     if round_gram:
                         entries.clear_gram(r, G)
@@ -658,7 +649,7 @@ def _run_rounds(dataset, cfg, cluster, schedule, casgd):
             c.flops += done[j] - done[k]
             c.sig_evals += (j - k) * sb
             if local:
-                cluster.count_local(size, j - k + split)
+                cluster.count(size, j - k + split)
             if not split:
                 if next_it <= t + j * s:
                     rec.visit(t + j * s, x)

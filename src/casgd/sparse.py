@@ -892,12 +892,12 @@ class RowBlock:
         Gram pairs read;
       * ``supports``: its sorted distinct columns, or None when its rows
         hold more than n / ``_SUPPORT_MIN_RATIO`` entries;
-      * with ``payload`` (the s-step allgather) at s > 1: ``heads``, each
-        rank's values of its rows of the first s-1 batches, in row order
-        (``heads`` is empty at s = 1 or without ``payload``), and, without
-        a dense cache (whose Gram is a BLAS product of dense rows), its
-        Gram pairs (in ``rounds``, added by ``add_gram``), counted by
-        ``matches`` (int64, one per round; else None).
+      * with ``payload`` (the s-step allgather): ``head_words``, the stored
+        entries of its first s-1 batches' rows, which the allgather counts
+        (0 at s = 1; ``head_words`` is None without ``payload``), and at
+        s > 1 without a dense cache (whose Gram is a BLAS product of dense
+        rows) its Gram pairs (in ``rounds``, added by ``add_gram``),
+        counted by ``matches`` (int64, one per round; else None).
 
     An entry's key is its place in the flattened gradient buffers of its
     round's ranks: (p, n) buffers over all columns (``rank * n + column``)
@@ -950,20 +950,15 @@ class RowBlock:
                 self.matches = np.diff(pair_starts)
                 pair_starts = pair_starts.tolist()
 
-        # At s = 1 no batch precedes the last, so there are no heads.
-        heads = payload and s > 1
-        if heads:
-            # Where each round's last batch starts.
-            heads_end = starts[np.arange(K) * sb + (s - 1) * b].tolist()
-        self.rounds, self.heads = [], []
+        # Each round's entries before its last batch starts: what its
+        # allgather sends besides the scores.
+        firsts = np.arange(K) * sb
+        self.head_words = (starts[firsts + (s - 1) * b] - starts[firsts]).tolist() if payload else None
+        self.rounds = []
         for k, rows in enumerate(row_ofs):
             lo, hi = edges[k], edges[k + 1]
             gram = (targets[pair_starts[k] : pair_starts[k + 1]], products[pair_starts[k] : pair_starts[k + 1]]) if pairs else ()
             self.rounds.append(RoundEntries(cols[lo:hi], vals[lo:hi], rows, keys[lo:hi], *gram))
-            if heads:
-                # Each rank's entries of the first s-1 batches, in row order.
-                end = heads_end[k]
-                self.heads.append([vals[lo:end][rank[lo:end] == r] for r in range(p)])
 
     def gradients(self, k: int, w: np.ndarray) -> np.ndarray:
         """Each rank's gradient over round ``k``'s rows, weighted by ``w`` (one

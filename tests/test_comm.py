@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -132,30 +134,14 @@ class TestCombine:
         reference = partition(d, BLOCK_ROW, 1)
         buf = np.array([1.0, 2.0, 3.0])
         reference.allreduce_sum([buf])
-        reference.allgather([buf])
 
         def no_call(*args):
             raise AssertionError("a single rank makes no collective call")
 
         monkeypatch.setattr(VirtualCluster, "allreduce_sum", no_call)
-        monkeypatch.setattr(VirtualCluster, "allgather", no_call)
         cluster = partition(d, BLOCK_ROW, 1)
         assert cluster.combine([buf]) is buf
-        assert cluster.combine([buf], gather=True) is buf
         assert cluster.counters == reference.counters
-
-    def test_local_collectives_counted_at_once(self):
-        # r collectives of one rank counted at once read as r counted one
-        # by one through ``combine``; ranks that exchange data cannot.
-        d = random_dataset(np.random.default_rng(0), 10, 6)
-        one, each = partition(d, BLOCK_COLUMN, 1), partition(d, BLOCK_COLUMN, 1)
-        one.count_local(7, 5)
-        for _ in range(5):
-            each.combine([np.zeros(7)])
-        assert one.counters == each.counters
-        assert one.counters.as_dict() == {"flops": 0, "words": 35, "messages": 0, "collectives": 5, "sig_evals": 0}
-        with pytest.raises(ValueError, match="one rank"):
-            partition(d, BLOCK_COLUMN, 2).count_local(7)
 
     @pytest.mark.parametrize("p", [2, 3])
     def test_ranks_match_the_collectives(self, p):
@@ -164,9 +150,7 @@ class TestCombine:
         bufs = [rng.standard_normal(4) for _ in range(p)]
         cluster, reference = partition(d, BLOCK_ROW, p), partition(d, BLOCK_ROW, p)
         np.testing.assert_array_equal(cluster.combine(bufs), reference.allreduce_sum(bufs))
-        np.testing.assert_array_equal(cluster.combine(bufs, gather=True), reference.allgather(bufs))
         assert cluster.counters == reference.counters
-
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     def test_stated_words_are_counted(self, p):
@@ -183,6 +167,34 @@ class TestCombine:
         assert cluster.counters.collectives == reference.counters.collectives == 1
         np.testing.assert_array_equal(cluster.allreduce_sum(bufs, words=77), reference.allreduce_sum(bufs))
         assert cluster.counters.words_moved == 1077
+
+
+class TestCount:
+    def test_single_rank_counts_no_messages(self):
+        # Collectives counted at once read as counted one by one through
+        # ``combine``; nothing moves between ranks, so there are no messages.
+        d = random_dataset(np.random.default_rng(0), 10, 6)
+        one, each = partition(d, BLOCK_COLUMN, 1), partition(d, BLOCK_COLUMN, 1)
+        one.count(7, 5)
+        for _ in range(5):
+            each.combine([np.zeros(7)])
+        assert one.counters == each.counters
+        assert one.counters.as_dict() == {"flops": 0, "words": 35, "messages": 0, "collectives": 5, "sig_evals": 0}
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 8])
+    def test_messages_are_collectives_times_tree_depth(self, p):
+        # ceil(log2 p) messages per collective, counted at once or one
+        # collective call at a time.
+        d = random_dataset(np.random.default_rng(p), 10, 9)
+        cluster, reference = partition(d, BLOCK_COLUMN, p), partition(d, BLOCK_COLUMN, p)
+        cluster.count(7, 5)
+        cluster.count(3)
+        for _ in range(5):
+            reference.allreduce_sum([np.zeros(7)] * p)
+        reference.allgather([np.zeros(3)] + [np.zeros(0)] * (p - 1))
+        assert cluster.counters == reference.counters
+        depth = math.ceil(math.log2(p))
+        assert cluster.counters.as_dict() == {"flops": 0, "words": 38, "messages": 6 * depth, "collectives": 6, "sig_evals": 0}
 
 
 class TestCounters:

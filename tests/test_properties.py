@@ -84,8 +84,9 @@ def test_round_loop_matches_sgd():
     # the paths the examples reach, each of which must run: among them the
     # gathers of whole rows (a matrix or window of one width) and of each
     # entry (ragged rows), dense Grams of more rows than a panel, blocks of
-    # one round and of several, and one column rank's one-row rounds over a
-    # dense cache, which read the rows of one gather in place.  SGD must
+    # one round and of several, one column rank's one-row rounds over a
+    # dense cache, which read the rows of one gather in place, and more
+    # column ranks at b = 1, at s > 1 and without a dense cache.  SGD must
     # stay within the bound of a textbook loop over the batches the run
     # draws, which shares none of the solvers' kernels.
     seen = Counter()
@@ -94,8 +95,14 @@ def test_round_loop_matches_sgd():
     run_rounds = casgd.solvers._run_rounds
 
     def run_rounds_spy(dataset, cfg, *args, **kwargs):
-        if (cfg.layout, cfg.p, cfg.s * cfg.b) == (BLOCK_COLUMN, 1, 1) and dataset.a_tilde.dense_cache() is not None:
+        dense = dataset.a_tilde.dense_cache() is not None
+        if (cfg.layout, cfg.p, cfg.s * cfg.b) == (BLOCK_COLUMN, 1, 1) and dense:
             seen["one-row rounds, dense cache"] += 1
+        if cfg.layout == BLOCK_COLUMN and cfg.p > 1 and cfg.b == 1:
+            if cfg.s > 1:
+                seen["column ranks, b = 1, s > 1"] += 1
+            if not dense:
+                seen["column ranks, b = 1, no dense cache"] += 1
         return run_rounds(dataset, cfg, *args, **kwargs)
 
     def block_seen(row_ids):
@@ -159,11 +166,14 @@ def test_round_loop_matches_sgd():
         "one-round blocks",
         "multi-round blocks",
         "one-row rounds, dense cache",
+        "column ranks, b = 1, s > 1",
+        "column ranks, b = 1, no dense cache",
     }, seen
 
 
 @PROPERTY_SETTINGS
-# The drawn examples miss one column rank at b = 1 over a dense cache.
+# The drawn examples miss b = 1 at one column rank over a dense cache, and
+# at more column ranks at s > 1 and without a dense cache.
 @example(
     grid=(BLOCK_COLUMN, 25, 6, 1, 1, 3, 2),
     density=0.3,
@@ -172,6 +182,24 @@ def test_round_loop_matches_sgd():
     panel_rows=casgd.sparse._GRAM_PANEL_ROWS,
     block_bytes=casgd.solvers._BLOCK_BYTES,
     seed=5,
+)
+@example(
+    grid=(BLOCK_COLUMN, 25, 6, 3, 1, 5, 2),
+    density=0.3,
+    dense=True,
+    support_ratio=casgd.sparse._SUPPORT_MIN_RATIO,
+    panel_rows=casgd.sparse._GRAM_PANEL_ROWS,
+    block_bytes=casgd.solvers._BLOCK_BYTES,
+    seed=6,
+)
+@example(
+    grid=(BLOCK_COLUMN, 20, 8, 2, 1, 8, 2),
+    density=0.3,
+    dense=False,
+    support_ratio=casgd.sparse._SUPPORT_MIN_RATIO,
+    panel_rows=casgd.sparse._GRAM_PANEL_ROWS,
+    block_bytes=casgd.solvers._BLOCK_BYTES,
+    seed=7,
 )
 @given(
     grid=grids(),

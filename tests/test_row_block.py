@@ -1,5 +1,5 @@
 """``RowBlock``, the row layout's one gather per block, against the per-block
-kernels it replaced (``oracles``): keys, supports, slots, payload heads,
+kernels it replaced (``oracles``): keys, supports, slots, allgather words,
 Gram blocks and match counts must match them byte for byte, and each
 round's scores one ``ndarray.dot`` per row (rows of equal counts) or the
 CSR product (others).  The gathers they read match a gather through an
@@ -140,16 +140,15 @@ def test_matches_the_kernels_it_replaced(monkeypatch, p, K, s, n, payload):
             assert one.cols.tobytes() == here.cols.tobytes() and one.vals.tobytes() == here.vals.tobytes()
             assert _same_row_of(one.row_of, here.row_of)
 
-    # Payload heads: each rank's values of its first s-1 batches, as the
-    # oracle's ranked values held them; none at s = 1 or without a payload.
-    assert len(entries.heads) == (K if payload and s > 1 else 0)
+    # The allgather's words: per round, the entries of every rank's rows of
+    # its first s-1 batches, as the oracle's ranked values held them; 0 at
+    # s = 1, and none without a payload.
     if not payload:
+        assert entries.head_words is None
         return
-    for k, heads in enumerate(entries.heads):
-        for r, head in enumerate(heads):
-            stretch = k * sb + r * s * width
-            want = np.concatenate([np.empty(0)] + vals[stretch : stretch + (s - 1) * width])
-            assert head.tobytes() == want.tobytes()
+    heads = [sum(len(vals[k * sb + r * s * width + at]) for r in range(p) for at in range((s - 1) * width)) for k in range(K)]
+    assert entries.head_words == heads and all(type(words) is int for words in entries.head_words)
+    assert (s == 1) == (heads == [0] * K)
     if s == 1 or dense:
         assert all(here.targets is None for here in entries.rounds)
         return

@@ -482,18 +482,26 @@ class TestRoundBlocks:
         assert len(run.epoch_solutions) == 4
 
 
-def _replayed_flops(d, cfg, cluster, schedule):
-    """Cumulative flops at each trace point, counted iteration by iteration
-    over the replayed batch stream: each round's scores (its rows'
+def _replayed_counters(d, cfg, cluster, schedule):
+    """``run_casgd``'s cumulative (flops, words, messages, collectives) at
+    each trace point, and at the end, counted iteration by iteration over
+    the replayed batch stream.  Flops: each round's scores (its rows'
     nonzeros) and strictly-lower cross-batch index matches, merged pair by
     pair; then per iteration its rows' nonzeros, n (column) and i*b*b for
-    the i-th iteration of the round, and n per round (row)."""
+    the i-th iteration of the round, and n per round (row).  Collectives,
+    each of ceil(log2 p) messages: per column round, one of the s*b scores
+    and the s*b square Gram, counted as the round starts; per row round, an
+    allgather of the s*b scores and the stored entries of its first s-1
+    batches' rows, and the n-word gradient allreduce."""
     row = cfg.layout == BLOCK_ROW
     ranges = cluster.layout.boundaries if row else None
     stream = BatchStream(cfg.seed, d.num_points, cfg.b, mode="per_rank" if row else "global", rank_ranges=ranges)
     A, n, s, b = d.a_tilde, d.num_features, cfg.s, cfg.b
+    depth = math.ceil(math.log2(cfg.p))
     points = dict((it, e) for e, it in schedule)
-    flops, at = 0, {0: 0}
+    flops = words = collectives = 0
+    counted = lambda: (flops, words, collectives * depth, collectives)
+    at = {0: counted()}
     for t in range(0, cfg.total_iterations, s):
         batches = [stream.next_indices() for _ in range(s)]
         ids = [i for batch in batches for i in batch]
@@ -501,14 +509,19 @@ def _replayed_flops(d, cfg, cluster, schedule):
         for j in range(len(ids)):
             for q in range(j - j % b):
                 flops += len(np.intersect1d(A.row(ids[j])[0], A.row(ids[q])[0], assume_unique=True))
+        if not row:
+            words += s * b + (s * b) ** 2
+            collectives += 1
         for i, batch in enumerate(batches):
             flops += sum(len(A.row(r)[0]) for r in batch) + (0 if row else n) + i * b * b
             if t + i + 1 in points:
-                at[points[t + i + 1]] = flops
+                at[points[t + i + 1]] = counted()
         if row:
             flops += n
-            at[points.get(t + s, -1)] = flops
-    return [at[e] for e in range(len(schedule) + 1)], flops
+            words += s * b + sum(len(A.row(r)[0]) for batch in batches[:-1] for r in batch) + n
+            collectives += 2
+            at[points.get(t + s, -1)] = counted()
+    return [at[e] for e in range(len(schedule) + 1)], counted()
 
 
 @pytest.mark.parametrize("s", [2, 4])
@@ -516,23 +529,24 @@ def _replayed_flops(d, cfg, cluster, schedule):
 @pytest.mark.parametrize("m,n", [(150, 40), (800, 3000)])
 def test_counters_match_replay_on_ragged_rows(monkeypatch, layout, m, n, s):
     # Rows of 0 to 12 nonzeros, stored zeros and an empty row: the closed
-    # forms are not exact here, so the flops are counted by brute force.
-    # Column trace points fall inside rounds (split updates); the row
-    # layout's sit at round ends.  The default block takes all 9 rounds at
-    # once, K = 2 takes them two at a time (the last block holds one).
+    # forms are not exact here, so the flops, and the words of the row
+    # layout's allgather, are counted by brute force.  Column trace points
+    # fall inside rounds (split updates); the row layout's sit at round
+    # ends.  The default block takes all 9 rounds at once, K = 2 takes them
+    # two at a time (the last block holds one).
     d = ragged_libsvm_dataset(m, n, seed=3)
     assert (d.a_tilde.dense_cache() is None) == (n == 3000)
     b, p = 2, 2
     cfg = SolverConfig(eta0=1.0, b=b, s=s, total_iterations=9 * s, layout=layout, p=p, seed=11)
     row = layout == BLOCK_ROW
     schedule = [(1, s), (2, 5 * s), (3, 9 * s)] if row else [(1, 1), (2, 3 * s + 1), (3, 6 * s - 1), (4, 9 * s)]
-    want, final = _replayed_flops(d, cfg, partition(d, layout, p), schedule)
+    want, final = _replayed_counters(d, cfg, partition(d, layout, p), schedule)
     for K in (None, 2):
         if K is not None:
             monkeypatch.setattr(casgd.solvers, "_rounds_per_block", lambda *args: K)
         run = run_casgd(d, cfg, partition(d, layout, p), schedule=schedule)
-        assert [t.flops for t in run.trace] == want
-        assert run.counters.flops == final and run.counters.sig_evals == 9 * s * b
+        assert [(t.flops, t.words, t.messages, t.collectives) for t in run.trace] == want
+        assert run.counters.as_dict() == dict(zip(("flops", "words", "messages", "collectives"), final), sig_evals=9 * s * b)
         assert all(type(v) is int for v in run.counters.as_dict().values())
         assert all(type(t.flops) is int for t in run.trace)
 
@@ -551,7 +565,8 @@ def test_one_column_rank_counters_at_every_trace_point(monkeypatch, m, n, solver
     cfg = SolverConfig(eta0=1.0, b=1, s=s, total_iterations=9 * s, seed=11)
     points = sorted({1, 3 * s, 3 * s + 1, 3 * s + 3, 6 * s - 1, 9 * s})
     schedule = list(enumerate(points, start=1))
-    want, final = _replayed_flops(d, cfg, partition(d, BLOCK_COLUMN, 1), schedule)
+    replayed, final = _replayed_counters(d, cfg, partition(d, BLOCK_COLUMN, 1), schedule)
+    want = [counters[0] for counters in replayed]
     words = s + s * s if solver is run_casgd else 1
     law = [
         {"words": -(-it // s) * words, "messages": 0, "collectives": -(-it // s), "sig_evals": it}
@@ -572,7 +587,7 @@ def test_one_column_rank_counters_at_every_trace_point(monkeypatch, m, n, solver
         run = solver(d, cfg, partition(d, BLOCK_COLUMN, 1), schedule=schedule)
         assert [counters.pop("flops") for counters in seen] == want
         assert seen == law
-        assert run.counters.flops == final
+        assert run.counters.flops == final[0]
         assert {key: value for key, value in run.counters.as_dict().items() if key != "flops"} == law[-1]
 
 
