@@ -10,6 +10,10 @@ feature values, a batch size below 1, a non-finite or negative --eta,
 other than 1 without --algo casgd), 2 bad flags, 3 comparison failed
 (tolerance exceeded, a non-finite error, or fewer than epochs+1 epochs
 compared).
+A --data file that starts with gzip's magic bytes (1f 8b) is decompressed,
+whatever its name.  ``compare`` runs SGD once, traced at the points of
+every s, and compares each s-step run with it at that run's own points:
+epoch ends, which the row layout rounds up to the end of an s-step round.
 CSV files are written to a temp file and renamed into place, so no
 partial output survives an error.  All floats are serialized with
 17 significant digits (round-trip exact), and every run is fully
@@ -68,16 +72,15 @@ def _write_csv(path: str, header: str, rows: list[str]) -> None:
 
 
 def _load_dataset(args):
-    use_gzip = args.gzip or args.data.endswith(".gz")
-    opener = gzip.open if use_gzip else open
-    with opener(args.data, "rt") as fh:
+    with open(args.data, "rb") as fh:
+        packed = fh.read(2) == b"\x1f\x8b"
+    with (gzip.open if packed else open)(args.data, "rt") as fh:
         text = fh.read()
     return parse_libsvm(text, num_features=args.num_features)
 
 
 def _data_flags(sub):
     sub.add_argument("--data", required=True, help="input file path")
-    sub.add_argument("--gzip", action="store_true", help="force gzip decoding (auto for .gz)")
     sub.add_argument("--num-features", type=int, default=None, help="force a feature count larger than the max index seen")
 
 
@@ -143,31 +146,26 @@ def cmd_compare(args) -> int:
     layout = _LAYOUTS[args.layout]
     m = dataset.num_points
     H = args.epochs * iterations_per_epoch(m, args.batch)
-
-    def sgd_run(sched):
-        # SGD runs to the last point it is compared at; in the row layout
-        # that point is rounded up to a round boundary, past H.
-        iterations = sched[-1][1] if sched else 0
-        cfg = SolverConfig(eta0=args.eta, b=args.batch, s=1, total_iterations=iterations, layout=layout, p=args.procs, seed=args.seed)
-        return run_sgd(dataset, cfg, partition(dataset, layout, args.procs), schedule=sched)
-
-    # In column layout the s-step run materializes x at every iteration, so
-    # one baseline run serves all s.  Row-layout runs only materialize x at
-    # round boundaries; the baseline is re-traced on each s's aligned points.
-    baseline = sgd_run(epoch_schedule(m, args.batch, H)) if layout == BLOCK_COLUMN else None
+    cluster = partition(dataset, layout, args.procs)
+    # Row-layout runs only materialize x at round ends, so there each s has
+    # its own points.  One SGD run is traced at all of them, to the last.
+    points = {s: epoch_schedule(m, args.batch, H, s if layout == BLOCK_ROW else 1) for s in s_values}
+    schedule = sorted({pt for pts in points.values() for pt in pts}, key=lambda pt: (pt[1], pt[0]))
+    cfg = SolverConfig(eta0=args.eta, b=args.batch, total_iterations=schedule[-1][1] if schedule else 0, layout=layout, p=args.procs, seed=args.seed)
+    sgd = run_sgd(dataset, cfg, cluster, schedule=schedule)
+    sgd_at = dict(zip([(0, 0)] + schedule, zip(sgd.trace, sgd.epoch_solutions)))
 
     rows = []
     errors = []
     short = []
     for s in s_values:
-        sched = epoch_schedule(m, args.batch, H, s=s, align_to_rounds=layout == BLOCK_ROW)
-        base = baseline if baseline is not None else sgd_run(sched)
         cfg = SolverConfig(eta0=args.eta, b=args.batch, s=s, epochs=args.epochs, layout=layout, p=args.procs, seed=args.seed)
-        ca = run_casgd(dataset, cfg, partition(dataset, layout, args.procs), schedule=sched)
-        compared = min(len(base.trace), len(ca.trace))
+        ca = run_casgd(dataset, cfg, cluster, schedule=points[s])
+        base = [sgd_at[pt] for pt in [(0, 0)] + points[s]]
+        compared = min(len(base), len(ca.trace))
         if compared != args.epochs + 1:
             short.append(f"s={s}: compared {compared} epochs, expected {args.epochs + 1}")
-        for t_sgd, t_ca, x_sgd, x_ca in zip(base.trace, ca.trace, base.epoch_solutions, ca.epoch_solutions):
+        for (t_sgd, x_sgd), t_ca, x_ca in zip(base, ca.trace, ca.epoch_solutions):
             rel = relative_solution_error(x_sgd, x_ca)
             errors.append(rel)
             rows.append(
@@ -205,15 +203,15 @@ def cmd_compare(args) -> int:
 
 def cmd_costs(args) -> int:
     H = args.epochs * iterations_per_epoch(args.m, args.b)
-    params = CostParams(m=args.m, n=args.n, p=args.p, b=args.b, s=args.s, H=H, f=args.f, omega=args.omega)
-    machine = MachineModel(alpha=args.alpha, beta=args.beta, gamma=args.gamma)
+    params = CostParams(m=args.m, n=args.n, p=args.p, b=args.b, s=args.s, H=H, f=args.f)
+    machine = MachineModel(alpha=args.alpha, beta=args.beta, gamma=args.gamma, omega=args.omega)
     print(f"H={H} logical iterations (epochs={args.epochs}, iterations/epoch={iterations_per_epoch(args.m, args.b)})")
     header = f"{'algorithm':<10} {'layout':<14} {'flops':>16} {'words':>14} {'messages':>10} {'collectives':>12} {'sig_evals':>10} {'modeled_time':>14}"
     print(header)
     for algo in ("sgd", "casgd"):
         for layout in (BLOCK_COLUMN, BLOCK_ROW):
             cost = theoretical_cost(params, algo, layout)
-            t = modeled_time(cost, machine, params.omega)
+            t = modeled_time(cost, machine)
             print(
                 f"{algo:<10} {layout:<14} {cost.flops:>16} {cost.words_moved:>14} "
                 f"{cost.messages:>10} {cost.collectives:>12} {cost.sig_evals:>10} {_fmt(t):>14}"

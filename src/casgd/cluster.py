@@ -150,8 +150,6 @@ class VirtualCluster:
             if len(buf) != length:
                 raise ValueError("allreduce buffers must have equal length")
         self.count(length if words is None else words)
-        if p == 1:
-            return buffers[0]
         work = list(buffers)
         for rank in range(0, p - 1, 2):
             work[rank] = np.add(work[rank], work[rank + 1], dtype=np.float64)

@@ -3,8 +3,9 @@
 The formulas below pin the explicit per-round constants the simulator
 reproduces, under the shared flop convention (one flop per sparse
 multiply-add and per dense axpy element; nonlinearity applications
-tallied separately and weighted by omega only here).  With L =
-ceil(log2 p), R = ceil(H/s) rounds and per-batch nonzeros f*b*n:
+tallied separately and weighted by ``MachineModel.omega`` only in
+``modeled_time``).  With L = ceil(log2 p), R = ceil(H/s) rounds and
+per-batch nonzeros f*b*n:
 
   sgd, either layout, per iteration:
       flops 2 f b n + n, 1 collective, L messages,
@@ -45,7 +46,6 @@ class CostParams:
     s: int
     H: int
     f: float
-    omega: float = DEFAULT_OMEGA
 
     def __post_init__(self):
         for name in ("m", "n", "p", "b", "s", "H"):
@@ -53,20 +53,20 @@ class CostParams:
                 raise ValueError(f"{name} must be at least 1")
         if not 0.0 < self.f <= 1.0:
             raise ValueError("f must be in (0, 1]")
-        if not (math.isfinite(self.omega) and self.omega >= 0):
-            raise ValueError(f"omega must be finite and non-negative, got {self.omega!r}")
 
 
 @dataclass(frozen=True)
 class MachineModel:
-    """alpha: seconds/message, beta: seconds/word, gamma: seconds/flop."""
+    """alpha: seconds/message, beta: seconds/word, gamma: seconds/flop,
+    omega: flops per nonlinearity evaluation."""
 
     alpha: float
     beta: float
     gamma: float
+    omega: float = DEFAULT_OMEGA
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "gamma"):
+        for name in ("alpha", "beta", "gamma", "omega"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{name} must be finite and non-negative, got {value!r}")
@@ -126,12 +126,12 @@ def theoretical_cost(params: CostParams, algorithm: str, layout: str) -> CostCou
     )
 
 
-def modeled_time(counters: CostCounters, machine: MachineModel, omega: float = DEFAULT_OMEGA) -> float:
-    """alpha*messages + beta*words + gamma*(flops + omega*sig_evals)."""
+def modeled_time(counters: CostCounters, machine: MachineModel) -> float:
+    """alpha*messages + beta*words + gamma*(flops + omega*sig_evals), all from ``machine``."""
     return (
         machine.alpha * counters.messages
         + machine.beta * counters.words_moved
-        + machine.gamma * (counters.flops + omega * counters.sig_evals)
+        + machine.gamma * (counters.flops + machine.omega * counters.sig_evals)
     )
 
 
@@ -140,7 +140,7 @@ def crossover_s(params: CostParams, machine: MachineModel) -> int:
     best_s, best_time = 1, math.inf
     for s in range(1, params.s + 1):
         cost = theoretical_cost(replace(params, s=s), "casgd", "block_column")
-        t = modeled_time(cost, machine, params.omega)
+        t = modeled_time(cost, machine)
         if t < best_time:
             best_s, best_time = s, t
     return best_s

@@ -20,9 +20,10 @@ indices (or one peek, if larger).  The block is only a cache; indices
 still depend on nothing but ``(seed, cursor)``.  The solvers read a block
 of rounds' batches with one ``peek_indices`` call, not one call per round.
 
-``per_rank`` mode stratifies a batch over contiguous rank row ranges:
-each rank contributes ``b/p`` local indices, concatenated in rank order,
-drawn from draw numbers ``t*b + rank*(b/p) + k``.
+Given ``rank_ranges``, a stream draws per rank: it stratifies a batch
+over those contiguous row ranges, and each of the p ranks contributes
+``b/p`` local indices, concatenated in rank order, drawn from draw numbers
+``t*b + rank*(b/p) + k``.  Without them a batch is drawn from all m rows.
 """
 
 from __future__ import annotations
@@ -117,14 +118,13 @@ def _walk_columns(slots: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BatchStream:
-    """Stream of row batches, fully determined by (seed, cursor, m, b, mode)."""
+    """Stream of row batches, fully determined by (seed, cursor, m, b, rank_ranges); the cursor starts at 0."""
 
     seed: int
     m: int
     b: int
-    mode: str = "global"
     rank_ranges: Sequence[tuple[int, int]] | None = None
-    cursor: int = field(default=0)
+    cursor: int = field(default=0, init=False)
     _block_start: int = field(default=0, init=False, repr=False, compare=False)
     _block: np.ndarray = field(
         default_factory=lambda: np.empty((0, 0), dtype=np.int64), init=False, repr=False, compare=False
@@ -133,21 +133,17 @@ class BatchStream:
     def __post_init__(self):
         if self.b < 1 or self.b > self.m:
             raise ValueError(f"batch size {self.b} must be in [1, m={self.m}]")
-        if self.mode == "global":
-            if self.rank_ranges is not None:
-                raise ValueError("rank_ranges only apply to per_rank mode")
-        elif self.mode == "per_rank":
-            if not self.rank_ranges:
-                raise ValueError("per_rank mode requires rank_ranges")
-            p = len(self.rank_ranges)
-            if self.b % p:
-                raise ValueError(f"per_rank mode requires p={p} to divide b={self.b}")
-            local = self.b // p
-            for start, stop in self.rank_ranges:
-                if stop - start < local:
-                    raise ValueError(f"rank range [{start},{stop}) holds fewer than {local} rows")
-        else:
-            raise ValueError(f"unknown mode {self.mode!r}")
+        if self.rank_ranges is None:
+            return
+        if not self.rank_ranges:
+            raise ValueError("rank_ranges must hold at least one range")
+        p = len(self.rank_ranges)
+        if self.b % p:
+            raise ValueError(f"per-rank draws require p={p} to divide b={self.b}")
+        local = self.b // p
+        for start, stop in self.rank_ranges:
+            if stop - start < local:
+                raise ValueError(f"rank range [{start},{stop}) holds fewer than {local} rows")
 
     def _rows(self, cursor: int, count: int) -> np.ndarray:
         """Indices of the batches at cursors ``cursor .. cursor+count-1``, one row each."""
@@ -159,7 +155,7 @@ class BatchStream:
 
     def _compute_block(self, cursor: int, count: int) -> np.ndarray:
         draws = _draws(self.seed, cursor * self.b, count * self.b).reshape(count, self.b)
-        if self.mode == "global":
+        if self.rank_ranges is None:
             return _sample_windows(draws, 0, self.m)
         local = self.b // len(self.rank_ranges)
         return np.hstack(

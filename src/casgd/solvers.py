@@ -222,25 +222,15 @@ def iterations_per_epoch(m: int, b: int) -> int:
     return -(-m // b)
 
 
-def epoch_schedule(
-    m: int, b: int, total_iterations: int, s: int = 1, align_to_rounds: bool = False
-) -> list[tuple[int, int]]:
-    """(epoch, iteration) trace points: every ceil(m/b) iterations.
+def epoch_schedule(m: int, b: int, total_iterations: int, round_size: int = 1) -> list[tuple[int, int]]:
+    """(epoch, iteration) trace points: every ceil(m/b) iterations, each
+    rounded up to a multiple of ``round_size``.
 
-    With ``align_to_rounds`` each point is rounded up to the next multiple
-    of ``s`` (block-row s-step runs only materialize the solution at round
-    boundaries).
+    Block-row runs only materialize the solution at round ends, so they
+    take ``round_size = s``; at 1 the points are the epoch ends.
     """
     ipe = iterations_per_epoch(m, b)
-    out = []
-    e = 1
-    while e * ipe <= total_iterations:
-        it = e * ipe
-        if align_to_rounds:
-            it = s * (-(-it // s))
-        out.append((e, it))
-        e += 1
-    return out
+    return [(e, round_size * -(-e * ipe // round_size)) for e in range(1, total_iterations // ipe + 1)]
 
 
 def relative_solution_error(x_ref: np.ndarray, x_other: np.ndarray) -> float:
@@ -437,10 +427,9 @@ def _run_rounds(dataset, cfg, cluster, schedule, casgd):
     H = cfg.total_iterations if cfg.epochs is None else cfg.epochs * iterations_per_epoch(m, b)
     iterations = s * -(-H // s)
     if schedule is None:
-        schedule = epoch_schedule(m, b, H, s=s, align_to_rounds=row)
+        schedule = epoch_schedule(m, b, H, s if row else 1)
     # Row ranks draw their own rows of every batch.
-    ranges = cluster.layout.boundaries if row else None
-    source = BatchStream(cfg.seed, m, b, mode="per_rank" if row else "global", rank_ranges=ranges)
+    source = BatchStream(cfg.seed, m, b, cluster.layout.boundaries if row else None)
     eta_scale = cfg.eta0 / m
     A = dataset.a_tilde
     dense = A.dense_cache() is not None

@@ -884,9 +884,9 @@ class RowBlock:
     ``row_ids`` is a (K, s*b) array: per round, s batches of ``b`` rows, and
     each of the p ranks holds ``width`` consecutive rows of every batch.
     The block's entries are gathered once, in the order of
-    ``row_ids.ravel()``, and sorted at most once, by (round, column): over
-    every round when there are Gram pairs, else over the rounds with a
-    support, and not at all when neither needs it.  Per round it gives:
+    ``row_ids.ravel()``, and sorted at most once, by (round, column): all
+    of them when any round has Gram pairs or a support, and not at all
+    when none does.  Per round it gives:
 
       * ``rounds``: its ``RoundEntries``, which its scores, gradients and
         Gram pairs read;
@@ -926,10 +926,7 @@ class RowBlock:
         keys = None if with_support.all() else rank * n + cols
         if pairs or with_support.any():
             keyed = np.repeat(np.arange(K) * n, sizes) + cols
-            chosen = None if pairs or with_support.all() else np.flatnonzero(np.repeat(with_support, sizes))
-            by_column, entry, new = _sort_by_column(keyed if chosen is None else keyed[chosen])
-            if chosen is not None:
-                entry = chosen[entry]
+            by_column, entry, new = _sort_by_column(keyed)
             if with_support.any():
                 distinct = by_column[new]
                 first = np.searchsorted(distinct, np.arange(K + 1) * n)

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import casgd.cli
 from casgd.cli import main
 from casgd.datagen import synthetic_dataset
 from casgd.sparse import serialize_libsvm
@@ -64,16 +65,22 @@ class TestTrain:
             assert code == 0
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
-    def test_gzip_input(self, tmp_path):
-        d = synthetic_dataset(20, 8, 3, seed=1)
-        gz = tmp_path / "data.svm.gz"
-        with gzip.open(gz, "wt") as fh:
-            fh.write(serialize_libsvm(d))
-        out = tmp_path / "t.csv"
-        assert main(["train", "--data", str(gz), "--epochs", "1", "--trace", str(out)]) == 0
-        explicit = tmp_path / "t2.csv"
-        assert main(["train", "--data", str(gz), "--gzip", "--epochs", "1", "--trace", str(explicit)]) == 0
-        assert out.read_bytes() == explicit.read_bytes()
+    def test_gzip_detected_from_its_first_bytes(self, tmp_path, capsys):
+        text = serialize_libsvm(synthetic_dataset(20, 8, 3, seed=1))
+        plain = tmp_path / "plain.svm"
+        plain.write_text(text)
+        # Gzipped, under a name without a .gz suffix.
+        packed = tmp_path / "packed.svm"
+        with gzip.open(packed, "wt") as fh:
+            fh.write(text)
+        outs = [tmp_path / "a.csv", tmp_path / "b.csv"]
+        for data, out in zip([plain, packed], outs):
+            assert main(["train", "--data", str(data), "--epochs", "1", "--trace", str(out)]) == 0
+        assert outs[0].read_bytes() == outs[1].read_bytes()
+        # There is no flag to force it.
+        for command in (["train"], ["compare", "--s-list", "2"]):
+            assert main([*command, "--data", str(packed), "--gzip", "--trace", str(tmp_path / "c.csv")]) == 2
+        capsys.readouterr()
 
     def test_zero_one_labels_train_as_minus_one(self, data_file, tmp_path):
         """A {0, 1} copy of a {-1, +1} file, gzipped, gives the same CSV."""
@@ -234,6 +241,34 @@ class TestCompare:
         assert code == 0, capsys.readouterr().err
         _, rows = _read_rows(out)
         assert [r[0] for r in rows] == ["0", "1", "2", "3"]
+
+    @pytest.mark.parametrize("layout", ["row", "col"])
+    def test_one_sgd_run_serves_every_s(self, data_file, tmp_path, monkeypatch, layout):
+        # 64 rows, b=4: epoch ends at 16, 32 and 48.  In the row layout s=3
+        # and s=5 round them up to different points, and s=64 takes all
+        # three to iteration 64.
+        calls = []
+        real = casgd.cli.run_sgd
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["schedule"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(casgd.cli, "run_sgd", spy)
+        common = ["compare", "--data", data_file, "--epochs", "3", "--layout", layout, "--procs", "2",
+                  "--batch", "4", "--seed", "5"]
+        combined = tmp_path / "all.csv"
+        assert main([*common, "--s-list", "3,5,64", "--trace", str(combined)]) == 0
+        assert len(calls) == 1
+        if layout == "row":
+            assert calls[0][-3:] == [(1, 64), (2, 64), (3, 64)]
+        singles = []
+        for s in (3, 5, 64):
+            out = tmp_path / f"s{s}.csv"
+            assert main([*common, "--s-list", str(s), "--trace", str(out)]) == 0
+            singles += out.read_text().splitlines()[1:]
+        assert combined.read_text().splitlines()[1:] == singles
+        assert len(calls) == 4
 
     def test_huge_eta_reports_the_real_error(self, data_file, tmp_path, capsys):
         # Solutions near 1e306 overflow an unscaled norm, which read as error 0.

@@ -135,10 +135,15 @@ class TestTheoreticalCost:
         # NaN compares false with everything, so a check of "< 0" alone
         # lets it through.
         with pytest.raises(ValueError, match=name):
-            if name == "omega":
-                _params(omega=value)
-            else:
-                MachineModel(**{"alpha": 1e-6, "beta": 1e-9, "gamma": 1e-11, name: value})
+            MachineModel(**{"alpha": 1e-6, "beta": 1e-9, "gamma": 1e-11, name: value})
+
+    def test_negative_omega_rejected(self):
+        with pytest.raises(ValueError, match="omega"):
+            MachineModel(alpha=1e-6, beta=1e-9, gamma=1e-11, omega=-1.0)
+
+    def test_omega_is_not_a_problem_size(self):
+        with pytest.raises(TypeError):
+            _params(omega=5.0)
 
 
 class TestModeledTime:
@@ -151,9 +156,10 @@ class TestModeledTime:
         assert modeled_time(CostCounters(messages=10), machine) == 10.0
 
     def test_omega_weighting(self):
-        machine = MachineModel(alpha=0.0, beta=0.0, gamma=1.0)
         counters = CostCounters(flops=10, sig_evals=2)
-        assert modeled_time(counters, machine, omega=5.0) == 20.0
+        assert modeled_time(counters, MachineModel(alpha=0.0, beta=0.0, gamma=1.0)) == 20.0
+        assert modeled_time(counters, MachineModel(alpha=0.0, beta=0.0, gamma=1.0, omega=2.0)) == 14.0
+        assert modeled_time(counters, MachineModel(alpha=0.0, beta=0.0, gamma=1.0, omega=0.0)) == 10.0
 
     def test_latency_dominated_speedup_near_s(self):
         machine = MachineModel(alpha=1.0, beta=0.0, gamma=0.0)
@@ -185,7 +191,7 @@ class TestCrossover:
         params = _params(s=32, H=3200, p=16, f=0.05)
         machine = MachineModel(alpha=5e-6, beta=2e-7, gamma=1e-9)
         times = [
-            modeled_time(theoretical_cost(replace(params, s=s), "casgd", BLOCK_COLUMN), machine, params.omega)
+            modeled_time(theoretical_cost(replace(params, s=s), "casgd", BLOCK_COLUMN), machine)
             for s in range(1, 33)
         ]
         want = int(np.argmin(times)) + 1

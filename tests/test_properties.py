@@ -59,7 +59,7 @@ def _runs(d, layout, p, b, s, epochs, seed, oracle=False):
     draw, traced there too (else None)."""
     m = d.num_points
     H = epochs * iterations_per_epoch(m, b)
-    sched = epoch_schedule(m, b, H, s=s, align_to_rounds=layout == BLOCK_ROW)
+    sched = epoch_schedule(m, b, H, s if layout == BLOCK_ROW else 1)
     iterations = sched[-1][1] if layout == BLOCK_ROW else H
     sgd_cfg = SolverConfig(eta0=1.0, b=b, total_iterations=iterations, layout=layout, p=p, seed=seed)
     ca_cfg = SolverConfig(eta0=1.0, b=b, s=s, epochs=epochs, layout=layout, p=p, seed=seed)
@@ -70,7 +70,7 @@ def _runs(d, layout, p, b, s, epochs, seed, oracle=False):
         return sgd, ca, None
     # Row ranks draw their own rows of every batch, as the solvers' stream does.
     row = layout == BLOCK_ROW
-    stream = BatchStream(seed, m, b, mode="per_rank" if row else "global", rank_ranges=cluster.layout.boundaries if row else None)
+    stream = BatchStream(seed, m, b, cluster.layout.boundaries if row else None)
     batches = [RowBlockSelector(np.array(ids)) for ids in stream.peek_indices(iterations)]
     return sgd, ca, run_reference(d, sgd_cfg, batches, sched)
 

@@ -31,7 +31,7 @@ class TestDeterminism:
     def test_batches_are_lists_of_ints(self):
         # Observers that wrap the stream test a batch's truth value, which an
         # ndarray does not have; each batch is a list of Python ints.
-        stream = BatchStream(5, 20, 4, mode="per_rank", rank_ranges=[(0, 10), (10, 20)])
+        stream = BatchStream(5, 20, 4, rank_ranges=[(0, 10), (10, 20)])
         for batch in [*stream.peek_indices(3), stream.next_indices()]:
             assert type(batch) is list and len(batch) == 4
             assert all(type(i) is int for i in batch)
@@ -53,7 +53,7 @@ class TestWithoutReplacement:
 
 class TestPerRank:
     def test_stratified_batch(self):
-        stream = BatchStream(3, 4, 2, mode="per_rank", rank_ranges=[(0, 2), (2, 4)])
+        stream = BatchStream(3, 4, 2, rank_ranges=[(0, 2), (2, 4)])
         for _ in range(10):
             ids = stream.next_indices()
             assert 0 <= ids[0] < 2
@@ -61,15 +61,23 @@ class TestPerRank:
 
     def test_p_must_divide_b(self):
         with pytest.raises(ValueError, match="divide"):
-            BatchStream(0, 9, 3, mode="per_rank", rank_ranges=[(0, 5), (5, 9)])
+            BatchStream(0, 9, 3, rank_ranges=[(0, 5), (5, 9)])
 
     def test_local_rows_must_cover_share(self):
         with pytest.raises(ValueError, match="fewer"):
-            BatchStream(0, 5, 4, mode="per_rank", rank_ranges=[(0, 4), (4, 5)])
+            BatchStream(0, 5, 4, rank_ranges=[(0, 4), (4, 5)])
 
-    def test_global_mode_rejects_ranges(self):
-        with pytest.raises(ValueError):
-            BatchStream(0, 5, 2, rank_ranges=[(0, 5)])
+    def test_ranges_alone_select_per_rank_draws(self):
+        ranges = [(0, 6), (6, 12)]
+        stream = BatchStream(8, 12, 4, rank_ranges=ranges)
+        assert [stream.next_indices() for _ in range(20)] == [_oracle(8, 12, 4, t, ranges) for t in range(20)]
+        # Without ranges the same stream draws over all rows.
+        stream = BatchStream(8, 12, 4)
+        assert [stream.next_indices() for _ in range(20)] == [_oracle(8, 12, 4, t) for t in range(20)]
+
+    def test_empty_ranges_rejected(self):
+        with pytest.raises(ValueError, match="at least one range"):
+            BatchStream(0, 5, 2, rank_ranges=[])
 
 
 class TestPeek:
@@ -118,6 +126,13 @@ class TestUniformity:
         expect = batches * b / m
         sigma = np.sqrt(batches * (b / m) * (1 - b / m))
         assert np.all(np.abs(counts - expect) < 5 * sigma)
+
+
+def test_cursor_is_not_a_constructor_argument():
+    # A stream starts at cursor 0; only ``advance`` and ``next_indices`` move it.
+    with pytest.raises(TypeError):
+        BatchStream(0, 5, 2, cursor=3)
+    assert BatchStream(0, 5, 2).cursor == 0
 
 
 def test_batch_size_bounds():
@@ -183,7 +198,7 @@ class TestBlockSamplerMatchesScalarOracle:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("b,ranges", PER_RANK)
     def test_per_rank_peek_then_advance(self, seed, b, ranges):
-        stream = BatchStream(seed, self.M, b, mode="per_rank", rank_ranges=ranges)
+        stream = BatchStream(seed, self.M, b, rank_ranges=ranges)
         cursor = 0
         for s in (3, 4096 // b - 1, 5, 600, 2):
             ahead = stream.peek_indices(s)
@@ -193,7 +208,8 @@ class TestBlockSamplerMatchesScalarOracle:
         assert stream.next_indices() == _oracle(seed, self.M, b, cursor, ranges)
 
     def test_selector_views_match_oracle_from_a_jumped_cursor(self):
-        stream = BatchStream(99, self.M, 7, cursor=10_000)
+        stream = BatchStream(99, self.M, 7)
+        stream.advance(10_000)
         assert stream.peek_indices(3) == [_oracle(99, self.M, 7, 10_000 + t) for t in range(3)]
         assert stream.next_indices() == _oracle(99, self.M, 7, 10_000)
 

@@ -203,7 +203,7 @@ class TestEquivalence:
         d = synthetic_dataset(256, 32, 8, seed=13)
         m = d.num_points
         H = 2 * iterations_per_epoch(m, b)
-        sched = epoch_schedule(m, b, H, s=s, align_to_rounds=True)
+        sched = epoch_schedule(m, b, H, s)
         sgd = run_sgd(
             d,
             SolverConfig(eta0=1.0, b=b, epochs=2, seed=33, p=p, layout=BLOCK_ROW),
@@ -495,7 +495,7 @@ def _replayed_counters(d, cfg, cluster, schedule):
     batches' rows, and the n-word gradient allreduce."""
     row = cfg.layout == BLOCK_ROW
     ranges = cluster.layout.boundaries if row else None
-    stream = BatchStream(cfg.seed, d.num_points, cfg.b, mode="per_rank" if row else "global", rank_ranges=ranges)
+    stream = BatchStream(cfg.seed, d.num_points, cfg.b, ranges)
     A, n, s, b = d.a_tilde, d.num_features, cfg.s, cfg.b
     depth = math.ceil(math.log2(cfg.p))
     points = dict((it, e) for e, it in schedule)
@@ -605,7 +605,7 @@ def _every_iteration_run(m, n, solver, s, layout=BLOCK_COLUMN, p=1, b=1):
     default = solver(d, cfg, partition(d, layout, p))
     every = solver(d, cfg, partition(d, layout, p), schedule=[(it, it) for it in range(step, iterations + 1, step)])
     assert len(every.trace) == iterations // step + 1
-    points = [it for _, it in epoch_schedule(m, b, H, s=s, align_to_rounds=layout == BLOCK_ROW)]
+    points = [it for _, it in epoch_schedule(m, b, H, step)]
     return default, every, points
 
 
@@ -855,8 +855,10 @@ class TestTraces:
         run = run_casgd(d, cfg, _row_cluster(d))
         assert [t.epoch for t in run.trace] == [0, 1, 2]
         # epochs at iterations 10 and 20 align up to rounds of 4: 12 and 20
-        sched = epoch_schedule(10, 1, 20, s=4, align_to_rounds=True)
+        sched = epoch_schedule(10, 1, 20, 4)
         assert sched == [(1, 12), (2, 20)]
+        # A round size of 1 leaves the epoch ends as they are.
+        assert epoch_schedule(10, 1, 20) == epoch_schedule(10, 1, 20, 1) == [(1, 10), (2, 20)]
 
     def test_monotone_convergence_on_toy(self):
         d = synthetic_dataset(200, 20, 5, seed=15, label_noise=0.05)
