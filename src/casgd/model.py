@@ -52,18 +52,23 @@ def _scores(dataset: LabeledDataset, x: np.ndarray) -> np.ndarray:
     return dataset.a_tilde.scipy_csr.dot(x)
 
 
-def loss(dataset: LabeledDataset, x: np.ndarray) -> float:
-    """Mean logistic loss ``(1/m) sum softplus(-a_tilde_i . x)``."""
-    return float(np.mean(_softplus(-_scores(dataset, x))))
+def loss(dataset: LabeledDataset, x: np.ndarray, scores: np.ndarray | None = None) -> float:
+    """Mean logistic loss ``(1/m) sum softplus(-a_tilde_i . x)``.
+
+    ``scores`` is ``a_tilde x`` when the caller has it (``x`` is then not
+    read), so a caller that also takes ``accuracy`` forms the product once.
+    """
+    st = _scores(dataset, x) if scores is None else scores
+    return float(np.mean(_softplus(-st)))
 
 
-def accuracy(dataset: LabeledDataset, x: np.ndarray) -> float:
+def accuracy(dataset: LabeledDataset, x: np.ndarray, scores: np.ndarray | None = None) -> float:
     """Fraction of points whose raw score sign matches the label.
 
     A raw score of exactly 0 is classified +1.  Since y in {-1,+1}, the
     raw score times the label equals the scaled score, so the check runs
-    directly on ``a_tilde x``.
+    directly on ``a_tilde x``, or on ``scores`` as ``loss`` takes them.
     """
-    st = _scores(dataset, x)
+    st = _scores(dataset, x) if scores is None else scores
     correct = (st > 0.0) | ((st == 0.0) & (dataset.labels > 0.0))
     return float(correct.mean())

@@ -66,6 +66,18 @@ product for the scores and ``x += R.T @ w`` for the update, and other forms
 the round kernels.  More column ranks and the row layout run each round
 through every rank's kernels and a collective.
 
+Every dot of one row with x (a one-row round's, and each row's of a
+one-batch round taken row by row) and the b = 1 recurrence's dots call
+scipy's BLAS level 1 ``ddot`` directly, and a one-row round over a dense
+cache updates x by ``daxpy`` in place (Lawson et al., "Basic Linear
+Algebra Subprograms for Fortran Usage", ACM TOMS 5(3), 1979); on such
+short vectors numpy's per-call dispatch costs more than the arithmetic.
+``ddot`` gives ``ndarray.dot``'s bits.  ``daxpy`` fuses each multiply-add,
+so on values other than +-1 it can round x differently from
+``x += w * a``; SGD and s = 1 take the same loop, so they still coincide
+bitwise.  ``add_rows_transpose`` keeps numpy's axpy, whose bits
+``RowBlock.gradients`` reproduces.
+
 The payload is set by the entry point that ran:
 
   SGD, column: the b scores, partial over each rank's columns.
@@ -107,13 +119,15 @@ from typing import Sequence
 import numpy as np
 
 from .cluster import BLOCK_COLUMN, BLOCK_ROW, CostCounters, VirtualCluster
-from .model import accuracy, loss, sig
+from .model import _scores, accuracy, loss, sig
 from .sampling import BatchStream
 from .sparse import (
     LabeledDataset,
     RowBlock,
     add_rows_transpose,
     batch_scores,
+    daxpy,
+    ddot,
     gather_rows,
     gram_lower_blocks,
 )
@@ -313,11 +327,13 @@ class _Recorder:
 
     def record(self, epoch: int, x_full: np.ndarray) -> None:
         c = self.counters
+        # Loss and accuracy read one product a_tilde x.
+        scores = _scores(self.dataset, x_full)
         self.trace.append(
             TraceRecord(
                 epoch=epoch,
-                loss=loss(self.dataset, x_full),
-                accuracy=accuracy(self.dataset, x_full),
+                loss=loss(self.dataset, x_full, scores),
+                accuracy=accuracy(self.dataset, x_full, scores),
                 flops=int(c.flops),
                 words=int(c.words_moved),
                 messages=int(c.messages),
@@ -501,7 +517,7 @@ def _run_rounds(dataset, cfg, cluster, schedule, casgd):
             for lo, _, g_j, w_head, _ in recurrence:
                 zj = scores[lo]
                 if lo:
-                    zj += g_j.dot(w_head)
+                    zj += ddot(g_j, w_head)
                 if zj >= 0.0:
                     e = math.exp(-zj)
                     vj = e / (1.0 + e)
@@ -572,13 +588,14 @@ def _run_rounds(dataset, cfg, cluster, schedule, casgd):
             j = max(k, -(-ahead // s) if row else ahead // s)
             split = j * s < ahead
             if local and sb == 1 and dense:
-                # One row per round: a dot, the sig and an axpy over all of x.
+                # One row per round: a dot, the sig and an axpy over all of
+                # x, which ``daxpy`` updates in place.
                 for a in block_rows[k:j]:
-                    wk = _sig_scalar(a.dot(x)) * eta_scale
-                    x += wk * a
+                    daxpy(a, x, n, _sig_scalar(ddot(a, x)) * eta_scale)
             elif local and sb == 1:
                 for ((cols, a),) in block_rows[k:j]:
-                    wk = _sig_scalar(a.dot(x[cols])) * eta_scale
+                    # An empty row scores +0.0, which ``ddot`` would refuse.
+                    wk = _sig_scalar(ddot(a, x[cols]) if len(a) else 0.0) * eta_scale
                     x[cols] += wk * a
             elif local:
                 for r, rows in enumerate(block_rows[k : j + split], k):

@@ -6,7 +6,8 @@ import sys
 import pytest
 
 import casgd.cli
-from casgd.cli import main
+from casgd.cli import build_parser, main
+from casgd.costs import DEFAULT_OMEGA
 from casgd.datagen import synthetic_dataset
 from casgd.sparse import serialize_libsvm
 
@@ -381,6 +382,10 @@ class TestCosts:
     def test_zero_batch_exit_1(self, capsys):
         assert main(["costs", "--m", "100", "--n", "10", "--f", "0.5", "--b", "0", "--epochs", "1"]) == 1
         assert capsys.readouterr().err == "error: batch size must be at least 1\n"
+
+    def test_omega_defaults_to_the_cost_model_constant(self):
+        args = build_parser().parse_args(["costs", "--m", "100", "--n", "10", "--f", "0.5"])
+        assert args.omega is DEFAULT_OMEGA
 
 
 class TestRunThenReport:

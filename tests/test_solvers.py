@@ -184,6 +184,20 @@ class TestEquivalence:
             assert abs(t_sgd.accuracy - t_ca.accuracy) <= 1.0 / m + 1e-12
             assert abs(t_sgd.loss - t_ca.loss) <= 1e-12
 
+    def test_one_row_rounds_over_empty_rows_without_dense_cache(self):
+        # One column rank above the dense-cache bound scores each one-row
+        # round by ``ddot``, which refuses empty rows; they score +0.0.
+        d = ragged_libsvm_dataset(700, 3000, seed=5)
+        assert d.a_tilde.dense_cache() is None
+        cfg = SolverConfig(eta0=1.0, b=1, epochs=2, seed=4)
+        drawn = _drawn(d, cfg, 2 * 700)
+        assert any(d.a_tilde.row_nnz[sel.indices[0]] == 0 for sel in drawn)
+        run = run_sgd(d, cfg, _col_cluster(d))
+        ref = run_reference(d, cfg, drawn)
+        assert len(run.epoch_solutions) == len(ref.epoch_solutions) == 3
+        for a, b_ in zip(ref.epoch_solutions, run.epoch_solutions):
+            assert relative_solution_error(a, b_) <= 1e-10
+
     @pytest.mark.parametrize("b,s", [(1, 1), (2, 3), (1, 40)])
     def test_column_single_rank_without_dense_cache(self, b, s):
         # m*n above the dense-cache bound: rounds of more than one batch
@@ -859,6 +873,18 @@ class TestTraces:
         assert sched == [(1, 12), (2, 20)]
         # A round size of 1 leaves the epoch ends as they are.
         assert epoch_schedule(10, 1, 20) == epoch_schedule(10, 1, 20, 1) == [(1, 10), (2, 20)]
+
+    @pytest.mark.parametrize("layout", [BLOCK_COLUMN, BLOCK_ROW])
+    def test_loss_and_accuracy_have_the_model_functions_bits(self, layout):
+        # A trace point takes one product a_tilde x for both values.
+        d = ragged_libsvm_dataset(150, 40, seed=8)
+        cfg = SolverConfig(eta0=2.0, b=2, s=3, epochs=3, seed=1, layout=layout, p=2)
+        run = run_casgd(d, cfg, partition(d, layout, 2))
+        assert len(run.trace) == 4
+        for t, x in zip(run.trace, run.epoch_solutions):
+            got = np.array([t.loss, t.accuracy])
+            want = np.array([casgd.model.loss(d, x), casgd.model.accuracy(d, x)])
+            assert got.tobytes() == want.tobytes()
 
     def test_monotone_convergence_on_toy(self):
         d = synthetic_dataset(200, 20, 5, seed=15, label_noise=0.05)

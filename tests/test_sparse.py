@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -803,6 +805,20 @@ class TestRoundKernels:
             assert got is out
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
+    def test_list_scores_of_empty_rows_are_plus_zero(self, ragged_libsvm):
+        # Rows score by ``ddot``, which refuses empty vectors; an empty row
+        # scores +0.0, as ``ndarray.dot`` gives it.
+        d = ragged_libsvm
+        empty = np.flatnonzero(d.a_tilde.row_nnz == 0)
+        assert len(empty) > 1
+        ids = np.concatenate([empty, [1, 2, 3]])
+        x = np.random.default_rng(3).standard_normal(d.num_features)
+        rows = gather_rows(d, ids, 1)
+        assert isinstance(rows, list)
+        got = batch_scores(d, ids, x, rows=rows)
+        assert not got[: len(empty)].any() and not np.signbit(got[: len(empty)]).any()
+        np.testing.assert_allclose(got, sampled_matvec(d, RowBlockSelector(ids), x), rtol=1e-13, atol=1e-13)
+
     @pytest.mark.parametrize("s", [2, 8])
     @pytest.mark.parametrize("b", [1, 3])
     def test_dense_gram_matches_merge_path(self, monkeypatch, s, b):
@@ -917,6 +933,20 @@ class TestRoundKernels:
             np.testing.assert_allclose(out[lower], full[lower], rtol=0, atol=4 * np.spacing(np.abs(full).max()))
         else:
             assert out[lower].tobytes() == full[lower].tobytes()
+
+
+def test_import_loads_the_blas_extension_without_scipy_linalg():
+    # The kernels' ``ddot`` and ``daxpy`` come from scipy.linalg's compiled
+    # extension alone; the package's ``__init__`` costs about 8 MiB of RSS.
+    # A later ``import scipy.linalg`` reuses the loaded extension.
+    code = (
+        "import sys, casgd.sparse\n"
+        "print('scipy.linalg' in sys.modules)\n"
+        "import scipy.linalg.blas\n"
+        "print(scipy.linalg.blas._fblas.ddot is casgd.sparse.ddot)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["False", "True"]
 
 
 @pytest.fixture(scope="module")
