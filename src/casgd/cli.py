@@ -5,7 +5,8 @@
     casgd costs   --m 8124 --n 112 --f 0.19 --p 64 --b 1 --s 16 --epochs 100
 
 Exit codes: 0 success, 1 parse/configuration error (including non-finite
-feature values, a batch size below 1, a non-finite or negative --eta,
+feature values, a truncated or corrupt gzip file, a batch size below 1 or
+above the dataset's rows, a non-finite or negative --eta,
 --tolerance, --alpha, --beta, --gamma or --omega, and a train --s-step
 other than 1 without --algo casgd), 2 bad flags, 3 comparison failed
 (tolerance exceeded or a non-finite error).
@@ -28,8 +29,7 @@ import math
 import os
 import sys
 import tempfile
-
-import numpy as np
+import zlib
 
 from .cluster import BLOCK_COLUMN, BLOCK_ROW, partition
 from .costs import DEFAULT_OMEGA, CostParams, MachineModel, crossover_s, modeled_time, theoretical_cost
@@ -42,17 +42,15 @@ from .solvers import (
     run_casgd,
     run_sgd,
 )
-from .sparse import LibsvmParseError, parse_libsvm
+from .sparse import parse_libsvm
 
 __all__ = ["main", "run"]
 
 _LAYOUTS = {"col": BLOCK_COLUMN, "row": BLOCK_ROW}
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+def _fmt(value: float) -> str:
+    return format(value, ".17g")
 
 
 def _write_csv(path: str, header: str, rows: list[str]) -> None:
@@ -260,10 +258,9 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except LibsvmParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ConfigError, ValueError, OSError) as exc:
+    # Parse and configuration errors are ValueErrors; a truncated or corrupt
+    # gzip --data file raises EOFError or zlib.error.
+    except (ValueError, OSError, EOFError, zlib.error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

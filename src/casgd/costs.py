@@ -51,6 +51,8 @@ class CostParams:
         for name in ("m", "n", "p", "b", "s", "H"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        if self.b > self.m:
+            raise ValueError(f"batch size {self.b} exceeds m={self.m}")
         if not 0.0 < self.f <= 1.0:
             raise ValueError("f must be in (0, 1]")
 

@@ -15,7 +15,9 @@ groups s iterations per round.  Each round:
   4. the scalar recurrence gives every batch's weights; with r_j the
      scores of batch j against the round's starting point, G[j, i] the
      inner products between batch j and batch i rows, and
-     w_i = (eta0/m) * v_i:  v_j = sig(r_j + sum_{i<j} G[j, i] w_i);
+     w_i = (eta0/m) * v_i:  v_j = sig(r_j + sum_{i<j} G[j, i] w_i).
+     sig is elementwise, so each batch takes it once in either layout:
+     short batches by scalar exp, longer ones in one vector call;
   5. the update x += a_tilde^T I_j^T w_j, split where a trace point
      falls inside the round.  Column ranks update their own part of x.
      In the row layout one ``np.bincount`` adds every rank's gradient into
@@ -145,8 +147,13 @@ __all__ = [
 ]
 
 # Batch vectors at or below this length go through scalar exp (numpy
-# dispatch overhead dominates tiny arrays in the per-iteration loop).
-_SCALAR_SIG_MAX = 8
+# dispatch overhead dominates tiny arrays in the per-iteration loop).  Best of
+# 31 x 2000 calls on a 2-vCPU x86-64 host, scalar loop against ``model.sig``:
+#
+#     entries    8    16    32    40    64
+#     scalar   1.7   2.7   5.2   6.3  10.0 us
+#     vector   6.3   6.2   6.3   7.2   7.0 us
+_SCALAR_SIG_MAX = 32
 
 # A block of rounds is drawn, gathered, counted and (at s > 1) given its
 # Gram blocks at once.  It holds as many rounds as keep what it stores within
@@ -287,16 +294,12 @@ def _sig_scalar(t) -> float:
     return 1.0 / (1.0 + math.exp(t))
 
 
-def _sig_batch(z: np.ndarray, width: int | None = None) -> np.ndarray:
-    """sig of every entry, as ranks holding ``width`` entries each (default: all) evaluate it.
-
-    Widths up to ``_SCALAR_SIG_MAX`` take scalar exp entry by entry, over
-    the entries as Python floats, wider ones one vector call per rank.
-    """
-    width = z.shape[0] if width is None else width
-    if width <= _SCALAR_SIG_MAX:
+def _sig_batch(z: np.ndarray) -> np.ndarray:
+    """sig of every entry: up to ``_SCALAR_SIG_MAX`` entries by scalar exp,
+    over the entries as Python floats, more in one ``model.sig`` call."""
+    if len(z) <= _SCALAR_SIG_MAX:
         return np.array([_sig_scalar(t) for t in z.tolist()], dtype=np.float64)
-    return np.concatenate([sig(z[k : k + width]) for k in range(0, z.shape[0], width)])
+    return sig(z)
 
 
 def _check_cluster(cfg: SolverConfig, cluster: VirtualCluster, dataset: LabeledDataset) -> None:
@@ -398,6 +401,8 @@ def _apply_row_gradient(cluster: VirtualCluster, parts: np.ndarray, support, eta
     sum is -0.0 only if both terms are).  The collective counts n words
     either way.
     """
+    # A list hands ``allreduce_sum`` the rank rows as views made once; over
+    # the array it makes them again at each pass (about 1 us a call at p = 4).
     g = cluster.combine(list(parts), words=len(x))
     if support is None:
         x += g * eta_scale
@@ -426,8 +431,7 @@ class _Rank:
         self.gram = gram
         # A block's Gram blocks, one per round (Gram owners).
         self.grams = None
-        # The block's rows in their form from ``gather_rows``; the row
-        # layout's Gram owner takes the dense rows of all row ranks.
+        # The block's rows in their form from ``gather_rows`` (column ranks).
         self.block_rows = None
 
 
@@ -529,11 +533,9 @@ def _run_rounds(dataset, cfg, cluster, schedule, casgd):
             return
         for lo, r_j, g_j, w_head, own in recurrence:
             zj = r_j + g_j @ w_head if lo else r_j
+            vj = _sig_batch(zj)
             if row:
-                # Each row rank evaluates its own b/p scores.
-                v[own] = vj = _sig_batch(zj, bp)
-            else:
-                vj = _sig_batch(zj)
+                v[own] = vj
             np.multiply(vj, eta_scale, out=w[own])
 
     t = 0
@@ -549,11 +551,10 @@ def _run_rounds(dataset, cfg, cluster, schedule, casgd):
         if row:
             # One gather of every rank's entries: each round's rows for the
             # scores, support, gradient keys, allgather words and Gram pairs.
-            # Under a dense cache the Gram owner takes dense rows.
+            # Under a dense cache the Gram owner's ``gram_lower_blocks``
+            # gathers the block's dense rows itself.
             entries = RowBlock(dataset, block, b, bp, casgd)
             block_rows = entries.rounds
-            for rk in owners:
-                rk.block_rows = gather_rows(dataset, block, s)
         elif local and sb == 1 and dense:
             # One-row rounds read the rows of one gather of the dense cache.
             block_rows = A.dense_cache()[block[:, 0]]
@@ -626,9 +627,7 @@ def _run_rounds(dataset, cfg, cluster, schedule, casgd):
                         entries.add_gram(r, G)
                     # 3. one collective
                     if not row:
-                        summed = cluster.combine(bufs)
-                        if summed is not total:
-                            total[:] = summed
+                        total[:] = cluster.combine(bufs)
                     elif casgd:
                         # The allgather of every rank's scores and its rows'
                         # entries of the first s-1 batches is only counted:

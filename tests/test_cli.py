@@ -187,6 +187,25 @@ class TestExitCodes:
                      "--trace", str(tmp_path / "t.csv")]) == 1
         capsys.readouterr()
 
+    @pytest.mark.parametrize("damage", ["truncated", "corrupt"])
+    def test_damaged_gzip_exit_1(self, data_file, tmp_path, capsys, damage):
+        packed = bytearray(gzip.compress(open(data_file, "rb").read(), mtime=0))
+        if damage == "truncated":
+            # The first half: the stream ends before its end marker (EOFError).
+            packed = packed[: len(packed) // 2]
+        else:
+            # Flipped bytes inside the deflate stream, past the 10-byte header
+            # (zlib.error).
+            for k in range(12, 40):
+                packed[k] ^= 0xFF
+        path = tmp_path / "damaged.svm.gz"
+        path.write_bytes(bytes(packed))
+        out = tmp_path / "t.csv"
+        assert main(["train", "--data", str(path), "--epochs", "1", "--trace", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestCompare:
     def test_s_list_one_is_exact(self, data_file, tmp_path):
@@ -382,6 +401,13 @@ class TestCosts:
     def test_zero_batch_exit_1(self, capsys):
         assert main(["costs", "--m", "100", "--n", "10", "--f", "0.5", "--b", "0", "--epochs", "1"]) == 1
         assert capsys.readouterr().err == "error: batch size must be at least 1\n"
+
+    def test_batch_above_m_exit_1(self, capsys):
+        # As ``train --batch 11`` on 10 rows does.
+        assert main(["costs", "--m", "10", "--n", "3", "--f", "0.5", "--b", "11"]) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: batch size 11 exceeds m=10\n"
+        assert "crossover_s" not in out
 
     def test_omega_defaults_to_the_cost_model_constant(self):
         args = build_parser().parse_args(["costs", "--m", "100", "--n", "10", "--f", "0.5"])

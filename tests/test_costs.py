@@ -129,6 +129,12 @@ class TestTheoreticalCost:
         with pytest.raises(ValueError):
             MachineModel(alpha=-1.0, beta=0.0, gamma=0.0)
 
+    def test_batch_above_m_rejected(self):
+        # A batch draws distinct rows, so it holds at most m of them.
+        assert _params(m=10, b=10).b == 10
+        with pytest.raises(ValueError, match="batch size 11 exceeds m=10"):
+            _params(m=10, b=11)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", ["alpha", "beta", "gamma", "omega"])
     def test_non_finite_machine_parameters_rejected(self, name, value):

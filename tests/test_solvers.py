@@ -24,7 +24,7 @@ from casgd import (
 )
 from casgd.datagen import synthetic_dataset
 from casgd.sampling import BatchStream
-from casgd.solvers import _apply_row_gradient, _sig_batch, epoch_schedule, iterations_per_epoch
+from casgd.solvers import _SCALAR_SIG_MAX, _apply_row_gradient, _sig_batch, _sig_scalar, epoch_schedule, iterations_per_epoch
 from casgd.sparse import _SUPPORT_MIN_RATIO, RowBlock, add_rows_transpose, gather_rows
 
 from conftest import ragged_libsvm_dataset
@@ -840,12 +840,55 @@ class TestRowGradientReduction:
         assert RowBlock(cached, np.arange(6)[None], 2, 1, False).supports == [None]
 
 
-@pytest.mark.parametrize("width", [1, 3, 8, 9, 12, 36])
-def test_sig_batch_by_width_matches_rank_by_rank(width):
-    # One call over a row batch gives the bits of one call per rank's share.
-    z = np.random.default_rng(width).standard_normal(36) * 8
-    want = np.concatenate([_sig_batch(z[k : k + width]) for k in range(0, 36, width)])
-    assert _sig_batch(z, width).tobytes() == want.tobytes()
+class TestSigBatch:
+    def test_scalar_up_to_the_threshold_then_vector(self):
+        rng = np.random.default_rng(3)
+        for size in range(1, 2 * _SCALAR_SIG_MAX + 1):
+            z = rng.standard_normal(size) * 8
+            got = _sig_batch(z)
+            if size <= _SCALAR_SIG_MAX:
+                want = np.array([_sig_scalar(t) for t in z.tolist()])
+            else:
+                want = casgd.model.sig(z)
+            assert got.tobytes() == want.tobytes(), size
+
+    def test_vector_sig_bits_do_not_depend_on_the_split(self):
+        # sig is elementwise: a batch taken whole or in any pieces has the
+        # same bits, so whether ranks evaluate their shares or one call
+        # takes the batch changes nothing.
+        rng = np.random.default_rng(5)
+        z = rng.standard_normal(200) * 8
+        whole = casgd.model.sig(z)
+        for _ in range(50):
+            cuts = np.sort(rng.choice(np.arange(1, 200), rng.integers(1, 12), replace=False))
+            pieces = np.concatenate([casgd.model.sig(part) for part in np.split(z, cuts)])
+            assert pieces.tobytes() == whole.tobytes()
+
+    def test_row_batches_of_sixteen_take_the_scalar_branch(self, monkeypatch):
+        # A row run at b = 16, p = 4 hands each batch's 16 scores to one
+        # call, which evaluates them by scalar exp, never by ``model.sig``.
+        scalars, seen = [], []
+        scalar, batch = casgd.solvers._sig_scalar, casgd.solvers._sig_batch
+
+        def spy_scalar(t):
+            scalars.append(t)
+            return scalar(t)
+
+        def spy_batch(z):
+            before = len(scalars)
+            out = batch(z)
+            seen.append((len(z), len(scalars) - before))
+            return out
+
+        monkeypatch.setattr(casgd.solvers, "_sig_scalar", spy_scalar)
+        monkeypatch.setattr(casgd.solvers, "_sig_batch", spy_batch)
+        monkeypatch.setattr(casgd.solvers, "sig", lambda z: pytest.fail("vector sig called"))
+        d = synthetic_dataset(64, 20, 4, seed=2)
+        for s in (1, 4):
+            seen.clear()
+            cfg = SolverConfig(eta0=1.0, b=16, s=s, total_iterations=8, layout=BLOCK_ROW, p=4, seed=1)
+            run_casgd(d, cfg, _row_cluster(d, 4))
+            assert seen == [(16, 16)] * 8
 
 
 class TestTraces:
