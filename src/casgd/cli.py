@@ -7,9 +7,9 @@
 Exit codes: 0 success, 1 parse/configuration error (including non-finite
 feature values, a truncated or corrupt gzip file, a batch size below 1 or
 above the dataset's rows, a non-finite or negative --eta,
---tolerance, --alpha, --beta, --gamma or --omega, and a train --s-step
-other than 1 without --algo casgd), 2 bad flags, 3 comparison failed
-(tolerance exceeded or a non-finite error).
+--tolerance, --alpha, --beta, --gamma or --omega, a costs --epochs below
+1, and a train --s-step other than 1 without --algo casgd), 2 bad flags,
+3 comparison failed (tolerance exceeded or a non-finite error).
 A --data file that starts with gzip's magic bytes (1f 8b) is decompressed,
 whatever its name.  ``compare`` runs SGD once, traced at the points of
 every s, and compares each s-step run with it at that run's own points:
@@ -192,6 +192,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_costs(args) -> int:
+    if args.epochs < 1:
+        raise ConfigError(f"--epochs must be at least 1, got {args.epochs}")
     H = args.epochs * iterations_per_epoch(args.m, args.b)
     params = CostParams(m=args.m, n=args.n, p=args.p, b=args.b, s=args.s, H=H, f=args.f)
     machine = MachineModel(alpha=args.alpha, beta=args.beta, gamma=args.gamma, omega=args.omega)

@@ -56,24 +56,29 @@ collectives, which move nothing and are only counted
 inside ends its segment, and its update is applied in spans of whole
 iterations, each counted as it is applied; over dense rows the spans update
 a copy of x, which the points inside the round read, and x takes the whole
-round's product, so where points fall never changes the bits.  The row
-layout materializes x only at round ends, so a point ends its segment with
-the round that holds it.  So every trace point reads what
+round's product, so where points fall never changes the bits.  Two-row
+rounds over dense rows add their split spans into x itself, row by row in
+row order, which gives an unsplit round's bits.  The row layout
+materializes x only at round ends, so a point ends its segment with the
+round that holds it.  So every trace point reads what
 iteration-by-iteration accounting would give.  One column rank runs a
 segment's rounds in one inner loop, with its kernels bound by the rows'
 form once per block: a one-row round (s = b = 1) is a dot, the sig and an
 axpy (under a dense cache over all of x, each round reading its row in
-place from one gather of the block's rows), dense rows at s > 1 take a BLAS
-product for the scores and ``x += R.T @ w`` for the update, and other forms
-the round kernels.  More column ranks and the row layout run each round
-through every rank's kernels and a collective.
+place from one gather of the block's rows); a two-row round over dense
+rows (s = 2, b = 1) is two dots against the round's starting x, the
+two-step recurrence over Python floats and two axpys; other dense rows at
+s > 1 take a BLAS product for the scores and ``x += R.T @ w`` for the
+update, and other forms the round kernels.  More column ranks and the row
+layout run each round through every rank's kernels and a collective.
 
-Every dot of one row with x (a one-row round's, and each row's of a
-one-batch round taken row by row) and the b = 1 recurrence's dots call
-scipy's BLAS level 1 ``ddot`` directly, and a one-row round over a dense
-cache updates x by ``daxpy`` in place (Lawson et al., "Basic Linear
-Algebra Subprograms for Fortran Usage", ACM TOMS 5(3), 1979); on such
-short vectors numpy's per-call dispatch costs more than the arithmetic.
+Every dot of one row with x (a one-row round's, a two-row round's, and
+each row's of a one-batch round taken row by row) and the b = 1
+recurrence's dots call scipy's BLAS level 1 ``ddot`` directly, and one- and
+two-row rounds over a dense cache update x by ``daxpy`` in place (Lawson
+et al., "Basic Linear Algebra Subprograms for Fortran Usage", ACM TOMS
+5(3), 1979); on such short vectors numpy's per-call dispatch costs more
+than the arithmetic.
 ``ddot`` gives ``ndarray.dot``'s bits.  ``daxpy`` fuses each multiply-add,
 so on values other than +-1 it can round x differently from
 ``x += w * a``; SGD and s = 1 take the same loop, so they still coincide
@@ -578,6 +583,9 @@ def _run_rounds(dataset, cfg, cluster, schedule, casgd):
         done = np.zeros(count + 1, dtype=np.int64)
         np.cumsum(charges + sums[:, -1] + update_flops, out=done[1:])
         charges, nnz, done = charges.tolist(), sums.tolist(), done.tolist()
+        # Two-row rounds (s = 2, b = 1) over dense rows at one column rank
+        # read each round's G[1, 0] as a Python float.
+        g10 = owners[0].grams[:count, 1, 0].tolist() if local and dense_rows and sb == 2 else None
 
         k = 0
         while k < count:
@@ -598,6 +606,30 @@ def _run_rounds(dataset, cfg, cluster, schedule, casgd):
                     # An empty row scores +0.0, which ``ddot`` would refuse.
                     wk = _sig_scalar(ddot(a, x[cols]) if len(a) else 0.0) * eta_scale
                     x[cols] += wk * a
+            elif g10 is not None:
+                # Two rows per round: both dots read x before either
+                # ``daxpy``, and the second score adds G[1, 0] w0, the
+                # recurrence.  A split round leaves its weights in w, and
+                # its spans add its rows into x.  Per round over dense rows
+                # of 112 columns (best of 9 x 20000 rounds, 2 vCPUs, OpenBLAS
+                # on one thread): this loop, the round kernels, a general
+                # loop of S ``ddot``s, a Python-float recurrence and S
+                # ``daxpy``s, and the kernels' BLAS scores and update around
+                # that recurrence.  Only two rows pay.
+                #
+                #     s*b   straight-line   kernels   level-1 loop   BLAS + floats
+                #      2        2.06          3.69        3.65           3.92 us
+                #      4          -           4.72        5.54           4.99
+                #      8          -           6.74        9.66           7.37
+                for r in range(k, j + split):
+                    a0, a1 = block_rows[r]
+                    w0 = _sig_scalar(ddot(a0, x)) * eta_scale
+                    w1 = _sig_scalar(ddot(a1, x) + g10[r] * w0) * eta_scale
+                    if r < j:
+                        daxpy(a0, x, n, w0)
+                        daxpy(a1, x, n, w1)
+                    else:
+                        w[0], w[1] = w0, w1
             elif local:
                 for r, rows in enumerate(block_rows[k : j + split], k):
                     if dense_rows:
@@ -666,14 +698,18 @@ def _run_rounds(dataset, cfg, cluster, schedule, casgd):
             # flops for iteration i.  Over dense rows the spans update a copy
             # of x, which the points inside the round read, and x takes the
             # whole round's product, as an unsplit round does; so where the
-            # points fall does not change the bits.
+            # points fall does not change the bits.  Two-row rounds add their
+            # rows into x itself by ``daxpy``, in row order, as unsplit.
             c.flops += charges[j]
             start, nnz_j, at = t + j * s, nnz[j], 0
-            spans = x.copy() if dense_rows else x
+            spans = x.copy() if dense_rows and g10 is None else x
             while at < s:
                 stop = s if next_it >= start + s else max(next_it - start, at + 1)
                 lo, hi = at * b, stop * b
-                if stop < s or not dense_rows:
+                if g10 is not None:
+                    for i in range(lo, hi):
+                        daxpy(block_rows[j, i], x, n, w[i])
+                elif stop < s or not dense_rows:
                     for rk, (first, last) in zip(ranks, cluster.layout.boundaries):
                         add_rows_transpose(rk.data, block[j, lo:hi], w[lo:hi], spans[first:last])
                 else:

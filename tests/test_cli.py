@@ -292,8 +292,10 @@ class TestCompare:
 
     def test_huge_eta_reports_the_real_error(self, data_file, tmp_path, capsys):
         # Solutions near 1e306 overflow an unscaled norm, which read as error 0.
+        # At s = 2 sig saturates and both runs apply the same two ``daxpy``s
+        # per round, so the error is exactly 0 either way; s = 3 differs.
         code = main(
-            ["compare", "--data", data_file, "--s-list", "2", "--epochs", "2", "--eta", "1e308",
+            ["compare", "--data", data_file, "--s-list", "3", "--epochs", "2", "--eta", "1e308",
              "--trace", str(tmp_path / "cmp.csv")]
         )
         assert code == 0
@@ -408,6 +410,12 @@ class TestCosts:
         out, err = capsys.readouterr()
         assert err == "error: batch size 11 exceeds m=10\n"
         assert "crossover_s" not in out
+
+    def test_zero_epochs_names_the_flag(self, capsys):
+        assert main(["costs", "--m", "10", "--n", "3", "--f", "0.5", "--epochs", "0"]) == 1
+        out, err = capsys.readouterr()
+        assert err == "error: --epochs must be at least 1, got 0\n"
+        assert out == ""
 
     def test_omega_defaults_to_the_cost_model_constant(self):
         args = build_parser().parse_args(["costs", "--m", "100", "--n", "10", "--f", "0.5"])

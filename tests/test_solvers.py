@@ -656,6 +656,29 @@ def test_trace_points_inside_dense_rounds_keep_the_bits(s):
     assert every.final_x.tobytes() == default.final_x.tobytes()
 
 
+def test_two_row_rounds_read_the_gram(monkeypatch):
+    # One column rank takes two-row rounds over a dense cache as two dots,
+    # the recurrence and two axpys.  Taking the second dot after the first
+    # axpy is plain SGD, which no tolerance tells from the recurrence; but
+    # with the Gram blocks zeroed the recurrence drops a term and leaves
+    # SGD, under the default schedule and with every round split.
+    sgd = _every_iteration_run(150, 40, run_sgd, 1)[0]
+    runs = _every_iteration_run(150, 40, run_casgd, 2)[:2]
+    for run in runs:
+        assert relative_solution_error(sgd.final_x, run.final_x) <= 1e-10
+    real = casgd.solvers.gram_lower_blocks
+
+    def zeroed(*args, **kwargs):
+        out, matches = real(*args, **kwargs)
+        out[...] = 0.0
+        return out, matches
+
+    monkeypatch.setattr(casgd.solvers, "gram_lower_blocks", zeroed)
+    for run, blind in zip(runs, _every_iteration_run(150, 40, run_casgd, 2)[:2]):
+        assert blind.counters == run.counters
+        assert relative_solution_error(sgd.final_x, blind.final_x) > 1e-6
+
+
 def _scatter(d, block, width, w):
     """Every round's rows of ``block`` (one batch each), weighted by ``w``,
     as (K, p, n) gradients, as the row layout adds them: one
