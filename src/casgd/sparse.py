@@ -23,13 +23,14 @@ the row-by-row kernels they are tested against):
     hold equally many entries scores in one ``np.vecdot``, any other in
     one ``np.bincount`` by row, and an update is one ``np.add.at``.
     ``gather_rows`` and ``gram_lower_blocks`` also take a block of K
-    rounds at once.  The Gram takes BLAS products of dense row panels when
-    the matrix keeps a dense cache, with its match counts from the rows of
-    the matrix's CSR pattern, and otherwise pairs the entries that
-    share a column with an entry of another batch of their round, after
-    one sort by (round, column), reading the block's gather from
-    ``gather_rows`` when given it.  A column-partitioned rank runs the
-    kernels on its ``CsrMatrix.column_window``.
+    rounds at once.  When the matrix keeps a dense cache the Gram is one
+    in-place BLAS ``dsyrk`` per round of ``_SYRK_MIN_ROWS`` or more rows,
+    or else one stacked product of the block's rounds, with its match
+    counts from the rows of the matrix's CSR pattern; otherwise it pairs
+    the entries that share a column with an entry of another batch of
+    their round, after one sort by (round, column), reading the block's
+    gather from ``gather_rows`` when given it.  A column-partitioned rank
+    runs the kernels on its ``CsrMatrix.column_window``.
   * the row layout's block kernel, ``RowBlock``, gathers a block's stored
     entries once, in batch order, and sorts them at most once, by (round,
     column).  Every round then reads that one gather, with or without a
@@ -89,12 +90,22 @@ _SUPPORT_MIN_RATIO = 24
 # run BLAS products on gathered rows; beyond it only the sparse paths apply.
 _DENSE_CACHE_MAX_CELLS = 2_000_000
 
-# The dense Gram multiplies row panels of this many rows by the rows up to
-# each panel's end, so at large s*b it forms a little over the lower half of
-# the product.  At s*b = 512 over 112 columns the four panels took 0.72 ms
-# and the square product 1.38 ms (OpenBLAS, one thread); 64-row panels were
-# no faster, 256-row ones 0.84 ms.
-_GRAM_PANEL_ROWS = 128
+# A dense Gram round of at least this many rows (s*b) is one in-place BLAS
+# level-3 ``dsyrk`` (Dongarra et al., "A Set of Level 3 BLAS", ACM TOMS
+# 16(1), 1990), which forms only the lower triangle of R R^T; shorter
+# rounds take one stacked square product per block of K rounds and a
+# masked copy of their lower blocks.  Microseconds per block of K rounds
+# over 112 binary columns (K as the default block budget gives it, noisy
+# 2-vCPU host, OpenBLAS on one thread), stacked product and masked copy /
+# one ``dsyrk`` per round:
+#
+#   s*b        2    8   16   32   48   64   96  128  256  512
+#   K        134   32   15    6    4    2    1    1    1    1
+#   stacked   89   63   73   78   86   69   64  119  366  910
+#   dsyrk    439  147  103   85   82   58   49   74  223  607
+#
+# The rule reads s*b alone, so a round's bits never depend on its block.
+_SYRK_MIN_ROWS = 64
 
 # ``parse_libsvm`` converts lines a chunk at a time, a chunk holding the
 # text up to the first '\n' that makes it this many characters long, so only
@@ -115,8 +126,8 @@ _MAX_DIGITS = 18
 _ALL = slice(None)
 
 
-def _blas_level1():
-    """scipy's compiled BLAS level-1 wrappers ``ddot`` and ``daxpy``.
+def _blas():
+    """scipy's compiled BLAS wrappers ``ddot``, ``daxpy`` and ``dsyrk``.
 
     Only the ``scipy.linalg._fblas`` extension is loaded, and registered
     under its name, so a later ``import scipy.linalg`` reuses it.  Importing
@@ -126,7 +137,9 @@ def _blas_level1():
     against ``ndarray.dot``'s 420 ns, and ``daxpy`` with positional
     arguments 230 ns against 1050 ns for ``x += w * a``.  ``ddot`` raises
     on empty vectors, and ``daxpy`` returns a copy of a ``y`` that is not
-    contiguous, so callers pass neither.
+    contiguous, so callers pass neither.  ``dsyrk`` writes into ``c`` only
+    when ``c`` is a Fortran-contiguous float64 array and ``overwrite_c`` is
+    set; otherwise it writes a copy, which its callers never read.
     """
     name = "scipy.linalg._fblas"
     module = sys.modules.get(name)
@@ -137,10 +150,10 @@ def _blas_level1():
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         sys.modules[name] = module
-    return module.ddot, module.daxpy
+    return module.ddot, module.daxpy, module.dsyrk
 
 
-ddot, daxpy = _blas_level1()
+ddot, daxpy, dsyrk = _blas()
 
 
 class LibsvmParseError(ValueError):
@@ -694,15 +707,18 @@ def gram_lower_blocks(
     shape (s*b, s*b) or (K, s*b, s*b).  In each round, block (j, i) with
     i < j is filled with inner products between batch j rows and batch i
     rows.  Diagonal and upper blocks are left untouched (zero when ``out``
-    is freshly allocated; ``out`` must be C-contiguous).  ``rows`` is
-    ``gather_rows``' form of ``row_ids`` (None: gathered here).  Dense rows
-    give the BLAS products, and the entries of K rounds the gather that the
-    pairing reads; other forms are gathered again.  Dense rows
-    are multiplied in row panels of ``_GRAM_PANEL_ROWS``, each against the
-    rows up to its end, so the products above the panels' diagonal squares
-    are never formed.  Up to one panel that is one square product; above
-    it, an entry may differ in its last bit from a square product's, where
-    the BLAS rounds a square (syrk) and a panel (gemm) call differently.
+    is freshly allocated; ``out`` must be a C-contiguous float64 array).
+    ``rows`` is ``gather_rows``' form of ``row_ids`` (None: gathered here).
+    Dense rows give the BLAS products, and the entries of K rounds the
+    gather that the pairing reads; other forms are gathered again.  A round
+    of ``_SYRK_MIN_ROWS`` or more dense rows is one ``dsyrk``, which writes
+    the lower triangle of its Gram into ``out`` itself; the cells of its
+    diagonal blocks that the call overwrites are saved before it and
+    written back after it.  Shorter rounds, any K of them, take one stacked
+    square product, whose lower blocks are copied into ``out``.  Under
+    OpenBLAS a ``dsyrk`` round's entries are ``R @ R.T``'s bit for bit
+    where s*b is a multiple of 8; elsewhere a few differ, each by less
+    than one ulp of the round's largest entry.
 
     Returns the blocks and each round's index matches (sparse multiply-adds),
     counted exactly from the rows' column indices: an int64 array of the
@@ -715,22 +731,31 @@ def gram_lower_blocks(
     b = block_size
     if sb % b:
         raise ValueError("len(row_ids) must be a multiple of block_size")
+    shape = row_ids.shape[:-1] + (sb, sb)
     if out is None:
-        out = np.zeros(row_ids.shape[:-1] + (sb, sb))
-    elif not out.flags.c_contiguous:
-        raise ValueError("out must be C-contiguous")
+        out = np.zeros(shape)
+    elif out.dtype != np.float64 or out.shape != shape or not out.flags.c_contiguous:
+        # ``dsyrk`` would fill a copy of an ``out`` of another dtype or
+        # layout and drop it.
+        raise ValueError(f"out must be a C-contiguous float64 array of shape {shape}")
     A = dataset.a_tilde
     dense = A.dense_cache()
     if dense is not None:
         if rows is None:
             rows = dense[row_ids]
-        # Row panels [lo, hi) against rows [0, hi): no product above the
-        # panels' diagonal squares is formed.
-        mask = _block_tril_mask(sb, b)
-        for lo in range(0, sb, _GRAM_PANEL_ROWS):
-            hi = min(lo + _GRAM_PANEL_ROWS, sb)
-            panel = np.matmul(rows[..., lo:hi, :], rows[..., :hi, :].swapaxes(-1, -2))
-            np.copyto(out[..., lo:hi, :hi], panel, where=mask[lo:hi, :hi])
+        if sb < _SYRK_MIN_ROWS or not A.num_cols:
+            # BLAS refuses a ``dsyrk`` over no columns.
+            np.copyto(out, np.matmul(rows, rows.swapaxes(-1, -2)), where=_block_tril_mask(sb, b))
+        else:
+            # On the Fortran views, ``trans = 1, lower = 0`` writes R R^T's
+            # lower triangle in C order.  Arguments go positionally, which
+            # f2py parses faster than keywords.
+            keep = _diagonal_block_cells(sb, b)
+            for R, G in zip(rows.reshape(-1, sb, A.num_cols), out.reshape(-1, sb, sb)):
+                cells = G.reshape(-1)
+                saved = cells[keep]
+                dsyrk(1.0, R.T, 0.0, G.T, 1, 0, 1)
+                cells[keep] = saved
         # With T_c the round's rows that hold column c and T_jc those of
         # batch j, every pair of a column's entries less the pairs within
         # one batch matches: (sum_c T_c^2 - sum_j sum_c T_jc^2) / 2.  A
@@ -1015,6 +1040,16 @@ class RowBlock:
         """Zeroes the entries of ``G`` that round ``k``'s pairs wrote, so its
         strictly lower blocks are zero again without a pass over them."""
         G.reshape(-1)[self.rounds[k].targets] = 0.0
+
+
+@lru_cache(maxsize=8)
+def _diagonal_block_cells(sb: int, b: int) -> np.ndarray:
+    """Flat indices of the cells on or below the diagonal inside the b-by-b
+    diagonal blocks of an sb-by-sb matrix (built once per shape)."""
+    i, j = np.tril_indices(sb)
+    cells = (i * sb + j)[i // b == j // b]
+    cells.setflags(write=False)
+    return cells
 
 
 @lru_cache(maxsize=8)

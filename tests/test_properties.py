@@ -78,12 +78,14 @@ def _runs(d, layout, p, b, s, epochs, seed, oracle=False):
 def test_round_loop_matches_sgd():
     # A support ratio of 0 gives every sparse row round a support, so rounds
     # with entries reach the scatter over a support (at n <= 10 the default
-    # ratio gives one only to rounds of empty rows).  Gram panels of 2 rows
-    # split dense Grams of small s*b into panels, and a block budget of 1
-    # byte gives every block one round.  Spies on the round kernels count
-    # the paths the examples reach, each of which must run: among them the
+    # ratio gives one only to rounds of empty rows).  A ``dsyrk`` threshold
+    # of 2 rows gives dense Grams of small s*b one ``dsyrk`` per round, at
+    # b > 1 and in blocks of several rounds, and a block budget of 1 byte
+    # gives every block one round.  Spies on the round kernels count the
+    # paths the examples reach, each of which must run: among them the
     # gathers of whole rows (a matrix or window of one width) and of each
-    # entry (ragged rows), dense Grams of more rows than a panel, blocks of
+    # entry (ragged rows), dense Grams by ``dsyrk`` (also at b > 1 in
+    # blocks of several rounds), blocks of
     # one round and of several, one column rank's one-row rounds over a
     # dense cache, which read the rows of one gather in place, and more
     # column ranks at b = 1, at s > 1 and without a dense cache.  SGD must
@@ -139,8 +141,10 @@ def test_round_loop_matches_sgd():
         return gather_rows(dataset, row_ids, batches)
 
     def gram_spy(dataset, row_ids, *args, **kwargs):
-        if dataset.a_tilde.dense_cache() is not None and np.shape(row_ids)[-1] > casgd.sparse._GRAM_PANEL_ROWS:
-            seen["dense gram in panels"] += 1
+        if dataset.a_tilde.dense_cache() is not None and np.shape(row_ids)[-1] >= casgd.sparse._SYRK_MIN_ROWS:
+            seen["dense gram by dsyrk"] += 1
+            if args[0] > 1 and np.ndim(row_ids) == 2 and len(row_ids) > 1:
+                seen["dense gram by dsyrk, b > 1, several rounds"] += 1
         return gram(dataset, row_ids, *args, **kwargs)
 
     with (
@@ -162,7 +166,8 @@ def test_round_loop_matches_sgd():
         "row, dense cache",
         "whole rows",
         "each entry",
-        "dense gram in panels",
+        "dense gram by dsyrk",
+        "dense gram by dsyrk, b > 1, several rounds",
         "one-round blocks",
         "multi-round blocks",
         "one-row rounds, dense cache",
@@ -173,13 +178,14 @@ def test_round_loop_matches_sgd():
 
 @PROPERTY_SETTINGS
 # The drawn examples miss b = 1 at one column rank over a dense cache, and
-# at more column ranks at s > 1 and without a dense cache.
+# at more column ranks at s > 1 and without a dense cache, and per-round
+# ``dsyrk`` at b > 1 in blocks of several rounds.
 @example(
     grid=(BLOCK_COLUMN, 25, 6, 1, 1, 3, 2),
     density=0.3,
     dense=True,
     support_ratio=casgd.sparse._SUPPORT_MIN_RATIO,
-    panel_rows=casgd.sparse._GRAM_PANEL_ROWS,
+    syrk_rows=casgd.sparse._SYRK_MIN_ROWS,
     block_bytes=casgd.solvers._BLOCK_BYTES,
     seed=5,
 )
@@ -188,7 +194,7 @@ def test_round_loop_matches_sgd():
     density=0.3,
     dense=True,
     support_ratio=casgd.sparse._SUPPORT_MIN_RATIO,
-    panel_rows=casgd.sparse._GRAM_PANEL_ROWS,
+    syrk_rows=casgd.sparse._SYRK_MIN_ROWS,
     block_bytes=casgd.solvers._BLOCK_BYTES,
     seed=6,
 )
@@ -197,20 +203,29 @@ def test_round_loop_matches_sgd():
     density=0.3,
     dense=False,
     support_ratio=casgd.sparse._SUPPORT_MIN_RATIO,
-    panel_rows=casgd.sparse._GRAM_PANEL_ROWS,
+    syrk_rows=casgd.sparse._SYRK_MIN_ROWS,
     block_bytes=casgd.solvers._BLOCK_BYTES,
     seed=7,
+)
+@example(
+    grid=(BLOCK_COLUMN, 25, 6, 1, 3, 5, 2),
+    density=0.3,
+    dense=True,
+    support_ratio=casgd.sparse._SUPPORT_MIN_RATIO,
+    syrk_rows=2,
+    block_bytes=casgd.solvers._BLOCK_BYTES,
+    seed=8,
 )
 @given(
     grid=grids(),
     density=st.sampled_from([0.05, 0.3, 1.0]),
     dense=st.booleans(),
     support_ratio=st.sampled_from([0, casgd.sparse._SUPPORT_MIN_RATIO]),
-    panel_rows=st.sampled_from([casgd.sparse._GRAM_PANEL_ROWS, 2]),
+    syrk_rows=st.sampled_from([casgd.sparse._SYRK_MIN_ROWS, 2]),
     block_bytes=st.sampled_from([casgd.solvers._BLOCK_BYTES, 1]),
     seed=st.integers(0, 2**32),
 )
-def _round_loop_matches_sgd(grid, density, dense, support_ratio, panel_rows, block_bytes, seed):
+def _round_loop_matches_sgd(grid, density, dense, support_ratio, syrk_rows, block_bytes, seed):
     layout, m, n, p, b, s, epochs = grid
     rng = np.random.default_rng(seed)
     d = random_dataset(rng, m, n, density)
@@ -219,7 +234,7 @@ def _round_loop_matches_sgd(grid, density, dense, support_ratio, panel_rows, blo
             assert d.a_tilde.dense_cache() is None
     with (
         mock.patch.object(casgd.sparse, "_SUPPORT_MIN_RATIO", support_ratio),
-        mock.patch.object(casgd.sparse, "_GRAM_PANEL_ROWS", panel_rows),
+        mock.patch.object(casgd.sparse, "_SYRK_MIN_ROWS", syrk_rows),
         mock.patch.object(casgd.solvers, "_BLOCK_BYTES", block_bytes),
     ):
         sgd, ca, reference = _runs(d, layout, p, b, s, epochs, seed, oracle=True)
@@ -239,13 +254,13 @@ def _round_loop_matches_sgd(grid, density, dense, support_ratio, panel_rows, blo
     grid=grids(),
     nnz=st.integers(1, 10),
     support_ratio=st.sampled_from([0, casgd.sparse._SUPPORT_MIN_RATIO]),
-    panel_rows=st.sampled_from([casgd.sparse._GRAM_PANEL_ROWS, 2]),
+    syrk_rows=st.sampled_from([casgd.sparse._SYRK_MIN_ROWS, 2]),
     block_bytes=st.sampled_from([casgd.solvers._BLOCK_BYTES, 1]),
     seed=st.integers(0, 2**32),
 )
-def test_counters_match_closed_forms_on_uniform_rows(grid, nnz, support_ratio, panel_rows, block_bytes, seed):
+def test_counters_match_closed_forms_on_uniform_rows(grid, nnz, support_ratio, syrk_rows, block_bytes, seed):
     # The kernel settings are drawn as in ``_round_loop_matches_sgd``: the
-    # counters must not depend on the round's support, Gram panels or blocks.
+    # counters must not depend on the round's support, Gram kernel or blocks.
     layout, m, n, p, b, s, epochs = grid
     d = synthetic_dataset(m, n, min(nnz, n), seed=seed)
     H = epochs * iterations_per_epoch(m, b)
@@ -253,7 +268,7 @@ def test_counters_match_closed_forms_on_uniform_rows(grid, nnz, support_ratio, p
         cfg = SolverConfig(eta0=1.0, b=b, s=steps, total_iterations=H, layout=layout, p=p, seed=seed)
         with (
             mock.patch.object(casgd.sparse, "_SUPPORT_MIN_RATIO", support_ratio),
-            mock.patch.object(casgd.sparse, "_GRAM_PANEL_ROWS", panel_rows),
+            mock.patch.object(casgd.sparse, "_SYRK_MIN_ROWS", syrk_rows),
             mock.patch.object(casgd.solvers, "_BLOCK_BYTES", block_bytes),
         ):
             got = run(d, cfg, partition(d, layout, p)).counters.as_dict()

@@ -743,12 +743,14 @@ class TestRoundKernels:
             seen.update(np.sign(out[lower]).tolist())
         assert seen >= {0.0, 1.0}
 
-    @pytest.mark.parametrize("s", [2, 8])
+    @pytest.mark.parametrize("s", [2, 8, 64])
     @pytest.mark.parametrize("b", [1, 3])
     def test_block_of_rounds_matches_round_by_round(self, s, b):
         # K rounds at once give each round's blocks bitwise and its match
         # count from the CSR pattern, under a dense cache (one stacked
-        # product) and without one (one sort over every round's entries):
+        # product, or at s*b >= 64 one ``dsyrk`` per round into its own
+        # slice of the block's buffer) and without one (one sort over every
+        # round's entries):
         # stored zeros match, empty rows do not, and rows repeat within and
         # across batches and rounds.  A column window of the block gives a
         # column rank's blocks and counts.
@@ -781,14 +783,23 @@ class TestRoundKernels:
                 assert matches.sum() > 0
 
     def test_dense_gram_mask_built_once(self):
+        # Short rounds build their lower-block mask once per shape, and
+        # ``dsyrk`` rounds the flat indices of their diagonal-block cells;
+        # neither kind of round builds the other's.
         rng = np.random.default_rng(13)
         d = random_dataset(rng, 60, 25)
-        ids = rng.choice(60, size=12, replace=False)
         casgd.sparse._block_tril_mask.cache_clear()
-        gram_lower_blocks(d, ids, 3)
-        gram_lower_blocks(d, ids[::-1].copy(), 3)
-        info = casgd.sparse._block_tril_mask.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        casgd.sparse._diagonal_block_cells.cache_clear()
+        for size in (12, casgd.sparse._SYRK_MIN_ROWS + 2):
+            ids = rng.choice(60, size=size)
+            gram_lower_blocks(d, ids, 3)
+            gram_lower_blocks(d, ids[::-1].copy(), 3)
+        for cache in (casgd.sparse._block_tril_mask, casgd.sparse._diagonal_block_cells):
+            info = cache.cache_info()
+            assert (info.misses, info.hits) == (1, 1)
+        cells = casgd.sparse._diagonal_block_cells(6, 3)
+        assert cells.tolist() == [0, 6, 7, 12, 13, 14, 21, 27, 28, 33, 34, 35]
+        assert casgd.sparse._diagonal_block_cells(4, 1).tolist() == [0, 5, 10, 15]
 
     @pytest.mark.parametrize("form", [None, list, np.ndarray])
     def test_batch_scores_matches_sampled_matvec(self, form):
@@ -905,12 +916,13 @@ class TestRoundKernels:
                     assert x.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("n", [100, 112])
-    @pytest.mark.parametrize("sb,b", [(512, 1), (300, 3)])
-    def test_panel_gram_matches_full_product(self, sb, b, n):
-        # Above one panel the dense Gram multiplies row panels by the rows
-        # up to their end.  Its strictly-lower blocks are the full product's,
-        # and the diagonal and upper blocks keep their sentinels.
-        assert sb > casgd.sparse._GRAM_PANEL_ROWS
+    @pytest.mark.parametrize("sb,b", [(512, 1), (300, 3), (66, 3)])
+    def test_syrk_gram_matches_full_product(self, sb, b, n):
+        # A round of at least ``_SYRK_MIN_ROWS`` dense rows is one in-place
+        # ``dsyrk``.  Its strictly-lower blocks are the full product's, and
+        # the diagonal and upper blocks keep their sentinels: the cells of
+        # the diagonal blocks that the call writes are put back.
+        assert sb >= casgd.sparse._SYRK_MIN_ROWS
         d = synthetic_dataset(1500, n, 12, seed=n + b)
         dense = d.a_tilde.dense_cache()
         assert dense is not None
@@ -920,33 +932,71 @@ class TestRoundKernels:
         lower = blocks[:, None] > blocks[None, :]
         sentinel = -7.25
         out = np.full((sb, sb), sentinel)
-        got, _ = gram_lower_blocks(d, ids, b, out=out)
+        with mock.patch.object(casgd.sparse, "dsyrk", wraps=casgd.sparse.dsyrk) as spy:
+            got, _ = gram_lower_blocks(d, ids, b, out=out)
+        assert spy.call_count == 1
         assert got is out
         assert (out[~lower] == sentinel).all()
         rows = dense[ids]
         full = rows @ rows.T
         if sb % 8:
-            # The full product is one syrk call.  At 300 rows OpenBLAS's
-            # Haswell kernels round some entries of its last rows differently
-            # from the panels' gemm calls (89 of 44550 at n = 100, by 1 ulp);
-            # at 512 rows they agree bit for bit.
-            np.testing.assert_allclose(out[lower], full[lower], rtol=0, atol=4 * np.spacing(np.abs(full).max()))
+            # The full product is numpy's own syrk call, over the other
+            # triangle.  Off multiples of 8 rows OpenBLAS's x86-64 kernels
+            # round a few entries differently (at most 107 of 44550 at 300
+            # rows, each by at most a quarter ulp of the largest entry).
+            np.testing.assert_allclose(out[lower], full[lower], rtol=0, atol=np.spacing(np.abs(full).max()))
         else:
             assert out[lower].tobytes() == full[lower].tobytes()
 
+    def test_syrk_gram_over_no_columns(self):
+        # BLAS refuses a ``dsyrk`` over no columns; such a round's lower
+        # blocks are zero, from the stacked product.
+        sb = casgd.sparse._SYRK_MIN_ROWS
+        d = LabeledDataset.build(CsrMatrix(sb, 0, np.zeros(sb + 1, np.int64), np.zeros(0, np.int64), np.zeros(0)), np.ones(sb))
+        assert d.a_tilde.dense_cache() is not None
+        out = np.full((sb, sb), -7.25)
+        gram_lower_blocks(d, np.arange(sb), 2, out=out)
+        lower = casgd.sparse._block_tril_mask(sb, 2)
+        assert not out[lower].any() and (out[~lower] == -7.25).all()
+
+    @pytest.mark.parametrize("sb", [12, 128])
+    @pytest.mark.parametrize("dense", [True, False])
+    def test_gram_rejects_an_out_it_would_not_fill(self, sb, dense):
+        # ``dsyrk`` writes a copy of any out that is not float64, and so
+        # never fills it; a buffer of the wrong shape would take the wrong
+        # rounds' blocks.  Both raise before any product, on every path.
+        rng = np.random.default_rng(sb)
+        d = random_dataset(rng, 90, 25)
+        if not dense:
+            with mock.patch.object(casgd.sparse, "_DENSE_CACHE_MAX_CELLS", 0):
+                d = dataset_from_scaled(d.a_tilde.to_dense(), d.labels)
+                assert d.a_tilde.dense_cache() is None
+        block = rng.choice(90, size=(2, sb))
+        for out in (
+            np.zeros((2, sb, sb), np.float32),
+            np.zeros((2, sb // 2, 2 * sb)),
+            np.zeros((1, sb, sb)),
+            np.zeros((2, sb, 2 * sb))[:, :, :sb],
+        ):
+            with pytest.raises(ValueError, match="out must be"):
+                gram_lower_blocks(d, block, 2, out=out)
+        out = np.zeros((2, sb, sb))
+        assert gram_lower_blocks(d, block, 2, out=out)[0] is out
+
 
 def test_import_loads_the_blas_extension_without_scipy_linalg():
-    # The kernels' ``ddot`` and ``daxpy`` come from scipy.linalg's compiled
-    # extension alone; the package's ``__init__`` costs about 8 MiB of RSS.
-    # A later ``import scipy.linalg`` reuses the loaded extension.
+    # The kernels' ``ddot``, ``daxpy`` and ``dsyrk`` come from scipy.linalg's
+    # compiled extension alone; the package's ``__init__`` costs about 8 MiB
+    # of RSS.  A later ``import scipy.linalg`` reuses the loaded extension.
     code = (
         "import sys, casgd.sparse\n"
         "print('scipy.linalg' in sys.modules)\n"
         "import scipy.linalg.blas\n"
         "print(scipy.linalg.blas._fblas.ddot is casgd.sparse.ddot)\n"
+        "print(scipy.linalg.blas._fblas.dsyrk is casgd.sparse.dsyrk)\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["False", "True"]
+    assert out.split() == ["False", "True", "True"]
 
 
 @pytest.fixture(scope="module")
