@@ -18,8 +18,8 @@ groups s iterations per round.  Each round:
      w_i = (eta0/m) * v_i:  v_j = sig(r_j + sum_{i<j} G[j, i] w_i).
      sig is elementwise, so each batch takes it once in either layout:
      short batches by scalar exp, longer ones in one vector call;
-  5. the update x += a_tilde^T I_j^T w_j, split where a trace point
-     falls inside the round.  Column ranks update their own part of x.
+  5. the update x += a_tilde^T I_j^T w_j, whole in every round.  Column
+     ranks update their own part of x.
      In the row layout one ``np.bincount`` adds every rank's gradient into
      its own fresh buffer, which the ranks keep only for the simulated
      reduction.
@@ -53,12 +53,12 @@ Counters advance once per segment, in closed form, before the point is
 recorded: its flops and sig evaluations and, at one column rank, its
 collectives, which move nothing and are only counted
 (``VirtualCluster.count``).  A column round that a trace point falls
-inside ends its segment, and its update is applied in spans of whole
-iterations, each counted as it is applied; over dense rows the spans update
-a copy of x, which the points inside the round read, and x takes the whole
-round's product, so where points fall never changes the bits.  Two-row
-rounds over dense rows add their split spans into x itself, row by row in
-row order, which gives an unsplit round's bits.  The row layout
+strictly inside runs as a segment of its own, through the same loop as
+every other round, which applies its whole update after x is copied at
+the round's start.  The points inside it read that copy plus the round's
+spans of whole iterations up to each point, added row by row in row
+order and counted span by span.  So every loop form updates x in one
+place, and where points fall never changes the bits.  The row layout
 materializes x only at round ends, so a point ends its segment with the
 round that holds it.  So every trace point reads what
 iteration-by-iteration accounting would give.  One column rank runs a
@@ -558,7 +558,7 @@ def _run_rounds(dataset, cfg, cluster, schedule, casgd):
             # scores, support, gradient keys, allgather words and Gram pairs.
             # Under a dense cache the Gram owner's ``gram_lower_blocks``
             # gathers the block's dense rows itself.
-            entries = RowBlock(dataset, block, b, bp, casgd)
+            entries = RowBlock(dataset, block, b, bp)
             block_rows = entries.rounds
         elif local and sb == 1 and dense:
             # One-row rounds read the rows of one gather of the dense cache.
@@ -589,13 +589,16 @@ def _run_rounds(dataset, cfg, cluster, schedule, casgd):
 
         k = 0
         while k < count:
-            # A segment: rounds k..j-1, which end at or before the next trace
-            # point, run whole.  Column round j splits its update when the
-            # point falls inside it; the row layout runs the round holding a
-            # point whole and records it at the round's end.
+            # A segment: rounds k..j-1, run whole, which end at or before the
+            # next trace point.  A column round that the point falls strictly
+            # inside runs as a segment of its own (``split``), from a copy of
+            # x that its inner points read; the row layout runs the round
+            # holding a point whole and records it at the round's end.
             ahead = min(next_it, t + count * s) - t
             j = max(k, -(-ahead // s) if row else ahead // s)
-            split = j * s < ahead
+            split = j == k and j * s < ahead
+            if split:
+                j, before = k + 1, x.copy()
             if local and sb == 1 and dense:
                 # One row per round: a dot, the sig and an axpy over all of
                 # x, which ``daxpy`` updates in place.
@@ -609,29 +612,26 @@ def _run_rounds(dataset, cfg, cluster, schedule, casgd):
             elif g10 is not None:
                 # Two rows per round: both dots read x before either
                 # ``daxpy``, and the second score adds G[1, 0] w0, the
-                # recurrence.  A split round leaves its weights in w, and
-                # its spans add its rows into x.  Per round over dense rows
-                # of 112 columns (best of 9 x 20000 rounds, 2 vCPUs, OpenBLAS
-                # on one thread): this loop, the round kernels, a general
-                # loop of S ``ddot``s, a Python-float recurrence and S
-                # ``daxpy``s, and the kernels' BLAS scores and update around
-                # that recurrence.  Only two rows pay.
+                # recurrence.  Per round over dense rows of 112 columns (best
+                # of 9 x 20000 rounds, 2 vCPUs, OpenBLAS on one thread): this
+                # loop, the round kernels, a general loop of S ``ddot``s, a
+                # Python-float recurrence and S ``daxpy``s, and the kernels'
+                # BLAS scores and update around that recurrence.  Only two
+                # rows pay.
                 #
                 #     s*b   straight-line   kernels   level-1 loop   BLAS + floats
                 #      2        2.06          3.69        3.65           3.92 us
                 #      4          -           4.72        5.54           4.99
                 #      8          -           6.74        9.66           7.37
-                for r in range(k, j + split):
-                    a0, a1 = block_rows[r]
+                for (a0, a1), g in zip(block_rows[k:j], g10[k:j]):
                     w0 = _sig_scalar(ddot(a0, x)) * eta_scale
-                    w1 = _sig_scalar(ddot(a1, x) + g10[r] * w0) * eta_scale
-                    if r < j:
-                        daxpy(a0, x, n, w0)
-                        daxpy(a1, x, n, w1)
-                    else:
-                        w[0], w[1] = w0, w1
+                    w1 = _sig_scalar(ddot(a1, x) + g * w0) * eta_scale
+                    daxpy(a0, x, n, w0)
+                    daxpy(a1, x, n, w1)
+                if split:
+                    w[0], w[1] = w0, w1
             elif local:
-                for r, rows in enumerate(block_rows[k : j + split], k):
+                for r, rows in enumerate(block_rows[k:j], k):
                     if dense_rows:
                         np.matmul(rows, x, out=rs)
                     else:
@@ -639,13 +639,12 @@ def _run_rounds(dataset, cfg, cluster, schedule, casgd):
                     if grams is not None:
                         G[...] = grams[r]
                     weigh()
-                    if r < j:
-                        if dense_rows:
-                            x += rows.T @ w
-                        else:
-                            add_rows_transpose(dataset, block[r], w, x, rows)
+                    if dense_rows:
+                        x += rows.T @ w
+                    else:
+                        add_rows_transpose(dataset, block[r], w, x, rows)
             else:
-                for r in range(k, j + split):
+                for r in range(k, j):
                     # 2. each rank forms its payload
                     ids = block[r]
                     for rk in ranks:
@@ -675,53 +674,48 @@ def _run_rounds(dataset, cfg, cluster, schedule, casgd):
                     # round.  Column ranks update their own part of x.
                     if row:
                         _apply_row_gradient(cluster, entries.gradients(r, v), entries.supports[r], eta_scale, x)
-                    elif r < j:
+                    else:
                         for rk in ranks:
                             add_rows_transpose(rk.data, ids, w, rk.x, rk.block_rows[r])
             # Counters advance in closed form per segment: whole rounds,
             # their sig evaluations and, at one rank, their collectives
             # (nothing moves, so they are only counted); a split round's
-            # scores, Gram and collective, then each applied span.  So they
-            # read at every trace point what round-by-round accounting gives.
-            c.flops += done[j] - done[k]
-            c.sig_evals += (j - k) * sb
+            # scores, Gram and collective, then each span.  So they read at
+            # every trace point what round-by-round accounting gives.
             if local:
-                cluster.count(size, j - k + split)
-            if not split:
+                cluster.count(size, j - k)
+            if split:
+                # Spans of whole iterations of round k, cut where trace
+                # points fall: its rows' nonzeros, n per iteration and i*b*b
+                # recurrence flops for iteration i.  The points inside the
+                # round read ``before`` plus the spans up to them, added row
+                # by row in row order; the last span adds nothing, as x
+                # already holds the round.  So where points fall never
+                # changes the bits.
+                c.flops += charges[k]
+                start, nnz_k, at = t + k * s, nnz[k], 0
+                while at < s:
+                    stop = s if next_it >= start + s else max(next_it - start, at + 1)
+                    lo, hi = at * b, stop * b
+                    if stop < s and g10 is not None:
+                        for i in range(lo, hi):
+                            daxpy(block_rows[k, i], before, n, w[i])
+                    elif stop < s:
+                        for rk, (first, last) in zip(ranks, cluster.layout.boundaries):
+                            add_rows_transpose(rk.data, block[k, lo:hi], w[lo:hi], before[first:last])
+                    c.flops += nnz_k[hi] - nnz_k[lo] + n * (stop - at) + b * b * (stop * (stop - 1) - at * (at - 1)) // 2
+                    c.sig_evals += hi - lo
+                    at = stop
+                    if next_it <= start + at:
+                        rec.visit(start + at, before if at < s else x)
+                        next_it = rec.next_iteration
+            else:
+                c.flops += done[j] - done[k]
+                c.sig_evals += (j - k) * sb
                 if next_it <= t + j * s:
                     rec.visit(t + j * s, x)
                     next_it = rec.next_iteration
-                k = j
-                continue
-            # Spans of whole iterations of round j, split where trace points
-            # fall: its rows' nonzeros, n per iteration and i*b*b recurrence
-            # flops for iteration i.  Over dense rows the spans update a copy
-            # of x, which the points inside the round read, and x takes the
-            # whole round's product, as an unsplit round does; so where the
-            # points fall does not change the bits.  Two-row rounds add their
-            # rows into x itself by ``daxpy``, in row order, as unsplit.
-            c.flops += charges[j]
-            start, nnz_j, at = t + j * s, nnz[j], 0
-            spans = x.copy() if dense_rows and g10 is None else x
-            while at < s:
-                stop = s if next_it >= start + s else max(next_it - start, at + 1)
-                lo, hi = at * b, stop * b
-                if g10 is not None:
-                    for i in range(lo, hi):
-                        daxpy(block_rows[j, i], x, n, w[i])
-                elif stop < s or not dense_rows:
-                    for rk, (first, last) in zip(ranks, cluster.layout.boundaries):
-                        add_rows_transpose(rk.data, block[j, lo:hi], w[lo:hi], spans[first:last])
-                else:
-                    for rk in ranks:
-                        add_rows_transpose(rk.data, block[j], w, rk.x, rk.block_rows[j])
-                c.flops += nnz_j[hi] - nnz_j[lo] + n * (stop - at) + b * b * (stop * (stop - 1) - at * (at - 1)) // 2
-                c.sig_evals += hi - lo
-                at = stop
-                if next_it <= start + at:
-                    rec.visit(start + at, spans if at < s else x)
-                    next_it = rec.next_iteration
-            k = j + 1
+            k = j
         t += count * s
 
     return SolverRun(x.copy(), rec.trace, c.snapshot(), rec.solutions)

@@ -36,7 +36,7 @@ the row-by-row kernels they are tested against):
     column).  Every round then reads that one gather, with or without a
     dense cache: its ``RoundEntries`` for the scores, its support and each
     entry's key for the gradient scatter (one ``np.bincount`` into fresh
-    buffers, ``RowBlock.gradients``), its ranks' payload values, and,
+    buffers, ``RowBlock.gradients``), its allgather's words, and, at s > 1
     without a dense cache, its Gram pairs, which ``RowBlock.add_gram`` adds
     into the round's Gram and ``RowBlock.clear_gram`` clears from it.
 
@@ -276,8 +276,10 @@ class CsrMatrix:
     def dense_cache(self) -> np.ndarray | None:
         """Dense row array for small matrices, else None.
 
-        Dense dots over padded zeros produce the same sums as the sparse
-        merges (adding 0.0 is exact), so solver fast paths may use them.
+        A dense dot sums the padded zeros' products too, in BLAS's own
+        order, so it can round differently from the sparse sum over the
+        stored entries: runs with and without the cache may differ in the
+        last bits.
         """
         return self._dense
 
@@ -946,11 +948,10 @@ class RowBlock:
         Gram pairs read;
       * ``supports``: its sorted distinct columns, or None when its rows
         hold more than n / ``_SUPPORT_MIN_RATIO`` entries;
-      * with ``payload`` (the s-step allgather): ``head_words``, the stored
-        entries of its first s-1 batches' rows, which the allgather counts
-        (0 at s = 1; ``head_words`` is None without ``payload``), and at
-        s > 1 without a dense cache (whose Gram is a BLAS product of dense
-        rows) its Gram pairs (in ``rounds``, added by ``add_gram``),
+      * ``head_words``: the stored entries of its first s-1 batches'
+        rows, which the s-step allgather counts (0 at s = 1);
+      * at s > 1 without a dense cache (whose Gram is a BLAS product of
+        dense rows), its Gram pairs (in ``rounds``, added by ``add_gram``),
         counted by ``matches`` (int64, one per round; else None).
 
     An entry's key is its place in the flattened gradient buffers of its
@@ -962,7 +963,7 @@ class RowBlock:
     rows into zeroed buffers would.
     """
 
-    def __init__(self, dataset: LabeledDataset, row_ids, b: int, width: int, payload: bool):
+    def __init__(self, dataset: LabeledDataset, row_ids, b: int, width: int):
         A = dataset.a_tilde
         n = A.num_cols
         ids = np.asarray(row_ids, dtype=np.int64)
@@ -974,7 +975,7 @@ class RowBlock:
         rank = np.repeat(np.arange(ids.size) % b // width, A.row_nnz[ids.ravel()] if A.width is None else A.width)
 
         with_support = sizes * _SUPPORT_MIN_RATIO <= n
-        pairs = payload and s > 1 and A.dense_cache() is None
+        pairs = s > 1 and A.dense_cache() is None
         self.supports: list[np.ndarray | None] = [None] * K
         self.matches = None
         keys = None if with_support.all() else rank * n + cols
@@ -1004,7 +1005,7 @@ class RowBlock:
         # Each round's entries before its last batch starts: what its
         # allgather sends besides the scores.
         firsts = np.arange(K) * sb
-        self.head_words = (starts[firsts + (s - 1) * b] - starts[firsts]).tolist() if payload else None
+        self.head_words = (starts[firsts + (s - 1) * b] - starts[firsts]).tolist()
         self.rounds = []
         for k, rows in enumerate(row_ofs):
             lo, hi = edges[k], edges[k + 1]

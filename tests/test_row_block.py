@@ -65,27 +65,26 @@ def _same_row_of(got, want) -> bool:
     return got is None and want is None or got is not None and want is not None and got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("payload", [False, True])
+@pytest.mark.parametrize("width", [2, 3])
 @pytest.mark.parametrize("n", [40, 3000])
 @pytest.mark.parametrize("s", [1, 3])
 @pytest.mark.parametrize("K", [1, 3, None])
 @pytest.mark.parametrize("p", [1, 2, 4])
-def test_matches_the_kernels_it_replaced(monkeypatch, p, K, s, n, payload):
+def test_matches_the_kernels_it_replaced(monkeypatch, p, K, s, n, width):
     d = ragged_libsvm_dataset(800, n, seed=p + s + n)
     A = d.a_tilde
     dense = A.dense_cache() is not None
     assert dense == (n == 40)
-    width = 2
     b = p * width
     sb = s * b
     if K is None:
-        owners = 1 if payload and s > 1 and dense else 0
+        owners = 1 if s > 1 and dense else 0
         # As the solver sizes a row block: dense rows only for a Gram owner.
         K = casgd.solvers._rounds_per_block(sb, n, bool(owners), owners, A.nnz / d.num_points)
     block = _block(d, K, sb, seed=K + s)
     # A ratio between the short rounds' entries and the long ones'.
     monkeypatch.setattr(casgd.sparse, "_SUPPORT_MIN_RATIO", n / (6 * sb))
-    entries = RowBlock(d, block, b, width, payload)
+    entries = RowBlock(d, block, b, width)
     assert len(entries.rounds) == len(entries.supports) == K
 
     # With or without a dense cache, rounds take a support by the ratio.
@@ -142,10 +141,7 @@ def test_matches_the_kernels_it_replaced(monkeypatch, p, K, s, n, payload):
 
     # The allgather's words: per round, the entries of every rank's rows of
     # its first s-1 batches, as the oracle's ranked values held them; 0 at
-    # s = 1, and none without a payload.
-    if not payload:
-        assert entries.head_words is None
-        return
+    # s = 1.
     heads = [sum(len(vals[k * sb + r * s * width + at]) for r in range(p) for at in range((s - 1) * width)) for k in range(K)]
     assert entries.head_words == heads and all(type(words) is int for words in entries.head_words)
     assert (s == 1) == (heads == [0] * K)
@@ -208,7 +204,7 @@ def test_scores_match_row_dots_or_the_csr_product(rows, p, width, s, x_kind):
     equal = [_row_of(d, ids) is None for ids in block]
     assert equal == {"ragged": [False] * 3, "mixed": [False, True, False]}.get(rows, [True] * 3)
     x = np.random.default_rng(sb).standard_normal(3000) if x_kind == "gaussian" else np.full(3000, -0.0)
-    entries = RowBlock(d, block, b, width, True)
+    entries = RowBlock(d, block, b, width)
     for ids, here, same in zip(block, entries.rounds, equal):
         assert _same_row_of(here.row_of, _row_of(d, ids))
         out = np.full(sb, np.nan)
@@ -228,7 +224,7 @@ def test_pairs_skip_single_entries_and_keep_triples(monkeypatch):
     monkeypatch.setattr(casgd.sparse, "_DENSE_CACHE_MAX_CELLS", 0)
     lines = ["+1 1:1 2:2 10:3", "+1 1:4 11:5", "+1 1:6 2:7 12:8", "+1 3:9 13:10", "+1 2:12 3:11"]
     d = casgd.parse_libsvm("\n".join(lines), num_features=20)
-    entries = RowBlock(d, np.arange(5)[None], 1, 1, True)
+    entries = RowBlock(d, np.arange(5)[None], 1, 1)
     here = entries.rounds[0]
     # Column 0 (rows 0, 1, 2): 3 pairs; column 1 (rows 0, 2, 4): 3; column 2 (rows 3, 4): 1.
     assert entries.matches.tolist() == [7]

@@ -656,6 +656,31 @@ def test_trace_points_inside_dense_rounds_keep_the_bits(s):
     assert every.final_x.tobytes() == default.final_x.tobytes()
 
 
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("layout,p,b", [(BLOCK_COLUMN, 1, 1), (BLOCK_COLUMN, 3, 1), (BLOCK_ROW, 2, 2)])
+def test_trace_points_at_iteration_zero_and_a_round_end(layout, p, b, s):
+    # A point at iteration 0 reads the starting x and zero counters: no
+    # round runs for it.  Iteration 6 ends a round at every s here, and 7
+    # falls inside one at s > 1 (column rounds split there; the row layout
+    # records it at the end of the round that holds it).  Those points, the
+    # end of the run and its counters read as in the same run without the
+    # point at 0; in the column layout their counters are also the replay's.
+    d = synthetic_dataset(150, 40, 6, seed=1)
+    cfg = SolverConfig(eta0=1.0, b=b, s=s, total_iterations=30, layout=layout, p=p, seed=3)
+    run = run_casgd(d, cfg, partition(d, layout, p), schedule=[(7, 0), (8, 6), (9, 7)])
+    ref = run_casgd(d, cfg, partition(d, layout, p), schedule=[(8, 6), (9, 7)])
+    start, zero = run.trace[:2]
+    assert (zero.epoch, zero.flops, zero.words, zero.messages, zero.collectives) == (7, 0, 0, 0, 0)
+    assert (zero.loss, zero.accuracy) == (start.loss, start.accuracy)
+    assert not run.epoch_solutions[1].any()
+    assert run.trace[2:] == ref.trace[1:]
+    assert [x.tobytes() for x in run.epoch_solutions[2:]] == [x.tobytes() for x in ref.epoch_solutions[1:]]
+    assert run.final_x.tobytes() == ref.final_x.tobytes() and run.counters == ref.counters
+    if layout == BLOCK_COLUMN:
+        replayed, _ = _replayed_counters(d, cfg, partition(d, layout, p), [(1, 6), (2, 7)])
+        assert [(t.flops, t.words, t.messages, t.collectives) for t in run.trace[2:]] == replayed[1:]
+
+
 def test_two_row_rounds_read_the_gram(monkeypatch):
     # One column rank takes two-row rounds over a dense cache as two dots,
     # the recurrence and two axpys.  Taking the second dot after the first
@@ -686,7 +711,7 @@ def _scatter(d, block, width, w):
     (p, n) buffers; one with a support (every round at
     ``_SUPPORT_MIN_RATIO`` 0, and a round of empty rows at any ratio) gives
     (p, len(support)) buffers, which fill the support's columns."""
-    entries = RowBlock(d, block, block.shape[1], width, False)
+    entries = RowBlock(d, block, block.shape[1], width)
     K, n = len(block), d.num_features
     out = np.zeros((K, block.shape[1] // width, n))
     for k in range(K):
@@ -727,7 +752,7 @@ class TestRowGradientReduction:
 
         for ratio in (0, 10**9):
             monkeypatch.setattr(casgd.sparse, "_SUPPORT_MIN_RATIO", ratio)
-            entries = RowBlock(d, ids[None], len(ids), rows_per_rank, False)
+            entries = RowBlock(d, ids[None], len(ids), rows_per_rank)
             support = entries.supports[0]
             if ratio:
                 assert support is None
@@ -811,8 +836,10 @@ class TestRowGradientReduction:
             if lifted:
                 monkeypatch.setattr(casgd.sparse, "_SUPPORT_MIN_RATIO", 0)
                 dense = [False] * len(block)
-            for payload in (False, True):
-                supports = RowBlock(d, block, 6, 2, payload).supports
+            # Rounds of four batches sort their entries for Gram pairs too;
+            # rounds of one batch have none.
+            for b in (6, 24):
+                supports = RowBlock(d, block, b, 2).supports
                 oracle = column_support(d, block, ratio=casgd.sparse._SUPPORT_MIN_RATIO)
                 assert len(supports) == len(block)
                 for ids, got, over, old in zip(block, supports, dense, oracle):
@@ -849,18 +876,18 @@ class TestRowGradientReduction:
         d = synthetic_dataset(700, 3000, 5, seed=8)
         most = 3000 // (5 * _SUPPORT_MIN_RATIO)
         few, many = np.arange(most), np.arange(most + 1)
-        assert RowBlock(d, few[None], most, most, False).supports[0] is not None
-        assert RowBlock(d, many[None], most + 1, most + 1, False).supports[0] is None
+        assert RowBlock(d, few[None], most, most).supports[0] is not None
+        assert RowBlock(d, many[None], most + 1, most + 1).supports[0] is None
         # A round of one empty row has an empty support.
-        empty = RowBlock(ragged_libsvm_dataset(800, 3000, seed=4), np.zeros((1, 1), dtype=np.int64), 1, 1, False)
+        empty = RowBlock(ragged_libsvm_dataset(800, 3000, seed=4), np.zeros((1, 1), dtype=np.int64), 1, 1)
         assert len(empty.supports[0]) == 0 and len(empty.rounds[0].keys) == 0
         # Under a dense cache rounds of one or more batches scatter their
         # stored entries, over a support by the same ratio.
         cached = synthetic_dataset(30, 600, 5, seed=8)
         assert cached.a_tilde.dense_cache() is not None
         for b, width in ((2, 1), (4, 2)):
-            assert RowBlock(cached, np.arange(4)[None], b, width, False).supports[0] is not None
-        assert RowBlock(cached, np.arange(6)[None], 2, 1, False).supports == [None]
+            assert RowBlock(cached, np.arange(4)[None], b, width).supports[0] is not None
+        assert RowBlock(cached, np.arange(6)[None], 2, 1).supports == [None]
 
 
 class TestSigBatch:
