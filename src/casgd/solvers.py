@@ -590,10 +590,11 @@ def _run_rounds(dataset, cfg, cluster, schedule, casgd):
         k = 0
         while k < count:
             # A segment: rounds k..j-1, run whole, which end at or before the
-            # next trace point.  A column round that the point falls strictly
-            # inside runs as a segment of its own (``split``), from a copy of
-            # x that its inner points read; the row layout runs the round
-            # holding a point whole and records it at the round's end.
+            # next trace point (none, for a point at round k's start).  When
+            # the point falls strictly inside column round k, that round is
+            # the segment (``split``), and x is copied first for the points
+            # inside it.  The row layout runs the round holding a point
+            # whole and records it at the round's end.
             ahead = min(next_it, t + count * s) - t
             j = max(k, -(-ahead // s) if row else ahead // s)
             split = j == k and j * s < ahead
