@@ -629,11 +629,10 @@ def _every_iteration_run(m, n, solver, s, layout=BLOCK_COLUMN, p=1, b=1):
 def test_trace_point_at_every_iteration_leaves_the_run_unchanged(m, n, solver, s, layout, p, b):
     # A trace point at every iteration cuts every segment after one round
     # and, in the column layout, splits every round at s > 1 (at p > 1 the
-    # split spans go through every rank's update).  The counters must read
-    # as under the default schedule, at the end and at each epoch end, and
-    # so must the bits.  A split column round over a dense cache updates a
-    # copy of x span by span for the points inside it, and x by the whole
-    # round's product, as an unsplit round does.
+    # spans go through every rank's columns).  The counters must read as
+    # under the default schedule, at the end and at each epoch end, and so
+    # must the bits.  A split column round runs whole, as an unsplit round
+    # does, and its inner points read a copy of x plus its spans.
     default, every, points = _every_iteration_run(m, n, solver, s, layout, p, b)
     counters = lambda t: (t.flops, t.words, t.messages, t.collectives)
     assert every.counters == default.counters
@@ -664,7 +663,10 @@ def test_trace_points_at_iteration_zero_and_a_round_end(layout, p, b, s):
     # falls inside one at s > 1 (column rounds split there; the row layout
     # records it at the end of the round that holds it).  Those points, the
     # end of the run and its counters read as in the same run without the
-    # point at 0; in the column layout their counters are also the replay's.
+    # point at 0.  In the column layout their counters are also the
+    # replay's, and their solutions within 1e-10 of SGD's at the same
+    # iterations, which a point inside a round can only read from the
+    # round's own weights.
     d = synthetic_dataset(150, 40, 6, seed=1)
     cfg = SolverConfig(eta0=1.0, b=b, s=s, total_iterations=30, layout=layout, p=p, seed=3)
     run = run_casgd(d, cfg, partition(d, layout, p), schedule=[(7, 0), (8, 6), (9, 7)])
@@ -679,6 +681,10 @@ def test_trace_points_at_iteration_zero_and_a_round_end(layout, p, b, s):
     if layout == BLOCK_COLUMN:
         replayed, _ = _replayed_counters(d, cfg, partition(d, layout, p), [(1, 6), (2, 7)])
         assert [(t.flops, t.words, t.messages, t.collectives) for t in run.trace[2:]] == replayed[1:]
+        sgd_cfg = SolverConfig(eta0=1.0, b=b, total_iterations=30, layout=layout, p=p, seed=3)
+        sgd = run_sgd(d, sgd_cfg, partition(d, layout, p), schedule=[(8, 6), (9, 7)])
+        for x_sgd, x in zip(sgd.epoch_solutions[1:], run.epoch_solutions[2:], strict=True):
+            assert relative_solution_error(x_sgd, x) <= 1e-10
 
 
 def test_two_row_rounds_read_the_gram(monkeypatch):
